@@ -34,7 +34,16 @@ class ConversionParams:
 
 
 def _round_half_away(x: np.ndarray) -> np.ndarray:
-    return np.where(x >= 0, np.floor(x + 0.5), np.ceil(x - 0.5))
+    """Round the float array x half away from zero in place; returns x.
+
+    copysign(floor(|x| + 0.5), x) needs no temporary beyond the sign mask.
+    """
+    negative = np.signbit(x)
+    np.abs(x, out=x)
+    x += 0.5
+    np.floor(x, out=x)
+    np.negative(x, out=x, where=negative)
+    return x
 
 
 def quantize_frame(frame: np.ndarray, bit_depth: int = 10) -> tuple[np.ndarray, ConversionParams]:

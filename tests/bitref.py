@@ -1,0 +1,160 @@
+"""Reference oracle for the BLOCK_DCT entropy coder: bit-serial ue I/O.
+
+MSB-first within each byte. A value v is written as the binary form of v+1
+preceded by bit_length(v+1) - 1 zero bits. The reference DCT coder below
+reads and writes one symbol and one bit at a time; the tests require the
+codec's bytes and decoded frames to equal its.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from fcmcodec.codec import BLOCK, ZIGZAG, _from_blocks, _to_blocks, dctn, idctn, qstep
+from fcmcodec.errors import PayloadDecodeError, TruncatedError
+
+# Longest accepted exp-Golomb zero prefix; longer prefixes are treated as
+# corruption rather than attempting a 2^64-scale value.
+_MAX_UE_PREFIX = 64
+
+
+class BitWriter:
+    def __init__(self):
+        self._buf = bytearray()
+        self._acc = 0
+        self._nbits = 0
+
+    def write_bits(self, value: int, nbits: int) -> None:
+        if value < 0 or (nbits < 64 and value >> nbits):
+            raise ValueError(f"value {value} does not fit in {nbits} bits")
+        for shift in range(nbits - 1, -1, -1):
+            self._acc = (self._acc << 1) | ((value >> shift) & 1)
+            self._nbits += 1
+            if self._nbits == 8:
+                self._buf.append(self._acc)
+                self._acc = 0
+                self._nbits = 0
+
+    def write_ue(self, value: int) -> None:
+        if value < 0:
+            raise ValueError("exp-Golomb encodes non-negative values only")
+        v = value + 1
+        n = v.bit_length()
+        self.write_bits(0, n - 1)
+        self.write_bits(v, n)
+
+    def getvalue(self) -> bytes:
+        out = bytearray(self._buf)
+        if self._nbits:
+            out.append(self._acc << (8 - self._nbits))
+        return bytes(out)
+
+
+class BitReader:
+    def __init__(self, data: bytes):
+        self._data = data
+        self._pos = 0  # bit position
+
+    def bits_left(self) -> int:
+        return len(self._data) * 8 - self._pos
+
+    def read_bits(self, nbits: int) -> int:
+        if nbits > self.bits_left():
+            raise TruncatedError("bitstream exhausted")
+        out = 0
+        pos = self._pos
+        data = self._data
+        for _ in range(nbits):
+            out = (out << 1) | ((data[pos >> 3] >> (7 - (pos & 7))) & 1)
+            pos += 1
+        self._pos = pos
+        return out
+
+    def read_ue(self) -> int:
+        zeros = 0
+        while self.read_bits(1) == 0:
+            zeros += 1
+            if zeros > _MAX_UE_PREFIX:
+                raise PayloadDecodeError("exp-Golomb prefix too long")
+        return ((1 << zeros) | self.read_bits(zeros)) - 1 if zeros else 0
+
+
+def expgolomb_write(value: int) -> bytes:
+    """Standalone exp-Golomb encode of one value (zero-padded to a byte)."""
+    w = BitWriter()
+    w.write_ue(value)
+    return w.getvalue()
+
+
+def expgolomb_read(data: bytes) -> int:
+    """Decode the first exp-Golomb value in data."""
+    return BitReader(data).read_ue()
+
+
+def _round_half_away(x: np.ndarray) -> np.ndarray:
+    return np.where(x >= 0, np.floor(x + 0.5), np.ceil(x - 0.5))
+
+
+def _signed_to_ue(level: int) -> int:
+    # 1 -> 1, -1 -> 2, 2 -> 3, -2 -> 4, ...
+    return 2 * level - 1 if level > 0 else -2 * level
+
+
+def _ue_to_signed(m: int) -> int:
+    return (m + 1) // 2 if m % 2 else -(m // 2)
+
+
+def reference_encode_dct(frame: np.ndarray, qp: int, bit_depth: int) -> bytes:
+    """BLOCK_DCT payload of frame, one ue symbol and one bit at a time."""
+    blocks = _to_blocks(np.asarray(frame).astype(np.float64))
+    coeffs = dctn(blocks, type=2, norm="ortho", axes=(-2, -1))
+    q = _round_half_away(coeffs / qstep(qp)).astype(np.int64)
+    writer = BitWriter()
+    for row in q.reshape(-1, BLOCK * BLOCK)[:, ZIGZAG]:
+        nz = np.nonzero(row)[0]
+        writer.write_ue(len(nz))
+        prev = -1
+        for pos in nz:
+            writer.write_ue(int(pos) - prev - 1)
+            writer.write_ue(_signed_to_ue(int(row[pos])))
+            prev = int(pos)
+    return bytes([bit_depth]) + writer.getvalue()
+
+
+def reference_decode_dct(data: bytes, qp: int, shape: tuple[int, int]) -> np.ndarray:
+    """Decode a BLOCK_DCT payload one bit at a time.
+
+    Sizes the coefficient array only after every block has been read, so a
+    payload declaring huge dims fails on its bits, not on an allocation.
+    """
+    if not data:
+        raise TruncatedError("empty transform payload")
+    bit_depth = data[0]
+    if not 8 <= bit_depth <= 16:
+        raise PayloadDecodeError(f"bad bit depth {bit_depth} in payload")
+    h, w = shape
+    hb = -(-h // BLOCK)
+    wb = -(-w // BLOCK)
+    step = qstep(qp)
+    reader = BitReader(data[1:])
+    coefficients = []
+    for b in range(hb * wb):
+        count = reader.read_ue()
+        if count > BLOCK * BLOCK:
+            raise PayloadDecodeError(f"block coefficient count {count} > 64")
+        pos = -1
+        for _ in range(count):
+            pos += reader.read_ue() + 1
+            if pos >= BLOCK * BLOCK:
+                raise PayloadDecodeError("coefficient position past end of block")
+            m = reader.read_ue()
+            if m == 0:
+                raise PayloadDecodeError("zero level in run-level pair")
+            coefficients.append((b, ZIGZAG[pos], _ue_to_signed(m) * step))
+    flat = np.zeros((hb * wb, BLOCK * BLOCK), dtype=np.float64)
+    for b, index, value in coefficients:
+        flat[b, index] = value
+    pixels = idctn(flat.reshape(hb, wb, BLOCK, BLOCK), type=2, norm="ortho", axes=(-2, -1))
+    frame = _from_blocks(pixels, h, w)
+    frame = np.clip(_round_half_away(frame), 0, (1 << bit_depth) - 1)
+    return frame.astype(np.uint16)

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fcmcodec.bits import BitReader, BitWriter, expgolomb_read, expgolomb_write
+from bitref import BitReader, BitWriter, expgolomb_read, expgolomb_write
 from fcmcodec.errors import TruncatedError
 
 

@@ -1,0 +1,120 @@
+"""Golden streams: pin the exact FCMB bytes and decoded tensors.
+
+`fixtures/golden/` holds seeded FTNS inputs and `golden.json`, the sha256 of
+the stream and of the decoded tensors for every codec x qp x prune x bit-depth
+case. The test recomputes them, so any change to stream bytes or decoded
+values fails here until the fixtures are regenerated on purpose with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import hashlib
+import itertools
+import json
+import struct
+from pathlib import Path
+
+import numpy as np
+import pytest
+from scipy.ndimage import gaussian_filter
+
+from fcmcodec import CodecId, EncoderConfig, FeatureTensor, TensorGroup, fcm_decode, fcm_encode
+from fcmcodec.tensor import read_tensor_file, write_tensor_file
+
+GOLDEN = Path(__file__).resolve().parent.parent / "fixtures" / "golden"
+MANIFEST = GOLDEN / "golden.json"
+
+CODECS = {"raw": CodecId.RAW_LOSSLESS, "dct": CodecId.BLOCK_DCT}
+QPS = (0, 4, 22, 40)
+PRUNE_RATIOS = (0.0, 0.5)
+BIT_DEPTHS = (10, 16)
+
+
+def _smooth(rng, shape, sigma=1.5):
+    return gaussian_filter(rng.standard_normal(shape), sigma=(0, sigma, sigma), mode="wrap")
+
+
+def make_inputs() -> dict[str, TensorGroup]:
+    """The seeded input groups, keyed by file name."""
+    rng = np.random.default_rng(20260)
+    # Post-ReLU-like: sparse channels with log-normal peaks, so many 8x8
+    # blocks quantise to no coefficient at all.
+    relu = np.maximum(_smooth(rng, (8, 12, 12)) - 0.5, 0.0)
+    relu *= np.exp(rng.standard_normal((8, 1, 1)))
+    return {
+        "pyramid.ftns": TensorGroup(
+            (
+                FeatureTensor(_smooth(rng, (6, 16, 16)).astype(np.float32)),
+                FeatureTensor(rng.normal(0.5, 1.0, (3, 8, 8)).astype(np.float32)),
+            ),
+            ("p3", "p4"),
+        ),
+        # 5 channels of 13x21 pack into a 26x63 frame: not a multiple of 8.
+        "odd.ftns": TensorGroup((FeatureTensor(_smooth(rng, (5, 13, 21), sigma=1.0).astype(np.float32)),)),
+        "relu.ftns": TensorGroup((FeatureTensor(relu.astype(np.float32)),)),
+    }
+
+
+def decoded_digest(group: TensorGroup) -> str:
+    h = hashlib.sha256()
+    for t in group.tensors:
+        h.update(struct.pack("<III", *t.shape))
+        h.update(t.data.astype("<f4", copy=False).tobytes())
+    return h.hexdigest()
+
+
+def golden_cases(name: str, group: TensorGroup) -> list[dict]:
+    out = []
+    for (codec, cid), qp, prune, depth in itertools.product(CODECS.items(), QPS, PRUNE_RATIOS, BIT_DEPTHS):
+        stream = fcm_encode(group, EncoderConfig(prune_ratio=prune, bit_depth=depth, codec=cid, qp=qp))
+        out.append(
+            {
+                "input": name,
+                "codec": codec,
+                "qp": qp,
+                "prune": prune,
+                "bit_depth": depth,
+                "stream_sha256": hashlib.sha256(stream).hexdigest(),
+                "decoded_sha256": decoded_digest(fcm_decode(stream)),
+            }
+        )
+    return out
+
+
+def _manifest() -> dict:
+    return json.loads(MANIFEST.read_text())
+
+
+@pytest.mark.parametrize("name", sorted(make_inputs()))
+def test_golden_streams(name):
+    manifest = _manifest()
+    path = GOLDEN / name
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == manifest["inputs"][name]
+    expected = [c for c in manifest["cases"] if c["input"] == name]
+    assert len(expected) == len(CODECS) * len(QPS) * len(PRUNE_RATIOS) * len(BIT_DEPTHS)
+    actual = golden_cases(name, read_tensor_file(path))
+    mismatched = [(e, a) for e, a in zip(expected, actual) if e != a]
+    assert not mismatched, mismatched[:3]
+
+
+def test_golden_inputs_are_the_seeded_groups():
+    for name, group in make_inputs().items():
+        stored = read_tensor_file(GOLDEN / name)
+        assert stored.labels == group.labels
+        for a, b in zip(stored.tensors, group.tensors):
+            np.testing.assert_array_equal(a.data, b.data)
+
+
+def regenerate() -> None:
+    GOLDEN.mkdir(parents=True, exist_ok=True)
+    inputs, cases = {}, []
+    for name, group in make_inputs().items():
+        write_tensor_file(GOLDEN / name, group)
+        inputs[name] = hashlib.sha256((GOLDEN / name).read_bytes()).hexdigest()
+        cases += golden_cases(name, group)
+    MANIFEST.write_text(json.dumps({"inputs": inputs, "cases": cases}, indent=1) + "\n")
+    print(f"wrote {len(inputs)} inputs and {len(cases)} cases to {GOLDEN}")
+
+
+if __name__ == "__main__":
+    regenerate()
