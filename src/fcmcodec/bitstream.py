@@ -1,6 +1,9 @@
 """The FCMB container: one self-delimiting unit per coded tensor.
 
-Stream layout: magic `FCMB`, version u8, unit count u16, then units. All
+Stream layout: magic `FCMB`, version u8 (2), unit count u8 (1-8), then units.
+A unit carries, after its packing layout, a transform id u8 (the position of
+the encoder's stage in `pipeline.TRANSFORMS`) and the tensor's label (u8
+length, then UTF-8), so a stream decodes with no side information. All
 multi-byte integers are little-endian, except the combination rank, which is
 a u16-length-prefixed big-endian big integer (length 0 means rank 0).
 """
@@ -18,10 +21,10 @@ from .errors import (
 )
 from .lcr import binomial
 from .packing import PackingLayout
-from .tensor import GlobalStats
+from .tensor import MAX_TENSORS, GlobalStats
 
 STREAM_MAGIC = b"FCMB"
-STREAM_VERSION = 1
+STREAM_VERSION = 2
 
 _U16_MAX = 0xFFFF
 
@@ -39,6 +42,8 @@ class UnitHeader:
     conv_min: float
     conv_max: float
     layout: PackingLayout
+    transform_id: int
+    label: str
     codec: int
     qp: int
 
@@ -53,6 +58,8 @@ class UnitHeader:
             raise InvariantError("bit depth outside [8, 16]")
         if not 0 <= self.codec <= 255 or not 0 <= self.qp <= 63:
             raise InvariantError("codec id or qp out of range")
+        if not 0 <= self.transform_id <= 255 or len(self.label.encode("utf-8")) > 255:
+            raise InvariantError("transform id or label length out of range")
 
 
 def _rank_bytes(rank: int) -> bytes:
@@ -63,6 +70,7 @@ def _rank_bytes(rank: int) -> bytes:
 
 def serialize_unit(header: UnitHeader, payload: bytes) -> bytes:
     rank = _rank_bytes(header.lcr_rank)
+    label = header.label.encode("utf-8")
     lay = header.layout
     for dim in (lay.grid_rows, lay.grid_cols, lay.tile_h, lay.tile_w, lay.channel_count):
         if dim > _U16_MAX:
@@ -78,8 +86,8 @@ def serialize_unit(header: UnitHeader, payload: bytes) -> bytes:
         struct.pack(
             "<HHHHH", lay.grid_rows, lay.grid_cols, lay.tile_h, lay.tile_w, lay.channel_count
         ),
-        struct.pack("<H", len(lay.permutation)),
-        b"".join(struct.pack("<H", p) for p in lay.permutation),
+        struct.pack("<BB", header.transform_id, len(label)),
+        label,
         struct.pack("<BB", header.codec, header.qp),
         struct.pack("<I", len(payload)),
         payload,
@@ -107,8 +115,8 @@ def parse_unit(data: bytes, offset: int = 0) -> tuple[UnitHeader, bytes, int]:
     (bit_depth,) = struct.unpack("<B", take(1))
     conv_min, conv_max = struct.unpack("<ff", take(8))
     gr, gc, th, tw, cc = struct.unpack("<HHHHH", take(10))
-    (perm_len,) = struct.unpack("<H", take(2))
-    perm = struct.unpack(f"<{perm_len}H", take(2 * perm_len)) if perm_len else ()
+    transform_id, label_len = struct.unpack("<BB", take(2))
+    label = take(label_len)
     codec, qp = struct.unpack("<BB", take(2))
     (payload_len,) = struct.unpack("<I", take(4))
     payload = take(payload_len)
@@ -124,7 +132,6 @@ def parse_unit(data: bytes, offset: int = 0) -> tuple[UnitHeader, bytes, int]:
     invariant(qp <= 63, "qp out of range")
     invariant(min(gr, gc, th, tw) >= 1, "zero layout dimension")
     invariant(1 <= cc <= gr * gc, "layout cannot hold its channel count")
-    invariant(perm_len in (0, cc), "bad rearrangement permutation length")
     try:
         header = UnitHeader(
             original_channels=n_channels,
@@ -135,7 +142,9 @@ def parse_unit(data: bytes, offset: int = 0) -> tuple[UnitHeader, bytes, int]:
             bit_depth=bit_depth,
             conv_min=conv_min,
             conv_max=conv_max,
-            layout=PackingLayout(gr, gc, th, tw, cc, perm),
+            layout=PackingLayout(gr, gc, th, tw, cc),
+            transform_id=transform_id,
+            label=label.decode("utf-8"),
             codec=codec,
             qp=qp,
         )
@@ -147,23 +156,23 @@ def parse_unit(data: bytes, offset: int = 0) -> tuple[UnitHeader, bytes, int]:
 
 
 def serialize_stream(units: list[tuple[UnitHeader, bytes]]) -> bytes:
-    if not 1 <= len(units) <= _U16_MAX:
-        raise InvariantError("stream must contain 1-65535 units")
-    head = STREAM_MAGIC + struct.pack("<BH", STREAM_VERSION, len(units))
+    if not 1 <= len(units) <= MAX_TENSORS:
+        raise InvariantError(f"stream must contain 1-{MAX_TENSORS} units")
+    head = STREAM_MAGIC + struct.pack("<BB", STREAM_VERSION, len(units))
     return head + b"".join(serialize_unit(h, p) for h, p in units)
 
 
 def parse_stream(data: bytes) -> list[tuple[UnitHeader, bytes]]:
-    if len(data) < 7:
+    if len(data) < 6:
         raise TruncatedError("stream shorter than its fixed header")
     if data[:4] != STREAM_MAGIC:
         raise MagicMismatchError("not an FCMB stream (bad magic)")
-    version, count = struct.unpack("<BH", data[4:7])
+    version, count = data[4], data[5]
     if version != STREAM_VERSION:
         raise VersionError(f"unsupported stream version {version}")
-    if count == 0:
-        raise InvariantError("stream declares zero units")
-    pos = 7
+    if not 1 <= count <= MAX_TENSORS:
+        raise InvariantError(f"stream declares {count} units, not 1-{MAX_TENSORS}")
+    pos = 6
     units = []
     for _ in range(count):
         header, payload, consumed = parse_unit(data, pos)

@@ -17,7 +17,7 @@ import numpy as np
 from .codec import CodecId
 from .errors import DomainError, FormatError
 from .metrics import RdCurve, bd_rate, psnr
-from .pipeline import EncoderConfig, fcm_decode, fcm_decode_with_info, fcm_encode
+from .pipeline import EncoderConfig, fcm_decode, fcm_decode_with_info, fcm_encode, transform_stage
 from .planar import read_sequence, write_sequence
 from .tensor import read_tensor_file, write_tensor_file
 from .vcm import (
@@ -61,7 +61,7 @@ def _cmd_encode(args) -> int:
 def _cmd_decode(args) -> int:
     with open(args.input, "rb") as fh:
         data = fh.read()
-    group = fcm_decode(data, transform=args.transform)
+    group = fcm_decode(data)
     write_tensor_file(args.output, group)
     print(f"decoded {len(group)} tensors", file=sys.stderr)
     return 0
@@ -70,7 +70,7 @@ def _cmd_decode(args) -> int:
 def _cmd_roundtrip(args) -> int:
     group = read_tensor_file(args.input)
     stream = fcm_encode(group, _config(args))
-    decoded, infos = fcm_decode_with_info(stream, transform=args.transform)
+    decoded, infos = fcm_decode_with_info(stream)
 
     tensors = []
     for orig, rec, info, label in zip(group.tensors, decoded.tensors, infos, group.labels):
@@ -111,7 +111,8 @@ def _cmd_inspect(args) -> int:
             f"mu_x={h.reduced_stats.mu:.6g} sigma_x={h.reduced_stats.sigma:.6g} "
             f"bit_depth={h.bit_depth} min={h.conv_min:.6g} max={h.conv_max:.6g} "
             f"grid={lay.grid_rows}x{lay.grid_cols} tile={lay.tile_h}x{lay.tile_w} "
-            f"channels={lay.channel_count} perm_len={len(lay.permutation)} "
+            f"channels={lay.channel_count} transform={transform_stage(h.transform_id).identifier} "
+            f"label={h.label!r} "
             f"codec={h.codec} qp={h.qp} payload_len={len(payload)}"
         )
     return 0
@@ -184,7 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decode", help="decode an FCMB stream to an FTNS tensor file")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--transform", default="identity")
     p.set_defaults(func=_cmd_decode)
 
     p = sub.add_parser("roundtrip", help="encode+decode and report distortion")

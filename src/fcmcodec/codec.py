@@ -71,21 +71,6 @@ def qstep(qp: int) -> float:
     return 2.0 ** ((qp - 4) / 6.0)
 
 
-def dct_block_forward(block: np.ndarray) -> np.ndarray:
-    """Orthonormal type-II DCT of one 8x8 block."""
-    block = np.asarray(block, dtype=np.float64)
-    if block.shape != (BLOCK, BLOCK):
-        raise DomainError(f"expected an 8x8 block, got {block.shape}")
-    return dctn(block, type=2, norm="ortho")
-
-
-def dct_block_inverse(block: np.ndarray) -> np.ndarray:
-    block = np.asarray(block, dtype=np.float64)
-    if block.shape != (BLOCK, BLOCK):
-        raise DomainError(f"expected an 8x8 block, got {block.shape}")
-    return idctn(block, type=2, norm="ortho")
-
-
 def _zigzag_order(n: int = BLOCK) -> np.ndarray:
     coords = sorted(
         ((r, c) for r in range(n) for c in range(n)),

@@ -8,7 +8,7 @@ pad boundaries do not create artificial edges.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,18 +18,13 @@ from .tensor import FeatureTensor
 
 @dataclass(frozen=True)
 class PackingLayout:
-    """Everything needed to invert a packed frame.
-
-    permutation is reserved for channel rearrangement; empty means identity
-    and is the only supported value.
-    """
+    """Everything needed to invert a packed frame."""
 
     grid_rows: int
     grid_cols: int
     tile_h: int
     tile_w: int
     channel_count: int
-    permutation: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
         if min(self.grid_rows, self.grid_cols, self.tile_h, self.tile_w) < 1:
@@ -39,8 +34,6 @@ class PackingLayout:
                 f"{self.channel_count} channels cannot fit a "
                 f"{self.grid_rows}x{self.grid_cols} tile grid"
             )
-        if self.permutation and len(self.permutation) != self.channel_count:
-            raise DomainError("permutation length must equal channel count")
 
     @property
     def frame_height(self) -> int:
@@ -75,8 +68,6 @@ def unpack(frame: np.ndarray, layout: PackingLayout) -> FeatureTensor:
             f"frame shape {frame.shape} does not match layout "
             f"({layout.frame_height}, {layout.frame_width})"
         )
-    if layout.permutation and tuple(layout.permutation) != tuple(range(layout.channel_count)):
-        raise DomainError("channel rearrangement is not supported")
     th, tw = layout.tile_h, layout.tile_w
     out = np.empty((layout.channel_count, th, tw), dtype=np.float32)
     for i in range(layout.channel_count):

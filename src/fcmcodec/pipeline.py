@@ -17,7 +17,7 @@ from .bitstream import UnitHeader, parse_stream, serialize_stream
 from .channels import PruneDecision, prune_channels, restore_channels, score_channels, select_pruned
 from .codec import CodecId, EncodedPayload, codec_decode, codec_encode
 from .conversion import ConversionParams, dequantize_frame, quantize_frame
-from .errors import DomainError, FcmError
+from .errors import DomainError, FcmError, InvariantError
 from .lcr import ChannelIndexSet, LcrCode, lcr_decode, lcr_encode
 from .packing import pack, unpack
 from .tensor import (
@@ -52,10 +52,20 @@ def _meanpool_inverse(t: FeatureTensor) -> FeatureTensor:
     return FeatureTensor(up)
 
 
+# A stage's position in this table is the transform id FCMB units carry, so
+# new stages go at the end and none is ever removed or reordered.
 TRANSFORMS: dict[str, TransformStage] = {
     "identity": TransformStage("identity", lambda t: t, lambda t: t),
     "meanpool2x": TransformStage("meanpool2x", _meanpool_forward, _meanpool_inverse),
 }
+
+
+def transform_stage(transform_id: int) -> TransformStage:
+    """The stage a unit's transform id names; malformed input if there is none."""
+    stages = tuple(TRANSFORMS.values())
+    if transform_id >= len(stages):
+        raise InvariantError(f"unknown transform id {transform_id}")
+    return stages[transform_id]
 
 
 @dataclass(frozen=True)
@@ -86,7 +96,7 @@ class DecodedUnitInfo:
     final_stats: GlobalStats
 
 
-def _encode_one(t: FeatureTensor, cfg: EncoderConfig) -> tuple[UnitHeader, bytes]:
+def _encode_one(t: FeatureTensor, label: str, cfg: EncoderConfig) -> tuple[UnitHeader, bytes]:
     stage = TRANSFORMS[cfg.transform]
     stats = compute_global_stats(t)
     xt = stage.forward(t)
@@ -108,6 +118,8 @@ def _encode_one(t: FeatureTensor, cfg: EncoderConfig) -> tuple[UnitHeader, bytes
         conv_min=params.min_val,
         conv_max=params.max_val,
         layout=layout,
+        transform_id=list(TRANSFORMS).index(cfg.transform),
+        label=label,
         codec=int(cfg.codec),
         qp=cfg.qp,
     )
@@ -122,13 +134,14 @@ def fcm_encode(group: TensorGroup, cfg: EncoderConfig, workers: int = 1) -> byte
     """
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            units = list(pool.map(lambda t: _encode_one(t, cfg), group.tensors))
+            units = list(pool.map(lambda t, label: _encode_one(t, label, cfg), group.tensors, group.labels))
     else:
-        units = [_encode_one(t, cfg) for t in group.tensors]
+        units = [_encode_one(t, label, cfg) for t, label in zip(group.tensors, group.labels)]
     return serialize_stream(units)
 
 
-def _decode_one(header: UnitHeader, payload: bytes, stage: TransformStage) -> tuple[FeatureTensor, DecodedUnitInfo]:
+def _decode_one(header: UnitHeader, payload: bytes) -> tuple[FeatureTensor, DecodedUnitInfo]:
+    stage = transform_stage(header.transform_id)
     lay = header.layout
     qframe = codec_decode(
         EncodedPayload(header.codec, header.qp, payload),
@@ -153,27 +166,20 @@ def _decode_one(header: UnitHeader, payload: bytes, stage: TransformStage) -> tu
     return final, info
 
 
-def fcm_decode_with_info(data: bytes, transform: str = "identity") -> tuple[TensorGroup, list[DecodedUnitInfo]]:
-    """Decode a stream, returning the group plus per-unit diagnostics.
-
-    The transform identifier is not carried in the stream; the caller must
-    name the same stage the encoder used.
-    """
-    if transform not in TRANSFORMS:
-        raise DomainError(f"unknown transform {transform!r}")
-    stage = TRANSFORMS[transform]
+def fcm_decode_with_info(data: bytes) -> tuple[TensorGroup, list[DecodedUnitInfo]]:
+    """Decode a stream, returning the labelled group plus per-unit diagnostics."""
     tensors = []
     infos = []
     for i, (header, payload) in enumerate(parse_stream(data)):
         try:
-            tensor, info = _decode_one(header, payload, stage)
+            tensor, info = _decode_one(header, payload)
         except FcmError as exc:
             raise type(exc)(f"unit {i}: {exc}") from exc
         tensors.append(tensor)
         infos.append(info)
-    return TensorGroup(tuple(tensors)), infos
+    return TensorGroup(tuple(tensors), tuple(info.header.label for info in infos)), infos
 
 
-def fcm_decode(data: bytes, transform: str = "identity") -> TensorGroup:
-    group, _ = fcm_decode_with_info(data, transform)
+def fcm_decode(data: bytes) -> TensorGroup:
+    group, _ = fcm_decode_with_info(data)
     return group

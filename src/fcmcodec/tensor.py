@@ -27,6 +27,8 @@ TENSOR_FORMAT_VERSION = 1
 
 # Hard cap on C*H*W for a single tensor read from disk.
 _MAX_ELEMENTS = 1 << 31
+# Most tensors one group, FTNS file or FCMB stream may hold.
+MAX_TENSORS = 8
 
 
 @dataclass(frozen=True)
@@ -86,8 +88,8 @@ class TensorGroup:
 
     def __post_init__(self):
         tensors = tuple(self.tensors)
-        if not 1 <= len(tensors) <= 8:
-            raise DomainError(f"group must hold 1-8 tensors, got {len(tensors)}")
+        if not 1 <= len(tensors) <= MAX_TENSORS:
+            raise DomainError(f"group must hold 1-{MAX_TENSORS} tensors, got {len(tensors)}")
         labels = tuple(self.labels) if self.labels else ("",) * len(tensors)
         if len(labels) != len(tensors):
             raise DomainError("one label per tensor required")
@@ -163,8 +165,8 @@ def _parse_tensor_bytes(data: bytes) -> TensorGroup:
     version, count = struct.unpack("<BB", take(2))
     if version != TENSOR_FORMAT_VERSION:
         raise VersionError(f"unsupported tensor format version {version}")
-    if not 1 <= count <= 8:
-        raise InvariantError(f"tensor count {count} outside 1-8")
+    if not 1 <= count <= MAX_TENSORS:
+        raise InvariantError(f"tensor count {count} outside 1-{MAX_TENSORS}")
 
     tensors = []
     labels = []

@@ -3,7 +3,9 @@
 MSB-first within each byte. A value v is written as the binary form of v+1
 preceded by bit_length(v+1) - 1 zero bits. The reference DCT coder below
 reads and writes one symbol and one bit at a time; the tests require the
-codec's bytes and decoded frames to equal its.
+codec's bytes and decoded frames to equal its. `dct_block_forward` and
+`dct_block_inverse` transform one 8x8 block, for checks of the transform
+convention the codec applies to all blocks at once.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from fcmcodec.codec import BLOCK, ZIGZAG, _from_blocks, _to_blocks, dctn, idctn, qstep
-from fcmcodec.errors import PayloadDecodeError, TruncatedError
+from fcmcodec.errors import DomainError, PayloadDecodeError, TruncatedError
 
 # Longest accepted exp-Golomb zero prefix; longer prefixes are treated as
 # corruption rather than attempting a 2^64-scale value.
@@ -102,6 +104,21 @@ def _signed_to_ue(level: int) -> int:
 
 def _ue_to_signed(m: int) -> int:
     return (m + 1) // 2 if m % 2 else -(m // 2)
+
+
+def dct_block_forward(block: np.ndarray) -> np.ndarray:
+    """Orthonormal type-II DCT of one 8x8 block."""
+    block = np.asarray(block, dtype=np.float64)
+    if block.shape != (BLOCK, BLOCK):
+        raise DomainError(f"expected an 8x8 block, got {block.shape}")
+    return dctn(block, type=2, norm="ortho")
+
+
+def dct_block_inverse(block: np.ndarray) -> np.ndarray:
+    block = np.asarray(block, dtype=np.float64)
+    if block.shape != (BLOCK, BLOCK):
+        raise DomainError(f"expected an 8x8 block, got {block.shape}")
+    return idctn(block, type=2, norm="ortho")
 
 
 def reference_encode_dct(frame: np.ndarray, qp: int, bit_depth: int) -> bytes:

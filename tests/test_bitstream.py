@@ -1,21 +1,32 @@
+import dataclasses
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fcmcodec import GlobalStats, PackingLayout, UnitHeader
-from fcmcodec.bitstream import parse_stream, parse_unit, serialize_stream, serialize_unit
+from fcmcodec import EncoderConfig, GlobalStats, PackingLayout, UnitHeader, fcm_decode, fcm_encode
+from fcmcodec.bitstream import STREAM_MAGIC, STREAM_VERSION, parse_stream, parse_unit, serialize_stream, serialize_unit
 from fcmcodec.errors import (
     FcmError,
+    FormatError,
     InvariantError,
     MagicMismatchError,
     TruncatedError,
     VersionError,
 )
 
+from conftest import random_group
 
-def make_header(n=8, k=2, rank=3, codec=0, qp=22, perm=()):
+# A 1x2x2 tensor as the version-1 writer coded it: a u16 unit count, a u16
+# permutation length per unit, and neither a transform id nor a label.
+V1_STREAM = bytes.fromhex(
+    "46434d420101000100000000000000c03fbd1b8f3f0000c03fbd1b8f3f0a0000000000004040"
+    "01000100020002000100000000161100000000789c636008655cc5f49f190006ba0205"
+)
+
+
+def make_header(n=8, k=2, rank=3, codec=0, qp=22, label=""):
     cc = n - k
     gc = math.isqrt(cc)
     gc += 1 if gc * gc < cc else 0
@@ -29,7 +40,9 @@ def make_header(n=8, k=2, rank=3, codec=0, qp=22, perm=()):
         bit_depth=10,
         conv_min=-3.0,
         conv_max=4.0,
-        layout=PackingLayout(gr, gc, 4, 5, cc, perm),
+        layout=PackingLayout(gr, gc, 4, 5, cc),
+        transform_id=0,
+        label=label,
         codec=codec,
         qp=qp,
     )
@@ -54,6 +67,9 @@ def headers(draw):
         conv_min=-1.0,
         conv_max=draw(st.floats(0, 100, width=32)),
         layout=PackingLayout(gr, gc, draw(st.integers(1, 64)), draw(st.integers(1, 64)), cc),
+        transform_id=draw(st.integers(0, 255)),
+        # at most 4 UTF-8 bytes per character, so within the u8 length
+        label=draw(st.text(max_size=63)),
         codec=draw(st.integers(0, 255)),
         qp=draw(st.integers(0, 63)),
     )
@@ -100,6 +116,37 @@ class TestStream:
         with pytest.raises(VersionError):
             parse_stream(b"FCMB\x09\x01\x00" + bytes(40))
 
+    def test_version_1_rejected(self):
+        with pytest.raises(VersionError, match="version 1"):
+            parse_stream(V1_STREAM)
+
+    @pytest.mark.parametrize("count", [0, 9])
+    def test_unit_count_outside_1_to_8(self, count):
+        unit = serialize_unit(make_header(), b"xy")
+        blob = STREAM_MAGIC + bytes([STREAM_VERSION, count]) + unit * count
+        with pytest.raises(InvariantError, match=f"declares {count} units"):
+            parse_stream(blob)
+        # rejected on the count alone, before any unit is parsed
+        with pytest.raises(InvariantError, match=f"declares {count} units"):
+            parse_stream(blob[:6])
+
+    def test_serialize_rejects_nine_units(self):
+        with pytest.raises(InvariantError):
+            serialize_stream([(make_header(), b"")] * 9)
+
+    def test_invalid_utf8_label(self):
+        blob = serialize_stream([(make_header(label="abc"), b"")])
+        assert blob.count(b"abc") == 1
+        with pytest.raises(InvariantError):
+            parse_stream(blob.replace(b"abc", b"\xff\xfe\xfd"))
+
+    def test_unknown_transform_id(self, rng):
+        units = parse_stream(fcm_encode(random_group(rng, count=2), EncoderConfig()))
+        header, payload = units[1]
+        units[1] = (dataclasses.replace(header, transform_id=255), payload)
+        with pytest.raises(FormatError, match="unit 1: unknown transform id 255"):
+            fcm_decode(serialize_stream(units))
+
     def test_truncated_payload_len(self):
         blob = serialize_stream([(make_header(), b"abcdef")])
         with pytest.raises(TruncatedError):
@@ -109,8 +156,8 @@ class TestStream:
         header = make_header(n=5, k=2, rank=9)
         blob = serialize_stream([(header, b"")])
         # bump the one-byte rank 9 -> 10 == C(5,2), now out of range;
-        # rank byte sits after magic(4)+ver(1)+count(2)+N(2)+k(2)+rank_len(2)
-        idx = 13
+        # rank byte sits after magic(4)+ver(1)+count(1)+N(2)+k(2)+rank_len(2)
+        idx = 12
         assert blob[idx] == 9
         corrupted = blob[:idx] + b"\x0a" + blob[idx + 1 :]
         with pytest.raises(InvariantError):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import pathlib
 import re
@@ -5,6 +6,8 @@ import re
 import numpy as np
 import pytest
 
+from fcmcodec import EncoderConfig, fcm_encode
+from fcmcodec.bitstream import parse_stream, serialize_stream
 from fcmcodec.cli import main
 from fcmcodec.planar import read_sequence, write_sequence
 from fcmcodec.tensor import read_tensor_file, write_tensor_file
@@ -62,7 +65,10 @@ class TestCodecCommands:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 2
         for line in lines:
-            for field in ("N=", "k=", "rank=", "mu=", "sigma=", "bit_depth=", "codec=", "qp=", "payload_len="):
+            for field in (
+                "N=", "k=", "rank=", "mu=", "sigma=", "bit_depth=", "transform=", "label=", "codec=", "qp=",
+                "payload_len=",
+            ):
                 assert field in line
 
     def test_decode_bad_magic_exit_3(self, tmp_path, capsys):
@@ -71,6 +77,23 @@ class TestCodecCommands:
         rc = main(["decode", "--input", str(bad), "--output", str(tmp_path / "o.ftns")])
         assert rc == 3
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", [0, 9])
+    def test_decode_unit_count_exit_3(self, tmp_path, rng, capsys, count):
+        one = fcm_encode(random_group(rng, count=1), EncoderConfig())
+        bad = tmp_path / "bad.fcmb"
+        bad.write_bytes(one[:5] + bytes([count]) + one[6:] * count)
+        rc = main(["decode", "--input", str(bad), "--output", str(tmp_path / "o.ftns")])
+        assert rc == 3
+        assert f"declares {count} units" in capsys.readouterr().err
+
+    def test_unknown_transform_exit_3(self, tmp_path, rng, capsys):
+        (header, payload), = parse_stream(fcm_encode(random_group(rng, count=1), EncoderConfig()))
+        bad = tmp_path / "bad.fcmb"
+        bad.write_bytes(serialize_stream([(dataclasses.replace(header, transform_id=200), payload)]))
+        for argv in (["decode", "--output", str(tmp_path / "o.ftns")], ["inspect"]):
+            assert main(argv + ["--input", str(bad)]) == 3
+            assert "unknown transform id 200" in capsys.readouterr().err
 
     def test_missing_file_exit_3(self, tmp_path):
         rc = main(["decode", "--input", str(tmp_path / "nope"), "--output", str(tmp_path / "o")])

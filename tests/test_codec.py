@@ -5,9 +5,10 @@ import pytest
 from scipy.ndimage import gaussian_filter
 
 from fcmcodec import CodecId, EncodedPayload, codec_decode, codec_encode, qstep
-from fcmcodec.codec import dct_block_forward, dct_block_inverse
 from fcmcodec.errors import DomainError, FcmError, PayloadDecodeError, TruncatedError
 from fcmcodec.metrics import psnr
+
+from bitref import dct_block_forward, dct_block_inverse
 
 
 def naive_dct2(block):

@@ -92,9 +92,11 @@ def test_golden_streams(name):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == manifest["inputs"][name]
     expected = [c for c in manifest["cases"] if c["input"] == name]
     assert len(expected) == len(CODECS) * len(QPS) * len(PRUNE_RATIOS) * len(BIT_DEPTHS)
-    actual = golden_cases(name, read_tensor_file(path))
+    group = read_tensor_file(path)
+    actual = golden_cases(name, group)
     mismatched = [(e, a) for e, a in zip(expected, actual) if e != a]
     assert not mismatched, mismatched[:3]
+    assert fcm_decode(fcm_encode(group, EncoderConfig())).labels == group.labels
 
 
 def test_golden_inputs_are_the_seeded_groups():

@@ -101,18 +101,23 @@ class TestTransforms:
         t = random_tensor(rng, channels=4, height=8, width=12)
         group = TensorGroup((t,))
         cfg = lossless_cfg(transform="meanpool2x")
-        decoded = fcm_decode(fcm_encode(group, cfg), transform="meanpool2x")
+        decoded = fcm_decode(fcm_encode(group, cfg))
         assert decoded.tensors[0].shape == t.shape
 
     def test_meanpool_restores_stats(self, rng):
         t = random_tensor(rng, channels=4, height=8, width=12, mu=2.0)
         cfg = lossless_cfg(transform="meanpool2x")
-        _, infos = fcm_decode_with_info(
-            fcm_encode(TensorGroup((t,)), cfg), transform="meanpool2x"
-        )
+        _, infos = fcm_decode_with_info(fcm_encode(TensorGroup((t,)), cfg))
         info = infos[0]
         assert info.final_stats.mu == pytest.approx(info.header.transform_stats.mu, rel=1e-4)
         assert info.final_stats.sigma == pytest.approx(info.header.transform_stats.sigma, rel=1e-4)
+
+    def test_stream_names_its_transform_and_labels(self, rng):
+        t = random_tensor(rng, channels=8, height=16, width=16)
+        stream = fcm_encode(TensorGroup((t,), ("p3",)), lossless_cfg(transform="meanpool2x"))
+        decoded = fcm_decode(stream)
+        assert decoded.tensors[0].shape == (8, 16, 16)
+        assert decoded.labels == ("p3",)
 
     def test_meanpool_rejects_odd_dims(self, rng):
         t = random_tensor(rng, channels=2, height=7, width=8)
