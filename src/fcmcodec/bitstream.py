@@ -58,7 +58,11 @@ class UnitHeader:
             raise InvariantError("bit depth outside [8, 16]")
         if not 0 <= self.codec <= 255 or not 0 <= self.qp <= 63:
             raise InvariantError("codec id or qp out of range")
-        if not 0 <= self.transform_id <= 255 or len(self.label.encode("utf-8")) > 255:
+        try:
+            label_size = len(self.label.encode("utf-8"))
+        except UnicodeEncodeError as exc:
+            raise InvariantError(f"label not encodable as UTF-8: {self.label!r}") from exc
+        if not 0 <= self.transform_id <= 255 or label_size > 255:
             raise InvariantError("transform id or label length out of range")
 
 

@@ -29,8 +29,9 @@ class PruneDecision:
 
 def score_channels(t: FeatureTensor) -> list[float]:
     """Per-channel mean squared energy."""
-    x = t.data.astype(np.float64, copy=False)
-    return [float(v) for v in np.mean(x * x, axis=(1, 2))]
+    x = t.data.astype(np.float64)
+    x *= x
+    return [float(v) for v in x.mean(axis=(1, 2))]
 
 
 def select_pruned(scores: list[float], ratio: float) -> PruneDecision:

@@ -1,7 +1,10 @@
 """Pluggable inner frame codec with two built-ins.
 
-RAW_LOSSLESS stores samples as little-endian u16 behind a deterministic
-byte-compression pass (zlib, scheme id 0) and decodes bit-exactly. BLOCK_DCT
+RAW_LOSSLESS stores samples as little-endian u16 in one deflate stream
+(scheme id 0) and decodes bit-exactly. The encoder uses zlib's run-length
+strategy (Z_RLE), which on packed feature frames is both smaller and several
+times faster than the default strategy; the decoder reads any deflate
+stream, so streams from other strategies and levels decode too. BLOCK_DCT
 is a lossy intra codec: 8x8 orthonormal DCT, uniform scalar quantization with
 qstep(qp) = 2^((qp-4)/6) and zigzag scan. Each block is coded as its count of
 nonzero coefficients followed by one (run, level) pair per coefficient, every
@@ -48,6 +51,11 @@ _SLICE_BLOCKS = 128
 # Scan marks per chunk of the decoder's value read (each covers up to 16
 # codewords).
 _CHUNK_MARKS = 1 << 12
+
+# deflate memLevel of RAW_LOSSLESS. With the run-length strategy it sets the
+# block size: on the perfbench pyramid frames 9 codes 0.3% fewer bits than 8
+# at the same speed. That strategy writes the same bytes at levels 1-9.
+_RAW_MEM_LEVEL = 9
 
 
 class CodecId(IntEnum):
@@ -100,8 +108,8 @@ def _from_blocks(blocks: np.ndarray, h: int, w: int) -> np.ndarray:
 
 
 def _encode_raw(frame: np.ndarray) -> bytes:
-    samples = frame.astype("<u2").tobytes()
-    return bytes([0]) + zlib.compress(samples, level=6)
+    deflate = zlib.compressobj(6, zlib.DEFLATED, 15, _RAW_MEM_LEVEL, zlib.Z_RLE)
+    return bytes([0]) + deflate.compress(np.ascontiguousarray(frame, dtype="<u2")) + deflate.flush()
 
 
 def _decode_raw(data: bytes, shape: tuple[int, int]) -> np.ndarray:

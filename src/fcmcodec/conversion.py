@@ -54,10 +54,12 @@ def quantize_frame(frame: np.ndarray, bit_depth: int = 10) -> tuple[np.ndarray, 
     params = ConversionParams(bit_depth, float(frame.min()), float(frame.max()))
     if params.min_val == params.max_val:
         return np.zeros(frame.shape, dtype=np.uint16), params
+    # (x - min) / (max - min) * levels, in place in one float64 copy.
     x = frame.astype(np.float64)
-    scaled = (x - params.min_val) / (params.max_val - params.min_val) * params.levels
-    q = _round_half_away(scaled)
-    return q.astype(np.uint16), params
+    x -= params.min_val
+    x /= params.max_val - params.min_val
+    x *= params.levels
+    return _round_half_away(x).astype(np.uint16), params
 
 
 def dequantize_frame(frame: np.ndarray, params: ConversionParams) -> np.ndarray:
@@ -69,5 +71,9 @@ def dequantize_frame(frame: np.ndarray, params: ConversionParams) -> np.ndarray:
         raise DomainError(f"sample outside [0, {params.levels}]")
     if params.min_val == params.max_val:
         return np.full(q.shape, params.min_val, dtype=np.float32)
-    x = q.astype(np.float64) / params.levels * (params.max_val - params.min_val)
-    return (x + params.min_val).astype(np.float32)
+    # q / levels * (max - min) + min, in place in one float64 copy.
+    x = q.astype(np.float64)
+    x /= params.levels
+    x *= params.max_val - params.min_val
+    x += params.min_val
+    return x.astype(np.float32)

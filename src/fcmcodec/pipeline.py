@@ -103,7 +103,7 @@ def _encode_one(t: FeatureTensor, label: str, cfg: EncoderConfig) -> tuple[UnitH
 
     decision = select_pruned(score_channels(xt), cfg.prune_ratio)
     reduced = prune_channels(xt, decision) if decision.pruned.indices else xt
-    reduced_stats = compute_global_stats(reduced)
+    reduced_stats = stats if reduced is t else compute_global_stats(reduced)
 
     frame, layout = pack(reduced)
     qframe, params = quantize_frame(frame, cfg.bit_depth)

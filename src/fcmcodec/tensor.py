@@ -94,7 +94,11 @@ class TensorGroup:
         if len(labels) != len(tensors):
             raise DomainError("one label per tensor required")
         for lbl in labels:
-            if len(lbl.encode("utf-8")) > 255:
+            try:
+                size = len(lbl.encode("utf-8"))
+            except UnicodeEncodeError as exc:
+                raise DomainError(f"label not encodable as UTF-8: {lbl!r}") from exc
+            if size > 255:
                 raise DomainError(f"label too long: {lbl!r}")
         object.__setattr__(self, "tensors", tensors)
         object.__setattr__(self, "labels", labels)
@@ -106,11 +110,13 @@ class TensorGroup:
 def compute_global_stats(t: FeatureTensor) -> GlobalStats:
     """Mean and population (biased) standard deviation over all elements.
 
-    Accumulates in float64 regardless of tensor size.
+    Accumulates in float64 regardless of tensor size, in one float64 copy.
     """
-    flat = t.data.astype(np.float64, copy=False)
-    mu = float(flat.mean())
-    sigma = float(np.sqrt(np.mean((flat - mu) ** 2)))
+    d = t.data.astype(np.float64)
+    mu = float(d.mean())
+    d -= mu
+    d *= d
+    sigma = float(np.sqrt(d.mean()))
     return GlobalStats(mu, sigma)
 
 
@@ -121,11 +127,14 @@ def apply_refinement(t: FeatureTensor, target: GlobalStats) -> FeatureTensor:
     is the constant target.mu.
     """
     current = compute_global_stats(t)
-    x = t.data.astype(np.float64, copy=False)
     if current.sigma == 0.0:
-        out = np.full(t.shape, target.mu, dtype=np.float64)
-    else:
-        out = target.sigma * (x - current.mu) / current.sigma + target.mu
+        return FeatureTensor(np.full(t.shape, target.mu, dtype=np.float32))
+    # target.sigma * (x - mu) / sigma + target.mu, one IEEE step at a time.
+    out = t.data.astype(np.float64)
+    out -= current.mu
+    out *= target.sigma
+    out /= current.sigma
+    out += target.mu
     return FeatureTensor(out.astype(np.float32))
 
 

@@ -140,6 +140,10 @@ class TestStream:
         with pytest.raises(InvariantError):
             parse_stream(blob.replace(b"abc", b"\xff\xfe\xfd"))
 
+    def test_label_not_utf8_encodable(self):
+        with pytest.raises(InvariantError, match="UTF-8"):
+            make_header(label="p3\ud800")
+
     def test_unknown_transform_id(self, rng):
         units = parse_stream(fcm_encode(random_group(rng, count=2), EncoderConfig()))
         header, payload = units[1]

@@ -1,0 +1,167 @@
+"""The in-place float64 stages against the expressions they replaced.
+
+compute_global_stats, apply_refinement, quantize_frame, dequantize_frame and
+score_channels run their float64 arithmetic in place in one copy. Each step is the IEEE
+operation the whole-array expressions below performed, in the same order, so
+results must match them bit for bit, and the caller's array must be left as
+it was.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from fcmcodec import (
+    ConversionParams,
+    FeatureTensor,
+    GlobalStats,
+    dequantize_frame,
+    quantize_frame,
+    score_channels,
+)
+from fcmcodec.conversion import _round_half_away
+from fcmcodec.errors import DomainError
+from fcmcodec.tensor import apply_refinement, compute_global_stats
+
+F32_MAX = float(np.finfo(np.float32).max)
+F32_TINY = float(np.finfo(np.float32).smallest_subnormal)
+
+
+def reference_stats(data: np.ndarray) -> tuple[float, float]:
+    flat = data.astype(np.float64, copy=False)
+    mu = float(flat.mean())
+    sigma = float(np.sqrt(np.mean((flat - mu) ** 2)))
+    return mu, sigma
+
+
+def reference_scores(data: np.ndarray) -> list[float]:
+    x = data.astype(np.float64, copy=False)
+    return [float(v) for v in np.mean(x * x, axis=(1, 2))]
+
+
+def reference_refinement(data: np.ndarray, target: GlobalStats) -> np.ndarray:
+    mu, sigma = reference_stats(data)
+    x = data.astype(np.float64, copy=False)
+    if sigma == 0.0:
+        out = np.full(data.shape, target.mu, dtype=np.float64)
+    else:
+        out = target.sigma * (x - mu) / sigma + target.mu
+    return out.astype(np.float32)
+
+
+def reference_quantize(frame: np.ndarray, bit_depth: int) -> tuple[np.ndarray, float, float]:
+    lo, hi = float(frame.min()), float(frame.max())
+    if lo == hi:
+        return np.zeros(frame.shape, dtype=np.uint16), lo, hi
+    x = frame.astype(np.float64)
+    scaled = (x - lo) / (hi - lo) * ((1 << bit_depth) - 1)
+    return _round_half_away(scaled).astype(np.uint16), lo, hi
+
+
+def reference_dequantize(q: np.ndarray, params: ConversionParams) -> np.ndarray:
+    if params.min_val == params.max_val:
+        return np.full(q.shape, params.min_val, dtype=np.float32)
+    x = q.astype(np.float64) / params.levels * (params.max_val - params.min_val)
+    return (x + params.min_val).astype(np.float32)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# Finite float32 values, extremes and subnormals included.
+f32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
+tensor_data = arrays(np.float32, st.tuples(st.integers(1, 4), st.integers(1, 9), st.integers(1, 9)), elements=f32)
+frames = arrays(np.float32, st.tuples(st.integers(1, 12), st.integers(1, 12)), elements=f32)
+targets = st.builds(GlobalStats, st.floats(-1e30, 1e30), st.floats(0, 1e30))
+
+ZERO_SIGMA = np.full((2, 3, 4), -7.25, np.float32)
+EXTREMES = np.array([[[F32_MAX, -F32_MAX], [F32_TINY, -F32_TINY]]], np.float32)
+# The exact results of these sit next to a rounding midpoint of the output
+# (float32, or an integer plus 0.5), so the output rounds the other way if the
+# float64 steps are reordered, e.g. dividing before multiplying.
+MIDPOINT_REFINEMENT = (np.array([[[0, 1, 2]]], np.float32), GlobalStats(0.0, 1.0746086226980522))
+MIDPOINT_QUANTIZE = (np.array([[0.0, 27.081682205200195, 54.16336441040039]], np.float32), 8)
+MIDPOINT_DEQUANTIZE = (np.array([[13427]], np.uint16), ConversionParams(16, 0.0, 4.984732125191125))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tensor_data)
+@example(ZERO_SIGMA)
+@example(EXTREMES)
+@example(np.zeros((1, 1, 1), np.float32))
+def test_stats_match_reference(data):
+    stats = compute_global_stats(FeatureTensor(data))
+    mu, sigma = reference_stats(data)
+    assert same_bits(np.float64(stats.mu), np.float64(mu))
+    assert same_bits(np.float64(stats.sigma), np.float64(sigma))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tensor_data)
+@example(ZERO_SIGMA)
+@example(EXTREMES)
+def test_scores_match_reference(data):
+    assert same_bits(score_channels(FeatureTensor(data)), reference_scores(data))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tensor_data, targets)
+@example(ZERO_SIGMA, GlobalStats(1.5, 2.0))
+@example(EXTREMES, GlobalStats(0.0, 1.0))
+@example(EXTREMES, GlobalStats(-3.0, 1e30))
+@example(*MIDPOINT_REFINEMENT)
+def test_refinement_matches_reference(data, target):
+    before = data.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = reference_refinement(data, target)
+    if not np.all(np.isfinite(expected)):
+        with pytest.raises(DomainError):
+            apply_refinement(FeatureTensor(data), target)
+    else:
+        assert same_bits(apply_refinement(FeatureTensor(data), target).data, expected)
+    assert same_bits(data, before)
+
+
+@settings(max_examples=300, deadline=None)
+@given(frames, st.integers(8, 16))
+@example(np.full((3, 5), 3.25, np.float32), 16)
+@example(np.array([[F32_MAX, -F32_MAX, 0.0, F32_TINY]], np.float32), 16)
+@example(np.array([[-F32_TINY, F32_TINY]], np.float32), 8)
+@example(*MIDPOINT_QUANTIZE)
+def test_quantize_matches_reference(frame, bit_depth):
+    before = frame.copy()
+    q, params = quantize_frame(frame, bit_depth)
+    expected, lo, hi = reference_quantize(frame, bit_depth)
+    assert same_bits(q, expected)
+    assert (params.min_val, params.max_val) == (lo, hi)
+    assert same_bits(frame, before)
+
+
+@st.composite
+def quantized(draw):
+    bit_depth = draw(st.integers(8, 16))
+    levels = (1 << bit_depth) - 1
+    shape = draw(st.tuples(st.integers(1, 12), st.integers(1, 12)))
+    q = draw(arrays(np.uint16, shape, elements=st.integers(0, levels)))
+    lo, hi = sorted(draw(st.lists(f32, min_size=2, max_size=2)))
+    if draw(st.booleans()):
+        hi = lo
+    return q, ConversionParams(bit_depth, lo, hi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(quantized())
+@example((np.array([[0, 65535, 32768]], np.uint16), ConversionParams(16, -F32_MAX, F32_MAX)))
+@example((np.array([[0, 1023]], np.uint16), ConversionParams(10, 2.5, 2.5)))
+@example(MIDPOINT_DEQUANTIZE)
+def test_dequantize_matches_reference(case):
+    q, params = case
+    before = q.copy()
+    with np.errstate(over="ignore"):
+        expected = reference_dequantize(q, params)
+        assert same_bits(dequantize_frame(q, params), expected)
+    assert same_bits(q, before)

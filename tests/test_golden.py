@@ -107,15 +107,66 @@ def test_golden_inputs_are_the_seeded_groups():
             np.testing.assert_array_equal(a.data, b.data)
 
 
+def _case_key(case: dict) -> tuple:
+    return case["input"], case["codec"], case["qp"], case["prune"], case["bit_depth"]
+
+
+def changed_hashes(old: dict, new: dict) -> dict[str, int]:
+    """How many stream and decoded hashes of `new` differ from `old`'s cases.
+
+    A case `old` does not hold counts as changed.
+    """
+    before = {_case_key(c): c for c in old.get("cases", ())}
+    counts = {"stream_sha256": 0, "decoded_sha256": 0}
+    for case in new["cases"]:
+        prior = before.get(_case_key(case), {})
+        for field in counts:
+            counts[field] += prior.get(field) != case[field]
+    return counts
+
+
+def test_default_strategy_deflate_stream_still_decodes():
+    """A RAW_LOSSLESS stream from the old level-6 default-strategy encoder.
+
+    Its deflate body uses back-references the run-length encoder never
+    writes, so it pins that the decoder reads any deflate stream.
+    """
+    meta = json.loads((GOLDEN / "pyramid_raw_level6.json").read_text())
+    stream = (GOLDEN / meta["stream"]).read_bytes()
+    assert hashlib.sha256(stream).hexdigest() == meta["stream_sha256"]
+    assert decoded_digest(fcm_decode(stream)) == meta["decoded_sha256"]
+    key = ("pyramid.ftns", meta["codec"], meta["qp"], meta["prune"], meta["bit_depth"])
+    (case,) = [c for c in _manifest()["cases"] if _case_key(c) == key]
+    assert case["decoded_sha256"] == meta["decoded_sha256"]
+    assert case["stream_sha256"] != meta["stream_sha256"]
+
+
+def test_changed_hashes_counts_each_field():
+    case = {"input": "a", "codec": "raw", "qp": 0, "prune": 0.0, "bit_depth": 10}
+    old = {"cases": [{**case, "stream_sha256": "s", "decoded_sha256": "d"}]}
+    new = {"cases": [{**case, "stream_sha256": "t", "decoded_sha256": "d"}]}
+    assert changed_hashes(old, old) == {"stream_sha256": 0, "decoded_sha256": 0}
+    assert changed_hashes(old, new) == {"stream_sha256": 1, "decoded_sha256": 0}
+    assert changed_hashes({}, new) == {"stream_sha256": 1, "decoded_sha256": 1}
+
+
 def regenerate() -> None:
     GOLDEN.mkdir(parents=True, exist_ok=True)
+    old = _manifest() if MANIFEST.exists() else {}
     inputs, cases = {}, []
     for name, group in make_inputs().items():
         write_tensor_file(GOLDEN / name, group)
         inputs[name] = hashlib.sha256((GOLDEN / name).read_bytes()).hexdigest()
         cases += golden_cases(name, group)
-    MANIFEST.write_text(json.dumps({"inputs": inputs, "cases": cases}, indent=1) + "\n")
+    manifest = {"inputs": inputs, "cases": cases}
+    MANIFEST.write_text(json.dumps(manifest, indent=1) + "\n")
     print(f"wrote {len(inputs)} inputs and {len(cases)} cases to {GOLDEN}")
+    changed = changed_hashes(old, manifest)
+    changed_inputs = sum(old.get("inputs", {}).get(k) != v for k, v in inputs.items())
+    print(
+        f"changed against the old manifest: {changed['stream_sha256']} stream_sha256, "
+        f"{changed['decoded_sha256']} decoded_sha256, {changed_inputs} input hashes"
+    )
 
 
 if __name__ == "__main__":

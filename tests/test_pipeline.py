@@ -1,3 +1,6 @@
+import tracemalloc
+import zlib
+
 import numpy as np
 import pytest
 
@@ -11,8 +14,10 @@ from fcmcodec import (
     fcm_decode_with_info,
     fcm_encode,
 )
-from fcmcodec.bitstream import parse_stream
-from fcmcodec.errors import DomainError
+from fcmcodec.bitstream import UnitHeader, parse_stream, serialize_stream
+from fcmcodec.errors import DomainError, FcmError
+from fcmcodec.packing import PackingLayout
+from fcmcodec.tensor import GlobalStats
 
 from conftest import random_group, random_tensor
 
@@ -90,10 +95,59 @@ class TestDecode:
         group = random_group(rng, count=2)
         stream = bytearray(fcm_encode(group, lossless_cfg()))
         stream[-1] ^= 0xFF
-        from fcmcodec.errors import FcmError
-
         with pytest.raises(FcmError, match="unit 1"):
             fcm_decode(bytes(stream))
+
+
+def raw_stream_declaring(frame_side: int, payload: bytes) -> bytes:
+    """One RAW_LOSSLESS unit whose layout declares a frame_side^2 frame."""
+    header = UnitHeader(
+        original_channels=1,
+        pruned_k=0,
+        lcr_rank=0,
+        transform_stats=GlobalStats(0.0, 1.0),
+        reduced_stats=GlobalStats(0.0, 1.0),
+        bit_depth=10,
+        conv_min=0.0,
+        conv_max=1.0,
+        layout=PackingLayout(1, 1, frame_side, frame_side, 1),
+        transform_id=0,
+        label="",
+        codec=int(CodecId.RAW_LOSSLESS),
+        qp=22,
+    )
+    return serialize_stream([(header, payload)])
+
+
+# Deflate expands at most 1032x. CPython's zlib grows its output in blocks
+# and then copies them into one bytes object, so the decoder may hold about
+# 4x what the payload can expand to, plus a fixed overhead.
+def raw_decode_peak_bound(stream: bytes) -> int:
+    return (1 << 16) + 4 * 1032 * len(stream)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        b"\x00",
+        b"\x00" + zlib.compress(bytes(64)),
+        b"\x00\xff\x13\x37",
+        b"\x00" + zlib.compress(bytes(1 << 20), 9)[:400],
+        b"\x00" + zlib.compress(bytes(1 << 20), 9),
+    ],
+    ids=["no-deflate", "short", "garbage", "truncated", "max-expansion"],
+)
+def test_hostile_raw_decode_allocates_by_input_size(payload):
+    """A few payload bytes declaring a 4096x4096 frame (32 MiB of samples)."""
+    stream = raw_stream_declaring(4096, payload)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FcmError):
+            fcm_decode(stream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < raw_decode_peak_bound(stream)
 
 
 class TestTransforms:

@@ -100,6 +100,10 @@ class TestValidation:
         with pytest.raises(DomainError):
             FeatureTensor(np.zeros((2, 2), dtype=np.float32))
 
+    def test_label_not_utf8_encodable(self, rng):
+        with pytest.raises(DomainError, match="UTF-8"):
+            TensorGroup((random_tensor(rng),), ("\ud800",))
+
     def test_group_size_limits(self, rng):
         with pytest.raises(DomainError):
             TensorGroup(())
