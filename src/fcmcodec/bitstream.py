@@ -54,6 +54,8 @@ class UnitHeader:
             raise InvariantError("pruned_k exceeds channel count")
         if not 0 <= self.lcr_rank < binomial(self.original_channels, self.pruned_k):
             raise InvariantError("rank outside [0, C(N, k))")
+        if self.layout.channel_count != self.original_channels - self.pruned_k:
+            raise InvariantError("layout channel count is not N - k")
         if not 8 <= self.bit_depth <= 16:
             raise InvariantError("bit depth outside [8, 16]")
         if not 0 <= self.codec <= 255 or not 0 <= self.qp <= 63:

@@ -14,12 +14,13 @@ import sys
 
 import numpy as np
 
+from .bitstream import parse_stream
 from .codec import CodecId
 from .errors import DomainError, FormatError
 from .metrics import RdCurve, bd_rate, psnr
-from .pipeline import EncoderConfig, fcm_decode, fcm_decode_with_info, fcm_encode, transform_stage
+from .pipeline import EncoderConfig, fcm_decode, fcm_encode, transform_stage
 from .planar import read_sequence, write_sequence
-from .tensor import read_tensor_file, write_tensor_file
+from .tensor import compute_global_stats, read_tensor_file, write_tensor_file
 from .vcm import (
     TemporalSideInfo,
     bitdepth_restore,
@@ -70,15 +71,16 @@ def _cmd_decode(args) -> int:
 def _cmd_roundtrip(args) -> int:
     group = read_tensor_file(args.input)
     stream = fcm_encode(group, _config(args))
-    decoded, infos = fcm_decode_with_info(stream)
+    decoded = fcm_decode(stream)
+    headers = [h for h, _ in parse_stream(stream)]
 
     tensors = []
-    for orig, rec, info, label in zip(group.tensors, decoded.tensors, infos, group.labels):
+    for orig, rec, h, label in zip(group.tensors, decoded.tensors, headers, group.labels):
         a = orig.data.astype(np.float64)
         b = rec.data.astype(np.float64)
         mse = float(np.mean((a - b) ** 2))
         peak = float(a.max() - a.min()) or 1.0
-        h = info.header
+        final = compute_global_stats(rec)
         tensors.append(
             {
                 "label": label,
@@ -86,8 +88,8 @@ def _cmd_roundtrip(args) -> int:
                 "mse": mse,
                 "psnr_db": psnr(a, b, peak) if mse else None,
                 "stats_error": {
-                    "mu": abs(info.final_stats.mu - h.transform_stats.mu),
-                    "sigma": abs(info.final_stats.sigma - h.transform_stats.sigma),
+                    "mu": abs(final.mu - h.transform_stats.mu),
+                    "sigma": abs(final.sigma - h.transform_stats.sigma),
                 },
             }
         )
@@ -99,8 +101,6 @@ def _cmd_roundtrip(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
-    from .bitstream import parse_stream
-
     with open(args.input, "rb") as fh:
         data = fh.read()
     for i, (h, payload) in enumerate(parse_stream(data)):

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import zlib
 from array import array
-from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
@@ -61,17 +60,6 @@ _RAW_MEM_LEVEL = 9
 class CodecId(IntEnum):
     RAW_LOSSLESS = 0
     BLOCK_DCT = 1
-
-
-@dataclass(frozen=True)
-class EncodedPayload:
-    codec: int
-    qp: int
-    data: bytes
-
-    def __post_init__(self):
-        if not 0 <= self.qp <= 63:
-            raise DomainError(f"qp must be in [0, 63], got {self.qp}")
 
 
 def qstep(qp: int) -> float:
@@ -431,27 +419,37 @@ def _decode_dct(data: bytes, qp: int, shape: tuple[int, int]) -> np.ndarray:
     return frame.astype(np.uint16)
 
 
-def codec_encode(frame: np.ndarray, codec: CodecId, qp: int = 22, bit_depth: int = 10) -> EncodedPayload:
+def codec_encode(frame: np.ndarray, codec: CodecId, qp: int = 22, bit_depth: int = 10) -> bytes:
     """Compress one integer frame."""
     frame = np.asarray(frame)
     if frame.ndim != 2:
         raise DomainError("expected a 2-d integer frame")
+    if not 0 <= qp <= 63:
+        raise DomainError(f"qp must be in [0, 63], got {qp}")
     if frame.max(initial=0) >= (1 << bit_depth):
         raise DomainError(f"samples exceed declared bit depth {bit_depth}")
     if codec == CodecId.RAW_LOSSLESS:
-        return EncodedPayload(int(codec), qp, _encode_raw(frame))
+        return _encode_raw(frame)
     if codec == CodecId.BLOCK_DCT:
-        return EncodedPayload(int(codec), qp, _encode_dct(frame, qp, bit_depth))
+        return _encode_dct(frame, qp, bit_depth)
     raise DomainError(f"no codec registered for id {codec}")
 
 
-def codec_decode(payload: EncodedPayload, expected_dims: tuple[int, int]) -> np.ndarray:
-    """Decompress to exactly expected_dims, or raise a classified error."""
-    h, w = expected_dims
+def codec_decode(data: bytes, codec: int, qp: int, bit_depth: int, shape: tuple[int, int]) -> np.ndarray:
+    """Decompress to exactly shape with samples below 2^bit_depth, or raise a
+    classified error."""
+    h, w = shape
     if h < 1 or w < 1:
         raise DomainError("expected dimensions must be positive")
-    if payload.codec == CodecId.RAW_LOSSLESS:
-        return _decode_raw(payload.data, (h, w))
-    if payload.codec == CodecId.BLOCK_DCT:
-        return _decode_dct(payload.data, payload.qp, (h, w))
-    raise PayloadDecodeError(f"no codec registered for id {payload.codec}")
+    if not 0 <= qp <= 63:
+        raise DomainError(f"qp must be in [0, 63], got {qp}")
+    if codec == CodecId.RAW_LOSSLESS:
+        frame = _decode_raw(data, (h, w))
+    elif codec == CodecId.BLOCK_DCT:
+        frame = _decode_dct(data, qp, (h, w))
+    else:
+        raise PayloadDecodeError(f"no codec registered for id {codec}")
+    # A RAW sample, or a DCT payload whose depth byte is wider than the unit's.
+    if frame.max() >= (1 << bit_depth):
+        raise PayloadDecodeError(f"decoded sample exceeds bit depth {bit_depth}")
+    return frame

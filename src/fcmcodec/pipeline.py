@@ -2,8 +2,11 @@
 
 Encoder, per tensor: capture global stats, forward transform, prune low-energy
 channels, capture reduced stats, pack, quantize, inner-codec encode, emit one
-unit. Decoder runs the chain in reverse, with two refinement stages pulling
-the decoded data back onto the transmitted statistics.
+unit. Decoder, per unit: inner-codec decode, dequantize, unpack, refine onto
+the transmitted reduced stats, restore pruned channels, inverse transform,
+refine onto the transmitted global stats. It is one chain of calls that
+rebinds a single name, so each intermediate is freed once the next stage has
+returned, and it computes nothing the output does not need.
 """
 
 from __future__ import annotations
@@ -15,18 +18,12 @@ import numpy as np
 
 from .bitstream import UnitHeader, parse_stream, serialize_stream
 from .channels import PruneDecision, prune_channels, restore_channels, score_channels, select_pruned
-from .codec import CodecId, EncodedPayload, codec_decode, codec_encode
+from .codec import CodecId, codec_decode, codec_encode
 from .conversion import ConversionParams, dequantize_frame, quantize_frame
 from .errors import DomainError, FcmError, InvariantError
-from .lcr import ChannelIndexSet, LcrCode, lcr_decode, lcr_encode
+from .lcr import LcrCode, lcr_decode, lcr_encode
 from .packing import pack, unpack
-from .tensor import (
-    FeatureTensor,
-    GlobalStats,
-    TensorGroup,
-    apply_refinement,
-    compute_global_stats,
-)
+from .tensor import FeatureTensor, TensorGroup, apply_refinement, compute_global_stats
 
 
 @dataclass(frozen=True)
@@ -87,22 +84,13 @@ class EncoderConfig:
             raise DomainError(f"unknown transform {self.transform!r}")
 
 
-@dataclass(frozen=True)
-class DecodedUnitInfo:
-    """Per-unit decode diagnostics (transmitted vs. achieved statistics)."""
-
-    header: UnitHeader
-    reduced_stats: GlobalStats
-    final_stats: GlobalStats
-
-
 def _encode_one(t: FeatureTensor, label: str, cfg: EncoderConfig) -> tuple[UnitHeader, bytes]:
     stage = TRANSFORMS[cfg.transform]
     stats = compute_global_stats(t)
     xt = stage.forward(t)
 
     decision = select_pruned(score_channels(xt), cfg.prune_ratio)
-    reduced = prune_channels(xt, decision) if decision.pruned.indices else xt
+    reduced = prune_channels(xt, decision)
     reduced_stats = stats if reduced is t else compute_global_stats(reduced)
 
     frame, layout = pack(reduced)
@@ -123,7 +111,7 @@ def _encode_one(t: FeatureTensor, label: str, cfg: EncoderConfig) -> tuple[UnitH
         codec=int(cfg.codec),
         qp=cfg.qp,
     )
-    return header, payload.data
+    return header, payload
 
 
 def fcm_encode(group: TensorGroup, cfg: EncoderConfig, workers: int = 1) -> bytes:
@@ -140,46 +128,26 @@ def fcm_encode(group: TensorGroup, cfg: EncoderConfig, workers: int = 1) -> byte
     return serialize_stream(units)
 
 
-def _decode_one(header: UnitHeader, payload: bytes) -> tuple[FeatureTensor, DecodedUnitInfo]:
+def _decode_one(header: UnitHeader, payload: bytes) -> FeatureTensor:
     stage = transform_stage(header.transform_id)
     lay = header.layout
-    qframe = codec_decode(
-        EncodedPayload(header.codec, header.qp, payload),
-        (lay.frame_height, lay.frame_width),
-    )
-    params = ConversionParams(header.bit_depth, header.conv_min, header.conv_max)
-    frame = dequantize_frame(qframe, params)
-    reduced = unpack(frame, lay)
-    refined = apply_refinement(reduced, header.reduced_stats)
-    reduced_stats = compute_global_stats(refined)
-
-    if header.pruned_k:
-        pruned = lcr_decode(
-            LcrCode(header.pruned_k, header.lcr_rank), header.original_channels
-        )
-        restored = restore_channels(refined, PruneDecision(pruned))
-    else:
-        restored = refined
-    inv = stage.inverse(restored)
-    final = apply_refinement(inv, header.transform_stats)
-    info = DecodedUnitInfo(header, reduced_stats, compute_global_stats(final))
-    return final, info
-
-
-def fcm_decode_with_info(data: bytes) -> tuple[TensorGroup, list[DecodedUnitInfo]]:
-    """Decode a stream, returning the labelled group plus per-unit diagnostics."""
-    tensors = []
-    infos = []
-    for i, (header, payload) in enumerate(parse_stream(data)):
-        try:
-            tensor, info = _decode_one(header, payload)
-        except FcmError as exc:
-            raise type(exc)(f"unit {i}: {exc}") from exc
-        tensors.append(tensor)
-        infos.append(info)
-    return TensorGroup(tuple(tensors), tuple(info.header.label for info in infos)), infos
+    x = codec_decode(payload, header.codec, header.qp, header.bit_depth, (lay.frame_height, lay.frame_width))
+    x = dequantize_frame(x, ConversionParams(header.bit_depth, header.conv_min, header.conv_max))
+    x = unpack(x, lay)
+    x = apply_refinement(x, header.reduced_stats)
+    pruned = lcr_decode(LcrCode(header.pruned_k, header.lcr_rank), header.original_channels)
+    x = restore_channels(x, PruneDecision(pruned))
+    x = stage.inverse(x)
+    return apply_refinement(x, header.transform_stats)
 
 
 def fcm_decode(data: bytes) -> TensorGroup:
-    group, _ = fcm_decode_with_info(data)
-    return group
+    """Decode an FCMB stream into the labelled tensor group it carries."""
+    units = parse_stream(data)
+    tensors = []
+    for i, (header, payload) in enumerate(units):
+        try:
+            tensors.append(_decode_one(header, payload))
+        except FcmError as exc:
+            raise type(exc)(f"unit {i}: {exc}") from exc
+    return TensorGroup(tuple(tensors), tuple(header.label for header, _ in units))

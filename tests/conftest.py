@@ -1,21 +1,7 @@
 import numpy as np
 import pytest
 
-from fcmcodec import FeatureTensor, TensorGroup
-
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(0xFC0DEC)
-
-
-def random_tensor(rng, channels=None, height=None, width=None, mu=0.0, sigma=1.0):
-    c = channels or int(rng.integers(1, 9))
-    h = height or int(rng.integers(2, 17))
-    w = width or int(rng.integers(2, 17))
-    return FeatureTensor(rng.normal(mu, sigma, (c, h, w)).astype(np.float32))
-
-
-def random_group(rng, count=None, **kwargs):
-    n = count or int(rng.integers(1, 5))
-    return TensorGroup(tuple(random_tensor(rng, **kwargs) for _ in range(n)))

@@ -14,7 +14,6 @@ import pytest
 from fcmcodec import (
     ChannelIndexSet,
     CodecId,
-    EncodedPayload,
     EncoderConfig,
     FeatureTensor,
     RdCurve,
@@ -23,7 +22,7 @@ from fcmcodec import (
     binomial,
     codec_decode,
     codec_encode,
-    fcm_decode_with_info,
+    fcm_decode,
     fcm_encode,
     lcr_decode,
     lcr_encode,
@@ -37,6 +36,8 @@ from fcmcodec.vcm import (
     temporal_resample_scalar,
     temporal_restore,
 )
+
+from helpers import assert_refined, record_refinements
 
 
 def report(n, text):
@@ -80,8 +81,9 @@ def test_criterion_03_large_n_bignum():
     report(3, "100 random (N=256, k=128) subsets round-trip; ranks fit 32 bytes")
 
 
-def test_criterion_04_statistics_restoration():
+def test_criterion_04_statistics_restoration(monkeypatch):
     start = time.monotonic()
+    passes = record_refinements(monkeypatch)
     rng = np.random.default_rng(4)
     combos = list(
         itertools.product(
@@ -99,14 +101,10 @@ def test_criterion_04_statistics_restoration():
             )
             for _ in range(count)
         )
-        cfg = EncoderConfig(prune_ratio=ratio, codec=codec, qp=qp)
-        _, infos = fcm_decode_with_info(fcm_encode(TensorGroup(tensors), cfg))
-        for info in infos:
-            h = info.header
-            assert info.final_stats.mu == pytest.approx(h.transform_stats.mu, rel=1e-4)
-            assert info.final_stats.sigma == pytest.approx(h.transform_stats.sigma, rel=1e-4)
-            assert info.reduced_stats.mu == pytest.approx(h.reduced_stats.mu, rel=1e-4)
-            assert info.reduced_stats.sigma == pytest.approx(h.reduced_stats.sigma, rel=1e-4)
+        stream = fcm_encode(TensorGroup(tensors), EncoderConfig(prune_ratio=ratio, codec=codec, qp=qp))
+        passes.clear()
+        fcm_decode(stream)
+        assert_refined(passes, stream)
     elapsed = time.monotonic() - start
     assert elapsed < 60.0, f"took {elapsed:.1f}s"
     report(4, f"decoded stats match transmitted pairs within 1e-4 on 200 groups in {elapsed:.1f}s")
@@ -121,8 +119,9 @@ def test_criterion_05_near_lossless_path():
     worst = 0.0
     for _ in range(100):
         t = FeatureTensor((rng.random((128, 128, 128)) * 0.25).astype(np.float32))
-        decoded, infos = fcm_decode_with_info(fcm_encode(TensorGroup((t,)), cfg))
-        h = infos[0].header
+        stream = fcm_encode(TensorGroup((t,)), cfg)
+        decoded = fcm_decode(stream)
+        (h, _), = parse_stream(stream)
         bound = (h.conv_max - h.conv_min) / (2 * 1023) + 1e-6
         err = float(np.max(np.abs(decoded.tensors[0].data.astype(np.float64) - t.data)))
         assert err <= bound, (err, bound)
@@ -154,7 +153,7 @@ def test_criterion_06_bitrate_dominance():
         frames.append(np.round(img * 1023).astype(np.uint16))
     qps = (4, 10, 22, 34, 40, 51)
     sizes = [
-        sum(len(codec_encode(f, CodecId.BLOCK_DCT, qp=qp).data) for f in frames)
+        sum(len(codec_encode(f, CodecId.BLOCK_DCT, qp=qp)) for f in frames)
         for qp in qps
     ]
     inversions = sum(1 for a, b in zip(sizes, sizes[1:]) if b > a)
@@ -237,7 +236,7 @@ def _fuzz_payloads(iterations):
     rng = np.random.default_rng(12)
     frame = rng.integers(0, 1024, (16, 16)).astype(np.uint16)
     valid = {
-        codec: bytearray(codec_encode(frame, codec, qp=22).data)
+        codec: bytearray(codec_encode(frame, codec, qp=22))
         for codec in (CodecId.RAW_LOSSLESS, CodecId.BLOCK_DCT)
     }
     outcomes = {"ok": 0, "error": 0}
@@ -251,7 +250,7 @@ def _fuzz_payloads(iterations):
             for _ in range(int(rng.integers(1, 5))):
                 blob[int(rng.integers(0, len(blob)))] = int(rng.integers(0, 256))
         try:
-            out = codec_decode(EncodedPayload(int(codec), 22, bytes(blob)), (16, 16))
+            out = codec_decode(bytes(blob), int(codec), 22, 10, (16, 16))
             assert out.shape == (16, 16)
             outcomes["ok"] += 1
         except FcmError:

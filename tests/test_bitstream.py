@@ -16,7 +16,7 @@ from fcmcodec.errors import (
     VersionError,
 )
 
-from conftest import random_group
+from helpers import random_group
 
 # A 1x2x2 tensor as the version-1 writer coded it: a u16 unit count, a u16
 # permutation length per unit, and neither a transform id nor a label.

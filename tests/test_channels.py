@@ -14,7 +14,7 @@ from fcmcodec import (
 )
 from fcmcodec.errors import DomainError
 
-from conftest import random_tensor
+from helpers import random_tensor
 
 
 def decision(indices, n):

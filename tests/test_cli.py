@@ -6,14 +6,14 @@ import re
 import numpy as np
 import pytest
 
-from fcmcodec import EncoderConfig, fcm_encode
+from fcmcodec import CodecId, EncoderConfig, compute_global_stats, fcm_encode
 from fcmcodec.bitstream import parse_stream, serialize_stream
 from fcmcodec.cli import main
 from fcmcodec.planar import read_sequence, write_sequence
 from fcmcodec.tensor import read_tensor_file, write_tensor_file
 from fcmcodec.vcm import PixelSequence
 
-from conftest import random_group
+from helpers import CHANNEL_MISMATCHES, channel_mismatch_stream, depth_relabelled_stream, random_group
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "bdrate"
 
@@ -58,6 +58,21 @@ class TestCodecCommands:
             assert {"mse", "psnr_db", "stats_error", "shape"} <= set(entry)
         assert json.loads(capsys.readouterr().out)["stream_bytes"] == data["stream_bytes"]
 
+        # stats_error is |stats of the decoded tensor - transmitted global stats|
+        fcmb = tmp_path / "out.fcmb"
+        back = tmp_path / "back.ftns"
+        assert main(["encode", "--input", str(ftns), "--output", str(fcmb), "--codec", "raw"]) == 0
+        assert main(["decode", "--input", str(fcmb), "--output", str(back)]) == 0
+        units = parse_stream(fcmb.read_bytes())
+        decoded = read_tensor_file(back).tensors
+        assert len(data["tensors"]) == len(units) == len(decoded)
+        for entry, (h, _), t in zip(data["tensors"], units, decoded):
+            final = compute_global_stats(t)
+            assert entry["stats_error"] == {
+                "mu": abs(final.mu - h.transform_stats.mu),
+                "sigma": abs(final.sigma - h.transform_stats.sigma),
+            }
+
     def test_inspect_one_line_per_unit(self, tmp_path, ftns, capsys):
         fcmb = tmp_path / "out.fcmb"
         main(["encode", "--input", str(ftns), "--output", str(fcmb)])
@@ -94,6 +109,20 @@ class TestCodecCommands:
         for argv in (["decode", "--output", str(tmp_path / "o.ftns")], ["inspect"]):
             assert main(argv + ["--input", str(bad)]) == 3
             assert "unknown transform id 200" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("channels,ratio,declared", CHANNEL_MISMATCHES)
+    def test_layout_channel_mismatch_exit_3(self, tmp_path, capsys, channels, ratio, declared):
+        bad = tmp_path / "bad.fcmb"
+        bad.write_bytes(channel_mismatch_stream(channels, ratio, declared))
+        assert main(["decode", "--input", str(bad), "--output", str(tmp_path / "o.ftns")]) == 3
+        assert "layout channel count" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("codec", list(CodecId))
+    def test_samples_past_bit_depth_exit_3(self, tmp_path, capsys, codec):
+        bad = tmp_path / "bad.fcmb"
+        bad.write_bytes(depth_relabelled_stream(codec))
+        assert main(["decode", "--input", str(bad), "--output", str(tmp_path / "o.ftns")]) == 3
+        assert "exceeds bit depth 8" in capsys.readouterr().err
 
     def test_missing_file_exit_3(self, tmp_path):
         rc = main(["decode", "--input", str(tmp_path / "nope"), "--output", str(tmp_path / "o")])

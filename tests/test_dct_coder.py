@@ -18,7 +18,6 @@ import fcmcodec.codec
 from bitref import BitWriter, reference_decode_dct, reference_encode_dct
 from fcmcodec import (
     CodecId,
-    EncodedPayload,
     EncoderConfig,
     FeatureTensor,
     TensorGroup,
@@ -34,11 +33,19 @@ FUZZ_DIMS = ((1, 1), (8, 8), (13, 21), (16, 16), (40, 24))
 
 
 def encode(frame, qp, bit_depth):
-    return codec_encode(frame, CodecId.BLOCK_DCT, qp=qp, bit_depth=bit_depth).data
+    return codec_encode(frame, CodecId.BLOCK_DCT, qp=qp, bit_depth=bit_depth)
 
 
-def decode(data, qp, shape):
-    return codec_decode(EncodedPayload(int(CodecId.BLOCK_DCT), qp, data), shape)
+def decode(data, qp, bit_depth, shape):
+    return codec_decode(data, CodecId.BLOCK_DCT, qp, bit_depth, shape)
+
+
+def within_depth(outcome, bit_depth):
+    """A reference outcome under codec_decode's rule that a sample at or past
+    2^bit_depth is a malformed payload."""
+    if isinstance(outcome, np.ndarray) and outcome.max() >= 1 << bit_depth:
+        return PayloadDecodeError(f"decoded sample exceeds bit depth {bit_depth}")
+    return outcome
 
 
 def make_frame(rng, shape, bit_depth, smooth):
@@ -52,7 +59,7 @@ def make_frame(rng, shape, bit_depth, smooth):
 def assert_matches_reference(frame, qp, bit_depth):
     expected = reference_encode_dct(frame, qp, bit_depth)
     assert encode(frame, qp, bit_depth) == expected
-    decoded = decode(expected, qp, frame.shape)
+    decoded = decode(expected, qp, bit_depth, frame.shape)
     assert decoded.dtype == np.uint16
     np.testing.assert_array_equal(decoded, reference_decode_dct(expected, qp, frame.shape))
 
@@ -112,26 +119,26 @@ def ue_payload(symbols, bit_depth=10, tail=b""):
 class TestLaziness:
     def test_long_prefix_past_the_blocks_is_ignored(self):
         data = ue_payload([1, 0, 5], tail=bytes(10))  # then 80 zero bits
-        np.testing.assert_array_equal(decode(data, 22, (8, 8)), reference_decode_dct(data, 22, (8, 8)))
+        np.testing.assert_array_equal(decode(data, 22, 10, (8, 8)), reference_decode_dct(data, 22, (8, 8)))
 
     def test_truncation_past_the_blocks_is_ignored(self):
         data = ue_payload([0, 0, 0, 0]) + b"\x00"
-        np.testing.assert_array_equal(decode(data, 22, (16, 16)), reference_decode_dct(data, 22, (16, 16)))
+        np.testing.assert_array_equal(decode(data, 22, 10, (16, 16)), reference_decode_dct(data, 22, (16, 16)))
 
     def test_long_prefix_in_a_block_raises(self):
         data = ue_payload([1, 0]) + bytes(10)
         with pytest.raises(PayloadDecodeError):
-            decode(data, 22, (8, 8))
+            decode(data, 22, 10, (8, 8))
 
     def test_truncation_in_a_block_raises(self):
         with pytest.raises(TruncatedError):
-            decode(ue_payload([2, 0, 3, 1]), 22, (8, 8))
+            decode(ue_payload([2, 0, 3, 1]), 22, 10, (8, 8))
 
     def test_first_error_in_stream_order_wins(self):
         # block 0 holds a zero level; block 1 a count over 64
         data = ue_payload([1, 0, 0, 65])
         with pytest.raises(PayloadDecodeError, match="zero level"):
-            decode(data, 22, (8, 16))
+            decode(data, 22, 10, (8, 16))
 
 
 @pytest.mark.parametrize(
@@ -148,15 +155,14 @@ def test_huge_levels_decode_like_the_reference(levels):
     for level in levels:
         symbols += [0, level]
     data = ue_payload(symbols + [0], bit_depth=16)
-    np.testing.assert_array_equal(decode(data, 4, (16, 8)), reference_decode_dct(data, 4, (16, 8)))
+    np.testing.assert_array_equal(decode(data, 4, 16, (16, 8)), reference_decode_dct(data, 4, (16, 8)))
 
 
 def test_hostile_dims_are_refused_before_any_allocation():
-    payload = EncodedPayload(int(CodecId.BLOCK_DCT), 22, bytes([10, 0xFF]))
     tracemalloc.start()
     try:
         with pytest.raises(FcmError):
-            codec_decode(payload, (4096, 4096))
+            decode(bytes([10, 0xFF]), 22, 10, (4096, 4096))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -195,8 +201,8 @@ def test_mutated_payloads_decode_like_the_reference(dims):
         qp = int(rng.choice([0, 4, 22, 40]))
         frame = make_frame(rng, dims, bit_depth, smooth=i % 4 != 0)
         blob = mutate(rng, reference_encode_dct(frame, qp, bit_depth))
-        expected = outcome(reference_decode_dct, blob, qp, dims)
-        got = outcome(decode, blob, qp, dims)
+        expected = within_depth(outcome(reference_decode_dct, blob, qp, dims), bit_depth)
+        got = outcome(decode, blob, qp, bit_depth, dims)
         if isinstance(expected, np.ndarray):
             assert isinstance(got, np.ndarray), (i, got)
             np.testing.assert_array_equal(got, expected)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from fcmcodec import FeatureTensor, PackingLayout, pack, unpack
 from fcmcodec.errors import DomainError
 
-from conftest import random_tensor
+from helpers import random_tensor
 
 
 class TestPack:

@@ -11,15 +11,22 @@ from fcmcodec import (
     TensorGroup,
     compute_global_stats,
     fcm_decode,
-    fcm_decode_with_info,
     fcm_encode,
 )
 from fcmcodec.bitstream import UnitHeader, parse_stream, serialize_stream
-from fcmcodec.errors import DomainError, FcmError
+from fcmcodec.errors import DomainError, FcmError, InvariantError, PayloadDecodeError
 from fcmcodec.packing import PackingLayout
 from fcmcodec.tensor import GlobalStats
 
-from conftest import random_group, random_tensor
+from helpers import (
+    CHANNEL_MISMATCHES,
+    assert_refined,
+    channel_mismatch_stream,
+    depth_relabelled_stream,
+    random_group,
+    random_tensor,
+    record_refinements,
+)
 
 
 def lossless_cfg(**kw):
@@ -73,23 +80,20 @@ class TestDecode:
         t = FeatureTensor((rng.random((128, 128, 128)) * 0.25).astype(np.float32))
         group = TensorGroup((t,))
         stream = fcm_encode(group, lossless_cfg(bit_depth=10))
-        decoded, infos = fcm_decode_with_info(stream)
-        h = infos[0].header
+        decoded = fcm_decode(stream)
+        (h, _), = parse_stream(stream)
         bound = (h.conv_max - h.conv_min) / (2 * 1023) + 1e-6
         err = np.max(np.abs(decoded.tensors[0].data.astype(np.float64) - t.data))
         assert err <= bound
 
-    def test_transmitted_stats_restored(self, rng):
+    def test_transmitted_stats_restored(self, rng, monkeypatch):
         group = random_group(rng, count=2, mu=1.0)
+        passes = record_refinements(monkeypatch)
         for codec in (CodecId.RAW_LOSSLESS, CodecId.BLOCK_DCT):
-            cfg = EncoderConfig(codec=codec, qp=22, prune_ratio=0.25)
-            _, infos = fcm_decode_with_info(fcm_encode(group, cfg))
-            for info in infos:
-                h = info.header
-                assert info.final_stats.mu == pytest.approx(h.transform_stats.mu, rel=1e-4, abs=1e-6)
-                assert info.final_stats.sigma == pytest.approx(h.transform_stats.sigma, rel=1e-4)
-                assert info.reduced_stats.mu == pytest.approx(h.reduced_stats.mu, rel=1e-4, abs=1e-6)
-                assert info.reduced_stats.sigma == pytest.approx(h.reduced_stats.sigma, rel=1e-4)
+            stream = fcm_encode(group, EncoderConfig(codec=codec, qp=22, prune_ratio=0.25))
+            passes.clear()
+            fcm_decode(stream)
+            assert_refined(passes, stream, mu_abs=1e-6)
 
     def test_decode_error_carries_unit_index(self, rng):
         group = random_group(rng, count=2)
@@ -150,6 +154,32 @@ def test_hostile_raw_decode_allocates_by_input_size(payload):
     assert peak < raw_decode_peak_bound(stream)
 
 
+def test_large_valid_raw_decode_peak_per_element():
+    """Each decoder stage's input is freed once the next stage returns."""
+    samples = (np.arange(1 << 20) % 1024).astype("<u2")
+    stream = raw_stream_declaring(1024, b"\x00" + zlib.compress(samples.tobytes(), 9))
+    tracemalloc.start()
+    try:
+        decoded = fcm_decode(stream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert decoded.tensors[0].data.std() > 0
+    assert peak < 18 * samples.size
+
+
+@pytest.mark.parametrize("channels,ratio,declared", CHANNEL_MISMATCHES)
+def test_layout_channel_count_must_be_n_minus_k(channels, ratio, declared):
+    with pytest.raises(InvariantError, match="layout channel count"):
+        fcm_decode(channel_mismatch_stream(channels, ratio, declared))
+
+
+@pytest.mark.parametrize("codec", list(CodecId))
+def test_samples_past_the_header_bit_depth_are_malformed(codec):
+    with pytest.raises(PayloadDecodeError, match="unit 0: decoded sample exceeds bit depth 8"):
+        fcm_decode(depth_relabelled_stream(codec))
+
+
 class TestTransforms:
     def test_meanpool_roundtrip_shape(self, rng):
         t = random_tensor(rng, channels=4, height=8, width=12)
@@ -158,13 +188,12 @@ class TestTransforms:
         decoded = fcm_decode(fcm_encode(group, cfg))
         assert decoded.tensors[0].shape == t.shape
 
-    def test_meanpool_restores_stats(self, rng):
+    def test_meanpool_restores_stats(self, rng, monkeypatch):
         t = random_tensor(rng, channels=4, height=8, width=12, mu=2.0)
-        cfg = lossless_cfg(transform="meanpool2x")
-        _, infos = fcm_decode_with_info(fcm_encode(TensorGroup((t,)), cfg))
-        info = infos[0]
-        assert info.final_stats.mu == pytest.approx(info.header.transform_stats.mu, rel=1e-4)
-        assert info.final_stats.sigma == pytest.approx(info.header.transform_stats.sigma, rel=1e-4)
+        stream = fcm_encode(TensorGroup((t,)), lossless_cfg(transform="meanpool2x"))
+        passes = record_refinements(monkeypatch)
+        fcm_decode(stream)
+        assert_refined(passes, stream)
 
     def test_stream_names_its_transform_and_labels(self, rng):
         t = random_tensor(rng, channels=8, height=16, width=16)

@@ -16,7 +16,7 @@ from fcmcodec import (
 )
 from fcmcodec.errors import DomainError, MagicMismatchError, TruncatedError, VersionError
 
-from conftest import random_group, random_tensor
+from helpers import random_group, random_tensor
 
 
 def tensor_of(values, shape):
