@@ -1,6 +1,6 @@
 """The FCMB container: one self-delimiting unit per coded tensor.
 
-Stream layout: magic `FCMB`, version u8 (2), unit count u8 (1-8), then units.
+Stream layout: magic `FCMB`, version u8 (3), unit count u8 (1-8), then units.
 A unit carries, after its packing layout, a transform id u8 (the position of
 the encoder's stage in `pipeline.TRANSFORMS`) and the tensor's label (u8
 length, then UTF-8), so a stream decodes with no side information. All
@@ -24,7 +24,7 @@ from .packing import PackingLayout
 from .tensor import MAX_TENSORS, GlobalStats
 
 STREAM_MAGIC = b"FCMB"
-STREAM_VERSION = 2
+STREAM_VERSION = 3
 
 _U16_MAX = 0xFFFF
 
@@ -101,15 +101,18 @@ def serialize_unit(header: UnitHeader, payload: bytes) -> bytes:
     return b"".join(parts)
 
 
-def parse_unit(data: bytes, offset: int = 0) -> tuple[UnitHeader, bytes, int]:
-    """Parse one unit starting at offset; returns (header, payload, consumed)."""
+def parse_unit(data: bytes, offset: int = 0) -> tuple[UnitHeader, memoryview, int]:
+    """Parse one unit starting at offset; returns (header, payload, consumed).
+
+    The payload is a view into data, not a copy."""
+    view = memoryview(data)
     pos = offset
 
-    def take(n: int) -> bytes:
+    def take(n: int) -> memoryview:
         nonlocal pos
-        if pos + n > len(data):
+        if pos + n > len(view):
             raise TruncatedError(f"unit truncated at byte {pos} (need {n} more)")
-        out = data[pos : pos + n]
+        out = view[pos : pos + n]
         pos += n
         return out
 
@@ -150,7 +153,7 @@ def parse_unit(data: bytes, offset: int = 0) -> tuple[UnitHeader, bytes, int]:
             conv_max=conv_max,
             layout=PackingLayout(gr, gc, th, tw, cc),
             transform_id=transform_id,
-            label=label.decode("utf-8"),
+            label=bytes(label).decode("utf-8"),
             codec=codec,
             qp=qp,
         )
@@ -168,7 +171,7 @@ def serialize_stream(units: list[tuple[UnitHeader, bytes]]) -> bytes:
     return head + b"".join(serialize_unit(h, p) for h, p in units)
 
 
-def parse_stream(data: bytes) -> list[tuple[UnitHeader, bytes]]:
+def parse_stream(data: bytes) -> list[tuple[UnitHeader, memoryview]]:
     if len(data) < 6:
         raise TruncatedError("stream shorter than its fixed header")
     if data[:4] != STREAM_MAGIC:

@@ -2,10 +2,12 @@
 
 MSB-first within each byte. A value v is written as the binary form of v+1
 preceded by bit_length(v+1) - 1 zero bits. The reference DCT coder below
-reads and writes one symbol and one bit at a time; the tests require the
-codec's bytes and decoded frames to equal its. `dct_block_forward` and
-`dct_block_inverse` transform one 8x8 block, for checks of the transform
-convention the codec applies to all blocks at once.
+reads and writes one bit at a time, in the split-plane layout the codec
+module's docstring describes: a sequence's prefixes (z zeros and a 1) first,
+then its suffixes (the low z bits of each v+1). The tests require the
+codec's bytes and decoded frames, or its error class, to equal its.
+`dct_block_forward` and `dct_block_inverse` transform one 8x8 block, for
+checks of the transform convention the codec applies to all blocks at once.
 """
 
 from __future__ import annotations
@@ -18,6 +20,9 @@ from fcmcodec.errors import DomainError, PayloadDecodeError, TruncatedError
 # Longest accepted exp-Golomb zero prefix; longer prefixes are treated as
 # corruption rather than attempting a 2^64-scale value.
 _MAX_UE_PREFIX = 64
+
+# Longest zero prefix of a BLOCK_DCT codeword, so every value fits int32.
+MAX_DCT_PREFIX = 24
 
 
 class BitWriter:
@@ -81,6 +86,28 @@ class BitReader:
         return ((1 << zeros) | self.read_bits(zeros)) - 1 if zeros else 0
 
 
+def write_split_ue(writer: BitWriter, values) -> None:
+    """One split-plane ue sequence: every prefix, then every suffix."""
+    shifted = [int(v) + 1 for v in values]
+    for v in shifted:
+        writer.write_bits(1, v.bit_length())
+    for v in shifted:
+        writer.write_bits(v ^ (1 << (v.bit_length() - 1)), v.bit_length() - 1)
+
+
+def read_split_ue(reader: BitReader, n: int) -> list[int]:
+    """The n values of one split-plane ue sequence."""
+    zeros = []
+    for _ in range(n):
+        z = 0
+        while reader.read_bits(1) == 0:
+            z += 1
+            if z > MAX_DCT_PREFIX:
+                raise PayloadDecodeError("exp-Golomb prefix too long")
+        zeros.append(z)
+    return [((1 << z) | reader.read_bits(z)) - 1 for z in zeros]
+
+
 def expgolomb_write(value: int) -> bytes:
     """Standalone exp-Golomb encode of one value (zero-padded to a byte)."""
     w = BitWriter()
@@ -126,23 +153,27 @@ def reference_encode_dct(frame: np.ndarray, qp: int, bit_depth: int) -> bytes:
     blocks = _to_blocks(np.asarray(frame).astype(np.float64))
     coeffs = dctn(blocks, type=2, norm="ortho", axes=(-2, -1))
     q = _round_half_away(coeffs / qstep(qp)).astype(np.int64)
-    writer = BitWriter()
+    counts, pairs = [], []
     for row in q.reshape(-1, BLOCK * BLOCK)[:, ZIGZAG]:
         nz = np.nonzero(row)[0]
-        writer.write_ue(len(nz))
+        counts.append(len(nz))
         prev = -1
         for pos in nz:
-            writer.write_ue(int(pos) - prev - 1)
-            writer.write_ue(_signed_to_ue(int(row[pos])))
+            pairs += [int(pos) - prev - 1, _signed_to_ue(int(row[pos]))]
             prev = int(pos)
+    writer = BitWriter()
+    write_split_ue(writer, counts)
+    write_split_ue(writer, pairs)
     return bytes([bit_depth]) + writer.getvalue()
 
 
 def reference_decode_dct(data: bytes, qp: int, shape: tuple[int, int]) -> np.ndarray:
     """Decode a BLOCK_DCT payload one bit at a time.
 
-    Sizes the coefficient array only after every block has been read, so a
-    payload declaring huge dims fails on its bits, not on an allocation.
+    Refuses as truncated a payload with fewer bits than it must hold
+    codewords: one per block, then two per declared coefficient. Sizes the
+    coefficient array only after every block has been read, so a payload
+    declaring huge dims fails on its bits, not on an allocation.
     """
     if not data:
         raise TruncatedError("empty transform payload")
@@ -154,20 +185,30 @@ def reference_decode_dct(data: bytes, qp: int, shape: tuple[int, int]) -> np.nda
     wb = -(-w // BLOCK)
     step = qstep(qp)
     reader = BitReader(data[1:])
-    coefficients = []
-    for b in range(hb * wb):
-        count = reader.read_ue()
+    if hb * wb > reader.bits_left():
+        raise TruncatedError("fewer payload bits than blocks")
+    counts = read_split_ue(reader, hb * wb)
+    for count in counts:
         if count > BLOCK * BLOCK:
             raise PayloadDecodeError(f"block coefficient count {count} > 64")
+    if 2 * sum(counts) > reader.bits_left():
+        raise TruncatedError("fewer payload bits than run-level symbols")
+    symbols = iter(read_split_ue(reader, 2 * sum(counts)))
+    coefficients = []
+    for b, count in enumerate(counts):
         pos = -1
         for _ in range(count):
-            pos += reader.read_ue() + 1
+            pos += next(symbols) + 1
             if pos >= BLOCK * BLOCK:
                 raise PayloadDecodeError("coefficient position past end of block")
-            m = reader.read_ue()
+            m = next(symbols)
             if m == 0:
                 raise PayloadDecodeError("zero level in run-level pair")
             coefficients.append((b, ZIGZAG[pos], _ue_to_signed(m) * step))
+    if reader.bits_left() >= 8:
+        raise PayloadDecodeError("a whole byte past the last codeword")
+    if reader.read_bits(reader.bits_left()):
+        raise PayloadDecodeError("nonzero padding bit")
     flat = np.zeros((hb * wb, BLOCK * BLOCK), dtype=np.float64)
     for b, index, value in coefficients:
         flat[b, index] = value

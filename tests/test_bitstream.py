@@ -25,6 +25,15 @@ V1_STREAM = bytes.fromhex(
     "01000100020002000100000000161100000000789c636008655cc5f49f190006ba0205"
 )
 
+# A 1x2x2 tensor as the version-2 writer coded it with BLOCK_DCT: the same
+# unit fields as today, but each block's count and run-level codewords
+# interleaved in one ue stream instead of split into planes.
+V2_STREAM = bytes.fromhex(
+    "46434d4202010100000000000000c03fbd1b8f3f0000c03fbd1b8f3f0a0000000000004040"
+    "0100010002000200010000000116210000000a08400dfd01db03bc0e2806fc064b032c0ae4"
+    "0157010e5021c17980bb06270c80"
+)
+
 
 def make_header(n=8, k=2, rank=3, codec=0, qp=22, label=""):
     cc = n - k
@@ -119,6 +128,12 @@ class TestStream:
     def test_version_1_rejected(self):
         with pytest.raises(VersionError, match="version 1"):
             parse_stream(V1_STREAM)
+
+    def test_version_2_rejected(self):
+        with pytest.raises(VersionError, match="version 2"):
+            parse_stream(V2_STREAM)
+        # the same unit under today's version number parses
+        assert len(parse_stream(V2_STREAM[:4] + bytes([STREAM_VERSION]) + V2_STREAM[5:])) == 1
 
     @pytest.mark.parametrize("count", [0, 9])
     def test_unit_count_outside_1_to_8(self, count):

@@ -1,8 +1,8 @@
 """The vectorized BLOCK_DCT coder against the bit-serial reference in bitref.
 
 Streams and frames must be identical to the reference's. On corrupt input the
-codec must raise a classified FcmError wherever the reference raises, and
-decode to the same frame wherever the reference decodes.
+codec must raise the reference's FcmError class wherever the reference raises,
+and decode to the same frame wherever the reference decodes.
 """
 
 import tracemalloc
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.ndimage import gaussian_filter
 
 import fcmcodec.codec
-from bitref import BitWriter, reference_decode_dct, reference_encode_dct
+from bitref import MAX_DCT_PREFIX, BitReader, read_split_ue, reference_decode_dct, reference_encode_dct
 from fcmcodec import (
     CodecId,
     EncoderConfig,
@@ -26,7 +26,6 @@ from fcmcodec import (
     fcm_decode,
     fcm_encode,
 )
-from fcmcodec.codec import _MASK, _TAKEN
 from fcmcodec.errors import FcmError, PayloadDecodeError, TruncatedError
 
 FUZZ_DIMS = ((1, 1), (8, 8), (13, 21), (16, 16), (40, 24))
@@ -95,50 +94,69 @@ def test_edge_frames_match_reference(frame, qp, bit_depth):
     assert_matches_reference(frame, qp, bit_depth)
 
 
-def test_window_tables_match_a_bit_serial_parse():
-    rng = np.random.default_rng(7)
-    for w in [0, 1, 0x00FF, 0x0100, 0x8000, 0xFFFF, *rng.integers(0, 1 << 16, 500).tolist()]:
-        bits = format(w, "016b")
-        pos = mask = 0
-        while "1" in bits[pos:]:
-            size = 2 * (bits.index("1", pos) - pos) + 1
-            if pos + size > 16:
-                break
-            mask |= 1 << pos
-            pos += size
-        assert (_TAKEN[w], _MASK[w]) == (pos, mask), hex(w)
+def max_prefix_zeros(data: bytes, nblocks: int) -> int:
+    reader = BitReader(data[1:])
+    counts = read_split_ue(reader, nblocks)
+    symbols = counts + read_split_ue(reader, 2 * sum(counts))
+    return max((v + 1).bit_length() - 1 for v in symbols)
 
 
-def ue_payload(symbols, bit_depth=10, tail=b""):
-    writer = BitWriter()
-    for v in symbols:
-        writer.write_ue(v)
-    return bytes([bit_depth]) + writer.getvalue() + tail
+@pytest.mark.parametrize(
+    "frame",
+    [
+        np.full((16, 16), 65535, np.uint16),
+        (np.indices((16, 16)).sum(axis=0) % 2 * 65535).astype(np.uint16),
+    ],
+    ids=["all_65535", "checkerboard"],
+)
+def test_extreme_16bit_frames_need_at_most_20_prefix_zeros(frame):
+    data = reference_encode_dct(frame, 0, 16)
+    assert max_prefix_zeros(data, 4) <= 20 < MAX_DCT_PREFIX
+    assert_matches_reference(frame, 0, 16)
 
 
-class TestLaziness:
-    def test_long_prefix_past_the_blocks_is_ignored(self):
-        data = ue_payload([1, 0, 5], tail=bytes(10))  # then 80 zero bits
-        np.testing.assert_array_equal(decode(data, 22, 10, (8, 8)), reference_decode_dct(data, 22, (8, 8)))
+def split_bits(values) -> str:
+    """The bits of one split-plane ue sequence: every prefix, then every suffix."""
+    codes = [format(v + 1, "b") for v in values]
+    return "".join("0" * (len(c) - 1) + "1" for c in codes) + "".join(c[1:] for c in codes)
 
-    def test_truncation_past_the_blocks_is_ignored(self):
-        data = ue_payload([0, 0, 0, 0]) + b"\x00"
-        np.testing.assert_array_equal(decode(data, 22, 10, (16, 16)), reference_decode_dct(data, 22, (16, 16)))
 
-    def test_long_prefix_in_a_block_raises(self):
-        data = ue_payload([1, 0]) + bytes(10)
-        with pytest.raises(PayloadDecodeError):
-            decode(data, 22, 10, (8, 8))
+def payload(bits: str, bit_depth=10, tail=b"") -> bytes:
+    """bit_depth, then bits and zero bits up to a whole byte, then tail."""
+    bits += "0" * (-len(bits) % 8)
+    return bytes([bit_depth]) + bytes(int(bits[i : i + 8], 2) for i in range(0, len(bits), 8)) + tail
 
-    def test_truncation_in_a_block_raises(self):
-        with pytest.raises(TruncatedError):
-            decode(ue_payload([2, 0, 3, 1]), 22, 10, (8, 8))
 
-    def test_first_error_in_stream_order_wins(self):
-        # block 0 holds a zero level; block 1 a count over 64
-        data = ue_payload([1, 0, 0, 65])
-        with pytest.raises(PayloadDecodeError, match="zero level"):
-            decode(data, 22, 10, (8, 16))
+def codec_and_reference(data, shape, qp=22, bit_depth=10):
+    return outcome(decode, data, qp, bit_depth, shape), outcome(reference_decode_dct, data, qp, shape)
+
+
+ONE_PAIR = split_bits([1]) + split_bits([0, 5])  # 9 bits
+
+LAYOUT_ERRORS = {
+    # 25 zeros: no level past 2^25 - 2 can be coded
+    "level_past_the_prefix_cap": (payload(split_bits([1]) + split_bits([0, 2**25 - 1])), PayloadDecodeError),
+    "count_past_the_prefix_cap": (payload(split_bits([2**26])), PayloadDecodeError),
+    "zero_run_past_the_cap_at_the_end": (payload(split_bits([1]) + "0" * 37), PayloadDecodeError),
+    "zero_run_within_the_cap_at_the_end": (payload(split_bits([1]) + "0" * 21), TruncatedError),
+    "cut_in_the_count_suffixes": (payload("0000001" + "0"), TruncatedError),
+    "cut_in_the_pair_prefixes": (payload(split_bits([2]) + "111" + "00"), TruncatedError),
+    "cut_in_the_pair_suffixes": (payload(ONE_PAIR[:8]), TruncatedError),
+    # refused on the count alone, not on the long zero run that follows
+    "more_pairs_than_bits": (payload(split_bits([64]) + "0" * 35), TruncatedError),
+    "count_over_64": (payload(split_bits([65]) + split_bits([0, 1] * 65)), PayloadDecodeError),
+    "position_past_the_block": (payload(split_bits([2]) + split_bits([60, 1, 3, 1])), PayloadDecodeError),
+    "zero_level": (payload(split_bits([1]) + split_bits([0, 0])), PayloadDecodeError),
+    "a_whole_byte_past_the_codewords": (payload(ONE_PAIR, tail=b"\x00"), PayloadDecodeError),
+    "nonzero_padding_bit": (payload(ONE_PAIR + "01"), PayloadDecodeError),
+}
+
+
+@pytest.mark.parametrize("data,error", LAYOUT_ERRORS.values(), ids=LAYOUT_ERRORS)
+def test_layout_rules_raise_like_the_reference(data, error):
+    got, expected = codec_and_reference(data, (8, 8))
+    assert type(expected) is error, expected
+    assert type(got) is error, got
 
 
 @pytest.mark.parametrize(
@@ -146,16 +164,65 @@ class TestLaziness:
     [
         [2**31 + 1, 2**31 + 2],  # past int32
         [2**40 + 7, 3],
-        [2**64 + 5, 2**64 + 6],  # the longest prefix accepted: exact ints
+        [2**64 + 5, 2**64 + 6],
         [2**65 - 2],
     ],
 )
 def test_huge_levels_decode_like_the_reference(levels):
-    symbols = [len(levels)]
+    """Levels whose codewords need more than 24 zeros are malformed."""
+    pairs = []
     for level in levels:
-        symbols += [0, level]
-    data = ue_payload(symbols + [0], bit_depth=16)
-    np.testing.assert_array_equal(decode(data, 4, 16, (16, 8)), reference_decode_dct(data, 4, (16, 8)))
+        pairs += [0, level]
+    data = payload(split_bits([len(levels), 0]) + split_bits(pairs), bit_depth=16)
+    got, expected = codec_and_reference(data, (16, 8), qp=4, bit_depth=16)
+    assert type(expected) is PayloadDecodeError, expected
+    assert type(got) is PayloadDecodeError, got
+
+
+def test_counts_are_checked_before_any_pair():
+    # block 0 holds a zero level; block 1 a count over 64
+    data = payload(split_bits([1, 65]) + split_bits([0, 0] + [0, 1] * 65))
+    for decoder in (lambda: decode(data, 22, 10, (8, 16)), lambda: reference_decode_dct(data, 22, (8, 16))):
+        with pytest.raises(PayloadDecodeError, match="count 65"):
+            decoder()
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        payload(split_bits([1, 0, 0, 0]) + split_bits([0, 2**25 - 2])),  # 24 zeros: the longest prefix accepted
+        payload(split_bits([0, 2, 0, 64]) + split_bits([3, 9, 0, 1] + [0, 2] * 64)),
+        payload(split_bits([1, 0, 0, 1]) + split_bits([63, 7, 0, 1])),
+        payload(split_bits([0, 0, 0, 0])),  # 4 bits, then 4 zero padding bits
+    ],
+)
+def test_layout_edge_payloads_decode_like_the_reference(data):
+    got, expected = codec_and_reference(data, (16, 16))
+    assert isinstance(expected, np.ndarray), expected
+    np.testing.assert_array_equal(got, expected)
+
+
+# Bounds (fixed bytes, bytes per input byte) on the tracemalloc peak of each
+# decode in the fuzzes below. Measured on their cases, the peak stays under
+# 16 KiB + 71 B per payload byte and 16 KiB + 22 B per stream byte; the case
+# closest to its bound peaks at 1/1.5 of it.
+PAYLOAD_PEAK = (16 << 10, 128)
+STREAM_PEAK = (16 << 10, 48)
+
+
+def peak_bound(data: bytes, bound: tuple[int, int]) -> int:
+    fixed, per_byte = bound
+    return fixed + per_byte * len(data)
+
+
+def outcome_and_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        result = outcome(fn, *args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def test_hostile_dims_are_refused_before_any_allocation():
@@ -167,6 +234,17 @@ def test_hostile_dims_are_refused_before_any_allocation():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def test_counts_past_the_payload_are_refused_before_the_pairs_are_sized():
+    """1024x1024 blocks that each claim 64 coefficients, then 3 bytes.
+
+    The 2M pair symbols would need an 8 MB int32 array."""
+    data = payload(split_bits([64] * 16384)) + b"\x01\x02\x03"
+    got, peak = outcome_and_peak(decode, data, 22, 10, (1024, 1024))
+    assert type(got) is TruncatedError, got
+    assert type(outcome(reference_decode_dct, data, 22, (1024, 1024))) is TruncatedError
+    assert peak < peak_bound(data, PAYLOAD_PEAK) < 4 * 2**21
 
 
 def mutate(rng, data: bytes) -> bytes:
@@ -202,16 +280,14 @@ def test_mutated_payloads_decode_like_the_reference(dims):
         frame = make_frame(rng, dims, bit_depth, smooth=i % 4 != 0)
         blob = mutate(rng, reference_encode_dct(frame, qp, bit_depth))
         expected = within_depth(outcome(reference_decode_dct, blob, qp, dims), bit_depth)
-        got = outcome(decode, blob, qp, bit_depth, dims)
+        got, peak = outcome_and_peak(decode, blob, qp, bit_depth, dims)
+        assert peak < peak_bound(blob, PAYLOAD_PEAK), (i, peak)
         if isinstance(expected, np.ndarray):
             assert isinstance(got, np.ndarray), (i, got)
             np.testing.assert_array_equal(got, expected)
             decoded += 1
             continue
-        assert isinstance(got, FcmError), (i, got)
-        blocks = -(-dims[0] // 8) * -(-dims[1] // 8)
-        if blocks <= 8 * (len(blob) - 1):  # else refused up front as truncated
-            assert type(got) is type(expected), (i, got, expected)
+        assert type(got) is type(expected), (i, got, expected)
         raised += 1
     assert decoded and raised
 
@@ -243,7 +319,8 @@ def test_mutated_streams_decode_like_the_reference():
         blob = mutate(rng, streams[i % len(streams)])
         with reference_codec():
             expected = outcome(fcm_decode, blob)
-        got = outcome(fcm_decode, blob)
+        got, peak = outcome_and_peak(fcm_decode, blob)
+        assert peak < peak_bound(blob, STREAM_PEAK), (i, peak)
         if isinstance(expected, TensorGroup):
             assert isinstance(got, TensorGroup), (i, got)
             assert len(got) == len(expected)
@@ -251,6 +328,6 @@ def test_mutated_streams_decode_like_the_reference():
                 np.testing.assert_array_equal(a.data, b.data)
             decoded += 1
         else:
-            assert isinstance(got, FcmError), (i, got)
+            assert type(got) is type(expected), (i, got, expected)
             raised += 1
     assert decoded and raised

@@ -154,10 +154,9 @@ def test_hostile_raw_decode_allocates_by_input_size(payload):
     assert peak < raw_decode_peak_bound(stream)
 
 
-def test_large_valid_raw_decode_peak_per_element():
-    """Each decoder stage's input is freed once the next stage returns."""
-    samples = (np.arange(1 << 20) % 1024).astype("<u2")
-    stream = raw_stream_declaring(1024, b"\x00" + zlib.compress(samples.tobytes(), 9))
+def raw_decode_peak(samples: np.ndarray) -> tuple[int, int]:
+    """(stream length, tracemalloc peak of fcm_decode) of a 1024x1024 RAW frame."""
+    stream = raw_stream_declaring(1024, b"\x00" + zlib.compress(samples.astype("<u2").tobytes(), 9))
     tracemalloc.start()
     try:
         decoded = fcm_decode(stream)
@@ -165,7 +164,21 @@ def test_large_valid_raw_decode_peak_per_element():
     finally:
         tracemalloc.stop()
     assert decoded.tensors[0].data.std() > 0
-    assert peak < 18 * samples.size
+    return len(stream), peak
+
+
+def test_large_valid_raw_decode_peak_per_element():
+    """Each decoder stage's input is freed once the next stage returns."""
+    _, peak = raw_decode_peak(np.arange(1 << 20) % 1024)
+    assert peak < 18 * (1 << 20)
+
+
+def test_decode_peak_does_not_grow_with_the_payload():
+    """Parsing hands the decoder a view of the stream, not a copy of its payload."""
+    small, small_peak = raw_decode_peak(np.arange(1 << 20) % 1024)
+    large, large_peak = raw_decode_peak(np.random.default_rng(0).integers(0, 1024, 1 << 20))
+    assert large - small > 1_300_000
+    assert large_peak - small_peak < 500_000
 
 
 @pytest.mark.parametrize("channels,ratio,declared", CHANNEL_MISMATCHES)
