@@ -38,9 +38,16 @@ counts places the pairs in their blocks, and one scatter writes the
 coefficients. The prefix scan and the value read run in bounded chunks, so
 their scratch memory does not grow with the payload.
 
-The encoder gathers the symbols of a slice of blocks at a time. It packs
-their prefixes with packbits and ORs their suffixes into big-endian 64-bit
-words at their cumulative bit offsets; the pair suffixes wait in a second
+The encoder rounds the coefficients to int32 levels once per frame as
+trunc(x + copysign(1/2, x)), then codes the pairs of a slice of blocks at a
+time; a slice ends at about 2^14 pairs. frexp splits each symbol's v + 1 into
+its codeword width and its suffix. One cumsum of the widths gives every
+prefix's end, and every suffix's end is that less the count of codewords so
+far. packbits writes the prefixes' 1 bits. Every suffix, scaled to its place
+in a 51-bit window that starts at its 32-bit word, is summed per word by
+np.bincount in float64: the fields are disjoint, so the sum is their OR, and
+exact. codec_encode admits samples below 2^16 only, so no suffix is wider
+than 20 bits and a window holds each one. The pair suffixes wait in a second
 writer until the last slice.
 """
 
@@ -52,7 +59,8 @@ from enum import IntEnum
 import numpy as np
 from scipy.fft import dctn, idctn
 
-from .conversion import _round_half_away
+# The rounding rule of the levels, for code that rebuilds them.
+from .conversion import _round_half_away  # noqa: F401
 from .errors import DomainError, PayloadDecodeError, TruncatedError
 
 BLOCK = 8
@@ -61,9 +69,12 @@ _COEFFS = BLOCK * BLOCK
 # Longest accepted ue zero prefix, so every value fits int32.
 _MAX_UE_PREFIX = 24
 
-# Blocks per encoder slice. A block has at most 129 symbols, and writing them
-# holds about 110 bytes per symbol, so a slice needs at most about 2 MB.
-_SLICE_BLOCKS = 128
+# Pairs per encoder slice. Writing a pair holds about 70 bytes of scratch, so
+# a slice needs about 1.2 MB; smaller slices spend more time per numpy call.
+_SLICE_PAIRS = 1 << 14
+
+# Words per chunk when one bit writer takes another's bits.
+_EXTEND_WORDS = 1 << 14
 
 # Payload bytes per chunk of the decoder's prefix scan, and codewords per
 # chunk of its value read: their scratch stays under about 0.6 MB.
@@ -103,9 +114,10 @@ def _to_blocks(frame: np.ndarray) -> np.ndarray:
     h, w = frame.shape
     ph = (-h) % BLOCK
     pw = (-w) % BLOCK
-    padded = np.pad(frame, ((0, ph), (0, pw)), mode="edge")
-    hb, wb = padded.shape[0] // BLOCK, padded.shape[1] // BLOCK
-    return padded.reshape(hb, BLOCK, wb, BLOCK).transpose(0, 2, 1, 3)
+    if ph or pw:
+        frame = np.pad(frame, ((0, ph), (0, pw)), mode="edge")
+    hb, wb = frame.shape[0] // BLOCK, frame.shape[1] // BLOCK
+    return frame.reshape(hb, BLOCK, wb, BLOCK).transpose(0, 2, 1, 3)
 
 
 def _from_blocks(blocks: np.ndarray, h: int, w: int) -> np.ndarray:
@@ -135,96 +147,158 @@ def _decode_raw(data: bytes, shape: tuple[int, int]) -> np.ndarray:
     return np.frombuffer(raw, dtype="<u2").reshape(shape).astype(np.uint16)
 
 
-def _pair_symbols(levels: np.ndarray) -> np.ndarray:
-    """(run, level) ue symbols of blocks of zigzag-ordered levels, in stream order."""
+def _pair_symbols(levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The run and the level symbols of the (run, level) pairs of blocks of
+    zigzag-ordered int32 levels, pair by pair in stream order."""
     at = np.flatnonzero(levels)
-    level = levels.reshape(-1)[at].astype(np.int64)
-    prev = np.empty_like(at)
-    prev[:1] = -1
-    prev[1:] = at[:-1]
-    out = np.empty(2 * len(at), dtype=np.uint64)
+    level = levels.reshape(-1)[at]
     # A block's first run counts from its start, at & 63 positions in.
-    out[0::2] = np.minimum(at - prev - 1, at & (_COEFFS - 1))
-    out[1::2] = 2 * np.abs(level) - (level > 0)
-    return out
+    run = np.empty_like(at)
+    run[:1] = at[:1]
+    np.subtract(at[1:], at[:-1], out=run[1:])
+    run[1:] -= 1
+    at &= _COEFFS - 1
+    np.minimum(run, at, out=run)
+    # 2|l| - 1 for l > 0, 2|l| for l < 0
+    code = np.abs(level)
+    code += code
+    code -= level > 0
+    return run, code
 
 
 class _BitWriter:
-    """Bit fields packed MSB-first into big-endian 64-bit words."""
+    """Bits packed MSB-first into big-endian 32-bit words."""
 
     def __init__(self):
         self._buf = bytearray()
         self._last = 0  # the partly filled last word
         self._used = 0  # bits of it in use
 
-    def write(self, values: np.ndarray, widths: np.ndarray) -> None:
-        """Append each value in its width of 0 to 64 bits; values[i] < 2^widths[i]."""
-        ends = np.cumsum(widths, dtype=np.int64)
-        ends += self._used
-        start = ends - widths
-        word = start >> 6
-        shift = 64 - (start & 63) - widths  # negative: the field runs into the next word
-        fits = shift >= 0
-        amount = np.abs(shift).astype(np.uint64)
-        part = np.where(fits, values << amount, values >> amount)
-        words = np.zeros((int(ends[-1]) >> 6) + 1, dtype=np.uint64)
-        heads = np.flatnonzero(np.diff(word, prepend=-1))
-        words[word[heads]] = np.bitwise_or.reduceat(part, heads)
-        spill = ~fits
-        words[word[spill] + 1] |= values[spill] << (np.uint64(64) - amount[spill])
-        self._append(words, int(ends[-1]))
-
-    def write_ones(self, widths: np.ndarray) -> None:
-        """Append, per width w, w - 1 zeros and then a 1."""
-        ends = np.cumsum(widths, dtype=np.int64)
-        ends += self._used
-        bits = np.zeros(((int(ends[-1]) >> 6) + 1) << 6, dtype=np.uint8)
-        bits[ends - 1] = 1
-        self._append(np.packbits(bits).view(">u8").astype(np.uint64), int(ends[-1]))
-
     def _append(self, words: np.ndarray, total: int) -> None:
-        """Take words, which hold total bits from the start of the last word on;
-        the last word's bits are OR-ed into words[0]."""
-        words[0] |= np.uint64(self._last)
-        full = total >> 6
-        self._buf += words[:full].astype(">u8").tobytes()
+        """Take words, which hold total bits from the start of the last word
+        on; the last word's bits are OR-ed into words[0]."""
+        words[0] |= self._last
+        full = total >> 5
+        self._buf += words[:full].astype(">u4").tobytes()
         self._last = int(words[full])
-        self._used = total & 63
+        self._used = total & 31
 
-    def write_ue(self, suffixes: "_BitWriter", symbols: np.ndarray) -> None:
-        """Append the prefixes of ue codewords here and their suffixes to suffixes."""
-        if not len(symbols):
+    def _write_fields(self, fields: list[tuple[np.ndarray, np.ndarray]], total: int) -> None:
+        """Append total bits, counted from the start of the last word, that
+        hold disjoint bit fields of at most 20 bits. Each pair of arrays
+        gives fields by their start bits and their values over 2^(w + 1) for
+        a w-bit field; both arrays are overwritten.
+
+        A field that starts at bit k of word j lies within the 51 bits from
+        word j on, its window; scaled by 2^(52 - k), its value sits at its
+        place there. bincount sums the windows of each word in float64: the
+        fields are disjoint, so the sum is their OR and is exact. A window's
+        top 32 bits are its word, the other 19 start the next word.
+        """
+        windows = np.zeros((total >> 5) + 1)
+        for start, value in fields:
+            shift = (start & 31).astype(np.int32)  # ldexp is slow on int64
+            np.negative(shift, out=shift)
+            np.ldexp(value, shift, out=value)
+            start >>= 5
+            windows += np.bincount(start, value, minlength=len(windows))
+        windows = np.ldexp(windows, 52).astype(np.uint64)
+        words = windows >> 19
+        words[1:] |= (windows[:-1] & 0x7FFFF) << 13
+        self._append(words, total)
+
+    def write_ue(self, suffixes: "_BitWriter", *columns: np.ndarray) -> None:
+        """Append the ue codewords of the symbols of the columns, row by row:
+        their prefixes here and their suffixes to suffixes. Every symbol is a
+        non-negative int below 2^21 - 1."""
+        rows = len(columns[0])
+        if not rows:
             return
-        v = symbols + np.uint64(1)
-        _, width = np.frexp(v.astype(np.float64))  # bit_length(v), z + 1
-        self.write_ones(width)
-        width -= 1
-        suffixes.write(v ^ (np.uint64(1) << width.astype(np.uint64)), width)
+        # v + 1 = mant * 2^width: width is z + 1, and the suffix, the low z
+        # bits of v + 1, over 2^(z + 1) is mant - 1/2.
+        coded = [np.frexp(c + 1.0) for c in columns]
+        row = coded[0][1]
+        for _, width in coded[1:]:
+            row = row + width
+        end = np.cumsum(row, dtype=np.int64)  # of each row's prefixes
+        bits = int(end[-1])
+        # A codeword has one prefix bit more than suffix bits, so a row's
+        # suffixes end k bits per row before its prefixes.
+        k = len(coded)
+        suffix_end = np.arange(k, k * (rows + 1), k, dtype=np.int64)
+        np.subtract(end, suffix_end, out=suffix_end)
+
+        total = self._used + bits
+        ones = np.zeros(((total >> 5) + 1) << 5, dtype=np.uint8)
+        end += self._used - 1
+        for _, width in reversed(coded):
+            ones[end] = 1
+            end -= width
+        del end
+        self._append(np.packbits(ones).view(">u4").astype(np.uint64), total)
+        del ones
+
+        suffix_end += suffixes._used
+        fields = []
+        for mant, width in reversed(coded):
+            start = suffix_end - width
+            start += 1
+            mant -= 0.5
+            fields.append((start, mant))
+            suffix_end = start
+        suffixes._write_fields(fields, suffixes._used + bits - k * rows)
+
+    def _shift_in(self, words: np.ndarray, bits: int) -> None:
+        """Append the first bits bits of the 32-bit words."""
+        words = words.astype(np.uint64)
+        shifted = np.zeros(len(words) + 1, dtype=np.uint64)
+        shifted[:-1] = words >> self._used
+        shifted[1:] |= (words << (32 - self._used)) & 0xFFFFFFFF
+        self._append(shifted, self._used + bits)
 
     def extend(self, other: "_BitWriter") -> None:
-        """Append every bit other holds."""
-        words = np.frombuffer(other._buf, dtype=">u8").astype(np.uint64)
-        words = np.append(words, np.uint64(other._last))
-        shifted = np.zeros(len(words) + 1, dtype=np.uint64)
-        shifted[:-1] = words >> np.uint64(self._used)
-        if self._used:
-            shifted[1:] |= words << np.uint64(64 - self._used)
-        self._append(shifted, self._used + 8 * len(other._buf) + other._used)
+        """Append every bit other holds, a bounded chunk of words at a time."""
+        words = np.frombuffer(other._buf, dtype=">u4")
+        for s in range(0, len(words), _EXTEND_WORDS):
+            chunk = words[s : s + _EXTEND_WORDS]
+            self._shift_in(chunk, 32 * len(chunk))
+        self._shift_in(np.array([other._last]), other._used)
 
-    def getvalue(self) -> bytes:
-        return bytes(self._buf) + self._last.to_bytes(8, "big")[: (self._used + 7) >> 3]
+    def getvalue(self, head: bytes) -> bytes:
+        """head, then every bit written, padded with zero bits to a byte."""
+        return b"".join((head, self._buf, self._last.to_bytes(4, "big")[: (self._used + 7) >> 3]))
+
+
+def _slices(counts: np.ndarray) -> list[tuple[int, int]]:
+    """The (first, end) block ranges of the encoder's slices, given the
+    blocks' pair counts. A slice ends at the last block that keeps the pairs
+    up to it within the next multiple of _SLICE_PAIRS, so it holds at most
+    _SLICE_PAIRS + 63 pairs."""
+    ends = np.cumsum(counts)
+    marks = np.arange(_SLICE_PAIRS, int(counts.sum()), _SLICE_PAIRS)
+    cuts = np.searchsorted(ends, marks, side="right").tolist()
+    return list(zip([0, *cuts], [*cuts, len(counts)]))
 
 
 def _encode_dct(frame: np.ndarray, qp: int, bit_depth: int) -> bytes:
-    coeffs = dctn(_to_blocks(frame.astype(np.float64)), type=2, norm="ortho", axes=(-2, -1))
+    blocks = np.ascontiguousarray(_to_blocks(frame), dtype=np.float64).reshape(-1, BLOCK, BLOCK)
+    coeffs = dctn(blocks, type=2, norm="ortho", axes=(-2, -1), overwrite_x=True)
+    del blocks
     coeffs /= qstep(qp)
-    levels = _round_half_away(coeffs).reshape(-1, _COEFFS)
+    # trunc(x + copysign(1/2, x)) is _round_half_away(x): the addition rounds
+    # as |x| + 1/2 does, and the int32 cast truncates. A float32 half is exact.
+    coeffs += np.copysign(0.5, coeffs, dtype=np.float32)
+    levels = coeffs.astype(np.int32).reshape(-1, _COEFFS)
+    del coeffs
+    counts = np.count_nonzero(levels, axis=1)
     out, suffixes = _BitWriter(), _BitWriter()
-    out.write_ue(out, np.count_nonzero(levels, axis=1).astype(np.uint64))
-    for s in range(0, len(levels), _SLICE_BLOCKS):
-        out.write_ue(suffixes, _pair_symbols(levels[s : s + _SLICE_BLOCKS][:, ZIGZAG]))
+    out.write_ue(out, counts)
+    for s, e in _slices(counts):
+        out.write_ue(suffixes, *_pair_symbols(levels[s:e, ZIGZAG]))
+    del levels
     out.extend(suffixes)
-    return bytes([bit_depth]) + out.getvalue()
+    del suffixes
+    return out.getvalue(bytes([bit_depth]))
 
 
 def _prefix_zeros(buf: np.ndarray, nbits: int, start: int, n: int) -> tuple[np.ndarray, int]:
@@ -346,14 +420,18 @@ def _decode_dct(data: bytes, qp: int, shape: tuple[int, int]) -> np.ndarray:
 
 
 def codec_encode(frame: np.ndarray, codec: CodecId, qp: int = 22, bit_depth: int = 10) -> bytes:
-    """Compress one integer frame."""
+    """Compress one non-empty 2-d integer frame of samples in [0, 2^bit_depth)."""
     frame = np.asarray(frame)
-    if frame.ndim != 2:
-        raise DomainError("expected a 2-d integer frame")
+    if frame.ndim != 2 or frame.dtype.kind not in "iu":
+        raise DomainError(f"expected a 2-d integer frame, got {frame.ndim}-d {frame.dtype}")
+    if frame.size == 0:
+        raise DomainError("frame dimensions must be positive")
     if not 0 <= qp <= 63:
         raise DomainError(f"qp must be in [0, 63], got {qp}")
-    if frame.max(initial=0) >= (1 << bit_depth):
-        raise DomainError(f"samples exceed declared bit depth {bit_depth}")
+    if not 8 <= bit_depth <= 16:
+        raise DomainError(f"bit depth must be in [8, 16], got {bit_depth}")
+    if (frame.dtype.kind == "i" and frame.min() < 0) or frame.max() >= (1 << bit_depth):
+        raise DomainError(f"samples outside [0, 2^{bit_depth})")
     if codec == CodecId.RAW_LOSSLESS:
         return _encode_raw(frame)
     if codec == CodecId.BLOCK_DCT:

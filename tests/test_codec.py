@@ -162,3 +162,33 @@ class TestDispatch:
                 codec_decode(payload, codec, 0, bit_depth, frame.shape)
         edge = codec_encode(frame[:, :1], codec, qp=0, bit_depth=16)
         np.testing.assert_array_equal(codec_decode(edge, codec, 0, 10, (2, 1)), frame[:, :1])
+
+
+# Frames and bit depths codec_encode refuses. Before it checked them, each was
+# coded: the 17-bit RAW sample decoded as 4464, the DCT -1 as 0, the float
+# frame was rounded two ways, depth 300 raised a bare ValueError in the DCT
+# coder, and depths 4 and 24 wrote payloads the DCT decoder refuses.
+OUTSIDE_THE_DOMAIN = {
+    "uint32_70000_at_depth_17": (np.full((2, 2), 70000, np.uint32), 17),
+    "int32_minus_1": (np.array([[0, -1], [5, 7]], np.int32), 10),
+    "float_frame": (np.full((2, 2), 3.4), 10),
+    "depth_300": (np.zeros((2, 2), np.uint16), 300),
+    "depth_4": (np.zeros((2, 2), np.uint16), 4),
+    "depth_24": (np.zeros((2, 2), np.uint16), 24),
+    "empty_frame": (np.zeros((0, 4), np.uint16), 10),
+}
+
+
+@pytest.mark.parametrize("codec", list(CodecId), ids=[c.name for c in CodecId])
+@pytest.mark.parametrize("frame,bit_depth", OUTSIDE_THE_DOMAIN.values(), ids=OUTSIDE_THE_DOMAIN)
+def test_encode_refuses_frames_outside_its_domain(codec, frame, bit_depth):
+    with pytest.raises(DomainError):
+        codec_encode(frame, codec, qp=22, bit_depth=bit_depth)
+
+
+@pytest.mark.parametrize("codec", list(CodecId), ids=[c.name for c in CodecId])
+@pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint32, np.uint8])
+def test_any_integer_dtype_within_depth_codes_like_uint16(codec, dtype):
+    frame = np.array([[0, 1, 200], [255, 17, 3]], np.uint16)
+    expected = codec_encode(frame, codec, qp=4, bit_depth=8)
+    assert codec_encode(frame.astype(dtype), codec, qp=4, bit_depth=8) == expected

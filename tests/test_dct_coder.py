@@ -15,7 +15,15 @@ from hypothesis import strategies as st
 from scipy.ndimage import gaussian_filter
 
 import fcmcodec.codec
-from bitref import MAX_DCT_PREFIX, BitReader, read_split_ue, reference_decode_dct, reference_encode_dct
+from bitref import (
+    MAX_DCT_PREFIX,
+    BitReader,
+    BitWriter,
+    read_split_ue,
+    reference_decode_dct,
+    reference_encode_dct,
+    write_split_ue,
+)
 from fcmcodec import (
     CodecId,
     EncoderConfig,
@@ -26,6 +34,7 @@ from fcmcodec import (
     fcm_decode,
     fcm_encode,
 )
+from fcmcodec.codec import _BitWriter, _slices
 from fcmcodec.errors import FcmError, PayloadDecodeError, TruncatedError
 
 FUZZ_DIMS = ((1, 1), (8, 8), (13, 21), (16, 16), (40, 24))
@@ -77,6 +86,11 @@ def test_random_frames_match_reference(seed, h, w, bit_depth, qp, smooth):
     assert_matches_reference(frame, qp, bit_depth)
 
 
+# 16-bit noise at qp 0: more than one encoder slice, with long suffixes
+# across their joins
+SEVERAL_SLICES = make_frame(np.random.default_rng(4), (192, 192), 16, smooth=False)
+
+
 @pytest.mark.parametrize(
     "frame,qp,bit_depth",
     [
@@ -86,12 +100,66 @@ def test_random_frames_match_reference(seed, h, w, bit_depth, qp, smooth):
         # 16-bit noise at qp 0 gives the longest codewords the encoder makes
         (make_frame(np.random.default_rng(2), (16, 16), 16, smooth=False), 0, 16),
         (np.full((8, 8), 65535, np.uint16), 0, 16),
-        # more than one encoder slice of blocks
         (make_frame(np.random.default_rng(3), (136, 136), 10, smooth=True), 22, 10),
+        (SEVERAL_SLICES, 0, 16),
     ],
 )
 def test_edge_frames_match_reference(frame, qp, bit_depth):
     assert_matches_reference(frame, qp, bit_depth)
+
+
+def test_the_sliced_edge_frame_spans_three_slices():
+    counts = read_split_ue(BitReader(reference_encode_dct(SEVERAL_SLICES, 0, 16)[1:]), 24 * 24)
+    assert len(_slices(np.array(counts))) >= 3
+
+
+def ue_symbols(rng, n: int) -> np.ndarray:
+    """n symbols whose suffixes are 0 to 20 bits wide, a third of them at
+    either end of that range."""
+    zeros = rng.choice([0, 20, int(rng.integers(0, 21))], size=n)
+    return (1 << zeros) - 1 + rng.integers(0, 1 << zeros)
+
+
+def reference_bits(*sequences) -> bytes:
+    writer = BitWriter()
+    for symbols in sequences:
+        write_split_ue(writer, symbols)
+    return writer.getvalue()
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_bit_writer_matches_the_reference_across_calls(seed, monkeypatch):
+    """A whole-plane sequence, then pairs written in several calls, some of
+    them empty, with partial words carried from call to call."""
+    monkeypatch.setattr(fcmcodec.codec, "_EXTEND_WORDS", 2)
+    rng = np.random.default_rng(seed)
+    head = ue_symbols(rng, int(rng.integers(0, 40)))
+    calls = [ue_symbols(rng, 2 * int(rng.integers(0, 30))) for _ in range(int(rng.integers(1, 9)))]
+    out, suffixes = _BitWriter(), _BitWriter()
+    out.write_ue(out, head)
+    for symbols in calls:
+        out.write_ue(suffixes, symbols[0::2], symbols[1::2])
+    out.extend(suffixes)
+    assert out.getvalue(b"\x0a") == b"\x0a" + reference_bits(head, np.concatenate(calls))
+
+
+@pytest.mark.parametrize("offset", range(64))
+def test_bit_writer_at_every_offset(offset, monkeypatch):
+    """offset one-bit codewords lead both writers, so over the 64 offsets the
+    20-bit suffixes straddle 32- and 64-bit word boundaries at every bit, and
+    extend starts at every offset in a 64-bit word."""
+    monkeypatch.setattr(fcmcodec.codec, "_EXTEND_WORDS", 1)
+    widest = [2**21 - 2, 2**20 - 1, 0, 2**20 + 5, 2**21 - 2, 2**21 - 2]
+    pairs = widest + widest[::-1]
+    lead = [0] * offset
+    out, suffixes = _BitWriter(), _BitWriter()
+    out.write_ue(out, np.array(lead + widest))
+    suffixes.write_ue(suffixes, np.array(lead, dtype=np.int64))
+    out.write_ue(suffixes, np.array(pairs[0::2]), np.array(pairs[1::2]))
+    out.extend(suffixes)
+    prefixes, suffix_bits = split_planes(pairs)
+    expected = split_bits(lead + widest) + prefixes + "1" * offset + suffix_bits
+    assert out.getvalue(b"\x10") == payload(expected, bit_depth=16)
 
 
 def max_prefix_zeros(data: bytes, nblocks: int) -> int:
@@ -115,10 +183,15 @@ def test_extreme_16bit_frames_need_at_most_20_prefix_zeros(frame):
     assert_matches_reference(frame, 0, 16)
 
 
+def split_planes(values) -> tuple[str, str]:
+    """The prefix bits and the suffix bits of a split-plane ue sequence."""
+    codes = [format(v + 1, "b") for v in values]
+    return "".join("0" * (len(c) - 1) + "1" for c in codes), "".join(c[1:] for c in codes)
+
+
 def split_bits(values) -> str:
     """The bits of one split-plane ue sequence: every prefix, then every suffix."""
-    codes = [format(v + 1, "b") for v in values]
-    return "".join("0" * (len(c) - 1) + "1" for c in codes) + "".join(c[1:] for c in codes)
+    return "".join(split_planes(values))
 
 
 def payload(bits: str, bit_depth=10, tail=b"") -> bytes:
@@ -245,6 +318,21 @@ def test_counts_past_the_payload_are_refused_before_the_pairs_are_sized():
     assert type(got) is TruncatedError, got
     assert type(outcome(reference_decode_dct, data, 22, (1024, 1024))) is TruncatedError
     assert peak < peak_bound(data, PAYLOAD_PEAK) < 4 * 2**21
+
+
+# Bound on the tracemalloc peak of a BLOCK_DCT encode, in bytes per frame
+# element. A 512x512 16-bit noise frame at qp 0, a 1 MB payload, peaks at
+# 12.7 B per element (21.6 B with the previous encoder), so the bound leaves
+# a 1.26x margin. Coded as one slice, the same frame peaks at 78 B per element.
+ENCODE_PEAK_PER_ELEMENT = 16
+
+
+def test_encode_peak_per_element():
+    frame = make_frame(np.random.default_rng(5), (512, 512), 16, smooth=False)
+    data, peak = outcome_and_peak(encode, frame, 0, 16)
+    assert len(data) > 1_000_000
+    per_element = peak / frame.size
+    assert per_element < ENCODE_PEAK_PER_ELEMENT, per_element
 
 
 def mutate(rng, data: bytes) -> bytes:
