@@ -4,7 +4,7 @@ rate-distortion evaluation utilities."""
 from .bitstream import UnitHeader, parse_stream, parse_unit, serialize_stream, serialize_unit
 from .channels import PruneDecision, prune_channels, restore_channels, score_channels, select_pruned
 from .codec import CodecId, codec_decode, codec_encode, qstep
-from .conversion import ConversionParams, dequantize_frame, quantize_frame
+from .conversion import dequantize_frame, quantize_frame
 from .errors import DomainError, FcmError, FormatError
 from .lcr import ChannelIndexSet, LcrCode, binomial, lcr_decode, lcr_encode
 from .metrics import RdCurve, bd_rate, psnr

@@ -1,11 +1,19 @@
 """The FCMB container: one self-delimiting unit per coded tensor.
 
-Stream layout: magic `FCMB`, version u8 (3), unit count u8 (1-8), then units.
-A unit carries, after its packing layout, a transform id u8 (the position of
-the encoder's stage in `pipeline.TRANSFORMS`) and the tensor's label (u8
-length, then UTF-8), so a stream decodes with no side information. All
-multi-byte integers are little-endian, except the combination rank, which is
-a u16-length-prefixed big-endian big integer (length 0 means rank 0).
+Stream layout: magic `FCMB`, version u8 (4), unit count u8 (1-8), then units.
+A unit holds, in order:
+- the channel count N and the pruned count k (u16 each);
+- the combination rank of the pruned set, a u16-length-prefixed big-endian
+  big integer (length 0 means rank 0);
+- the tensor's global mean and std (f32 each), the decoder's one refinement
+  target;
+- the bit depth (u8) and the tile height and width (u16 each); the tile grid
+  follows from N - k by the packing rule;
+- a transform id (u8, the position of the encoder's stage in
+  `pipeline.TRANSFORMS`) and the tensor's label (u8 length, then UTF-8), so a
+  stream decodes with no side information;
+- the inner codec id and qp (u8 each), then the payload (u32 length).
+Other multi-byte integers are little-endian.
 """
 
 from __future__ import annotations
@@ -14,6 +22,7 @@ import struct
 from dataclasses import dataclass
 
 from .errors import (
+    DimensionOverflowError,
     InvariantError,
     MagicMismatchError,
     TruncatedError,
@@ -21,10 +30,10 @@ from .errors import (
 )
 from .lcr import binomial
 from .packing import PackingLayout
-from .tensor import MAX_TENSORS, GlobalStats
+from .tensor import MAX_ELEMENTS, MAX_TENSORS, GlobalStats
 
 STREAM_MAGIC = b"FCMB"
-STREAM_VERSION = 3
+STREAM_VERSION = 4
 
 _U16_MAX = 0xFFFF
 
@@ -37,11 +46,9 @@ class UnitHeader:
     pruned_k: int
     lcr_rank: int
     transform_stats: GlobalStats
-    reduced_stats: GlobalStats
     bit_depth: int
-    conv_min: float
-    conv_max: float
-    layout: PackingLayout
+    tile_h: int
+    tile_w: int
     transform_id: int
     label: str
     codec: int
@@ -50,12 +57,12 @@ class UnitHeader:
     def __post_init__(self):
         if not 0 < self.original_channels <= _U16_MAX:
             raise InvariantError("original channel count out of range")
-        if not 0 <= self.pruned_k <= self.original_channels:
-            raise InvariantError("pruned_k exceeds channel count")
+        if not 0 <= self.pruned_k < self.original_channels:
+            raise InvariantError("pruned_k leaves no channel")
         if not 0 <= self.lcr_rank < binomial(self.original_channels, self.pruned_k):
             raise InvariantError("rank outside [0, C(N, k))")
-        if self.layout.channel_count != self.original_channels - self.pruned_k:
-            raise InvariantError("layout channel count is not N - k")
+        if not (0 < self.tile_h <= _U16_MAX and 0 < self.tile_w <= _U16_MAX):
+            raise InvariantError("tile dimension outside 1-65535")
         if not 8 <= self.bit_depth <= 16:
             raise InvariantError("bit depth outside [8, 16]")
         if not 0 <= self.codec <= 255 or not 0 <= self.qp <= 63:
@@ -67,6 +74,10 @@ class UnitHeader:
         if not 0 <= self.transform_id <= 255 or label_size > 255:
             raise InvariantError("transform id or label length out of range")
 
+    @property
+    def layout(self) -> PackingLayout:
+        return PackingLayout(self.original_channels - self.pruned_k, self.tile_h, self.tile_w)
+
 
 def _rank_bytes(rank: int) -> bytes:
     if rank == 0:
@@ -77,21 +88,12 @@ def _rank_bytes(rank: int) -> bytes:
 def serialize_unit(header: UnitHeader, payload: bytes) -> bytes:
     rank = _rank_bytes(header.lcr_rank)
     label = header.label.encode("utf-8")
-    lay = header.layout
-    for dim in (lay.grid_rows, lay.grid_cols, lay.tile_h, lay.tile_w, lay.channel_count):
-        if dim > _U16_MAX:
-            raise InvariantError("layout field exceeds u16 range")
     parts = [
         struct.pack("<HH", header.original_channels, header.pruned_k),
         struct.pack("<H", len(rank)),
         rank,
         struct.pack("<ff", header.transform_stats.mu, header.transform_stats.sigma),
-        struct.pack("<ff", header.reduced_stats.mu, header.reduced_stats.sigma),
-        struct.pack("<B", header.bit_depth),
-        struct.pack("<ff", header.conv_min, header.conv_max),
-        struct.pack(
-            "<HHHHH", lay.grid_rows, lay.grid_cols, lay.tile_h, lay.tile_w, lay.channel_count
-        ),
+        struct.pack("<BHH", header.bit_depth, header.tile_h, header.tile_w),
         struct.pack("<BB", header.transform_id, len(label)),
         label,
         struct.pack("<BB", header.codec, header.qp),
@@ -104,7 +106,8 @@ def serialize_unit(header: UnitHeader, payload: bytes) -> bytes:
 def parse_unit(data: bytes, offset: int = 0) -> tuple[UnitHeader, memoryview, int]:
     """Parse one unit starting at offset; returns (header, payload, consumed).
 
-    The payload is a view into data, not a copy."""
+    The payload is a view into data, not a copy. A unit whose packed frame
+    would exceed the FTNS element cap is refused before anything is sized."""
     view = memoryview(data)
     pos = offset
 
@@ -120,10 +123,7 @@ def parse_unit(data: bytes, offset: int = 0) -> tuple[UnitHeader, memoryview, in
     (rank_len,) = struct.unpack("<H", take(2))
     rank = int.from_bytes(take(rank_len), "big")
     mu, sigma = struct.unpack("<ff", take(8))
-    mu_x, sigma_x = struct.unpack("<ff", take(8))
-    (bit_depth,) = struct.unpack("<B", take(1))
-    conv_min, conv_max = struct.unpack("<ff", take(8))
-    gr, gc, th, tw, cc = struct.unpack("<HHHHH", take(10))
+    bit_depth, tile_h, tile_w = struct.unpack("<BHH", take(5))
     transform_id, label_len = struct.unpack("<BB", take(2))
     label = take(label_len)
     codec, qp = struct.unpack("<BB", take(2))
@@ -134,24 +134,19 @@ def parse_unit(data: bytes, offset: int = 0) -> tuple[UnitHeader, memoryview, in
         if not cond:
             raise InvariantError(msg)
 
-    invariant(sigma >= 0 and sigma_x >= 0, "negative transmitted sigma")
-    for v in (mu, sigma, mu_x, sigma_x, conv_min, conv_max):
+    invariant(sigma >= 0, "negative transmitted sigma")
+    for v in (mu, sigma):
         invariant(v == v and abs(v) != float("inf"), "non-finite transmitted value")
-    invariant(conv_min <= conv_max, "conversion min exceeds max")
     invariant(qp <= 63, "qp out of range")
-    invariant(min(gr, gc, th, tw) >= 1, "zero layout dimension")
-    invariant(1 <= cc <= gr * gc, "layout cannot hold its channel count")
     try:
         header = UnitHeader(
             original_channels=n_channels,
             pruned_k=k,
             lcr_rank=rank,
             transform_stats=GlobalStats(mu, sigma),
-            reduced_stats=GlobalStats(mu_x, sigma_x),
             bit_depth=bit_depth,
-            conv_min=conv_min,
-            conv_max=conv_max,
-            layout=PackingLayout(gr, gc, th, tw, cc),
+            tile_h=tile_h,
+            tile_w=tile_w,
             transform_id=transform_id,
             label=bytes(label).decode("utf-8"),
             codec=codec,
@@ -161,6 +156,9 @@ def parse_unit(data: bytes, offset: int = 0) -> tuple[UnitHeader, memoryview, in
         raise
     except Exception as exc:
         raise InvariantError(f"invalid unit header: {exc}") from exc
+    lay = header.layout
+    if lay.frame_height * lay.frame_width > MAX_ELEMENTS:
+        raise DimensionOverflowError(f"{lay.frame_height}x{lay.frame_width} frame exceeds the element cap")
     return header, payload, pos - offset
 
 

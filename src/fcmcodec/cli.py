@@ -108,8 +108,7 @@ def _cmd_inspect(args) -> int:
         print(
             f"unit={i} N={h.original_channels} k={h.pruned_k} rank={h.lcr_rank} "
             f"mu={h.transform_stats.mu:.6g} sigma={h.transform_stats.sigma:.6g} "
-            f"mu_x={h.reduced_stats.mu:.6g} sigma_x={h.reduced_stats.sigma:.6g} "
-            f"bit_depth={h.bit_depth} min={h.conv_min:.6g} max={h.conv_max:.6g} "
+            f"bit_depth={h.bit_depth} "
             f"grid={lay.grid_rows}x{lay.grid_cols} tile={lay.tile_h}x{lay.tile_w} "
             f"channels={lay.channel_count} transform={transform_stage(h.transform_id).identifier} "
             f"label={h.label!r} "

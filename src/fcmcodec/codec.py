@@ -1,10 +1,10 @@
 """Pluggable inner frame codec with two built-ins.
 
-RAW_LOSSLESS stores samples as little-endian u16 in one deflate stream
-(scheme id 0) and decodes bit-exactly. The encoder uses zlib's run-length
-strategy (Z_RLE), which on packed feature frames is both smaller and several
-times faster than the default strategy; the decoder reads any deflate
-stream, so streams from other strategies and levels decode too.
+RAW_LOSSLESS stores samples as little-endian u16 in one deflate stream, which
+is the whole payload, and decodes bit-exactly. The encoder uses zlib's
+run-length strategy (Z_RLE), which on packed feature frames is both smaller
+and several times faster than the default strategy; the decoder reads any
+deflate stream, so streams from other strategies and levels decode too.
 
 BLOCK_DCT is a lossy intra codec: 8x8 orthonormal DCT, uniform scalar
 quantization with qstep(qp) = 2^((qp-4)/6) and zigzag scan. A block is
@@ -128,18 +128,16 @@ def _from_blocks(blocks: np.ndarray, h: int, w: int) -> np.ndarray:
 
 def _encode_raw(frame: np.ndarray) -> bytes:
     deflate = zlib.compressobj(6, zlib.DEFLATED, 15, _RAW_MEM_LEVEL, zlib.Z_RLE)
-    return bytes([0]) + deflate.compress(np.ascontiguousarray(frame, dtype="<u2")) + deflate.flush()
+    return deflate.compress(np.ascontiguousarray(frame, dtype="<u2")) + deflate.flush()
 
 
 def _decode_raw(data: bytes, shape: tuple[int, int]) -> np.ndarray:
     if not data:
         raise TruncatedError("empty lossless payload")
-    if data[0] != 0:
-        raise PayloadDecodeError(f"unknown byte-compression scheme {data[0]}")
     expected = shape[0] * shape[1] * 2
     d = zlib.decompressobj()
     try:
-        raw = d.decompress(data[1:], expected + 1)
+        raw = d.decompress(data, expected + 1)
     except zlib.error as exc:
         raise PayloadDecodeError(f"corrupt lossless payload: {exc}") from exc
     if len(raw) != expected or d.unconsumed_tail or not d.eof:

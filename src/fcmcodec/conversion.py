@@ -2,35 +2,22 @@
 
 The frame's own min/max span the full integer range, so all loss sits in the
 rounding step. Rounding is half away from zero, fixed explicitly so results
-match across platforms.
+match across platforms. The decoder needs no range: it maps the integers onto
+[0, 1], and refinement onto the transmitted statistics absorbs the affine map
+back onto the range.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
-class ConversionParams:
-    bit_depth: int
-    min_val: float
-    max_val: float
-
-    def __post_init__(self):
-        if not 8 <= self.bit_depth <= 16:
-            raise DomainError(f"bit depth must be in [8, 16], got {self.bit_depth}")
-        if not (np.isfinite(self.min_val) and np.isfinite(self.max_val)):
-            raise DomainError("conversion bounds must be finite")
-        if self.min_val > self.max_val:
-            raise DomainError("min_val must not exceed max_val")
-
-    @property
-    def levels(self) -> int:
-        return (1 << self.bit_depth) - 1
+def _levels(bit_depth: int) -> int:
+    if not 8 <= bit_depth <= 16:
+        raise DomainError(f"bit depth must be in [8, 16], got {bit_depth}")
+    return (1 << bit_depth) - 1
 
 
 def _round_half_away(x: np.ndarray) -> np.ndarray:
@@ -46,34 +33,34 @@ def _round_half_away(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def quantize_frame(frame: np.ndarray, bit_depth: int = 10) -> tuple[np.ndarray, ConversionParams]:
-    """Map a float frame onto [0, 2^n - 1] integers."""
+def quantize_frame(frame: np.ndarray, bit_depth: int = 10) -> tuple[np.ndarray, tuple[float, float]]:
+    """Map a float frame onto [0, 2^n - 1] integers; also returns the frame's
+    (min, max), the range the integers span."""
     frame = np.asarray(frame, dtype=np.float32)
     if frame.ndim != 2:
         raise DomainError("expected a 2-d frame")
-    params = ConversionParams(bit_depth, float(frame.min()), float(frame.max()))
-    if params.min_val == params.max_val:
-        return np.zeros(frame.shape, dtype=np.uint16), params
+    levels = _levels(bit_depth)
+    lo, hi = float(frame.min()), float(frame.max())
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise DomainError("frame values must be finite")
+    if lo == hi:
+        return np.zeros(frame.shape, dtype=np.uint16), (lo, hi)
     # (x - min) / (max - min) * levels, in place in one float64 copy.
     x = frame.astype(np.float64)
-    x -= params.min_val
-    x /= params.max_val - params.min_val
-    x *= params.levels
-    return _round_half_away(x).astype(np.uint16), params
+    x -= lo
+    x /= hi - lo
+    x *= levels
+    return _round_half_away(x).astype(np.uint16), (lo, hi)
 
 
-def dequantize_frame(frame: np.ndarray, params: ConversionParams) -> np.ndarray:
-    """Invert quantize_frame up to rounding."""
+def dequantize_frame(frame: np.ndarray, bit_depth: int) -> np.ndarray:
+    """The n-bit integer frame on [0, 1] as float32: q / (2^n - 1)."""
+    levels = _levels(bit_depth)
     q = np.asarray(frame)
     if q.ndim != 2:
         raise DomainError("expected a 2-d frame")
-    if q.min() < 0 or q.max() > params.levels:
-        raise DomainError(f"sample outside [0, {params.levels}]")
-    if params.min_val == params.max_val:
-        return np.full(q.shape, params.min_val, dtype=np.float32)
-    # q / levels * (max - min) + min, in place in one float64 copy.
-    x = q.astype(np.float64)
-    x /= params.levels
-    x *= params.max_val - params.min_val
-    x += params.min_val
-    return x.astype(np.float32)
+    if q.min() < 0 or q.max() > levels:
+        raise DomainError(f"sample outside [0, {levels}]")
+    x = q.astype(np.float32)
+    x /= np.float32(levels)
+    return x

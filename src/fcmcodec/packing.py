@@ -18,22 +18,25 @@ from .tensor import FeatureTensor
 
 @dataclass(frozen=True)
 class PackingLayout:
-    """Everything needed to invert a packed frame."""
+    """Everything needed to invert a packed frame; the tile grid follows
+    from the channel count."""
 
-    grid_rows: int
-    grid_cols: int
+    channel_count: int
     tile_h: int
     tile_w: int
-    channel_count: int
 
     def __post_init__(self):
-        if min(self.grid_rows, self.grid_cols, self.tile_h, self.tile_w) < 1:
+        if min(self.channel_count, self.tile_h, self.tile_w) < 1:
             raise DomainError("layout dimensions must be >= 1")
-        if not 1 <= self.channel_count <= self.grid_rows * self.grid_cols:
-            raise DomainError(
-                f"{self.channel_count} channels cannot fit a "
-                f"{self.grid_rows}x{self.grid_cols} tile grid"
-            )
+
+    @property
+    def grid_cols(self) -> int:
+        cols = math.isqrt(self.channel_count)
+        return cols if cols * cols == self.channel_count else cols + 1
+
+    @property
+    def grid_rows(self) -> int:
+        return -(-self.channel_count // self.grid_cols)
 
     @property
     def frame_height(self) -> int:
@@ -46,15 +49,11 @@ class PackingLayout:
 
 def pack(t: FeatureTensor) -> tuple[np.ndarray, PackingLayout]:
     """Arrange channels into a single float32 frame."""
-    c = t.channels
-    grid_cols = math.isqrt(c)
-    if grid_cols * grid_cols < c:
-        grid_cols += 1
-    grid_rows = -(-c // grid_cols)
-    layout = PackingLayout(grid_rows, grid_cols, t.height, t.width, c)
+    layout = PackingLayout(t.channels, t.height, t.width)
+    grid_cols = layout.grid_cols
     mean = np.float32(t.data.astype(np.float64, copy=False).mean())
     frame = np.full((layout.frame_height, layout.frame_width), mean, dtype=np.float32)
-    for i in range(c):
+    for i in range(t.channels):
         r, col = divmod(i, grid_cols)
         frame[r * t.height : (r + 1) * t.height, col * t.width : (col + 1) * t.width] = t.data[i]
     return frame, layout
@@ -68,9 +67,9 @@ def unpack(frame: np.ndarray, layout: PackingLayout) -> FeatureTensor:
             f"frame shape {frame.shape} does not match layout "
             f"({layout.frame_height}, {layout.frame_width})"
         )
-    th, tw = layout.tile_h, layout.tile_w
+    th, tw, grid_cols = layout.tile_h, layout.tile_w, layout.grid_cols
     out = np.empty((layout.channel_count, th, tw), dtype=np.float32)
     for i in range(layout.channel_count):
-        r, col = divmod(i, layout.grid_cols)
+        r, col = divmod(i, grid_cols)
         out[i] = frame[r * th : (r + 1) * th, col * tw : (col + 1) * tw]
     return FeatureTensor(out)

@@ -1,12 +1,18 @@
 """End-to-end encoder and decoder orchestration.
 
 Encoder, per tensor: capture global stats, forward transform, prune low-energy
-channels, capture reduced stats, pack, quantize, inner-codec encode, emit one
-unit. Decoder, per unit: inner-codec decode, dequantize, unpack, refine onto
-the transmitted reduced stats, restore pruned channels, inverse transform,
-refine onto the transmitted global stats. It is one chain of calls that
-rebinds a single name, so each intermediate is freed once the next stage has
-returned, and it computes nothing the output does not need.
+channels, pack, quantize, inner-codec encode, emit one unit. Decoder, per
+unit: inner-codec decode, dequantize onto [0, 1], unpack, restore pruned
+channels, inverse transform, refine onto the transmitted global stats.
+
+A unit needs to carry neither the quantizer range nor the stats of the kept
+channels. Mapping the samples onto either is a positive affine map; restoring
+fills pruned channels with the kept mean and the inverse transform repeats
+samples, so such a map commutes with both, and the refinement cancels it.
+
+The decoder is one chain of calls that rebinds a single name, so each
+intermediate is freed once the next stage has returned, and it computes
+nothing the output does not need.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import numpy as np
 from .bitstream import UnitHeader, parse_stream, serialize_stream
 from .channels import PruneDecision, prune_channels, restore_channels, score_channels, select_pruned
 from .codec import CodecId, codec_decode, codec_encode
-from .conversion import ConversionParams, dequantize_frame, quantize_frame
+from .conversion import dequantize_frame, quantize_frame
 from .errors import DomainError, FcmError, InvariantError
 from .lcr import LcrCode, lcr_decode, lcr_encode
 from .packing import pack, unpack
@@ -90,22 +96,17 @@ def _encode_one(t: FeatureTensor, label: str, cfg: EncoderConfig) -> tuple[UnitH
     xt = stage.forward(t)
 
     decision = select_pruned(score_channels(xt), cfg.prune_ratio)
-    reduced = prune_channels(xt, decision)
-    reduced_stats = stats if reduced is t else compute_global_stats(reduced)
-
-    frame, layout = pack(reduced)
-    qframe, params = quantize_frame(frame, cfg.bit_depth)
+    frame, layout = pack(prune_channels(xt, decision))
+    qframe, _ = quantize_frame(frame, cfg.bit_depth)
     payload = codec_encode(qframe, cfg.codec, cfg.qp, cfg.bit_depth)
     header = UnitHeader(
         original_channels=xt.channels,
         pruned_k=len(decision.pruned),
         lcr_rank=lcr_encode(decision.pruned).rank,
         transform_stats=stats,
-        reduced_stats=reduced_stats,
         bit_depth=cfg.bit_depth,
-        conv_min=params.min_val,
-        conv_max=params.max_val,
-        layout=layout,
+        tile_h=layout.tile_h,
+        tile_w=layout.tile_w,
         transform_id=list(TRANSFORMS).index(cfg.transform),
         label=label,
         codec=int(cfg.codec),
@@ -132,9 +133,8 @@ def _decode_one(header: UnitHeader, payload: bytes) -> FeatureTensor:
     stage = transform_stage(header.transform_id)
     lay = header.layout
     x = codec_decode(payload, header.codec, header.qp, header.bit_depth, (lay.frame_height, lay.frame_width))
-    x = dequantize_frame(x, ConversionParams(header.bit_depth, header.conv_min, header.conv_max))
+    x = dequantize_frame(x, header.bit_depth)
     x = unpack(x, lay)
-    x = apply_refinement(x, header.reduced_stats)
     pruned = lcr_decode(LcrCode(header.pruned_k, header.lcr_rank), header.original_channels)
     x = restore_channels(x, PruneDecision(pruned))
     x = stage.inverse(x)

@@ -25,8 +25,9 @@ from .errors import (
 TENSOR_MAGIC = b"FTNS"
 TENSOR_FORMAT_VERSION = 1
 
-# Hard cap on C*H*W for a single tensor read from disk.
-_MAX_ELEMENTS = 1 << 31
+# Hard cap on C*H*W for a single tensor read from disk, and on the packed
+# frame of an FCMB unit.
+MAX_ELEMENTS = 1 << 31
 # Most tensors one group, FTNS file or FCMB stream may hold.
 MAX_TENSORS = 8
 
@@ -188,7 +189,7 @@ def _parse_tensor_bytes(data: bytes) -> TensorGroup:
         c, h, w = struct.unpack("<III", take(12))
         if min(c, h, w) < 1:
             raise DimensionOverflowError(f"zero dimension in tensor header ({c}x{h}x{w})")
-        if c * h * w > _MAX_ELEMENTS:
+        if c * h * w > MAX_ELEMENTS:
             raise DimensionOverflowError(f"tensor {c}x{h}x{w} exceeds element cap")
         raw = take(c * h * w * 4)
         arr = np.frombuffer(raw, dtype="<f4").reshape(c, h, w)

@@ -11,13 +11,25 @@ import pytest
 
 import fcmcodec.pipeline
 from fcmcodec import (
+    TRANSFORMS,
     CodecId,
     EncoderConfig,
     FeatureTensor,
+    GlobalStats,
     TensorGroup,
+    apply_refinement,
+    codec_decode,
     compute_global_stats,
+    fcm_decode,
     fcm_encode,
+    pack,
     parse_stream,
+    prune_channels,
+    quantize_frame,
+    restore_channels,
+    score_channels,
+    select_pruned,
+    unpack,
 )
 
 
@@ -49,10 +61,10 @@ def record_refinements(monkeypatch) -> list:
 
 
 def assert_refined(passes, stream, mu_abs=1e-12):
-    """Decoding stream ran exactly two refinement passes per unit, onto its
-    reduced stats and then its global stats, and each pass's output is within
-    1e-4 of its target (mu_abs defaults to pytest.approx's own)."""
-    targets = [s for h, _ in parse_stream(stream) for s in (h.reduced_stats, h.transform_stats)]
+    """Decoding stream ran exactly one refinement pass per unit, onto its
+    global stats, and each pass's output is within 1e-4 of its target
+    (mu_abs defaults to pytest.approx's own)."""
+    targets = [h.transform_stats for h, _ in parse_stream(stream)]
     assert [target for target, _ in passes] == targets
     for target, achieved in passes:
         assert achieved.mu == pytest.approx(target.mu, rel=1e-4, abs=mu_abs)
@@ -80,4 +92,65 @@ def depth_relabelled_stream(codec: CodecId) -> bytes:
     """A 16-bit stream whose header claims 8 bits (prune 0: no rank bytes)."""
     t = FeatureTensor(np.random.default_rng(16).normal(size=(2, 8, 8)).astype(np.float32))
     stream = fcm_encode(TensorGroup((t,)), EncoderConfig(codec=codec, qp=4, bit_depth=16))
-    return relabelled(stream, 22, "<B", 8)  # after N, k, rank length, two stats pairs
+    return relabelled(stream, 14, "<B", 8)  # after N, k, rank length and the stats pair
+
+
+def _as_sent(stats: GlobalStats) -> GlobalStats:
+    """stats as an f32 header field carried them."""
+    return GlobalStats(*(float(np.float32(v)) for v in (stats.mu, stats.sigma)))
+
+
+def staged_reference_decode(group: TensorGroup, cfg: EncoderConfig, stream: bytes) -> list[tuple[np.ndarray, float]]:
+    """Decode the stream that cfg coded group into, with the two-refinement
+    chain of FCMB version 3 as the reference for the one-refinement decoder.
+
+    Version 3 units carried the quantizer range and the stats of the kept
+    channels; they are computed here from the source, as the encoder did.
+    Each unit's frame is dequantized onto that range, unpacked, refined onto
+    those stats, restored, inverse transformed and refined onto the global
+    stats. Returns each tensor with the gain of its last refinement, the
+    factor by which that pass scales its input's deviations from the mean.
+    """
+    stage = TRANSFORMS[cfg.transform]
+    out = []
+    for t, (h, payload) in zip(group.tensors, parse_stream(stream)):
+        xt = stage.forward(t)
+        decision = select_pruned(score_channels(xt), cfg.prune_ratio)
+        reduced = prune_channels(xt, decision)
+        frame, layout = pack(reduced)
+        _, (lo, hi) = quantize_frame(frame, cfg.bit_depth)
+        q = codec_decode(payload, h.codec, h.qp, h.bit_depth, (layout.frame_height, layout.frame_width))
+        if lo == hi:
+            x = np.full(q.shape, lo, dtype=np.float32)
+        else:
+            x = q.astype(np.float64)
+            x /= (1 << h.bit_depth) - 1
+            x *= hi - lo
+            x += lo
+        x = unpack(x.astype(np.float32), layout)
+        x = apply_refinement(x, _as_sent(compute_global_stats(reduced)))
+        x = restore_channels(x, decision)
+        x = stage.inverse(x)
+        spread = compute_global_stats(x).sigma
+        out.append((apply_refinement(x, h.transform_stats).data, h.transform_stats.sigma / spread if spread else 0.0))
+    return out
+
+
+def assert_matches_staged_reference(group: TensorGroup, cfg: EncoderConfig, rel: float = 1e-6) -> None:
+    """fcm_decode of group coded with cfg is within rel of each tensor's
+    value range of the staged reference decoder's output, plus 1 + g float32
+    ulps of its largest magnitude, g being the gain of the reference's last
+    refinement.
+
+    Before its last refinement the reference rounds to float32 twice at the
+    tensor's magnitude (dequantize, first refinement), which that pass scales
+    by g; each decoder's final rounding adds half an ulp. On a tensor whose
+    mean dwarfs its spread, these are more than rel of its range.
+    """
+    stream = fcm_encode(group, cfg)
+    decoded = fcm_decode(stream)
+    for got, (want, gain) in zip(decoded.tensors, staged_reference_decode(group, cfg, stream)):
+        ulps = (1 + gain) * float(np.spacing(np.abs(want).max()))
+        want = want.astype(np.float64)
+        err = float(np.max(np.abs(got.data - want)))
+        assert err <= rel * float(want.max() - want.min()) + ulps, (err, cfg)

@@ -1,11 +1,12 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fcmcodec import EncoderConfig, GlobalStats, PackingLayout, UnitHeader, fcm_decode, fcm_encode
+from fcmcodec import EncoderConfig, FeatureTensor, GlobalStats, TensorGroup, UnitHeader, fcm_decode, fcm_encode
 from fcmcodec.bitstream import STREAM_MAGIC, STREAM_VERSION, parse_stream, parse_unit, serialize_stream, serialize_unit
 from fcmcodec.errors import (
     FcmError,
@@ -25,8 +26,8 @@ V1_STREAM = bytes.fromhex(
     "01000100020002000100000000161100000000789c636008655cc5f49f190006ba0205"
 )
 
-# A 1x2x2 tensor as the version-2 writer coded it with BLOCK_DCT: the same
-# unit fields as today, but each block's count and run-level codewords
+# A 1x2x2 tensor as the version-2 writer coded it with BLOCK_DCT: the unit
+# fields of version 3, but each block's count and run-level codewords
 # interleaved in one ue stream instead of split into planes.
 V2_STREAM = bytes.fromhex(
     "46434d4202010100000000000000c03fbd1b8f3f0000c03fbd1b8f3f0a0000000000004040"
@@ -34,22 +35,26 @@ V2_STREAM = bytes.fromhex(
     "0157010e5021c17980bb06270c80"
 )
 
+# The 1x2x2 tensor [[0, 1], [2, 3]] as the version-3 writer coded it with
+# RAW_LOSSLESS: besides today's fields, each unit carried the stats of the
+# kept channels, the quantizer range and the tile grid with its channel
+# count, and the payload a scheme byte before its deflate stream.
+V3_STREAM = bytes.fromhex(
+    "46434d4203010100000000000000c03fbd1b8f3f0000c03fbd1b8f3f0a000000000000404001"
+    "0001000200020001000000001611000000007801636008655cc5f49f190006ba0205"
+)
+V3_DEFLATE = bytes.fromhex("7801636008655cc5f49f190006ba0205")
+
 
 def make_header(n=8, k=2, rank=3, codec=0, qp=22, label=""):
-    cc = n - k
-    gc = math.isqrt(cc)
-    gc += 1 if gc * gc < cc else 0
-    gr = -(-cc // gc)
     return UnitHeader(
         original_channels=n,
         pruned_k=k,
         lcr_rank=rank,
         transform_stats=GlobalStats(0.5, 1.5),
-        reduced_stats=GlobalStats(0.25, 1.25),
         bit_depth=10,
-        conv_min=-3.0,
-        conv_max=4.0,
-        layout=PackingLayout(gr, gc, 4, 5, cc),
+        tile_h=4,
+        tile_w=5,
         transform_id=0,
         label=label,
         codec=codec,
@@ -62,20 +67,14 @@ def headers(draw):
     n = draw(st.integers(1, 300))
     k = draw(st.integers(0, n - 1))
     rank = draw(st.integers(0, math.comb(n, k) - 1))
-    cc = n - k
-    gc = math.isqrt(cc)
-    gc += 1 if gc * gc < cc else 0
-    gr = -(-cc // gc)
     return UnitHeader(
         original_channels=n,
         pruned_k=k,
         lcr_rank=rank,
         transform_stats=GlobalStats(draw(st.floats(-100, 100, width=32)), draw(st.floats(0, 50, width=32))),
-        reduced_stats=GlobalStats(draw(st.floats(-100, 100, width=32)), draw(st.floats(0, 50, width=32))),
         bit_depth=draw(st.integers(8, 16)),
-        conv_min=-1.0,
-        conv_max=draw(st.floats(0, 100, width=32)),
-        layout=PackingLayout(gr, gc, draw(st.integers(1, 64)), draw(st.integers(1, 64)), cc),
+        tile_h=draw(st.integers(1, 64)),
+        tile_w=draw(st.integers(1, 64)),
         transform_id=draw(st.integers(0, 255)),
         # at most 4 UTF-8 bytes per character, so within the u8 length
         label=draw(st.text(max_size=63)),
@@ -132,8 +131,19 @@ class TestStream:
     def test_version_2_rejected(self):
         with pytest.raises(VersionError, match="version 2"):
             parse_stream(V2_STREAM)
-        # the same unit under today's version number parses
-        assert len(parse_stream(V2_STREAM[:4] + bytes([STREAM_VERSION]) + V2_STREAM[5:])) == 1
+        # rejected on the version byte alone, before any unit is parsed
+        with pytest.raises(VersionError, match="version 2"):
+            parse_stream(V2_STREAM[:6])
+
+    def test_version_3_rejected(self):
+        with pytest.raises(VersionError, match="version 3"):
+            parse_stream(V3_STREAM)
+        # today's stream of the same tensor is 22 header bytes and the scheme
+        # byte shorter, and ends in the same deflate stream
+        t = FeatureTensor(np.arange(4, dtype=np.float32).reshape(1, 2, 2))
+        stream = fcm_encode(TensorGroup((t,)), EncoderConfig())
+        assert len(stream) == len(V3_STREAM) - 23
+        assert V3_STREAM.endswith(V3_DEFLATE) and stream.endswith(V3_DEFLATE)
 
     @pytest.mark.parametrize("count", [0, 9])
     def test_unit_count_outside_1_to_8(self, count):

@@ -1,21 +1,21 @@
 import numpy as np
 import pytest
 
-from fcmcodec import ConversionParams, dequantize_frame, quantize_frame
+from fcmcodec import dequantize_frame, quantize_frame
 from fcmcodec.errors import DomainError
 
 
 class TestQuantize:
     def test_known_mapping_10bit(self):
         frame = np.asarray([[-1.0, 0.0, 1.0]], np.float32)
-        q, params = quantize_frame(frame, 10)
-        assert (params.min_val, params.max_val) == (-1.0, 1.0)
+        q, span = quantize_frame(frame, 10)
+        assert span == (-1.0, 1.0)
         # 0.5 * 1023 = 511.5 rounds half away from zero to 512
         np.testing.assert_array_equal(q, [[0, 512, 1023]])
 
     def test_constant_frame(self):
-        q, params = quantize_frame(np.full((2, 2), 3.25, np.float32), 10)
-        assert params.min_val == params.max_val == 3.25
+        q, span = quantize_frame(np.full((2, 2), 3.25, np.float32), 10)
+        assert span == (3.25, 3.25)
         np.testing.assert_array_equal(q, np.zeros((2, 2)))
 
     def test_endpoints_exact(self):
@@ -37,20 +37,18 @@ class TestQuantize:
 
 class TestDequantize:
     def test_endpoints(self):
-        params = ConversionParams(10, -2.0, 6.0)
-        out = dequantize_frame(np.asarray([[0, 1023]], np.uint16), params)
-        assert out[0, 0] == pytest.approx(-2.0)
-        assert out[0, 1] == pytest.approx(6.0)
+        out = dequantize_frame(np.asarray([[0, 1023]], np.uint16), 10)
+        assert out.dtype == np.float32
+        np.testing.assert_array_equal(out, [[0.0, 1.0]])
 
     def test_out_of_range_sample(self):
-        params = ConversionParams(8, 0.0, 1.0)
         with pytest.raises(DomainError):
-            dequantize_frame(np.asarray([[256]], np.int64), params)
+            dequantize_frame(np.asarray([[256]], np.int64), 8)
 
     def test_constant_roundtrip_exact(self):
         frame = np.full((3, 3), -1.5, np.float32)
-        q, params = quantize_frame(frame, 10)
-        np.testing.assert_array_equal(dequantize_frame(q, params), frame)
+        q, (lo, hi) = quantize_frame(frame, 10)
+        np.testing.assert_array_equal(lo + dequantize_frame(q, 10) * (hi - lo), frame)
 
     def test_roundtrip_error_bounded(self, rng):
         for _ in range(10_000):
@@ -58,12 +56,13 @@ class TestDequantize:
             h = int(rng.integers(1, 9))
             w = int(rng.integers(1, 9))
             frame = (rng.normal(size=(h, w)) * rng.uniform(0.01, 100)).astype(np.float32)
-            q, params = quantize_frame(frame, n)
-            back = dequantize_frame(q, params)
-            # half a quantization step, plus float32 storage rounding
-            bound = (params.max_val - params.min_val) / (2 * params.levels)
-            slack = float(np.abs(frame).max()) * 1e-7 + 1e-12
-            assert np.max(np.abs(back.astype(np.float64) - frame)) <= bound + slack
+            q, (lo, hi) = quantize_frame(frame, n)
+            back = lo + dequantize_frame(q, n).astype(np.float64) * (hi - lo)
+            # half a quantization step, plus the float32 rounding of the
+            # [0, 1] value, at most 2^-25 of it
+            bound = (hi - lo) / (2 * ((1 << n) - 1))
+            slack = (hi - lo) * 2.0**-25 + 1e-12
+            assert np.max(np.abs(back - frame)) <= bound + slack
 
     def test_deterministic(self, rng):
         frame = rng.normal(size=(32, 32)).astype(np.float32)

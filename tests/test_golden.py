@@ -21,6 +21,8 @@ from scipy.ndimage import gaussian_filter
 from fcmcodec import CodecId, EncoderConfig, FeatureTensor, TensorGroup, fcm_decode, fcm_encode
 from fcmcodec.tensor import read_tensor_file, write_tensor_file
 
+from helpers import assert_matches_staged_reference
+
 GOLDEN = Path(__file__).resolve().parent.parent / "fixtures" / "golden"
 MANIFEST = GOLDEN / "golden.json"
 
@@ -97,6 +99,18 @@ def test_golden_streams(name):
     mismatched = [(e, a) for e, a in zip(expected, actual) if e != a]
     assert not mismatched, mismatched[:3]
     assert fcm_decode(fcm_encode(group, EncoderConfig())).labels == group.labels
+
+
+@pytest.mark.parametrize("name", sorted(make_inputs()))
+def test_one_refinement_matches_the_staged_reference(name):
+    group = read_tensor_file(GOLDEN / name)
+    even = all(t.height % 2 == 0 and t.width % 2 == 0 for t in group.tensors)
+    transforms = ("identity", "meanpool2x") if even else ("identity",)
+    for (_, cid), qp, prune, depth, transform in itertools.product(
+        CODECS.items(), QPS, PRUNE_RATIOS, BIT_DEPTHS, transforms
+    ):
+        cfg = EncoderConfig(prune_ratio=prune, bit_depth=depth, codec=cid, qp=qp, transform=transform)
+        assert_matches_staged_reference(group, cfg)
 
 
 def test_golden_inputs_are_the_seeded_groups():

@@ -46,8 +46,9 @@ class TestUnpack:
         np.testing.assert_array_equal(unpack(frame, layout).data, t.data)
 
     def test_impossible_layout(self):
-        with pytest.raises(DomainError):
-            PackingLayout(2, 2, 2, 2, 5)
+        for dims in ((0, 2, 2), (5, 0, 2), (5, 2, 0)):
+            with pytest.raises(DomainError):
+                PackingLayout(*dims)
 
     def test_dims_mismatch(self, rng):
         _, layout = pack(random_tensor(rng, channels=4, height=2, width=2))

@@ -3,8 +3,11 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fcmcodec import (
+    TRANSFORMS,
     CodecId,
     EncoderConfig,
     FeatureTensor,
@@ -14,12 +17,12 @@ from fcmcodec import (
     fcm_encode,
 )
 from fcmcodec.bitstream import UnitHeader, parse_stream, serialize_stream
-from fcmcodec.errors import DomainError, FcmError, InvariantError, PayloadDecodeError
-from fcmcodec.packing import PackingLayout
+from fcmcodec.errors import DimensionOverflowError, DomainError, FcmError, FormatError, PayloadDecodeError
 from fcmcodec.tensor import GlobalStats
 
 from helpers import (
     CHANNEL_MISMATCHES,
+    assert_matches_staged_reference,
     assert_refined,
     channel_mismatch_stream,
     depth_relabelled_stream,
@@ -73,16 +76,15 @@ class TestDecode:
         assert [t.shape for t in decoded.tensors] == [t.shape for t in group.tensors]
 
     def test_near_lossless_error_bound(self, rng):
-        # the two refinement stages drift each element by an amount
+        # the refinement stage drifts each element by an amount
         # proportional to the value range (rescale toward the transmitted
         # sigma) and to step/sqrt(elements) (mean residue); the 1e-6 slack
-        # is absolute, so the bound needs large tensors of moderate range
+        # is absolute, so the bound needs large tensors of moderate range.
+        # At prune 0 the quantizer spans the source's min and max.
         t = FeatureTensor((rng.random((128, 128, 128)) * 0.25).astype(np.float32))
         group = TensorGroup((t,))
-        stream = fcm_encode(group, lossless_cfg(bit_depth=10))
-        decoded = fcm_decode(stream)
-        (h, _), = parse_stream(stream)
-        bound = (h.conv_max - h.conv_min) / (2 * 1023) + 1e-6
+        decoded = fcm_decode(fcm_encode(group, lossless_cfg(bit_depth=10)))
+        bound = (float(t.data.max()) - float(t.data.min())) / (2 * 1023) + 1e-6
         err = np.max(np.abs(decoded.tensors[0].data.astype(np.float64) - t.data))
         assert err <= bound
 
@@ -95,6 +97,23 @@ class TestDecode:
             fcm_decode(stream)
             assert_refined(passes, stream, mu_abs=1e-6)
 
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(list(CodecId)),
+        st.sampled_from((0.0, 0.5)),
+        st.sampled_from(sorted(TRANSFORMS)),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_one_refinement_matches_the_staged_reference(self, seed, codec, prune, transform):
+        rng = np.random.default_rng(seed)
+        shape = {"height": 2 * int(rng.integers(1, 9)), "width": 2 * int(rng.integers(1, 9))}
+        group = random_group(rng, mu=float(rng.uniform(-2, 2)), sigma=float(rng.uniform(0.01, 4)), **shape)
+        cfg = EncoderConfig(
+            codec=codec, qp=int(rng.integers(0, 52)), bit_depth=int(rng.integers(8, 17)),
+            prune_ratio=prune, transform=transform,
+        )
+        assert_matches_staged_reference(group, cfg)
+
     def test_decode_error_carries_unit_index(self, rng):
         group = random_group(rng, count=2)
         stream = bytearray(fcm_encode(group, lossless_cfg()))
@@ -103,21 +122,19 @@ class TestDecode:
             fcm_decode(bytes(stream))
 
 
-def raw_stream_declaring(frame_side: int, payload: bytes) -> bytes:
-    """One RAW_LOSSLESS unit whose layout declares a frame_side^2 frame."""
+def stream_declaring(codec: CodecId, frame_side: int, payload: bytes) -> bytes:
+    """One unit of N = 1 whose tile, hence its frame, is frame_side^2."""
     header = UnitHeader(
         original_channels=1,
         pruned_k=0,
         lcr_rank=0,
         transform_stats=GlobalStats(0.0, 1.0),
-        reduced_stats=GlobalStats(0.0, 1.0),
         bit_depth=10,
-        conv_min=0.0,
-        conv_max=1.0,
-        layout=PackingLayout(1, 1, frame_side, frame_side, 1),
+        tile_h=frame_side,
+        tile_w=frame_side,
         transform_id=0,
         label="",
-        codec=int(CodecId.RAW_LOSSLESS),
+        codec=int(codec),
         qp=22,
     )
     return serialize_stream([(header, payload)])
@@ -133,17 +150,17 @@ def raw_decode_peak_bound(stream: bytes) -> int:
 @pytest.mark.parametrize(
     "payload",
     [
-        b"\x00",
-        b"\x00" + zlib.compress(bytes(64)),
-        b"\x00\xff\x13\x37",
-        b"\x00" + zlib.compress(bytes(1 << 20), 9)[:400],
-        b"\x00" + zlib.compress(bytes(1 << 20), 9),
+        b"",
+        zlib.compress(bytes(64)),
+        b"\xff\x13\x37",
+        zlib.compress(bytes(1 << 20), 9)[:400],
+        zlib.compress(bytes(1 << 20), 9),
     ],
     ids=["no-deflate", "short", "garbage", "truncated", "max-expansion"],
 )
 def test_hostile_raw_decode_allocates_by_input_size(payload):
     """A few payload bytes declaring a 4096x4096 frame (32 MiB of samples)."""
-    stream = raw_stream_declaring(4096, payload)
+    stream = stream_declaring(CodecId.RAW_LOSSLESS, 4096, payload)
     tracemalloc.start()
     try:
         with pytest.raises(FcmError):
@@ -156,7 +173,7 @@ def test_hostile_raw_decode_allocates_by_input_size(payload):
 
 def raw_decode_peak(samples: np.ndarray) -> tuple[int, int]:
     """(stream length, tracemalloc peak of fcm_decode) of a 1024x1024 RAW frame."""
-    stream = raw_stream_declaring(1024, b"\x00" + zlib.compress(samples.astype("<u2").tobytes(), 9))
+    stream = stream_declaring(CodecId.RAW_LOSSLESS, 1024, zlib.compress(samples.astype("<u2").tobytes(), 9))
     tracemalloc.start()
     try:
         decoded = fcm_decode(stream)
@@ -181,9 +198,24 @@ def test_decode_peak_does_not_grow_with_the_payload():
     assert large_peak - small_peak < 500_000
 
 
+def test_frame_past_the_element_cap_is_refused_before_decoding():
+    """A 65535x65535 tile behind 8 MiB of 0xFF bytes, which a DCT decoder
+    would read as 2^26 blocks and size float64 arrays for."""
+    stream = stream_declaring(CodecId.BLOCK_DCT, 65535, b"\xff" * (1 << 23))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionOverflowError, match="exceeds the element cap"):
+            fcm_decode(stream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+
+
 @pytest.mark.parametrize("channels,ratio,declared", CHANNEL_MISMATCHES)
 def test_layout_channel_count_must_be_n_minus_k(channels, ratio, declared):
-    with pytest.raises(InvariantError, match="layout channel count"):
+    # the grid follows from N - k, so the payload no longer fits the frame
+    with pytest.raises(FormatError):
         fcm_decode(channel_mismatch_stream(channels, ratio, declared))
 
 
