@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import DomainError
 from .lcr import ChannelIndexSet
-from .tensor import FeatureTensor
+from .tensor import FeatureTensor, _float64_chunks
 
 
 @dataclass(frozen=True)
@@ -28,10 +28,12 @@ class PruneDecision:
 
 
 def score_channels(t: FeatureTensor) -> list[float]:
-    """Per-channel mean squared energy."""
-    x = t.data.astype(np.float64)
-    x *= x
-    return [float(v) for v in x.mean(axis=(1, 2))]
+    """Per-channel mean squared energy, a float64 chunk of channels at a time."""
+    scores = np.empty(t.channels)
+    for x, out in _float64_chunks(t.data.reshape(t.channels, -1), scores):
+        x *= x
+        x.mean(axis=1, out=out)
+    return [float(v) for v in scores]
 
 
 def select_pruned(scores: list[float], ratio: float) -> PruneDecision:

@@ -35,8 +35,13 @@ Decoding needs no loop per codeword or per block. unpackbits and flatnonzero
 find every prefix's 1, hence every codeword's length; a cumsum gives every
 suffix's bit offset; a 32-bit gather reads every value; a cumsum over the
 counts places the pairs in their blocks, and one scatter writes the
-coefficients. The prefix scan and the value read run in bounded chunks, so
-their scratch memory does not grow with the payload.
+coefficients. The decoder first scans every prefix into one byte per
+codeword and runs every truncation and padding check, then decodes a slice
+of block rows at a time: it reads the slice's values, scatters them and
+writes the slice's inverse DCT into the frame. The prefix scan and the value
+read run in bounded chunks, and a slice holds a bounded number of pairs and
+of blocks, so beyond the frame, a copy of the payload and a byte per
+codeword, the scratch memory does not grow with the payload or the frame.
 
 The encoder rounds the coefficients to int32 levels once per frame as
 trunc(x + copysign(1/2, x)), then codes the pairs of a slice of blocks at a
@@ -81,6 +86,13 @@ _EXTEND_WORDS = 1 << 14
 _SCAN_BYTES = 1 << 13
 _READ_CODEWORDS = 1 << 14
 
+# Pairs and blocks per decoder slice, of whole block rows. A slice holds about
+# 32 bytes of scratch per pair and 1 KB per block. At 2^14 pairs the perfbench
+# dense_dct16 frames decoded about 2% slower, as each numpy call does less;
+# the block bound binds on sparse frames only.
+_DECODE_SLICE_PAIRS = 1 << 15
+_DECODE_SLICE_BLOCKS = 1 << 11
+
 # deflate memLevel of RAW_LOSSLESS. With the run-length strategy it sets the
 # block size: on the perfbench pyramid frames 9 codes 0.3% fewer bits than 8
 # at the same speed. That strategy writes the same bytes at levels 1-9.
@@ -107,6 +119,8 @@ def _zigzag_order(n: int = BLOCK) -> np.ndarray:
 
 
 ZIGZAG = _zigzag_order()
+# Each zigzag position's raster position, less the zigzag position.
+_ZIGZAG_SHIFT = ZIGZAG - np.arange(_COEFFS)
 
 
 def _to_blocks(frame: np.ndarray) -> np.ndarray:
@@ -267,15 +281,29 @@ class _BitWriter:
         return b"".join((head, self._buf, self._last.to_bytes(4, "big")[: (self._used + 7) >> 3]))
 
 
-def _slices(counts: np.ndarray) -> list[tuple[int, int]]:
-    """The (first, end) block ranges of the encoder's slices, given the
-    blocks' pair counts. A slice ends at the last block that keeps the pairs
-    up to it within the next multiple of _SLICE_PAIRS, so it holds at most
-    _SLICE_PAIRS + 63 pairs."""
+def _cuts(counts: np.ndarray, budget: int) -> np.ndarray:
+    """Where the slices of a run of items end, given a count per item. A slice
+    ends at the last item that keeps the count up to it within the next
+    multiple of budget, so it holds at most budget plus its first item's
+    count."""
     ends = np.cumsum(counts)
-    marks = np.arange(_SLICE_PAIRS, int(counts.sum()), _SLICE_PAIRS)
-    cuts = np.searchsorted(ends, marks, side="right").tolist()
-    return list(zip([0, *cuts], [*cuts, len(counts)]))
+    return np.searchsorted(ends, np.arange(budget, int(ends[-1]), budget), side="right")
+
+
+def _slices(n: int, *cuts: np.ndarray) -> list[tuple[int, int]]:
+    """The (first, end) ranges of the non-empty slices of n items that end at
+    every one of the cuts."""
+    edges = np.unique(np.concatenate([[0], *cuts, [n]])).tolist()
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def _row_slices(counts: np.ndarray) -> list[tuple[int, int]]:
+    """The decoder's slices of whole block rows, given the blocks' pair counts
+    as (rows, blocks per row). Each holds at most _DECODE_SLICE_PAIRS pairs
+    and _DECODE_SLICE_BLOCKS blocks, plus those of one row."""
+    rows, per_row = counts.shape
+    by_pairs = _cuts(counts.sum(axis=1), _DECODE_SLICE_PAIRS)
+    return _slices(rows, by_pairs, _cuts(np.full(rows, per_row), _DECODE_SLICE_BLOCKS))
 
 
 def _encode_dct(frame: np.ndarray, qp: int, bit_depth: int) -> bytes:
@@ -291,7 +319,7 @@ def _encode_dct(frame: np.ndarray, qp: int, bit_depth: int) -> bytes:
     counts = np.count_nonzero(levels, axis=1)
     out, suffixes = _BitWriter(), _BitWriter()
     out.write_ue(out, counts)
-    for s, e in _slices(counts):
+    for s, e in _slices(len(counts), _cuts(counts, _SLICE_PAIRS)):
         out.write_ue(suffixes, *_pair_symbols(levels[s:e, ZIGZAG]))
     del levels
     out.extend(suffixes)
@@ -299,41 +327,46 @@ def _encode_dct(frame: np.ndarray, qp: int, bit_depth: int) -> bytes:
     return out.getvalue(bytes([bit_depth]))
 
 
-def _prefix_zeros(buf: np.ndarray, nbits: int, start: int, n: int) -> tuple[np.ndarray, int]:
-    """Zero counts of the n ue prefixes from bit start, and the bit after them."""
-    chunks = [np.empty(0, dtype=np.uint8)]
+def _ue_lengths(buf: np.ndarray, nbits: int, start: int, n: int) -> tuple[np.ndarray, int, int]:
+    """The prefix zero counts of the n codewords of the split-plane ue
+    sequence at bit start of buf, which holds nbits bits, as uint8; the bit
+    its suffix plane starts at; and the bit after it. n is at most
+    nbits - start, so the counts take no more bytes than the payload has bits."""
+    zeros = np.empty(n, dtype=np.uint8)
+    done = 0
     last = start - 1  # the bit of the latest prefix's 1
     byte = start >> 3
-    while n:
+    while done < n:
         if 8 * byte >= nbits:
             if nbits - 1 - last > _MAX_UE_PREFIX:
                 raise PayloadDecodeError("exp-Golomb prefix too long")
             raise TruncatedError("bitstream exhausted")
         bits = np.unpackbits(buf[byte : min(byte + _SCAN_BYTES, nbits >> 3)])
         bits[: max(start - 8 * byte, 0)] = 0
-        ones = np.flatnonzero(bits.view(bool))[:n]
+        ones = np.flatnonzero(bits.view(bool))[: n - done]
         ones += 8 * byte
-        zeros = np.diff(ones, prepend=last)
-        zeros -= 1
-        if zeros.max(initial=0) > _MAX_UE_PREFIX:
+        chunk = np.diff(ones, prepend=last)
+        chunk -= 1
+        if chunk.max(initial=0) > _MAX_UE_PREFIX:
             raise PayloadDecodeError("exp-Golomb prefix too long")
         if len(ones):
             last = int(ones[-1])
-        chunks.append(zeros.astype(np.uint8))
-        n -= len(ones)
+        zeros[done : done + len(ones)] = chunk
+        done += len(ones)
         byte += _SCAN_BYTES
-    return np.concatenate(chunks), last + 1
-
-
-def _ue_sequence(buf: np.ndarray, nbits: int, start: int, n: int) -> tuple[np.ndarray, int]:
-    """The n int32 values of the split-plane ue sequence at bit start of buf,
-    and the bit after it. buf holds nbits bits and then 4 zero bytes."""
-    zeros, start = _prefix_zeros(buf, nbits, start, n)
-    if start + int(zeros.sum(dtype=np.int64)) > nbits:
+    end = last + 1 + int(zeros.sum(dtype=np.int64))
+    if end > nbits:
         raise TruncatedError("bitstream exhausted")
+    return zeros, last + 1, end
+
+
+def _ue_values(buf: np.ndarray, zeros: np.ndarray, start: int) -> tuple[np.ndarray, int]:
+    """The int32 values of the codewords whose prefix zero counts are zeros
+    and whose suffixes start at bit start of buf, and the bit after the last
+    suffix. buf ends in 4 zero bytes, so every 32-bit read stays inside it."""
     words = np.ndarray((len(buf) - 3,), dtype=">u4", buffer=buf, strides=(1,))
-    values = np.empty(n, dtype=np.int32)
-    for s in range(0, n, _READ_CODEWORDS):
+    values = np.empty(len(zeros), dtype=np.int32)
+    for s in range(0, len(zeros), _READ_CODEWORDS):
         z = zeros[s : s + _READ_CODEWORDS].astype(np.int64)
         at = np.cumsum(z)
         at += start - z
@@ -349,32 +382,39 @@ def _ue_sequence(buf: np.ndarray, nbits: int, start: int, n: int) -> tuple[np.nd
 
 
 def _scatter_blocks(counts: np.ndarray, pairs: np.ndarray, step: float) -> np.ndarray:
-    """Dequantized coefficients of the blocks, (len(counts), 64) in raster order."""
+    """Dequantized coefficients of the blocks, (len(counts), 64) in raster
+    order. Overwrites pairs."""
     runs, levels = pairs[0::2], pairs[1::2]
-    # Zigzag position of each coefficient in its block: the sum of run + 1
-    # over the block's pairs so far, less one.
-    pos = np.cumsum(runs + 1, dtype=np.int64)
-    first = np.cumsum(counts) - counts  # each block's first pair
-    before = np.ones(len(counts), dtype=np.int64)
-    before[first > 0] += pos[first[first > 0] - 1]
-    pos -= np.repeat(before, counts)
-    bad = (pos >= _COEFFS) | (levels == 0)
-    if bad.any():
-        k = int(bad.argmax())
-        if pos[k] >= _COEFFS:
-            raise PayloadDecodeError("coefficient position past end of block")
+    full = np.flatnonzero(counts)  # the blocks that hold pairs
+    if not len(full):
+        return np.zeros((len(counts), _COEFFS))
+    first = np.cumsum(counts)[full] - counts[full]  # their first pairs
+    # at = 64 * block + zigzag position: a cumsum of run + 1 that each block
+    # restarts at 64 * block - 1, by a jump at its first pair.
+    at = runs.astype(np.int64)
+    at += 1
+    sums = np.add.reduceat(at, first)
+    start = 64 * full - 1
+    start -= np.cumsum(sums) - sums
+    at[first] += np.diff(start, prepend=0)
+    np.cumsum(at, out=at)
+    # Positions rise within a block, so its last pair holds its largest.
+    if (at[first + counts[full] - 1] >= 64 * full + 64).any():
+        raise PayloadDecodeError("coefficient position past end of block")
+    if not levels.all():
         raise PayloadDecodeError("zero level in run-level pair")
-    # m -> (m + 1) / 2 for odd m, -m / 2 for even m
-    signed = (levels + 1) >> 1
-    np.negative(signed, out=signed, where=(levels & 1) == 0)
-    values = signed.astype(np.float64)
-    values *= step
-    del signed
-    index = ZIGZAG[pos]
-    del pos
-    index += np.repeat(np.arange(0, _COEFFS * len(counts), _COEFFS), counts)
+    at += _ZIGZAG_SHIFT[at & (_COEFFS - 1)]
+    # m -> (m + 1) / 2 for odd m, -m / 2 for even m: x ^ -1 - -1 is -x
+    mask = levels & 1
+    mask -= 1
+    levels += 1
+    levels >>= 1
+    levels ^= mask
+    levels -= mask
+    del mask
     coeffs = np.zeros((len(counts), _COEFFS))
-    coeffs.reshape(-1)[index] = values
+    coeffs.reshape(-1)[at] = levels
+    coeffs *= step
     return coeffs
 
 
@@ -393,28 +433,41 @@ def _decode_dct(data: bytes, qp: int, shape: tuple[int, int]) -> np.ndarray:
         raise TruncatedError(f"{hb * wb} blocks cannot fit in {nbits} payload bits")
     buf = np.zeros(len(data) + 3, dtype=np.uint8)
     buf[: len(data) - 1] = np.frombuffer(data, dtype=np.uint8, offset=1)
-    counts, end = _ue_sequence(buf, nbits, 0, hb * wb)
+    zeros, suffix, end = _ue_lengths(buf, nbits, 0, hb * wb)
+    counts, _ = _ue_values(buf, zeros, suffix)
     if counts.max() > _COEFFS:
         raise PayloadDecodeError(f"block coefficient count {counts.max()} > 64")
     npairs = 2 * int(counts.sum())
     if npairs > nbits - end:
         raise TruncatedError(f"{npairs} run-level symbols cannot fit in {nbits - end} payload bits")
-    pairs, end = _ue_sequence(buf, nbits, end, npairs)
+    zeros, suffix, end = _ue_lengths(buf, nbits, end, npairs)
     if nbits - end >= 8:
         raise PayloadDecodeError("a whole byte past the last codeword")
     if end < nbits and buf[end >> 3] & (0xFF >> (end & 7)):
         raise PayloadDecodeError("nonzero padding bit")
-    del buf
-    coeffs = _scatter_blocks(counts, pairs, qstep(qp))
-    del pairs
-    pixels = idctn(coeffs.reshape(hb, wb, BLOCK, BLOCK), type=2, norm="ortho", axes=(-2, -1))
-    del coeffs
-    # floor(x + 0.5) rounds half away from zero wherever clip keeps the value.
-    frame = _from_blocks(pixels, h, w)
-    frame += 0.5
-    np.floor(frame, out=frame)
-    np.clip(frame, 0, (1 << bit_depth) - 1, out=frame)
-    return frame.astype(np.uint16)
+    # Every symbol has been read and checked; decode a slice of block rows at
+    # a time, so the pair and coefficient scratch stays within the slice.
+    step = qstep(qp)
+    frame = np.empty(shape, dtype=np.uint16)
+    row_counts = counts.reshape(hb, wb)
+    first = 0  # the slice's first pair symbol
+    for r0, r1 in _row_slices(row_counts):
+        blocks = row_counts[r0:r1].reshape(-1)
+        last = first + 2 * int(blocks.sum())
+        pairs, suffix = _ue_values(buf, zeros[first:last], suffix)
+        first = last
+        coeffs = _scatter_blocks(blocks, pairs, step)
+        del pairs
+        pixels = idctn(coeffs.reshape(r1 - r0, wb, BLOCK, BLOCK), type=2, norm="ortho", axes=(-2, -1), overwrite_x=True)
+        del coeffs
+        # floor(x + 0.5) rounds half away from zero wherever clip keeps the value.
+        rows = _from_blocks(pixels, min(h, BLOCK * r1) - BLOCK * r0, w)
+        rows += 0.5
+        np.floor(rows, out=rows)
+        np.clip(rows, 0, (1 << bit_depth) - 1, out=rows)
+        frame[BLOCK * r0 : BLOCK * r1] = rows
+        del pixels, rows
+    return frame
 
 
 def codec_encode(frame: np.ndarray, codec: CodecId, qp: int = 22, bit_depth: int = 10) -> bytes:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
+from .tensor import _float64_chunks
 
 
 def _levels(bit_depth: int) -> int:
@@ -45,12 +46,15 @@ def quantize_frame(frame: np.ndarray, bit_depth: int = 10) -> tuple[np.ndarray, 
         raise DomainError("frame values must be finite")
     if lo == hi:
         return np.zeros(frame.shape, dtype=np.uint16), (lo, hi)
-    # (x - min) / (max - min) * levels, in place in one float64 copy.
-    x = frame.astype(np.float64)
-    x -= lo
-    x /= hi - lo
-    x *= levels
-    return _round_half_away(x).astype(np.uint16), (lo, hi)
+    # (x - min) / (max - min) * levels, one IEEE step at a time, a float64
+    # chunk of rows at a time.
+    out = np.empty(frame.shape, dtype=np.uint16)
+    for x, rows in _float64_chunks(frame, out):
+        x -= lo
+        x /= hi - lo
+        x *= levels
+        rows[...] = _round_half_away(x)
+    return out, (lo, hi)
 
 
 def dequantize_frame(frame: np.ndarray, bit_depth: int) -> np.ndarray:

@@ -59,33 +59,59 @@ class LcrCode:
 
 
 def lcr_encode(s: ChannelIndexSet) -> LcrCode:
-    """Rank a subset: count combinations skipped before each chosen index."""
+    """Rank a subset: count combinations skipped before each chosen index.
+
+    Walks x over 0..N-1 with c = C(N - x - 1, r), the number of subsets
+    that take x as their next index when r indices are left after it. A
+    skipped x adds c to the rank. Each step updates c exactly from the last:
+    C(m - 1, r) = C(m, r) (m - r) / m past a skip, C(m - 1, r - 1) =
+    C(m, r) r / m past a chosen index.
+    """
     n = s.total_channels
     k = len(s)
+    if not k:
+        return LcrCode(k=0, rank=0)
+    chosen = set(s.indices)
     rank = 0
-    prev = -1
-    for t, i_t in enumerate(s.indices):
-        for j in range(prev + 1, i_t):
-            rank += binomial(n - j - 1, k - t - 1)
-        prev = i_t
+    r = k - 1
+    c = binomial(n - 1, r)
+    for x in range(s.indices[-1]):
+        m = n - x - 1
+        if x in chosen:
+            c = c * r // m
+            r -= 1
+        else:
+            rank += c
+            c = c * (m - r) // m
     return LcrCode(k=k, rank=rank)
 
 
 def lcr_decode(code: LcrCode, total_channels: int) -> ChannelIndexSet:
-    """Invert lcr_encode: walk candidate indices, subtracting block sizes."""
+    """Invert lcr_encode: walk candidate indices, subtracting block sizes,
+    with the binomials updated step by step as in lcr_encode."""
     n = total_channels
     k = code.k
     if k > n:
         raise DomainError(f"k={k} exceeds total channels N={n}")
-    if code.rank >= binomial(n, k):
+    total = binomial(n, k)
+    if code.rank >= total:
         raise RankRangeError(f"rank {code.rank} >= C({n}, {k})")
+    if not k:
+        return ChannelIndexSet((), n)
     temp = code.rank
-    x = 0
     out = []
-    for t in range(k):
-        while binomial(n - x - 1, k - t - 1) <= temp:
-            temp -= binomial(n - x - 1, k - t - 1)
-            x += 1
-        out.append(x)
+    r = k - 1
+    c = total * k // n  # C(n - 1, k - 1)
+    x = 0
+    while len(out) < k:
+        m = n - x - 1
+        if c <= temp:
+            temp -= c
+            c = c * (m - r) // m
+        else:
+            out.append(x)
+            if r:
+                c = c * r // m
+            r -= 1
         x += 1
     return ChannelIndexSet(tuple(out), n)

@@ -47,15 +47,22 @@ class PackingLayout:
         return self.grid_cols * self.tile_w
 
 
+def _tiles(frame: np.ndarray, layout: PackingLayout) -> np.ndarray:
+    """The (grid_rows, grid_cols, tile_h, tile_w) view of frame's tiles."""
+    return frame.reshape(layout.grid_rows, layout.tile_h, layout.grid_cols, layout.tile_w).swapaxes(1, 2)
+
+
 def pack(t: FeatureTensor) -> tuple[np.ndarray, PackingLayout]:
     """Arrange channels into a single float32 frame."""
     layout = PackingLayout(t.channels, t.height, t.width)
-    grid_cols = layout.grid_cols
-    mean = np.float32(t.data.astype(np.float64, copy=False).mean())
-    frame = np.full((layout.frame_height, layout.frame_width), mean, dtype=np.float32)
-    for i in range(t.channels):
-        r, col = divmod(i, grid_cols)
-        frame[r * t.height : (r + 1) * t.height, col * t.width : (col + 1) * t.width] = t.data[i]
+    frame = np.empty((layout.frame_height, layout.frame_width), dtype=np.float32)
+    tiles = _tiles(frame, layout)
+    # Pad tiles exist only in the last grid row, after its rest channels.
+    full, rest = divmod(t.channels, layout.grid_cols)
+    tiles[:full] = t.data[: full * layout.grid_cols].reshape(tiles[:full].shape)
+    if rest:
+        tiles[full, :rest] = t.data[full * layout.grid_cols :]
+        tiles[full, rest:] = np.float32(t.data.astype(np.float64, copy=False).mean())
     return frame, layout
 
 
@@ -67,9 +74,10 @@ def unpack(frame: np.ndarray, layout: PackingLayout) -> FeatureTensor:
             f"frame shape {frame.shape} does not match layout "
             f"({layout.frame_height}, {layout.frame_width})"
         )
-    th, tw, grid_cols = layout.tile_h, layout.tile_w, layout.grid_cols
-    out = np.empty((layout.channel_count, th, tw), dtype=np.float32)
-    for i in range(layout.channel_count):
-        r, col = divmod(i, grid_cols)
-        out[i] = frame[r * th : (r + 1) * th, col * tw : (col + 1) * tw]
+    tiles = _tiles(frame, layout)
+    out = np.empty((layout.channel_count, layout.tile_h, layout.tile_w), dtype=np.float32)
+    full, rest = divmod(layout.channel_count, layout.grid_cols)
+    out[: full * layout.grid_cols].reshape(tiles[:full].shape)[...] = tiles[:full]
+    if rest:
+        out[full * layout.grid_cols :] = tiles[full, :rest]
     return FeatureTensor(out)

@@ -31,6 +31,11 @@ MAX_ELEMENTS = 1 << 31
 # Most tensors one group, FTNS file or FCMB stream may hold.
 MAX_TENSORS = 8
 
+# Elements per float64 scratch chunk of the elementwise stages: 256 KB, small
+# next to any tensor worth coding and large enough that a numpy call's fixed
+# cost is lost in its work.
+_CHUNK = 1 << 15
+
 
 @dataclass(frozen=True)
 class GlobalStats:
@@ -108,10 +113,26 @@ class TensorGroup:
         return len(self.tensors)
 
 
+def _float64_chunks(src: np.ndarray, out: np.ndarray):
+    """Walk the 2-d src in chunks of whole rows, about _CHUNK elements each.
+
+    Yields a float64 copy of each chunk, in one reused buffer, and the same
+    rows of out, which has src's number of rows. A row wider than _CHUNK is a
+    chunk of its own.
+    """
+    rows = max(1, _CHUNK // src.shape[1])
+    buf = np.empty((min(rows, len(src)), src.shape[1]))
+    for s in range(0, len(src), rows):
+        x = buf[: min(rows, len(src) - s)]
+        x[...] = src[s : s + rows]
+        yield x, out[s : s + rows]
+
+
 def compute_global_stats(t: FeatureTensor) -> GlobalStats:
     """Mean and population (biased) standard deviation over all elements.
 
-    Accumulates in float64 regardless of tensor size, in one float64 copy.
+    Accumulates in float64 regardless of tensor size, in one float64 copy of
+    the whole tensor: numpy's pairwise sum over it fixes every bit of both.
     """
     d = t.data.astype(np.float64)
     mu = float(d.mean())
@@ -130,13 +151,16 @@ def apply_refinement(t: FeatureTensor, target: GlobalStats) -> FeatureTensor:
     current = compute_global_stats(t)
     if current.sigma == 0.0:
         return FeatureTensor(np.full(t.shape, target.mu, dtype=np.float32))
-    # target.sigma * (x - mu) / sigma + target.mu, one IEEE step at a time.
-    out = t.data.astype(np.float64)
-    out -= current.mu
-    out *= target.sigma
-    out /= current.sigma
-    out += target.mu
-    return FeatureTensor(out.astype(np.float32))
+    # target.sigma * (x - mu) / sigma + target.mu, one IEEE step at a time,
+    # a float64 chunk at a time.
+    out = np.empty(t.shape, dtype=np.float32)
+    for x, rows in _float64_chunks(t.data.reshape(-1, t.width), out.reshape(-1, t.width)):
+        x -= current.mu
+        x *= target.sigma
+        x /= current.sigma
+        x += target.mu
+        rows[...] = x
+    return FeatureTensor(out)
 
 
 def write_tensor_file(path, group: TensorGroup) -> None:

@@ -34,7 +34,7 @@ from fcmcodec import (
     fcm_decode,
     fcm_encode,
 )
-from fcmcodec.codec import _BitWriter, _slices
+from fcmcodec.codec import _SLICE_PAIRS, _BitWriter, _cuts, _row_slices, _slices
 from fcmcodec.errors import FcmError, PayloadDecodeError, TruncatedError
 
 FUZZ_DIMS = ((1, 1), (8, 8), (13, 21), (16, 16), (40, 24))
@@ -110,7 +110,33 @@ def test_edge_frames_match_reference(frame, qp, bit_depth):
 
 def test_the_sliced_edge_frame_spans_three_slices():
     counts = read_split_ue(BitReader(reference_encode_dct(SEVERAL_SLICES, 0, 16)[1:]), 24 * 24)
-    assert len(_slices(np.array(counts))) >= 3
+    assert len(_slices(len(counts), _cuts(np.array(counts), _SLICE_PAIRS))) >= 3
+
+
+# The decoder's slices hold whole block rows; with budgets of 1024 pairs and
+# 16 blocks, 16-bit noise at qp 0 (about 63 pairs per block) spans 3 or more
+# slices in 5 block rows of 8 blocks and overruns both budgets in one row of
+# 20 blocks, and a flat frame (at most a pair per block) spans 3 slices of 3
+# block rows of 5 blocks by the block budget alone.
+DECODER_SLICE_CASES = {
+    "three_slices": (make_frame(np.random.default_rng(6), (40, 64), 16, smooth=False), lambda n, rows: n >= 3),
+    "one_row_over_the_budgets": (
+        make_frame(np.random.default_rng(7), (8, 160), 16, smooth=False),
+        lambda n, rows: n == 1 and rows[0] > 1024,
+    ),
+    "flat_rows_over_the_block_budget": (np.full((72, 40), 40000, np.uint16), lambda n, rows: n == 3 and rows.max() <= 5),
+}
+
+
+@pytest.mark.parametrize("frame,check", DECODER_SLICE_CASES.values(), ids=DECODER_SLICE_CASES)
+def test_decoder_slices_match_reference(frame, check, monkeypatch):
+    monkeypatch.setattr(fcmcodec.codec, "_DECODE_SLICE_PAIRS", 1024)
+    monkeypatch.setattr(fcmcodec.codec, "_DECODE_SLICE_BLOCKS", 16)
+    data = reference_encode_dct(frame, 0, 16)
+    hb, wb = -(-frame.shape[0] // 8), -(-frame.shape[1] // 8)
+    counts = np.array(read_split_ue(BitReader(data[1:]), hb * wb)).reshape(hb, wb)
+    assert check(len(_row_slices(counts)), counts.sum(axis=1))
+    np.testing.assert_array_equal(decode(data, 0, 16, frame.shape), reference_decode_dct(data, 0, frame.shape))
 
 
 def ue_symbols(rng, n: int) -> np.ndarray:
@@ -333,6 +359,26 @@ def test_encode_peak_per_element():
     assert len(data) > 1_000_000
     per_element = peak / frame.size
     assert per_element < ENCODE_PEAK_PER_ELEMENT, per_element
+
+
+# Bounds on the tracemalloc peak of a BLOCK_DCT decode, in bytes per frame
+# element. Decoded in one piece, the 512x512 noise frame above peaked at 33.6
+# B per element and a flat 1024x1024 frame, a pair per block, at 18.1. A slice
+# of block rows at a time, bounded in pairs and in blocks, they peak at 12.1
+# and 4.2.
+DECODE_PEAK_CASES = {
+    "noise": (make_frame(np.random.default_rng(5), (512, 512), 16, smooth=False), 0, 16, 16),
+    "flat": (np.full((1024, 1024), 512, np.uint16), 22, 10, 6),
+}
+
+
+@pytest.mark.parametrize("frame,qp,bit_depth,bound", DECODE_PEAK_CASES.values(), ids=DECODE_PEAK_CASES)
+def test_decode_peak_per_element(frame, qp, bit_depth, bound):
+    data = encode(frame, qp, bit_depth)
+    decoded, peak = outcome_and_peak(decode, data, qp, bit_depth, frame.shape)
+    assert isinstance(decoded, np.ndarray), decoded
+    per_element = peak / frame.size
+    assert per_element < bound, per_element
 
 
 def mutate(rng, data: bytes) -> bytes:

@@ -1,9 +1,11 @@
-"""The in-place float64 stages against the expressions they replaced.
+"""The float64 stages against the whole-array expressions they replaced.
 
-compute_global_stats, apply_refinement, quantize_frame and score_channels run
-their float64 arithmetic in place in one copy. Each step is the IEEE operation
-the whole-array expressions below performed, in the same order, so results
-must match them bit for bit, and the caller's array must be left as it was.
+compute_global_stats runs its float64 arithmetic in place in one copy of the
+tensor; apply_refinement, quantize_frame and score_channels run theirs in
+place in one reused float64 chunk of rows or channels at a time. Each step is
+the IEEE operation the whole-array expressions below performed, in the same
+order, so results must match them bit for bit, at every chunk size and
+boundary, and the caller's array must be left as it was.
 dequantize_frame divides in float32; float64 has more than twice float32's
 precision plus two bits, so the float64 quotient rounded once to float32 is
 the same correctly rounded value.
@@ -24,7 +26,7 @@ from fcmcodec import (
 )
 from fcmcodec.conversion import _round_half_away
 from fcmcodec.errors import DomainError
-from fcmcodec.tensor import apply_refinement, compute_global_stats
+from fcmcodec.tensor import _CHUNK, apply_refinement, compute_global_stats
 
 F32_MAX = float(np.finfo(np.float32).max)
 F32_TINY = float(np.finfo(np.float32).smallest_subnormal)
@@ -155,3 +157,33 @@ def test_dequantize_matches_reference(case):
     before = q.copy()
     assert same_bits(dequantize_frame(q, bit_depth), reference_dequantize(q, bit_depth))
     assert same_bits(q, before)
+
+
+# Tensors whose rows (the last axis) or channels end a float64 chunk one
+# element early, on it or one late, that span several chunks, or whose rows
+# or channels are each wider than a chunk. Refinement walks rows of the
+# tensor, quantization rows of its (C * H, W) frame, scoring its channels.
+CHUNK_SHAPES = [
+    (1, _CHUNK - 1, 1),
+    (1, _CHUNK, 1),
+    (1, _CHUNK + 1, 1),
+    (_CHUNK - 1, 1, 1),
+    (_CHUNK, 1, 1),
+    (_CHUNK + 1, 1, 1),
+    (37, 40, 50),
+    (3, 1, _CHUNK + 1),
+]
+
+
+@pytest.mark.parametrize("shape", CHUNK_SHAPES)
+def test_chunked_stages_match_reference_at_chunk_boundaries(shape):
+    rng = np.random.default_rng(sum(shape))
+    data = (rng.standard_normal(shape) * 3.7 + 0.25).astype(np.float32)
+    target = GlobalStats(-1.5, 0.37)
+    assert same_bits(apply_refinement(FeatureTensor(data), target).data, reference_refinement(data, target))
+    assert same_bits(score_channels(FeatureTensor(data)), reference_scores(data))
+    frame = data.reshape(-1, shape[-1])
+    q, span = quantize_frame(frame, 10)
+    expected, lo, hi = reference_quantize(frame, 10)
+    assert same_bits(q, expected)
+    assert span == (lo, hi)

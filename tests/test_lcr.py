@@ -9,6 +9,36 @@ from fcmcodec import ChannelIndexSet, LcrCode, binomial, lcr_decode, lcr_encode
 from fcmcodec.errors import DomainError, RankRangeError
 
 
+def reference_lcr_encode(indices, n):
+    """The rank by a fresh math.comb per skipped index, as lcr_encode once
+    computed it."""
+    k = len(indices)
+    rank = 0
+    prev = -1
+    for t, i_t in enumerate(indices):
+        for j in range(prev + 1, i_t):
+            rank += binomial(n - j - 1, k - t - 1)
+        prev = i_t
+    return rank
+
+
+def reference_lcr_decode(k, rank, n):
+    """The subset by a fresh math.comb per step, as lcr_decode once walked it."""
+    if k > n:
+        raise DomainError(f"k={k} exceeds total channels N={n}")
+    if rank >= binomial(n, k):
+        raise RankRangeError(f"rank {rank} >= C({n}, {k})")
+    x = 0
+    out = []
+    for t in range(k):
+        while binomial(n - x - 1, k - t - 1) <= rank:
+            rank -= binomial(n - x - 1, k - t - 1)
+            x += 1
+        out.append(x)
+        x += 1
+    return tuple(out)
+
+
 def lex_rank_oracle(indices, n):
     """Position of a subset in the lexicographic enumeration of k-subsets."""
     k = len(indices)
@@ -89,3 +119,32 @@ class TestEncodeDecode:
             ChannelIndexSet((2, 2), 5)
         with pytest.raises(DomainError):
             ChannelIndexSet((0, 5), 5)
+
+
+class TestIncrementalBinomials:
+    """lcr_encode and lcr_decode update each binomial from the last; the
+    reference walks take a fresh one per step."""
+
+    @given(st.integers(1, 300), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_ranks_and_sets_match_the_reference(self, n, data):
+        k = data.draw(st.one_of(st.sampled_from([0, 1, n - 1, n]), st.integers(0, n)))
+        combo = tuple(sorted(data.draw(st.permutations(range(n)))[:k]))
+        rank = reference_lcr_encode(combo, n)
+        assert lcr_encode(ChannelIndexSet(combo, n)) == LcrCode(k, rank)
+        assert lcr_decode(LcrCode(k, rank), n).indices == combo
+        other = data.draw(st.integers(0, math.comb(n, k) - 1))
+        assert lcr_decode(LcrCode(k, other), n).indices == reference_lcr_decode(k, other, n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 64, 255, 256])
+    def test_edge_ranks_match_the_reference(self, n):
+        for k in sorted({0, 1, n - 1, n}):
+            last = math.comb(n, k) - 1
+            for rank in sorted({0, last // 2, last}):
+                expected = reference_lcr_decode(k, rank, n)
+                assert lcr_decode(LcrCode(k, rank), n).indices == expected
+                assert lcr_encode(ChannelIndexSet(expected, n)).rank == rank
+            assert reference_lcr_decode(k, last, n) == tuple(range(n - k, n))
+            for decode in (lambda: lcr_decode(LcrCode(k, last + 1), n), lambda: reference_lcr_decode(k, last + 1, n)):
+                with pytest.raises(RankRangeError, match=f"rank {last + 1} >= C"):
+                    decode()

@@ -9,6 +9,39 @@ from fcmcodec.errors import DomainError
 from helpers import random_tensor
 
 
+def reference_pack(t: FeatureTensor) -> np.ndarray:
+    """The frame by one copy per channel, as pack once built it."""
+    layout = PackingLayout(t.channels, t.height, t.width)
+    mean = np.float32(t.data.astype(np.float64).mean())
+    frame = np.full((layout.frame_height, layout.frame_width), mean, dtype=np.float32)
+    for i in range(t.channels):
+        r, col = divmod(i, layout.grid_cols)
+        frame[r * t.height : (r + 1) * t.height, col * t.width : (col + 1) * t.width] = t.data[i]
+    return frame
+
+
+def reference_unpack(frame: np.ndarray, layout: PackingLayout) -> np.ndarray:
+    th, tw = layout.tile_h, layout.tile_w
+    out = np.empty((layout.channel_count, th, tw), dtype=np.float32)
+    for i in range(layout.channel_count):
+        r, col = divmod(i, layout.grid_cols)
+        out[i] = frame[r * th : (r + 1) * th, col * tw : (col + 1) * tw]
+    return out
+
+
+# Channel counts with 0 (1, 4, 9, 16), 1 (3, 5), 2 (7, 10, 130) and 3 (17)
+# pad tiles.
+@pytest.mark.parametrize("channels", [1, 3, 4, 5, 7, 9, 10, 16, 17, 130])
+def test_pack_and_unpack_match_the_per_channel_copies(rng, channels):
+    t = random_tensor(rng, channels=channels, height=3, width=5)
+    frame, layout = pack(t)
+    expected = reference_pack(t)
+    assert frame.dtype == expected.dtype and frame.tobytes() == expected.tobytes()
+    noisy = frame + rng.normal(size=frame.shape).astype(np.float32)  # pad tiles too
+    back = unpack(noisy, layout).data
+    assert back.tobytes() == reference_unpack(noisy, layout).tobytes()
+
+
 class TestPack:
     def test_perfect_square_grid(self, rng):
         t = random_tensor(rng, channels=4, height=2, width=2)

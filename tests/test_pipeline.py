@@ -187,7 +187,7 @@ def raw_decode_peak(samples: np.ndarray) -> tuple[int, int]:
 def test_large_valid_raw_decode_peak_per_element():
     """Each decoder stage's input is freed once the next stage returns."""
     _, peak = raw_decode_peak(np.arange(1 << 20) % 1024)
-    assert peak < 18 * (1 << 20)
+    assert peak < 13 * (1 << 20)
 
 
 def test_decode_peak_does_not_grow_with_the_payload():
