@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import DomainError
 from .lcr import ChannelIndexSet
-from .tensor import FeatureTensor, _float64_chunks
+from .tensor import FeatureTensor, _float64_chunks, _mean
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ def restore_channels(t: FeatureTensor, d: PruneDecision) -> FeatureTensor:
         )
     if not d.pruned.indices:
         return t
-    fill = np.float32(t.data.astype(np.float64, copy=False).mean())
+    fill = np.float32(_mean(t.data))
     out = np.full((d.total_channels, t.height, t.width), fill, dtype=np.float32)
     keep = np.setdiff1d(np.arange(d.total_channels), np.asarray(d.pruned.indices))
     out[keep] = t.data

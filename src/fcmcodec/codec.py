@@ -156,7 +156,7 @@ def _decode_raw(data: bytes, shape: tuple[int, int]) -> np.ndarray:
         raise PayloadDecodeError(f"corrupt lossless payload: {exc}") from exc
     if len(raw) != expected or d.unconsumed_tail or not d.eof:
         raise PayloadDecodeError("lossless payload length mismatch")
-    return np.frombuffer(raw, dtype="<u2").reshape(shape).astype(np.uint16)
+    return np.frombuffer(raw, dtype="<u2").reshape(shape)
 
 
 def _pair_symbols(levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -360,18 +360,37 @@ def _ue_lengths(buf: np.ndarray, nbits: int, start: int, n: int) -> tuple[np.nda
     return zeros, last + 1, end
 
 
-def _ue_values(buf: np.ndarray, zeros: np.ndarray, start: int) -> tuple[np.ndarray, int]:
+def _words(payload: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The big-endian 32-bit words at byte offsets 0 .. len(payload) of the
+    uint8 payload followed by zero bytes, as two arrays: those that lie
+    inside it, read in place, then the rest, from a padded copy of its last
+    3 bytes."""
+    inside = max(len(payload) - 3, 0)
+    tail = np.zeros(len(payload) - inside + 4, dtype=np.uint8)
+    tail[: len(payload) - inside] = payload[inside:]
+    return (
+        np.ndarray((inside,), dtype=">u4", buffer=payload, strides=(1,)),
+        np.ndarray((len(tail) - 3,), dtype=">u4", buffer=tail, strides=(1,)),
+    )
+
+
+def _ue_values(words: tuple[np.ndarray, np.ndarray], zeros: np.ndarray, start: int) -> tuple[np.ndarray, int]:
     """The int32 values of the codewords whose prefix zero counts are zeros
-    and whose suffixes start at bit start of buf, and the bit after the last
-    suffix. buf ends in 4 zero bytes, so every 32-bit read stays inside it."""
-    words = np.ndarray((len(buf) - 3,), dtype=">u4", buffer=buf, strides=(1,))
+    and whose suffixes start at bit start of the payload whose _words are
+    words, and the bit after the last suffix."""
+    inside, tail = words
     values = np.empty(len(zeros), dtype=np.int32)
     for s in range(0, len(zeros), _READ_CODEWORDS):
         z = zeros[s : s + _READ_CODEWORDS].astype(np.int64)
         at = np.cumsum(z)
         at += start - z
         start += int(z.sum())
-        x = words[at >> 3].astype(np.int64)
+        # Each suffix's byte, then its word; the bytes rise, so only the last
+        # ones reach the tail.
+        x = at >> 3
+        cut = int(np.searchsorted(x, len(inside)))
+        x[:cut] = inside[x[:cut]]
+        x[cut:] = tail[x[cut:] - len(inside)]
         x <<= at & 7
         x &= 0xFFFFFFFF
         x >>= 32 - z
@@ -431,19 +450,19 @@ def _decode_dct(data: bytes, qp: int, shape: tuple[int, int]) -> np.ndarray:
     # Every codeword costs at least one bit: refuse before sizing anything.
     if hb * wb > nbits:
         raise TruncatedError(f"{hb * wb} blocks cannot fit in {nbits} payload bits")
-    buf = np.zeros(len(data) + 3, dtype=np.uint8)
-    buf[: len(data) - 1] = np.frombuffer(data, dtype=np.uint8, offset=1)
-    zeros, suffix, end = _ue_lengths(buf, nbits, 0, hb * wb)
-    counts, _ = _ue_values(buf, zeros, suffix)
+    payload = np.frombuffer(data, dtype=np.uint8, offset=1)
+    words = _words(payload)
+    zeros, suffix, end = _ue_lengths(payload, nbits, 0, hb * wb)
+    counts, _ = _ue_values(words, zeros, suffix)
     if counts.max() > _COEFFS:
         raise PayloadDecodeError(f"block coefficient count {counts.max()} > 64")
     npairs = 2 * int(counts.sum())
     if npairs > nbits - end:
         raise TruncatedError(f"{npairs} run-level symbols cannot fit in {nbits - end} payload bits")
-    zeros, suffix, end = _ue_lengths(buf, nbits, end, npairs)
+    zeros, suffix, end = _ue_lengths(payload, nbits, end, npairs)
     if nbits - end >= 8:
         raise PayloadDecodeError("a whole byte past the last codeword")
-    if end < nbits and buf[end >> 3] & (0xFF >> (end & 7)):
+    if end < nbits and payload[end >> 3] & (0xFF >> (end & 7)):
         raise PayloadDecodeError("nonzero padding bit")
     # Every symbol has been read and checked; decode a slice of block rows at
     # a time, so the pair and coefficient scratch stays within the slice.
@@ -454,7 +473,7 @@ def _decode_dct(data: bytes, qp: int, shape: tuple[int, int]) -> np.ndarray:
     for r0, r1 in _row_slices(row_counts):
         blocks = row_counts[r0:r1].reshape(-1)
         last = first + 2 * int(blocks.sum())
-        pairs, suffix = _ue_values(buf, zeros[first:last], suffix)
+        pairs, suffix = _ue_values(words, zeros[first:last], suffix)
         first = last
         coeffs = _scatter_blocks(blocks, pairs, step)
         del pairs

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .tensor import FeatureTensor
+from .tensor import FeatureTensor, _mean
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ def pack(t: FeatureTensor) -> tuple[np.ndarray, PackingLayout]:
     tiles[:full] = t.data[: full * layout.grid_cols].reshape(tiles[:full].shape)
     if rest:
         tiles[full, :rest] = t.data[full * layout.grid_cols :]
-        tiles[full, rest:] = np.float32(t.data.astype(np.float64, copy=False).mean())
+        tiles[full, rest:] = np.float32(_mean(t.data))
     return frame, layout
 
 

@@ -29,7 +29,7 @@ from .conversion import dequantize_frame, quantize_frame
 from .errors import DomainError, FcmError, InvariantError
 from .lcr import LcrCode, lcr_decode, lcr_encode
 from .packing import pack, unpack
-from .tensor import FeatureTensor, TensorGroup, apply_refinement, compute_global_stats
+from .tensor import FeatureTensor, TensorGroup, _float64_chunks, apply_refinement, compute_global_stats
 
 
 @dataclass(frozen=True)
@@ -44,10 +44,13 @@ class TransformStage:
 def _meanpool_forward(t: FeatureTensor) -> FeatureTensor:
     if t.height % 2 or t.width % 2:
         raise DomainError("mean-pool transform requires even spatial dimensions")
-    x = t.data.astype(np.float64)
     c, h, w = t.shape
-    pooled = x.reshape(c, h // 2, 2, w // 2, 2).mean(axis=(2, 4))
-    return FeatureTensor(pooled.astype(np.float32))
+    pooled = np.empty((c, h // 2, w // 2), dtype=np.float32)
+    # Each output is the float64 mean of its 2x2 window, a float64 chunk of
+    # channels at a time.
+    for x, out in _float64_chunks(t.data.reshape(c, -1), pooled.reshape(c, -1)):
+        out[...] = x.reshape(-1, h // 2, 2, w // 2, 2).mean(axis=(2, 4)).reshape(len(out), -1)
+    return FeatureTensor(pooled)
 
 
 def _meanpool_inverse(t: FeatureTensor) -> FeatureTensor:
@@ -97,8 +100,8 @@ def _encode_one(t: FeatureTensor, label: str, cfg: EncoderConfig) -> tuple[UnitH
 
     decision = select_pruned(score_channels(xt), cfg.prune_ratio)
     frame, layout = pack(prune_channels(xt, decision))
-    qframe, _ = quantize_frame(frame, cfg.bit_depth)
-    payload = codec_encode(qframe, cfg.codec, cfg.qp, cfg.bit_depth)
+    frame, _ = quantize_frame(frame, cfg.bit_depth)
+    payload = codec_encode(frame, cfg.codec, cfg.qp, cfg.bit_depth)
     header = UnitHeader(
         original_channels=xt.channels,
         pruned_k=len(decision.pruned),

@@ -8,6 +8,7 @@ a transmitted target pair.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -63,7 +64,7 @@ class FeatureTensor:
             raise DomainError(f"expected a 3-d array, got {arr.ndim}-d")
         if min(arr.shape) < 1:
             raise DomainError(f"all dimensions must be >= 1, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        if not _all_finite(arr.reshape(-1)):
             raise DomainError("tensor contains non-finite values")
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
@@ -113,6 +114,17 @@ class TensorGroup:
         return len(self.tensors)
 
 
+def _all_finite(flat: np.ndarray) -> bool:
+    """np.isfinite(flat).all() for a 1-d flat, a _CHUNK of flags at a time."""
+    flags = np.empty(min(len(flat), _CHUNK), dtype=bool)
+    for s in range(0, len(flat), _CHUNK):
+        part = flags[: min(_CHUNK, len(flat) - s)]
+        np.isfinite(flat[s : s + _CHUNK], out=part)
+        if not part.all():
+            return False
+    return True
+
+
 def _float64_chunks(src: np.ndarray, out: np.ndarray):
     """Walk the 2-d src in chunks of whole rows, about _CHUNK elements each.
 
@@ -128,17 +140,51 @@ def _float64_chunks(src: np.ndarray, out: np.ndarray):
         yield x, out[s : s + rows]
 
 
+def _pairwise_sum(data: np.ndarray, mu: float | None) -> float:
+    """The float64 sum of the elements of data, or, with mu not None, of
+    their squared deviations (x - mu)**2, holding at most _CHUNK float64
+    values at a time.
+
+    It has the bits of data.astype(np.float64).sum(), and of the sum of the
+    squared deviations computed on that copy. numpy sums a contiguous array
+    pairwise: while a part holds more than 128 elements, it splits it after
+    its first n // 2 elements, rounded down to a multiple of 8, and adds the
+    two halves' sums. Splitting the same way down to parts of at most _CHUNK
+    elements, and letting numpy sum each part, builds the same tree.
+    """
+    flat = data.reshape(-1)
+    return _pairwise_part(flat, mu, np.empty(min(len(flat), _CHUNK)))
+
+
+def _pairwise_part(part: np.ndarray, mu: float | None, buf: np.ndarray) -> float:
+    """_pairwise_sum of the 1-d part, with buf as the leaves' float64 scratch."""
+    n = len(part)
+    if n > _CHUNK:
+        half = n // 2
+        half -= half % 8
+        return _pairwise_part(part[:half], mu, buf) + _pairwise_part(part[half:], mu, buf)
+    x = buf[:n]
+    x[...] = part
+    if mu is not None:
+        x -= mu
+        x *= x
+    return float(np.add.reduce(x))
+
+
+def _mean(data: np.ndarray) -> float:
+    """data.astype(np.float64).mean(), bit for bit, without the copy."""
+    return _pairwise_sum(data, None) / data.size
+
+
 def compute_global_stats(t: FeatureTensor) -> GlobalStats:
     """Mean and population (biased) standard deviation over all elements.
 
-    Accumulates in float64 regardless of tensor size, in one float64 copy of
-    the whole tensor: numpy's pairwise sum over it fixes every bit of both.
+    Accumulates in float64 regardless of tensor size, a _CHUNK of elements at
+    a time, and has the bits of the mean of a whole-tensor float64 copy and
+    of the square root of the mean of its squared deviations from that mean.
     """
-    d = t.data.astype(np.float64)
-    mu = float(d.mean())
-    d -= mu
-    d *= d
-    sigma = float(np.sqrt(d.mean()))
+    mu = _mean(t.data)
+    sigma = math.sqrt(_pairwise_sum(t.data, mu) / t.data.size)
     return GlobalStats(mu, sigma)
 
 
@@ -217,9 +263,10 @@ def _parse_tensor_bytes(data: bytes) -> TensorGroup:
             raise DimensionOverflowError(f"tensor {c}x{h}x{w} exceeds element cap")
         raw = take(c * h * w * 4)
         arr = np.frombuffer(raw, dtype="<f4").reshape(c, h, w)
-        if not np.all(np.isfinite(arr)):
-            raise InvariantError("tensor payload contains non-finite values")
-        tensors.append(FeatureTensor(arr))
+        try:
+            tensors.append(FeatureTensor(arr))
+        except DomainError as exc:  # the header checks leave only non-finite values
+            raise InvariantError(str(exc)) from exc
         labels.append(label)
     if pos != len(data):
         raise TruncatedError(f"{len(data) - pos} trailing bytes after last tensor")

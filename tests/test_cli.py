@@ -2,6 +2,7 @@ import dataclasses
 import json
 import pathlib
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from fcmcodec import CodecId, EncoderConfig, compute_global_stats, fcm_encode
 from fcmcodec.bitstream import parse_stream, serialize_stream
 from fcmcodec.cli import main
 from fcmcodec.planar import read_sequence, write_sequence
-from fcmcodec.tensor import read_tensor_file, write_tensor_file
+from fcmcodec.tensor import _CHUNK, read_tensor_file, write_tensor_file
 from fcmcodec.vcm import PixelSequence
 
 from helpers import CHANNEL_MISMATCHES, channel_mismatch_stream, depth_relabelled_stream, random_group
@@ -124,6 +125,14 @@ class TestCodecCommands:
         bad.write_bytes(depth_relabelled_stream(codec))
         assert main(["decode", "--input", str(bad), "--output", str(tmp_path / "o.ftns")]) == 3
         assert "exceeds bit depth 8" in capsys.readouterr().err
+
+    def test_non_finite_ftns_past_the_first_chunk_exit_3(self, tmp_path, capsys):
+        data = np.zeros((3, 1, _CHUNK), dtype="<f4")
+        data[2, 0, 5] = np.nan
+        bad = tmp_path / "bad.ftns"
+        bad.write_bytes(b"FTNS" + struct.pack("<BBB", 1, 1, 0) + struct.pack("<III", *data.shape) + data.tobytes())
+        assert main(["encode", "--input", str(bad), "--output", str(tmp_path / "o.fcmb")]) == 3
+        assert "non-finite" in capsys.readouterr().err
 
     def test_missing_file_exit_3(self, tmp_path):
         rc = main(["decode", "--input", str(tmp_path / "nope"), "--output", str(tmp_path / "o")])

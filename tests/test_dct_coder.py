@@ -365,9 +365,10 @@ def test_encode_peak_per_element():
 # element. Decoded in one piece, the 512x512 noise frame above peaked at 33.6
 # B per element and a flat 1024x1024 frame, a pair per block, at 18.1. A slice
 # of block rows at a time, bounded in pairs and in blocks, they peak at 12.1
-# and 4.2.
+# and 4.2. Read in place rather than from a padded copy of the 1 MB payload,
+# the noise frame peaks at 8.2, so its bound leaves a 1.28x margin.
 DECODE_PEAK_CASES = {
-    "noise": (make_frame(np.random.default_rng(5), (512, 512), 16, smooth=False), 0, 16, 16),
+    "noise": (make_frame(np.random.default_rng(5), (512, 512), 16, smooth=False), 0, 16, 10.5),
     "flat": (np.full((1024, 1024), 512, np.uint16), 22, 10, 6),
 }
 

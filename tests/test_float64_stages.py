@@ -1,15 +1,19 @@
 """The float64 stages against the whole-array expressions they replaced.
 
-compute_global_stats runs its float64 arithmetic in place in one copy of the
-tensor; apply_refinement, quantize_frame and score_channels run theirs in
-place in one reused float64 chunk of rows or channels at a time. Each step is
-the IEEE operation the whole-array expressions below performed, in the same
-order, so results must match them bit for bit, at every chunk size and
-boundary, and the caller's array must be left as it was.
+compute_global_stats, and the pad mean of pack and the fill mean of
+restore_channels, sum a float64 chunk at a time along numpy's own pairwise
+split points; apply_refinement, quantize_frame, score_channels and the
+mean-pool transform run their float64 arithmetic in place in one reused
+float64 chunk of rows or channels at a time. Each step is the IEEE operation
+the whole-array expressions below performed, in the same order, so results
+must match them bit for bit, at every chunk size and boundary, and the
+caller's array must be left as it was.
 dequantize_frame divides in float32; float64 has more than twice float32's
 precision plus two bits, so the float64 quotient rounded once to float32 is
 the same correctly rounded value.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,15 +22,20 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fcmcodec import (
+    TRANSFORMS,
+    ChannelIndexSet,
     FeatureTensor,
     GlobalStats,
+    PruneDecision,
     dequantize_frame,
+    pack,
     quantize_frame,
+    restore_channels,
     score_channels,
 )
 from fcmcodec.conversion import _round_half_away
 from fcmcodec.errors import DomainError
-from fcmcodec.tensor import _CHUNK, apply_refinement, compute_global_stats
+from fcmcodec.tensor import _CHUNK, _pairwise_sum, apply_refinement, compute_global_stats
 
 F32_MAX = float(np.finfo(np.float32).max)
 F32_TINY = float(np.finfo(np.float32).smallest_subnormal)
@@ -42,6 +51,11 @@ def reference_stats(data: np.ndarray) -> tuple[float, float]:
 def reference_scores(data: np.ndarray) -> list[float]:
     x = data.astype(np.float64, copy=False)
     return [float(v) for v in np.mean(x * x, axis=(1, 2))]
+
+
+def reference_meanpool(data: np.ndarray) -> np.ndarray:
+    c, h, w = data.shape
+    return data.astype(np.float64).reshape(c, h // 2, 2, w // 2, 2).mean(axis=(2, 4)).astype(np.float32)
 
 
 def reference_refinement(data: np.ndarray, target: GlobalStats) -> np.ndarray:
@@ -187,3 +201,81 @@ def test_chunked_stages_match_reference_at_chunk_boundaries(shape):
     expected, lo, hi = reference_quantize(frame, 10)
     assert same_bits(q, expected)
     assert span == (lo, hi)
+
+
+def spread_values(rng, n: int) -> np.ndarray:
+    """n float32 values over 60 binades, so that float64 sums of them round
+    at almost every addition and the order of the additions shows."""
+    return (rng.standard_normal(n) * np.exp2(rng.integers(-30, 30, n))).astype(np.float32)
+
+
+def assert_sums_match_reference(data: np.ndarray) -> None:
+    """The chunked sums, mu, sigma, pack's pad mean and restore_channels'
+    fill mean of the (n, 1, 1) data against numpy's whole-array expressions.
+    The sums come first: dividing by n can round two sums to one mean."""
+    n = len(data)
+    flat = data.astype(np.float64).reshape(-1)
+    assert same_bits(np.float64(_pairwise_sum(data, None)), flat.sum())
+    assert same_bits(np.float64(_pairwise_sum(data, 0.375)), ((flat - 0.375) ** 2).sum())
+    t = FeatureTensor(data)
+    stats = compute_global_stats(t)
+    mu, sigma = reference_stats(data)
+    assert same_bits(np.float64(stats.mu), np.float64(mu))
+    assert same_bits(np.float64(stats.sigma), np.float64(sigma))
+    fill = np.float32(data.astype(np.float64).mean())
+    restored = restore_channels(t, PruneDecision(ChannelIndexSet((n,), n + 1)))
+    assert same_bits(restored.data[n], np.full((1, 1), fill))
+    frame, layout = pack(t)
+    if n % layout.grid_cols:  # so the grid's last tile is a pad tile
+        assert same_bits(frame[-1, -1], fill)
+
+
+# Element counts next to numpy's pairwise-sum split points, its 8-wide
+# unrolled blocks and 128-element leaves, and next to _CHUNK, where the
+# chunked sum starts to split the way numpy does.
+SUM_SIZES = [1, 7, 8, 9, 127, 128, 129, _CHUNK - 1, _CHUNK + 1, 2 * _CHUNK - 8, 2 * _CHUNK + 8, 3 * _CHUNK + 5]
+
+
+@pytest.mark.parametrize("n", SUM_SIZES)
+def test_sums_match_reference_next_to_split_points(n):
+    assert_sums_match_reference(spread_values(np.random.default_rng(n), n).reshape(n, 1, 1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 1 << 21), st.integers(0, 2**32 - 1))
+def test_sums_match_reference(n, seed):
+    assert_sums_match_reference(spread_values(np.random.default_rng(seed), n).reshape(n, 1, 1))
+
+
+def test_stats_scratch_does_not_grow_with_the_tensor():
+    t = FeatureTensor(np.random.default_rng(3).standard_normal((8, 512, 512)).astype(np.float32))
+    tracemalloc.start()
+    try:
+        compute_global_stats(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a whole-tensor float64 copy would be 16 MiB
+    assert peak < 1 << 20, peak
+
+
+# Odd channel counts whose channels fill a float64 chunk four elements short,
+# exactly, or overflow it, and counts of small channels that end a chunk
+# early or leave one channel for the next.
+MEANPOOL_SHAPES = [
+    (3, 2, _CHUNK // 2 - 2),
+    (5, 2, _CHUNK // 2),
+    (3, 2, _CHUNK // 2 + 2),
+    (_CHUNK // 4 + 1, 2, 2),
+    (2 * (_CHUNK // 24) + 1, 4, 6),
+    (7, 6, 10),
+]
+
+
+@pytest.mark.parametrize("shape", MEANPOOL_SHAPES)
+def test_meanpool_matches_reference(shape):
+    data = spread_values(np.random.default_rng(sum(shape)), int(np.prod(shape))).reshape(shape)
+    before = data.copy()
+    pooled = TRANSFORMS["meanpool2x"].forward(FeatureTensor(data))
+    assert same_bits(pooled.data, reference_meanpool(data))
+    assert same_bits(data, before)

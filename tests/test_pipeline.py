@@ -185,9 +185,10 @@ def raw_decode_peak(samples: np.ndarray) -> tuple[int, int]:
 
 
 def test_large_valid_raw_decode_peak_per_element():
-    """Each decoder stage's input is freed once the next stage returns."""
+    """Each decoder stage's input is freed once the next stage returns, and
+    the inflated bytes are the frame, not copied into it: 8.3 B per element."""
     _, peak = raw_decode_peak(np.arange(1 << 20) % 1024)
-    assert peak < 13 * (1 << 20)
+    assert peak < 10.5 * (1 << 20)
 
 
 def test_decode_peak_does_not_grow_with_the_payload():

@@ -15,6 +15,7 @@ from fcmcodec import (
     write_tensor_file,
 )
 from fcmcodec.errors import DomainError, MagicMismatchError, TruncatedError, VersionError
+from fcmcodec.tensor import _CHUNK
 
 from helpers import random_group, random_tensor
 
@@ -95,6 +96,14 @@ class TestValidation:
     def test_rejects_nan(self):
         with pytest.raises(DomainError):
             FeatureTensor(np.asarray([[[np.nan]]], dtype=np.float32))
+
+    @pytest.mark.parametrize("at", [0, _CHUNK - 1, _CHUNK, 2 * _CHUNK + 6])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_in_any_chunk(self, at, value):
+        data = np.zeros((1, 7, _CHUNK // 3), dtype=np.float32)
+        data.reshape(-1)[at] = value
+        with pytest.raises(DomainError, match="non-finite"):
+            FeatureTensor(data)
 
     def test_rejects_wrong_rank(self):
         with pytest.raises(DomainError):
