@@ -1,7 +1,7 @@
 """Feature-tensor codec for split inference, with pixel-domain tools and
 rate-distortion evaluation utilities."""
 
-from .bitstream import UnitHeader, parse_stream, parse_unit, serialize_stream, serialize_unit
+from .bitstream import TRANSFORMS, UnitHeader, parse_stream, parse_unit, serialize_stream, serialize_unit
 from .channels import PruneDecision, prune_channels, restore_channels, score_channels, select_pruned
 from .codec import CodecId, codec_decode, codec_encode, qstep
 from .conversion import dequantize_frame, quantize_frame
@@ -9,13 +9,7 @@ from .errors import DomainError, FcmError, FormatError
 from .lcr import ChannelIndexSet, LcrCode, binomial, lcr_decode, lcr_encode
 from .metrics import RdCurve, bd_rate, psnr
 from .packing import PackingLayout, pack, unpack
-from .pipeline import (
-    EncoderConfig,
-    TransformStage,
-    TRANSFORMS,
-    fcm_decode,
-    fcm_encode,
-)
+from .pipeline import EncoderConfig, fcm_decode, fcm_encode
 from .tensor import (
     FeatureTensor,
     GlobalStats,

@@ -9,11 +9,17 @@ A unit holds, in order:
   target;
 - the bit depth (u8) and the tile height and width (u16 each); the tile grid
   follows from N - k by the packing rule;
-- a transform id (u8, the position of the encoder's stage in
-  `pipeline.TRANSFORMS`) and the tensor's label (u8 length, then UTF-8), so a
-  stream decodes with no side information;
-- the inner codec id and qp (u8 each), then the payload (u32 length).
+- a transform id (u8, the position of the encoder's transform in
+  `TRANSFORMS`) and the tensor's label (u8 length, then UTF-8), so a stream
+  decodes with no side information;
+- the inner codec id (u8, a `CodecId`) and qp (u8), then the payload (u32
+  length).
 Other multi-byte integers are little-endian.
+
+`UnitHeader` is the one place that decides which ids exist: it refuses a
+transform id past `TRANSFORMS`, a codec id outside `CodecId` and a qp over 63,
+so a stream that parses names only stages the decoder has. `parse_stream`
+prefixes a unit's parse error with its index.
 """
 
 from __future__ import annotations
@@ -21,8 +27,10 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
+from .codec import CodecId
 from .errors import (
     DimensionOverflowError,
+    FormatError,
     InvariantError,
     MagicMismatchError,
     TruncatedError,
@@ -36,6 +44,12 @@ STREAM_MAGIC = b"FCMB"
 STREAM_VERSION = 4
 
 _U16_MAX = 0xFFFF
+
+# Transform name -> pooling factor: the encoder mean-pools each spatial axis
+# by the factor and the decoder repeats it back. A name's position is the
+# transform id units carry, so new transforms go at the end and none is ever
+# removed or reordered.
+TRANSFORMS = {"identity": 1, "meanpool2x": 2}
 
 
 @dataclass(frozen=True)
@@ -65,14 +79,23 @@ class UnitHeader:
             raise InvariantError("tile dimension outside 1-65535")
         if not 8 <= self.bit_depth <= 16:
             raise InvariantError("bit depth outside [8, 16]")
-        if not 0 <= self.codec <= 255 or not 0 <= self.qp <= 63:
-            raise InvariantError("codec id or qp out of range")
+        if not 0 <= self.transform_id < len(TRANSFORMS):
+            raise InvariantError(f"unknown transform id {self.transform_id}")
+        if self.codec not in list(CodecId):
+            raise InvariantError(f"unknown codec id {self.codec}")
+        if not 0 <= self.qp <= 63:
+            raise InvariantError(f"qp {self.qp} outside [0, 63]")
         try:
             label_size = len(self.label.encode("utf-8"))
         except UnicodeEncodeError as exc:
             raise InvariantError(f"label not encodable as UTF-8: {self.label!r}") from exc
-        if not 0 <= self.transform_id <= 255 or label_size > 255:
-            raise InvariantError("transform id or label length out of range")
+        if label_size > 255:
+            raise InvariantError("label longer than 255 bytes")
+
+    @property
+    def transform(self) -> str:
+        """The name of the unit's transform in TRANSFORMS."""
+        return list(TRANSFORMS)[self.transform_id]
 
     @property
     def layout(self) -> PackingLayout:
@@ -129,15 +152,6 @@ def parse_unit(data: bytes, offset: int = 0) -> tuple[UnitHeader, memoryview, in
     codec, qp = struct.unpack("<BB", take(2))
     (payload_len,) = struct.unpack("<I", take(4))
     payload = take(payload_len)
-
-    def invariant(cond: bool, msg: str) -> None:
-        if not cond:
-            raise InvariantError(msg)
-
-    invariant(sigma >= 0, "negative transmitted sigma")
-    for v in (mu, sigma):
-        invariant(v == v and abs(v) != float("inf"), "non-finite transmitted value")
-    invariant(qp <= 63, "qp out of range")
     try:
         header = UnitHeader(
             original_channels=n_channels,
@@ -181,8 +195,11 @@ def parse_stream(data: bytes) -> list[tuple[UnitHeader, memoryview]]:
         raise InvariantError(f"stream declares {count} units, not 1-{MAX_TENSORS}")
     pos = 6
     units = []
-    for _ in range(count):
-        header, payload, consumed = parse_unit(data, pos)
+    for i in range(count):
+        try:
+            header, payload, consumed = parse_unit(data, pos)
+        except FormatError as exc:
+            raise type(exc)(f"unit {i}: {exc}") from exc
         units.append((header, payload))
         pos += consumed
     if pos != len(data):

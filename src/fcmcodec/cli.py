@@ -18,7 +18,7 @@ from .bitstream import parse_stream
 from .codec import CodecId
 from .errors import DomainError, FormatError
 from .metrics import RdCurve, bd_rate, psnr
-from .pipeline import EncoderConfig, fcm_decode, fcm_encode, transform_stage
+from .pipeline import EncoderConfig, fcm_decode, fcm_encode
 from .planar import read_sequence, write_sequence
 from .tensor import compute_global_stats, read_tensor_file, write_tensor_file
 from .vcm import (
@@ -110,7 +110,7 @@ def _cmd_inspect(args) -> int:
             f"mu={h.transform_stats.mu:.6g} sigma={h.transform_stats.sigma:.6g} "
             f"bit_depth={h.bit_depth} "
             f"grid={lay.grid_rows}x{lay.grid_cols} tile={lay.tile_h}x{lay.tile_w} "
-            f"channels={lay.channel_count} transform={transform_stage(h.transform_id).identifier} "
+            f"channels={lay.channel_count} transform={h.transform} "
             f"label={h.label!r} "
             f"codec={h.codec} qp={h.qp} payload_len={len(payload)}"
         )

@@ -1,14 +1,16 @@
 """End-to-end encoder and decoder orchestration.
 
-Encoder, per tensor: capture global stats, forward transform, prune low-energy
-channels, pack, quantize, inner-codec encode, emit one unit. Decoder, per
-unit: inner-codec decode, dequantize onto [0, 1], unpack, restore pruned
-channels, inverse transform, refine onto the transmitted global stats.
+Encoder, per tensor: capture global stats, mean-pool by the factor the
+configured transform names in `bitstream.TRANSFORMS` (factor 1 passes the
+tensor through), prune low-energy channels, pack, quantize, inner-codec
+encode, emit one unit. Decoder, per unit: inner-codec decode, dequantize onto
+[0, 1], unpack, restore pruned channels, repeat samples by the unit's
+transform factor, refine onto the transmitted global stats.
 
 A unit needs to carry neither the quantizer range nor the stats of the kept
 channels. Mapping the samples onto either is a positive affine map; restoring
-fills pruned channels with the kept mean and the inverse transform repeats
-samples, so such a map commutes with both, and the refinement cancels it.
+fills pruned channels with the kept mean and the repeat copies samples, so
+such a map commutes with both, and the refinement cancels it.
 
 The decoder is one chain of calls that rebinds a single name, so each
 intermediate is freed once the next stage has returned, and it computes
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitstream import UnitHeader, parse_stream, serialize_stream
+from .bitstream import TRANSFORMS, UnitHeader, parse_stream, serialize_stream
 from .channels import PruneDecision, prune_channels, restore_channels, score_channels, select_pruned
 from .codec import CodecId, codec_decode, codec_encode
 from .conversion import dequantize_frame, quantize_frame
@@ -32,46 +34,27 @@ from .packing import pack, unpack
 from .tensor import FeatureTensor, TensorGroup, _float64_chunks, apply_refinement, compute_global_stats
 
 
-@dataclass(frozen=True)
-class TransformStage:
-    """Pluggable dimensionality-reduction hook (forward/inverse pair)."""
-
-    identifier: str
-    forward: callable
-    inverse: callable
-
-
-def _meanpool_forward(t: FeatureTensor) -> FeatureTensor:
-    if t.height % 2 or t.width % 2:
-        raise DomainError("mean-pool transform requires even spatial dimensions")
+def _meanpool(t: FeatureTensor, factor: int) -> FeatureTensor:
+    """Mean-pool each spatial axis by factor; factor 1 is the identity."""
+    if factor == 1:
+        return t
+    if t.height % factor or t.width % factor:
+        raise DomainError(f"pooling by {factor} needs spatial dimensions divisible by {factor}")
     c, h, w = t.shape
-    pooled = np.empty((c, h // 2, w // 2), dtype=np.float32)
-    # Each output is the float64 mean of its 2x2 window, a float64 chunk of
+    pooled = np.empty((c, h // factor, w // factor), dtype=np.float32)
+    # Each output is the float64 mean of its window, a float64 chunk of
     # channels at a time.
     for x, out in _float64_chunks(t.data.reshape(c, -1), pooled.reshape(c, -1)):
-        out[...] = x.reshape(-1, h // 2, 2, w // 2, 2).mean(axis=(2, 4)).reshape(len(out), -1)
+        windows = x.reshape(-1, h // factor, factor, w // factor, factor)
+        out[...] = windows.mean(axis=(2, 4)).reshape(len(out), -1)
     return FeatureTensor(pooled)
 
 
-def _meanpool_inverse(t: FeatureTensor) -> FeatureTensor:
-    up = np.repeat(np.repeat(t.data, 2, axis=1), 2, axis=2)
-    return FeatureTensor(up)
-
-
-# A stage's position in this table is the transform id FCMB units carry, so
-# new stages go at the end and none is ever removed or reordered.
-TRANSFORMS: dict[str, TransformStage] = {
-    "identity": TransformStage("identity", lambda t: t, lambda t: t),
-    "meanpool2x": TransformStage("meanpool2x", _meanpool_forward, _meanpool_inverse),
-}
-
-
-def transform_stage(transform_id: int) -> TransformStage:
-    """The stage a unit's transform id names; malformed input if there is none."""
-    stages = tuple(TRANSFORMS.values())
-    if transform_id >= len(stages):
-        raise InvariantError(f"unknown transform id {transform_id}")
-    return stages[transform_id]
+def _repeat(t: FeatureTensor, factor: int) -> FeatureTensor:
+    """Repeat each sample factor times along each spatial axis."""
+    if factor == 1:
+        return t
+    return FeatureTensor(np.repeat(np.repeat(t.data, factor, axis=1), factor, axis=2))
 
 
 @dataclass(frozen=True)
@@ -94,9 +77,8 @@ class EncoderConfig:
 
 
 def _encode_one(t: FeatureTensor, label: str, cfg: EncoderConfig) -> tuple[UnitHeader, bytes]:
-    stage = TRANSFORMS[cfg.transform]
     stats = compute_global_stats(t)
-    xt = stage.forward(t)
+    xt = _meanpool(t, TRANSFORMS[cfg.transform])
 
     decision = select_pruned(score_channels(xt), cfg.prune_ratio)
     frame, layout = pack(prune_channels(xt, decision))
@@ -133,14 +115,13 @@ def fcm_encode(group: TensorGroup, cfg: EncoderConfig, workers: int = 1) -> byte
 
 
 def _decode_one(header: UnitHeader, payload: bytes) -> FeatureTensor:
-    stage = transform_stage(header.transform_id)
     lay = header.layout
     x = codec_decode(payload, header.codec, header.qp, header.bit_depth, (lay.frame_height, lay.frame_width))
     x = dequantize_frame(x, header.bit_depth)
     x = unpack(x, lay)
     pruned = lcr_decode(LcrCode(header.pruned_k, header.lcr_rank), header.original_channels)
     x = restore_channels(x, PruneDecision(pruned))
-    x = stage.inverse(x)
+    x = _repeat(x, TRANSFORMS[header.transform])
     return apply_refinement(x, header.transform_stats)
 
 
@@ -152,5 +133,8 @@ def fcm_decode(data: bytes) -> TensorGroup:
         try:
             tensors.append(_decode_one(header, payload))
         except FcmError as exc:
-            raise type(exc)(f"unit {i}: {exc}") from exc
+            # Every argument of a unit's decode comes from the stream, so a
+            # domain error there is malformed input too.
+            cls = InvariantError if isinstance(exc, DomainError) else type(exc)
+            raise cls(f"unit {i}: {exc}") from exc
     return TensorGroup(tuple(tensors), tuple(header.label for header, _ in units))

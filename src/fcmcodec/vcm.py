@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, TruncatedError
+from .errors import DomainError, InvariantError, TruncatedError
 
 VALID_RATIOS = (2, 4, 8)
 
@@ -66,7 +66,9 @@ class TemporalSideInfo:
     def parse(cls, data: bytes) -> "TemporalSideInfo":
         if len(data) < 5:
             raise TruncatedError("side-info shorter than 5 bytes")
-        ratio, count = struct.unpack("<BI", data[:5])
+        if len(data) > 5:
+            raise InvariantError(f"{len(data) - 5} trailing bytes after side-info")
+        ratio, count = struct.unpack("<BI", data)
         if ratio not in VALID_RATIOS:
             raise DomainError(f"side-info carries invalid ratio {ratio}")
         return cls(ratio, count)
@@ -103,11 +105,9 @@ def temporal_resample_scalar(s: PixelSequence, ratio: int) -> tuple[PixelSequenc
 
 def temporal_restore(s: PixelSequence, info: TemporalSideInfo) -> PixelSequence:
     """Rebuild the original frame count from the kept frames."""
-    kept_indices = list(range(0, info.original_count, info.ratio))
-    if len(kept_indices) != len(s):
-        raise DomainError(
-            f"side-info implies {len(kept_indices)} kept frames, sequence has {len(s)}"
-        )
+    kept = -(-info.original_count // info.ratio)
+    if kept != len(s):
+        raise DomainError(f"side-info implies {kept} kept frames, sequence has {len(s)}")
     limit = (1 << s.bit_depth) - 1
     frames: list[np.ndarray] = []
     for i in range(info.original_count):

@@ -29,8 +29,10 @@ from fcmcodec import (
     restore_channels,
     score_channels,
     select_pruned,
+    serialize_unit,
     unpack,
 )
+from fcmcodec.pipeline import _meanpool, _repeat
 
 
 def random_tensor(rng, channels=None, height=None, width=None, mu=0.0, sigma=1.0):
@@ -78,6 +80,25 @@ def relabelled(stream: bytes, offset: int, fmt: str, value: int) -> bytes:
     return bytes(blob)
 
 
+# How far each field starts before the end of a unit's fixed fields, which
+# end with the codec id, the qp and the u32 payload length; the label's bytes
+# come between the transform id and the codec id.
+_FIELD_FROM_END = {"qp": 5, "codec": 6, "transform_id": 8, "sigma": 17, "mu": 21}
+
+
+def patched(stream: bytes, unit: int, field: str, fmt: str, value) -> bytes:
+    """stream with one header field of one unit rewritten in place, so no
+    UnitHeader check runs on the new value before the parser's."""
+    units = parse_stream(stream)
+    start = 6 + sum(len(serialize_unit(h, p)) for h, p in units[:unit])
+    header = units[unit][0]
+    end = start + len(serialize_unit(header, b""))
+    label = len(header.label.encode("utf-8")) if field in ("transform_id", "sigma", "mu") else 0
+    blob = bytearray(stream)
+    struct.pack_into(fmt, blob, end - _FIELD_FROM_END[field] - label, value)
+    return bytes(blob)
+
+
 # (channels, prune ratio, declared N): 5 packed channels with N = 7 and no
 # pruning, and 6 packed channels with N = 9 and 2 pruned.
 CHANNEL_MISMATCHES = [(5, 0.0, 7), (8, 0.25, 9)]
@@ -111,10 +132,10 @@ def staged_reference_decode(group: TensorGroup, cfg: EncoderConfig, stream: byte
     stats. Returns each tensor with the gain of its last refinement, the
     factor by which that pass scales its input's deviations from the mean.
     """
-    stage = TRANSFORMS[cfg.transform]
+    factor = TRANSFORMS[cfg.transform]
     out = []
     for t, (h, payload) in zip(group.tensors, parse_stream(stream)):
-        xt = stage.forward(t)
+        xt = _meanpool(t, factor)
         decision = select_pruned(score_channels(xt), cfg.prune_ratio)
         reduced = prune_channels(xt, decision)
         frame, layout = pack(reduced)
@@ -130,7 +151,7 @@ def staged_reference_decode(group: TensorGroup, cfg: EncoderConfig, stream: byte
         x = unpack(x.astype(np.float32), layout)
         x = apply_refinement(x, _as_sent(compute_global_stats(reduced)))
         x = restore_channels(x, decision)
-        x = stage.inverse(x)
+        x = _repeat(x, factor)
         spread = compute_global_stats(x).sigma
         out.append((apply_refinement(x, h.transform_stats).data, h.transform_stats.sigma / spread if spread else 0.0))
     return out

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fcmcodec import EncoderConfig, FeatureTensor, GlobalStats, TensorGroup, UnitHeader, fcm_decode, fcm_encode
+from fcmcodec import (
+    TRANSFORMS,
+    CodecId,
+    EncoderConfig,
+    FeatureTensor,
+    GlobalStats,
+    TensorGroup,
+    UnitHeader,
+    fcm_decode,
+    fcm_encode,
+)
 from fcmcodec.bitstream import STREAM_MAGIC, STREAM_VERSION, parse_stream, parse_unit, serialize_stream, serialize_unit
 from fcmcodec.errors import (
     FcmError,
@@ -17,7 +26,7 @@ from fcmcodec.errors import (
     VersionError,
 )
 
-from helpers import random_group
+from helpers import patched, random_group
 
 # A 1x2x2 tensor as the version-1 writer coded it: a u16 unit count, a u16
 # permutation length per unit, and neither a transform id nor a label.
@@ -75,10 +84,10 @@ def headers(draw):
         bit_depth=draw(st.integers(8, 16)),
         tile_h=draw(st.integers(1, 64)),
         tile_w=draw(st.integers(1, 64)),
-        transform_id=draw(st.integers(0, 255)),
+        transform_id=draw(st.integers(0, len(TRANSFORMS) - 1)),
         # at most 4 UTF-8 bytes per character, so within the u8 length
         label=draw(st.text(max_size=63)),
-        codec=draw(st.integers(0, 255)),
+        codec=draw(st.sampled_from([int(c) for c in CodecId])),
         qp=draw(st.integers(0, 63)),
     )
 
@@ -170,11 +179,32 @@ class TestStream:
             make_header(label="p3\ud800")
 
     def test_unknown_transform_id(self, rng):
-        units = parse_stream(fcm_encode(random_group(rng, count=2), EncoderConfig()))
-        header, payload = units[1]
-        units[1] = (dataclasses.replace(header, transform_id=255), payload)
+        stream = fcm_encode(random_group(rng, count=2), EncoderConfig())
         with pytest.raises(FormatError, match="unit 1: unknown transform id 255"):
-            fcm_decode(serialize_stream(units))
+            fcm_decode(patched(stream, 1, "transform_id", "<B", 255))
+
+    @pytest.mark.parametrize("field,known", [("transform_id", len(TRANSFORMS)), ("codec", len(CodecId))])
+    def test_every_unknown_id_refused(self, field, known):
+        stream = serialize_stream([(make_header(label="p4"), b"xy")] * 3)
+        name = field.split("_")[0]
+        for unit in range(3):
+            for value in range(known, 256):
+                with pytest.raises(InvariantError, match=f"^unit {unit}: unknown {name} id {value}$"):
+                    parse_stream(patched(stream, unit, field, "<B", value))
+
+    @pytest.mark.parametrize(
+        "field,fmt,value,message",
+        [
+            ("mu", "<f", math.nan, "finite"),
+            ("sigma", "<f", -1.0, "non-negative"),
+            ("sigma", "<f", math.inf, "finite"),
+            ("qp", "<B", 64, "qp 64"),
+        ],
+    )
+    def test_header_field_out_of_range_refused(self, field, fmt, value, message):
+        stream = serialize_stream([(make_header(label="p3"), b"xy")] * 2)
+        with pytest.raises(InvariantError, match=f"unit 1: .*{message}"):
+            parse_stream(patched(stream, 1, field, fmt, value))
 
     def test_truncated_payload_len(self):
         blob = serialize_stream([(make_header(), b"abcdef")])

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import pathlib
 import re
@@ -8,13 +7,13 @@ import numpy as np
 import pytest
 
 from fcmcodec import CodecId, EncoderConfig, compute_global_stats, fcm_encode
-from fcmcodec.bitstream import parse_stream, serialize_stream
+from fcmcodec.bitstream import parse_stream
 from fcmcodec.cli import main
 from fcmcodec.planar import read_sequence, write_sequence
 from fcmcodec.tensor import _CHUNK, read_tensor_file, write_tensor_file
 from fcmcodec.vcm import PixelSequence
 
-from helpers import CHANNEL_MISMATCHES, channel_mismatch_stream, depth_relabelled_stream, random_group
+from helpers import CHANNEL_MISMATCHES, channel_mismatch_stream, depth_relabelled_stream, patched, random_group
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "bdrate"
 
@@ -74,7 +73,7 @@ class TestCodecCommands:
                 "sigma": abs(final.sigma - h.transform_stats.sigma),
             }
 
-    def test_inspect_one_line_per_unit(self, tmp_path, ftns, capsys):
+    def test_inspect_one_line_per_unit(self, tmp_path, ftns, rng, capsys):
         fcmb = tmp_path / "out.fcmb"
         main(["encode", "--input", str(ftns), "--output", str(fcmb)])
         assert main(["inspect", "--input", str(fcmb)]) == 0
@@ -86,6 +85,15 @@ class TestCodecCommands:
                 "payload_len=",
             ):
                 assert field in line
+            assert "transform=identity" in line
+
+        even = tmp_path / "even.ftns"
+        write_tensor_file(even, random_group(rng, count=2, height=8, width=6))
+        pooled = tmp_path / "pooled.fcmb"
+        assert main(["encode", "--input", str(even), "--output", str(pooled), "--transform", "meanpool2x"]) == 0
+        assert main(["inspect", "--input", str(pooled)]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 2 and all("transform=meanpool2x" in line for line in lines)
 
     def test_decode_bad_magic_exit_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.fcmb"
@@ -104,12 +112,30 @@ class TestCodecCommands:
         assert f"declares {count} units" in capsys.readouterr().err
 
     def test_unknown_transform_exit_3(self, tmp_path, rng, capsys):
-        (header, payload), = parse_stream(fcm_encode(random_group(rng, count=1), EncoderConfig()))
+        stream = fcm_encode(random_group(rng, count=1), EncoderConfig())
         bad = tmp_path / "bad.fcmb"
-        bad.write_bytes(serialize_stream([(dataclasses.replace(header, transform_id=200), payload)]))
+        bad.write_bytes(patched(stream, 0, "transform_id", "<B", 200))
         for argv in (["decode", "--output", str(tmp_path / "o.ftns")], ["inspect"]):
             assert main(argv + ["--input", str(bad)]) == 3
             assert "unknown transform id 200" in capsys.readouterr().err
+
+    def test_unknown_codec_exit_3(self, tmp_path, rng, capsys):
+        stream = fcm_encode(random_group(rng, count=2), EncoderConfig())
+        bad = tmp_path / "bad.fcmb"
+        bad.write_bytes(patched(stream, 1, "codec", "<B", 7))
+        for argv in (["decode", "--output", str(tmp_path / "o.ftns")], ["inspect"]):
+            assert main(argv + ["--input", str(bad)]) == 3
+            assert "unit 1: unknown codec id 7" in capsys.readouterr().err
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_sigma_overflowing_the_refinement_exit_3(self, tmp_path, rng, capsys):
+        # A finite f32 sigma whose refined samples overflow float32.
+        stream = fcm_encode(random_group(rng, count=2), EncoderConfig())
+        bad = tmp_path / "bad.fcmb"
+        bad.write_bytes(patched(stream, 1, "sigma", "<f", 3e38))
+        assert main(["decode", "--input", str(bad), "--output", str(tmp_path / "o.ftns")]) == 3
+        assert "unit 1:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("channels,ratio,declared", CHANNEL_MISMATCHES)
     def test_layout_channel_mismatch_exit_3(self, tmp_path, capsys, channels, ratio, declared):
@@ -227,6 +253,16 @@ class TestVcmCommands:
         assert len(back) == len(orig)
         for i in (0, 4, 8):
             np.testing.assert_array_equal(back.frames[i], orig.frames[i])
+
+    def test_trailing_side_info_bytes_exit_3(self, tmp_path, seq_file, capsys):
+        sampled = tmp_path / "s.raw"
+        side = tmp_path / "side.bin"
+        argv = ["--input", str(seq_file), "--output", str(sampled), "--ratio", "4", "--sideinfo", str(side)]
+        assert main(["vcm-tsample"] + argv) == 0
+        side.write_bytes(side.read_bytes() + bytes(4))
+        argv = ["--input", str(sampled), "--output", str(tmp_path / "r.raw"), "--sideinfo", str(side)]
+        assert main(["vcm-trestore"] + argv) == 3
+        assert "4 trailing bytes" in capsys.readouterr().err
 
     def test_bad_ratio_exit_4(self, tmp_path, seq_file):
         rc = main(

@@ -17,7 +17,14 @@ from fcmcodec import (
     fcm_encode,
 )
 from fcmcodec.bitstream import UnitHeader, parse_stream, serialize_stream
-from fcmcodec.errors import DimensionOverflowError, DomainError, FcmError, FormatError, PayloadDecodeError
+from fcmcodec.errors import (
+    DimensionOverflowError,
+    DomainError,
+    FcmError,
+    FormatError,
+    InvariantError,
+    PayloadDecodeError,
+)
 from fcmcodec.tensor import GlobalStats
 
 from helpers import (
@@ -26,6 +33,7 @@ from helpers import (
     assert_refined,
     channel_mismatch_stream,
     depth_relabelled_stream,
+    patched,
     random_group,
     random_tensor,
     record_refinements,
@@ -120,6 +128,15 @@ class TestDecode:
         stream[-1] ^= 0xFF
         with pytest.raises(FcmError, match="unit 1"):
             fcm_decode(bytes(stream))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_domain_error_from_stream_fields_is_malformed_input(self, rng):
+        # Refining onto a finite f32 sigma of 3e38 overflows float32; the
+        # stream chose that sigma, so the error is the stream's.
+        stream = patched(fcm_encode(random_group(rng, count=2), lossless_cfg()), 1, "sigma", "<f", 3e38)
+        with pytest.raises(InvariantError, match="unit 1: tensor contains non-finite values") as info:
+            fcm_decode(stream)
+        assert isinstance(info.value.__cause__, DomainError)
 
 
 def stream_declaring(codec: CodecId, frame_side: int, payload: bytes) -> bytes:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from fcmcodec import (
     temporal_resample_scalar,
     temporal_restore,
 )
-from fcmcodec.errors import DomainError
+from fcmcodec.errors import DomainError, InvariantError
 
 
 def seq_of(frames, bit_depth=10):
@@ -99,6 +101,20 @@ class TestTemporal:
         with pytest.raises(DomainError):
             temporal_restore(sampled, TemporalSideInfo(2, 8))
 
+    def test_declared_count_checked_before_anything_is_sized(self):
+        # 10^6 declared frames against a one-frame sequence: the kept count
+        # is compared without building an index per declared frame.
+        seq = constant_seq([7])
+        info = TemporalSideInfo.parse(TemporalSideInfo(2, 10**6).serialize())
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="implies 500000 kept frames, sequence has 1"):
+                temporal_restore(seq, info)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
     @given(st.integers(1, 100), st.sampled_from([2, 4, 8]), st.integers(0, 2**32 - 1))
     @settings(max_examples=120, deadline=None)
     def test_roundtrip_counts_and_kept_frames(self, count, ratio, seed):
@@ -122,3 +138,7 @@ class TestSideInfo:
 
         with pytest.raises(TruncatedError):
             TemporalSideInfo.parse(b"\x02\x00")
+
+    def test_parse_trailing_bytes(self):
+        with pytest.raises(InvariantError, match="1 trailing bytes"):
+            TemporalSideInfo.parse(TemporalSideInfo(4, 9).serialize() + b"\x00")
