@@ -35,25 +35,31 @@ Decoding needs no loop per codeword or per block. unpackbits and flatnonzero
 find every prefix's 1, hence every codeword's length; a cumsum gives every
 suffix's bit offset; a 32-bit gather reads every value; a cumsum over the
 counts places the pairs in their blocks, and one scatter writes the
-coefficients. The decoder first scans every prefix into one byte per
-codeword and runs every truncation and padding check, then decodes a slice
-of block rows at a time: it reads the slice's values, scatters them and
-writes the slice's inverse DCT into the frame. The prefix scan and the value
-read run in bounded chunks, and a slice holds a bounded number of pairs and
-of blocks, so beyond the frame, a copy of the payload and a byte per
-codeword, the scratch memory does not grow with the payload or the frame.
+coefficients at their zigzag positions. The inverse DCT is one product with
+a fixed 64x64 matrix, as the H.26x standards define it: row z of the basis
+kron(D, D)[ZIGZAG], for the 8-point DCT-II matrix D, is the block of the unit
+coefficient at zigzag position z. The decoder first scans every prefix into
+one byte per codeword and runs every truncation and padding check, then
+decodes a slice of block rows at a time: it reads the slice's values,
+scatters them and writes the slice's inverse DCT into the frame. The prefix
+scan and the value read run in bounded chunks, and a slice holds a bounded
+number of pairs and of blocks, so beyond the frame, a copy of the payload and
+a byte per codeword, the scratch memory does not grow with the payload or
+the frame.
 
-The encoder rounds the coefficients to int32 levels once per frame as
-trunc(x + copysign(1/2, x)), then codes the pairs of a slice of blocks at a
-time; a slice ends at about 2^14 pairs. frexp splits each symbol's v + 1 into
-its codeword width and its suffix. One cumsum of the widths gives every
-prefix's end, and every suffix's end is that less the count of codewords so
-far. packbits writes the prefixes' 1 bits. Every suffix, scaled to its place
-in a 51-bit window that starts at its 32-bit word, is summed per word by
-np.bincount in float64: the fields are disjoint, so the sum is their OR, and
-exact. codec_encode admits samples below 2^16 only, so no suffix is wider
-than 20 bits and a window holds each one. The pair suffixes wait in a second
-writer until the last slice.
+The encoder transforms a chunk of 512 blocks at a time, whole block rows or
+part of one row wider than that, with scipy's dctn in one reused float64
+buffer. It rounds each chunk's coefficients as trunc(x + copysign(1/2, x))
+into one int32 array of levels, already in zigzag order. It then codes the
+pairs of a slice of blocks at a time; a slice ends at about 2^13 pairs. frexp
+splits each symbol's v + 1 into its codeword width and its suffix. One cumsum
+of the widths gives every prefix's end, and every suffix's end is that less
+the count of codewords so far. packbits writes the prefixes' 1 bits. Every
+suffix, scaled to its place in a 51-bit window that starts at its 32-bit
+word, is summed per word by np.bincount in float64: the fields are disjoint,
+so the sum is their OR, and exact. codec_encode admits samples below 2^16
+only, so no suffix is wider than 20 bits and a window holds each one. The
+pair suffixes wait in a second writer until the last slice.
 """
 
 from __future__ import annotations
@@ -62,11 +68,12 @@ import zlib
 from enum import IntEnum
 
 import numpy as np
-from scipy.fft import dctn, idctn
+from scipy.fft import dctn
 
 # The rounding rule of the levels, for code that rebuilds them.
 from .conversion import _round_half_away  # noqa: F401
 from .errors import DomainError, PayloadDecodeError, TruncatedError
+from .tensor import _CHUNK
 
 BLOCK = 8
 _COEFFS = BLOCK * BLOCK
@@ -74,9 +81,11 @@ _COEFFS = BLOCK * BLOCK
 # Longest accepted ue zero prefix, so every value fits int32.
 _MAX_UE_PREFIX = 24
 
-# Pairs per encoder slice. Writing a pair holds about 70 bytes of scratch, so
-# a slice needs about 1.2 MB; smaller slices spend more time per numpy call.
-_SLICE_PAIRS = 1 << 14
+# Pairs per encoder slice. Writing a pair holds about 75 bytes of scratch, so
+# a slice needs about 0.6 MB. A slice also costs about 0.1 ms of numpy call
+# overhead: at 2^13 rather than 2^14 pairs the perfbench dense_dct16 frames
+# encoded about 6% slower in-process.
+_SLICE_PAIRS = 1 << 13
 
 # Words per chunk when one bit writer takes another's bits.
 _EXTEND_WORDS = 1 << 14
@@ -87,10 +96,10 @@ _SCAN_BYTES = 1 << 13
 _READ_CODEWORDS = 1 << 14
 
 # Pairs and blocks per decoder slice, of whole block rows. A slice holds about
-# 32 bytes of scratch per pair and 1 KB per block. At 2^14 pairs the perfbench
-# dense_dct16 frames decoded about 2% slower, as each numpy call does less;
-# the block bound binds on sparse frames only.
-_DECODE_SLICE_PAIRS = 1 << 15
+# 32 bytes of scratch per pair and 1 KB per block. At 2^15 pairs the perfbench
+# dense_dct16 frames decoded no faster and peaked 0.2 MB higher; the block
+# bound binds on sparse frames only.
+_DECODE_SLICE_PAIRS = 1 << 14
 _DECODE_SLICE_BLOCKS = 1 << 11
 
 # deflate memLevel of RAW_LOSSLESS. With the run-length strategy it sets the
@@ -119,8 +128,26 @@ def _zigzag_order(n: int = BLOCK) -> np.ndarray:
 
 
 ZIGZAG = _zigzag_order()
-# Each zigzag position's raster position, less the zigzag position.
-_ZIGZAG_SHIFT = ZIGZAG - np.arange(_COEFFS)
+
+
+def _inverse_basis() -> np.ndarray:
+    """Row z is the 8x8 block, in raster order, of the unit coefficient at
+    zigzag position z under the orthonormal 2-D DCT: kron(D, D)[ZIGZAG] for
+    the 8-point DCT-II matrix D."""
+    k = np.arange(BLOCK)
+    d = np.cos(np.pi / (2 * BLOCK) * np.outer(k, 2 * k + 1)) * np.sqrt(2 / BLOCK)
+    d[0] = np.sqrt(1 / BLOCK)
+    return np.kron(d, d)[ZIGZAG]
+
+
+_BASIS = _inverse_basis()
+
+
+def idctn(coeffs: np.ndarray) -> np.ndarray:
+    """The 8x8 blocks, (n, 64) in raster order, of the orthonormal inverse DCT
+    of blocks of zigzag-ordered coefficients, (n, 64): one product with the
+    basis."""
+    return coeffs @ _BASIS
 
 
 def _to_blocks(frame: np.ndarray) -> np.ndarray:
@@ -307,20 +334,35 @@ def _row_slices(counts: np.ndarray) -> list[tuple[int, int]]:
 
 
 def _encode_dct(frame: np.ndarray, qp: int, bit_depth: int) -> bytes:
-    blocks = np.ascontiguousarray(_to_blocks(frame), dtype=np.float64).reshape(-1, BLOCK, BLOCK)
-    coeffs = dctn(blocks, type=2, norm="ortho", axes=(-2, -1), overwrite_x=True)
-    del blocks
-    coeffs /= qstep(qp)
-    # trunc(x + copysign(1/2, x)) is _round_half_away(x): the addition rounds
-    # as |x| + 1/2 does, and the int32 cast truncates. A float32 half is exact.
-    coeffs += np.copysign(0.5, coeffs, dtype=np.float32)
-    levels = coeffs.astype(np.int32).reshape(-1, _COEFFS)
-    del coeffs
+    blocks = _to_blocks(frame)
+    hb, wb = blocks.shape[:2]
+    step = qstep(qp)
+    # A chunk is whole block rows, or part of one row wider than the chunk.
+    per_chunk = _CHUNK // _COEFFS
+    rows, cols = max(1, per_chunk // wb), min(wb, per_chunk)
+    chunk = np.empty(_CHUNK)
+    levels = np.empty((hb * wb, _COEFFS), dtype=np.int32)
+    s = 0
+    for r in range(0, hb, rows):
+        for c in range(0, wb, cols):
+            part = blocks[r : r + rows, c : c + cols]
+            n = part.shape[0] * part.shape[1]
+            coeffs = chunk[: n * _COEFFS].reshape(part.shape)
+            coeffs[...] = part
+            coeffs = dctn(coeffs, type=2, norm="ortho", axes=(-2, -1), overwrite_x=True)
+            coeffs /= step
+            # trunc(x + copysign(1/2, x)) is _round_half_away(x): the addition
+            # rounds as |x| + 1/2 does, and the int32 cast truncates. A
+            # float32 half is exact.
+            coeffs += np.copysign(0.5, coeffs, dtype=np.float32)
+            levels[s : s + n] = coeffs.reshape(n, _COEFFS)[:, ZIGZAG]
+            s += n
+    del chunk, coeffs
     counts = np.count_nonzero(levels, axis=1)
     out, suffixes = _BitWriter(), _BitWriter()
     out.write_ue(out, counts)
     for s, e in _slices(len(counts), _cuts(counts, _SLICE_PAIRS)):
-        out.write_ue(suffixes, *_pair_symbols(levels[s:e, ZIGZAG]))
+        out.write_ue(suffixes, *_pair_symbols(levels[s:e]))
     del levels
     out.extend(suffixes)
     del suffixes
@@ -401,7 +443,7 @@ def _ue_values(words: tuple[np.ndarray, np.ndarray], zeros: np.ndarray, start: i
 
 
 def _scatter_blocks(counts: np.ndarray, pairs: np.ndarray, step: float) -> np.ndarray:
-    """Dequantized coefficients of the blocks, (len(counts), 64) in raster
+    """Dequantized coefficients of the blocks, (len(counts), 64) in zigzag
     order. Overwrites pairs."""
     runs, levels = pairs[0::2], pairs[1::2]
     full = np.flatnonzero(counts)  # the blocks that hold pairs
@@ -422,7 +464,6 @@ def _scatter_blocks(counts: np.ndarray, pairs: np.ndarray, step: float) -> np.nd
         raise PayloadDecodeError("coefficient position past end of block")
     if not levels.all():
         raise PayloadDecodeError("zero level in run-level pair")
-    at += _ZIGZAG_SHIFT[at & (_COEFFS - 1)]
     # m -> (m + 1) / 2 for odd m, -m / 2 for even m: x ^ -1 - -1 is -x
     mask = levels & 1
     mask -= 1
@@ -477,7 +518,7 @@ def _decode_dct(data: bytes, qp: int, shape: tuple[int, int]) -> np.ndarray:
         first = last
         coeffs = _scatter_blocks(blocks, pairs, step)
         del pairs
-        pixels = idctn(coeffs.reshape(r1 - r0, wb, BLOCK, BLOCK), type=2, norm="ortho", axes=(-2, -1), overwrite_x=True)
+        pixels = idctn(coeffs).reshape(r1 - r0, wb, BLOCK, BLOCK)
         del coeffs
         # floor(x + 0.5) rounds half away from zero wherever clip keeps the value.
         rows = _from_blocks(pixels, min(h, BLOCK * r1) - BLOCK * r0, w)

@@ -47,13 +47,15 @@ def quantize_frame(frame: np.ndarray, bit_depth: int = 10) -> tuple[np.ndarray, 
     if lo == hi:
         return np.zeros(frame.shape, dtype=np.uint16), (lo, hi)
     # (x - min) / (max - min) * levels, one IEEE step at a time, a float64
-    # chunk of rows at a time.
+    # chunk of rows at a time, then rounded half away from zero: x >= 0, so
+    # that is floor(x + 0.5).
     out = np.empty(frame.shape, dtype=np.uint16)
     for x, rows in _float64_chunks(frame, out):
         x -= lo
         x /= hi - lo
         x *= levels
-        rows[...] = _round_half_away(x)
+        x += 0.5
+        rows[...] = np.floor(x, out=x)
     return out, (lo, hi)
 
 

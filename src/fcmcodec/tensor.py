@@ -200,12 +200,16 @@ def apply_refinement(t: FeatureTensor, target: GlobalStats) -> FeatureTensor:
     # target.sigma * (x - mu) / sigma + target.mu, one IEEE step at a time,
     # a float64 chunk at a time.
     out = np.empty(t.shape, dtype=np.float32)
-    for x, rows in _float64_chunks(t.data.reshape(-1, t.width), out.reshape(-1, t.width)):
-        x -= current.mu
-        x *= target.sigma
-        x /= current.sigma
-        x += target.mu
-        rows[...] = x
+    # A hostile target.sigma can take x past float32 in the cast to rows (the
+    # float64 steps cannot overflow on finite float32 input). The sample
+    # becomes inf, which FeatureTensor refuses, so numpy need not warn.
+    with np.errstate(over="ignore"):
+        for x, rows in _float64_chunks(t.data.reshape(-1, t.width), out.reshape(-1, t.width)):
+            x -= current.mu
+            x *= target.sigma
+            x /= current.sigma
+            x += target.mu
+            rows[...] = x
     return FeatureTensor(out)
 
 

@@ -5,16 +5,22 @@ preceded by bit_length(v+1) - 1 zero bits. The reference DCT coder below
 reads and writes one bit at a time, in the split-plane layout the codec
 module's docstring describes: a sequence's prefixes (z zeros and a 1) first,
 then its suffixes (the low z bits of each v+1). The tests require the
-codec's bytes and decoded frames, or its error class, to equal its.
-`dct_block_forward` and `dct_block_inverse` transform one 8x8 block, for
-checks of the transform convention the codec applies to all blocks at once.
+codec's bytes and decoded frames, or its error class, to equal its. The
+reference encoder's levels come from scipy's `dctn` of the whole frame, and
+its decoder's pixels from the codec's own inverse, `codec.idctn`, so it checks
+the entropy layer and the encoder's chunking, not the inverse's float rounding.
+`dct_block_forward` and `dct_block_inverse` transform one 8x8 block with
+scipy, an independent check of the transform convention.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from fcmcodec.codec import BLOCK, ZIGZAG, _from_blocks, _to_blocks, dctn, idctn, qstep
+from scipy.fft import dctn, idctn
+
+from fcmcodec import codec
+from fcmcodec.codec import BLOCK, ZIGZAG, _from_blocks, _to_blocks, qstep
 from fcmcodec.errors import DomainError, PayloadDecodeError, TruncatedError
 
 # Longest accepted exp-Golomb zero prefix; longer prefixes are treated as
@@ -204,15 +210,15 @@ def reference_decode_dct(data: bytes, qp: int, shape: tuple[int, int]) -> np.nda
             m = next(symbols)
             if m == 0:
                 raise PayloadDecodeError("zero level in run-level pair")
-            coefficients.append((b, ZIGZAG[pos], _ue_to_signed(m) * step))
+            coefficients.append((b, pos, _ue_to_signed(m) * step))
     if reader.bits_left() >= 8:
         raise PayloadDecodeError("a whole byte past the last codeword")
     if reader.read_bits(reader.bits_left()):
         raise PayloadDecodeError("nonzero padding bit")
-    flat = np.zeros((hb * wb, BLOCK * BLOCK), dtype=np.float64)
+    flat = np.zeros((hb * wb, BLOCK * BLOCK), dtype=np.float64)  # zigzag order
     for b, index, value in coefficients:
         flat[b, index] = value
-    pixels = idctn(flat.reshape(hb, wb, BLOCK, BLOCK), type=2, norm="ortho", axes=(-2, -1))
+    pixels = codec.idctn(flat).reshape(hb, wb, BLOCK, BLOCK)
     frame = _from_blocks(pixels, h, w)
     frame = np.clip(_round_half_away(frame), 0, (1 << bit_depth) - 1)
     return frame.astype(np.uint16)

@@ -2,6 +2,7 @@ import json
 import pathlib
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -128,14 +129,18 @@ class TestCodecCommands:
             assert "unit 1: unknown codec id 7" in capsys.readouterr().err
         assert capsys.readouterr().out == ""
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_sigma_overflowing_the_refinement_exit_3(self, tmp_path, rng, capsys):
-        # A finite f32 sigma whose refined samples overflow float32.
+        # A finite f32 sigma whose refined samples overflow float32: one
+        # error line, and no numpy warning before it.
         stream = fcm_encode(random_group(rng, count=2), EncoderConfig())
         bad = tmp_path / "bad.fcmb"
         bad.write_bytes(patched(stream, 1, "sigma", "<f", 3e38))
-        assert main(["decode", "--input", str(bad), "--output", str(tmp_path / "o.ftns")]) == 3
-        assert "unit 1:" in capsys.readouterr().err
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["decode", "--input", str(bad), "--output", str(tmp_path / "o.ftns")]) == 3
+        assert not caught, [str(w.message) for w in caught]
+        err = capsys.readouterr().err
+        assert err.startswith("error: unit 1:") and err.count("\n") == 1, err
 
     @pytest.mark.parametrize("channels,ratio,declared", CHANNEL_MISMATCHES)
     def test_layout_channel_mismatch_exit_3(self, tmp_path, capsys, channels, ratio, declared):

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.fft import dctn as scipy_dctn
+from scipy.fft import idctn as scipy_idctn
 from scipy.ndimage import gaussian_filter
 
-from fcmcodec import CodecId, codec_decode, codec_encode, qstep
+from fcmcodec import CodecId, codec, codec_decode, codec_encode, qstep
 from fcmcodec.errors import DomainError, FcmError, PayloadDecodeError, TruncatedError
 from fcmcodec.metrics import psnr
 
@@ -61,6 +63,35 @@ class TestDctBlocks:
     def test_wrong_shape(self):
         with pytest.raises(DomainError):
             dct_block_forward(np.zeros((4, 4)))
+
+
+def assert_inverse_matches_scipy(coeffs):
+    """codec.idctn of the zigzag-ordered (n, 8, 8) raster coefficient blocks
+    is scipy's inverse DCT within 1e-9 of each block's largest magnitude."""
+    expected = scipy_idctn(coeffs, type=2, norm="ortho", axes=(-2, -1)).reshape(-1, 64)
+    got = codec.idctn(coeffs.reshape(-1, 64)[:, codec.ZIGZAG])
+    scale = np.abs(coeffs).reshape(-1, 64).max(axis=1, keepdims=True)
+    assert (np.abs(got - expected) <= 1e-9 * scale).all()
+
+
+class TestInverseBasis:
+    def test_random_blocks(self, rng):
+        magnitude = 10.0 ** rng.uniform(-3, 7, size=(500, 1, 1))
+        assert_inverse_matches_scipy(rng.normal(size=(500, 8, 8)) * magnitude)
+
+    def test_extreme_16bit_blocks(self, rng):
+        top = 65535.0
+        pixels = [
+            np.full((8, 8), top),
+            np.indices((8, 8)).sum(axis=0) % 2 * top,  # checkerboard
+            np.indices((8, 8))[0] % 2 * top,  # stripes
+            np.pad(np.full((1, 1), top), ((0, 7), (0, 7))),  # one corner
+            rng.integers(0, 2, size=(8, 8)) * top,
+        ]
+        coeffs = [scipy_dctn(p, type=2, norm="ortho") for p in pixels]
+        # The largest levels a 16-bit frame codes at qp 0, of either sign.
+        coeffs.append(rng.choice([-1.0, 1.0], size=(8, 8)) * (2**20 - 1) * qstep(0))
+        assert_inverse_matches_scipy(np.array(coeffs))
 
 
 class TestRawLossless:

@@ -102,6 +102,15 @@ SEVERAL_SLICES = make_frame(np.random.default_rng(4), (192, 192), 16, smooth=Fal
         (np.full((8, 8), 65535, np.uint16), 0, 16),
         (make_frame(np.random.default_rng(3), (136, 136), 10, smooth=True), 22, 10),
         (SEVERAL_SLICES, 0, 16),
+        # The encoder transforms _CHUNK // 64 = 512 blocks at a time: whole
+        # block rows, or part of a row wider than that. 2 rows of 600 blocks,
+        # each cut at 512; one row of 563 blocks, from 5 rows of pixels; 13
+        # rows of 100 blocks, in chunks of 5 rows, the last of them 3 rows.
+        pytest.param(make_frame(np.random.default_rng(8), (16, 4800), 10, smooth=True), 22, 10, id="rows_wider_than_a_chunk"),
+        pytest.param(make_frame(np.random.default_rng(9), (5, 4500), 16, smooth=True), 4, 16, id="one_block_row"),
+        pytest.param(
+            make_frame(np.random.default_rng(10), (104, 800), 12, smooth=True), 8, 12, id="blocks_not_a_multiple_of_the_chunk"
+        ),
     ],
 )
 def test_edge_frames_match_reference(frame, qp, bit_depth):
@@ -348,9 +357,10 @@ def test_counts_past_the_payload_are_refused_before_the_pairs_are_sized():
 
 # Bound on the tracemalloc peak of a BLOCK_DCT encode, in bytes per frame
 # element. A 512x512 16-bit noise frame at qp 0, a 1 MB payload, peaks at
-# 12.7 B per element (21.6 B with the previous encoder), so the bound leaves
-# a 1.26x margin. Coded as one slice, the same frame peaks at 78 B per element.
-ENCODE_PEAK_PER_ELEMENT = 16
+# 10.8 B per element: 13.0 B with a whole-frame transform and slices of 2^14
+# pairs, 21.6 B before slices. The bound leaves a 1.25x margin. Coded as one
+# slice, the same frame peaks at 78 B per element.
+ENCODE_PEAK_PER_ELEMENT = 13.5
 
 
 def test_encode_peak_per_element():
@@ -366,9 +376,10 @@ def test_encode_peak_per_element():
 # B per element and a flat 1024x1024 frame, a pair per block, at 18.1. A slice
 # of block rows at a time, bounded in pairs and in blocks, they peak at 12.1
 # and 4.2. Read in place rather than from a padded copy of the 1 MB payload,
-# the noise frame peaks at 8.2, so its bound leaves a 1.28x margin.
+# the noise frame peaked at 8.2; in slices of 2^14 rather than 2^15 pairs, at
+# 6.6, so its bound leaves a 1.29x margin.
 DECODE_PEAK_CASES = {
-    "noise": (make_frame(np.random.default_rng(5), (512, 512), 16, smooth=False), 0, 16, 10.5),
+    "noise": (make_frame(np.random.default_rng(5), (512, 512), 16, smooth=False), 0, 16, 8.5),
     "flat": (np.full((1024, 1024), 512, np.uint16), 22, 10, 6),
 }
 

@@ -11,7 +11,10 @@ values fails here until the fixtures are regenerated on purpose with
 import hashlib
 import itertools
 import json
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -65,9 +68,9 @@ def decoded_digest(group: TensorGroup) -> str:
     return h.hexdigest()
 
 
-def golden_cases(name: str, group: TensorGroup) -> list[dict]:
+def golden_cases(name: str, group: TensorGroup, codecs: dict[str, CodecId] = CODECS) -> list[dict]:
     out = []
-    for (codec, cid), qp, prune, depth in itertools.product(CODECS.items(), QPS, PRUNE_RATIOS, BIT_DEPTHS):
+    for (codec, cid), qp, prune, depth in itertools.product(codecs.items(), QPS, PRUNE_RATIOS, BIT_DEPTHS):
         stream = fcm_encode(group, EncoderConfig(prune_ratio=prune, bit_depth=depth, codec=cid, qp=qp))
         out.append(
             {
@@ -111,6 +114,35 @@ def test_one_refinement_matches_the_staged_reference(name):
     ):
         cfg = EncoderConfig(prune_ratio=prune, bit_depth=depth, codec=cid, qp=qp, transform=transform)
         assert_matches_staged_reference(group, cfg)
+
+
+# Another OpenBLAS kernel than the host's, for the cross-kernel check below.
+OTHER_BLAS_CORE = "Nehalem"
+
+
+def test_dct_goldens_decode_alike_on_another_blas_kernel():
+    """The inverse DCT is a BLAS product, and the kernel sets the order of its
+    sums. Decoded with OpenBLAS's Nehalem kernel, in a fresh interpreter, the
+    DCT cases still give their pinned stream and decoded hashes."""
+    tests = Path(__file__).resolve().parent
+    env = dict(
+        os.environ,
+        OPENBLAS_CORETYPE=OTHER_BLAS_CORE,
+        OPENBLAS_VERBOSE="2",  # OpenBLAS then names its kernel on stderr
+        PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]),
+    )
+    code = (
+        "import json, test_golden as g\n"
+        "cases = [c for n in g.make_inputs()"
+        " for c in g.golden_cases(n, g.read_tensor_file(g.GOLDEN / n), {'dct': g.CodecId.BLOCK_DCT})]\n"
+        "print(json.dumps(cases))"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    if f"Core: {OTHER_BLAS_CORE}" not in done.stderr:
+        pytest.skip(f"numpy's BLAS does not take OPENBLAS_CORETYPE={OTHER_BLAS_CORE}")
+    expected = [c for c in _manifest()["cases"] if c["codec"] == "dct"]
+    assert json.loads(done.stdout.splitlines()[-1]) == expected
 
 
 def test_golden_inputs_are_the_seeded_groups():
