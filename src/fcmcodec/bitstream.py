@@ -1,6 +1,6 @@
 """The FCMB container: one self-delimiting unit per coded tensor.
 
-Stream layout: magic `FCMB`, version u8 (4), unit count u8 (1-8), then units.
+Stream layout: magic `FCMB`, version u8 (5), unit count u8 (1-8), then units.
 A unit holds, in order:
 - the channel count N and the pruned count k (u16 each);
 - the combination rank of the pruned set, a u16-length-prefixed big-endian
@@ -12,13 +12,13 @@ A unit holds, in order:
 - a transform id (u8, the position of the encoder's transform in
   `TRANSFORMS`) and the tensor's label (u8 length, then UTF-8), so a stream
   decodes with no side information;
-- the inner codec id (u8, a `CodecId`) and qp (u8), then the payload (u32
-  length).
+- the inner codec id (u8, a `CodecId`), then the payload (u32 length). The
+  payload is the inner codec's own: a BLOCK_DCT payload carries its qp.
 Other multi-byte integers are little-endian.
 
 `UnitHeader` is the one place that decides which ids exist: it refuses a
-transform id past `TRANSFORMS`, a codec id outside `CodecId` and a qp over 63,
-so a stream that parses names only stages the decoder has. `parse_stream`
+transform id past `TRANSFORMS` and a codec id outside `CodecId`, so a stream
+that parses names only stages the decoder has. `parse_stream`
 prefixes a unit's parse error with its index.
 """
 
@@ -41,7 +41,7 @@ from .packing import PackingLayout
 from .tensor import MAX_ELEMENTS, MAX_TENSORS, GlobalStats
 
 STREAM_MAGIC = b"FCMB"
-STREAM_VERSION = 4
+STREAM_VERSION = 5
 
 _U16_MAX = 0xFFFF
 
@@ -66,7 +66,6 @@ class UnitHeader:
     transform_id: int
     label: str
     codec: int
-    qp: int
 
     def __post_init__(self):
         if not 0 < self.original_channels <= _U16_MAX:
@@ -83,8 +82,6 @@ class UnitHeader:
             raise InvariantError(f"unknown transform id {self.transform_id}")
         if self.codec not in list(CodecId):
             raise InvariantError(f"unknown codec id {self.codec}")
-        if not 0 <= self.qp <= 63:
-            raise InvariantError(f"qp {self.qp} outside [0, 63]")
         try:
             label_size = len(self.label.encode("utf-8"))
         except UnicodeEncodeError as exc:
@@ -119,8 +116,7 @@ def serialize_unit(header: UnitHeader, payload: bytes) -> bytes:
         struct.pack("<BHH", header.bit_depth, header.tile_h, header.tile_w),
         struct.pack("<BB", header.transform_id, len(label)),
         label,
-        struct.pack("<BB", header.codec, header.qp),
-        struct.pack("<I", len(payload)),
+        struct.pack("<BI", header.codec, len(payload)),
         payload,
     ]
     return b"".join(parts)
@@ -149,8 +145,7 @@ def parse_unit(data: bytes, offset: int = 0) -> tuple[UnitHeader, memoryview, in
     bit_depth, tile_h, tile_w = struct.unpack("<BHH", take(5))
     transform_id, label_len = struct.unpack("<BB", take(2))
     label = take(label_len)
-    codec, qp = struct.unpack("<BB", take(2))
-    (payload_len,) = struct.unpack("<I", take(4))
+    codec, payload_len = struct.unpack("<BI", take(5))
     payload = take(payload_len)
     try:
         header = UnitHeader(
@@ -164,7 +159,6 @@ def parse_unit(data: bytes, offset: int = 0) -> tuple[UnitHeader, memoryview, in
             transform_id=transform_id,
             label=bytes(label).decode("utf-8"),
             codec=codec,
-            qp=qp,
         )
     except InvariantError:
         raise

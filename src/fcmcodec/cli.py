@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .bitstream import parse_stream
-from .codec import CodecId
+from .codec import CodecId, dct_qp
 from .errors import DomainError, FormatError
 from .metrics import RdCurve, bd_rate, psnr
 from .pipeline import EncoderConfig, fcm_decode, fcm_encode
@@ -105,6 +105,7 @@ def _cmd_inspect(args) -> int:
         data = fh.read()
     for i, (h, payload) in enumerate(parse_stream(data)):
         lay = h.layout
+        qp = f"qp={dct_qp(payload)} " if h.codec == CodecId.BLOCK_DCT else ""
         print(
             f"unit={i} N={h.original_channels} k={h.pruned_k} rank={h.lcr_rank} "
             f"mu={h.transform_stats.mu:.6g} sigma={h.transform_stats.sigma:.6g} "
@@ -112,14 +113,17 @@ def _cmd_inspect(args) -> int:
             f"grid={lay.grid_rows}x{lay.grid_cols} tile={lay.tile_h}x{lay.tile_w} "
             f"channels={lay.channel_count} transform={h.transform} "
             f"label={h.label!r} "
-            f"codec={h.codec} qp={h.qp} payload_len={len(payload)}"
+            f"codec={h.codec} {qp}payload_len={len(payload)}"
         )
     return 0
 
 
 def _read_curve(path) -> RdCurve:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     if not rows or [c.strip().lower() for c in rows[0]] != ["rate_kbps", "quality"]:
         raise FormatError(f"{path}: expected header row 'rate_kbps,quality'")
     rates, qualities = [], []

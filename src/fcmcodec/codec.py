@@ -1,4 +1,4 @@
-"""Pluggable inner frame codec with two built-ins.
+"""The inner frame codecs: RAW_LOSSLESS and BLOCK_DCT.
 
 RAW_LOSSLESS stores samples as little-endian u16 in one deflate stream, which
 is the whole payload, and decodes bit-exactly. The encoder uses zlib's
@@ -12,7 +12,7 @@ described by its count of nonzero coefficients and one (run, level) pair per
 coefficient. Every symbol v is an order-0 exp-Golomb (ue) codeword as in
 ITU-T H.264 9.1: z = bit_length(v+1) - 1 zero bits, then v+1 in z+1 bits.
 
-The payload is the bit-depth byte, then two ue sequences: the counts of all
+The payload is the qp byte (0-63), then two ue sequences: the counts of all
 blocks in raster order, then the 2 * sum(counts) run and level symbols of all
 blocks in the same order. Each sequence is split into two planes, MSB-first:
 its prefix plane holds, per codeword, the z zeros and the leading 1 of v+1;
@@ -21,6 +21,7 @@ planes are bit-contiguous and zero bits pad the last byte. The codewords are
 those of one plain ue stream, so the payload is exactly as long.
 
 A decoder refuses:
+- a qp byte over 63 (PayloadDecodeError);
 - a prefix of more than 24 zeros (PayloadDecodeError), so every value fits
   int32; valid 16-bit levels at qp 0 need at most 20;
 - fewer payload bits than blocks, or than the pair symbols the counts
@@ -43,9 +44,9 @@ one byte per codeword and runs every truncation and padding check, then
 decodes a slice of block rows at a time: it reads the slice's values,
 scatters them and writes the slice's inverse DCT into the frame. The prefix
 scan and the value read run in bounded chunks, and a slice holds a bounded
-number of pairs and of blocks, so beyond the frame, a copy of the payload and
-a byte per codeword, the scratch memory does not grow with the payload or
-the frame.
+number of pairs and of blocks, so beyond the frame and a byte per codeword,
+the scratch memory does not grow with the payload or the frame. The pixels
+are clipped to the bit depth the caller passes, the unit header's.
 
 The encoder transforms a chunk of 512 blocks at a time, whole block rows or
 part of one row wider than that, with scipy's dctn in one reused float64
@@ -333,7 +334,7 @@ def _row_slices(counts: np.ndarray) -> list[tuple[int, int]]:
     return _slices(rows, by_pairs, _cuts(np.full(rows, per_row), _DECODE_SLICE_BLOCKS))
 
 
-def _encode_dct(frame: np.ndarray, qp: int, bit_depth: int) -> bytes:
+def _encode_dct(frame: np.ndarray, qp: int) -> bytes:
     blocks = _to_blocks(frame)
     hb, wb = blocks.shape[:2]
     step = qstep(qp)
@@ -366,7 +367,7 @@ def _encode_dct(frame: np.ndarray, qp: int, bit_depth: int) -> bytes:
     del levels
     out.extend(suffixes)
     del suffixes
-    return out.getvalue(bytes([bit_depth]))
+    return out.getvalue(bytes([qp]))
 
 
 def _ue_lengths(buf: np.ndarray, nbits: int, start: int, n: int) -> tuple[np.ndarray, int, int]:
@@ -478,12 +479,17 @@ def _scatter_blocks(counts: np.ndarray, pairs: np.ndarray, step: float) -> np.nd
     return coeffs
 
 
-def _decode_dct(data: bytes, qp: int, shape: tuple[int, int]) -> np.ndarray:
+def dct_qp(data: bytes) -> int:
+    """The qp of a BLOCK_DCT payload, its leading byte."""
     if not data:
         raise TruncatedError("empty transform payload")
-    bit_depth = data[0]
-    if not 8 <= bit_depth <= 16:
-        raise PayloadDecodeError(f"bad bit depth {bit_depth} in payload")
+    if data[0] > 63:
+        raise PayloadDecodeError(f"qp {data[0]} in payload outside [0, 63]")
+    return data[0]
+
+
+def _decode_dct(data: bytes, bit_depth: int, shape: tuple[int, int]) -> np.ndarray:
+    step = qstep(dct_qp(data))
     h, w = shape
     hb = -(-h // BLOCK)
     wb = -(-w // BLOCK)
@@ -507,7 +513,6 @@ def _decode_dct(data: bytes, qp: int, shape: tuple[int, int]) -> np.ndarray:
         raise PayloadDecodeError("nonzero padding bit")
     # Every symbol has been read and checked; decode a slice of block rows at
     # a time, so the pair and coefficient scratch stays within the slice.
-    step = qstep(qp)
     frame = np.empty(shape, dtype=np.uint16)
     row_counts = counts.reshape(hb, wb)
     first = 0  # the slice's first pair symbol
@@ -546,25 +551,23 @@ def codec_encode(frame: np.ndarray, codec: CodecId, qp: int = 22, bit_depth: int
     if codec == CodecId.RAW_LOSSLESS:
         return _encode_raw(frame)
     if codec == CodecId.BLOCK_DCT:
-        return _encode_dct(frame, qp, bit_depth)
+        return _encode_dct(frame, qp)
     raise DomainError(f"no codec registered for id {codec}")
 
 
-def codec_decode(data: bytes, codec: int, qp: int, bit_depth: int, shape: tuple[int, int]) -> np.ndarray:
+def codec_decode(data: bytes, codec: int, bit_depth: int, shape: tuple[int, int]) -> np.ndarray:
     """Decompress to exactly shape with samples below 2^bit_depth, or raise a
     classified error."""
     h, w = shape
     if h < 1 or w < 1:
         raise DomainError("expected dimensions must be positive")
-    if not 0 <= qp <= 63:
-        raise DomainError(f"qp must be in [0, 63], got {qp}")
-    if codec == CodecId.RAW_LOSSLESS:
-        frame = _decode_raw(data, (h, w))
-    elif codec == CodecId.BLOCK_DCT:
-        frame = _decode_dct(data, qp, (h, w))
-    else:
+    if not 8 <= bit_depth <= 16:
+        raise DomainError(f"bit depth must be in [8, 16], got {bit_depth}")
+    if codec == CodecId.BLOCK_DCT:
+        return _decode_dct(data, bit_depth, (h, w))
+    if codec != CodecId.RAW_LOSSLESS:
         raise PayloadDecodeError(f"no codec registered for id {codec}")
-    # A RAW sample, or a DCT payload whose depth byte is wider than the unit's.
+    frame = _decode_raw(data, (h, w))
     if frame.max() >= (1 << bit_depth):
         raise PayloadDecodeError(f"decoded sample exceeds bit depth {bit_depth}")
     return frame

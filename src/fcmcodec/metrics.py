@@ -68,8 +68,14 @@ def bd_rate(anchor: RdCurve, test: RdCurve) -> float:
         raise DomainError("curves have no overlapping quality range")
     center = 0.5 * (lo + hi)
     span = hi - lo
-    avg_diff = (
-        _log_rate_integral(test, lo, hi, center)
-        - _log_rate_integral(anchor, lo, hi, center)
-    ) / span
-    return 100.0 * (10.0 ** avg_diff - 1.0)
+    try:
+        avg_diff = (
+            _log_rate_integral(test, lo, hi, center)
+            - _log_rate_integral(anchor, lo, hi, center)
+        ) / span
+        rate = 100.0 * (10.0 ** avg_diff - 1.0)
+    except (np.linalg.LinAlgError, OverflowError) as exc:
+        raise DomainError(f"no finite BD-rate: {exc}") from exc
+    if not (math.isfinite(avg_diff) and math.isfinite(rate)):
+        raise DomainError("no finite BD-rate: a cubic fit is not finite")
+    return rate

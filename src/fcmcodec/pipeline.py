@@ -95,7 +95,6 @@ def _encode_one(t: FeatureTensor, label: str, cfg: EncoderConfig) -> tuple[UnitH
         transform_id=list(TRANSFORMS).index(cfg.transform),
         label=label,
         codec=int(cfg.codec),
-        qp=cfg.qp,
     )
     return header, payload
 
@@ -116,7 +115,7 @@ def fcm_encode(group: TensorGroup, cfg: EncoderConfig, workers: int = 1) -> byte
 
 def _decode_one(header: UnitHeader, payload: bytes) -> FeatureTensor:
     lay = header.layout
-    x = codec_decode(payload, header.codec, header.qp, header.bit_depth, (lay.frame_height, lay.frame_width))
+    x = codec_decode(payload, header.codec, header.bit_depth, (lay.frame_height, lay.frame_width))
     x = dequantize_frame(x, header.bit_depth)
     x = unpack(x, lay)
     pruned = lcr_decode(LcrCode(header.pruned_k, header.lcr_rank), header.original_channels)

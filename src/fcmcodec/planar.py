@@ -10,7 +10,7 @@ import struct
 
 import numpy as np
 
-from .errors import DimensionOverflowError, InvariantError, TruncatedError
+from .errors import DimensionOverflowError, DomainError, InvariantError, TruncatedError
 from .vcm import PixelSequence
 
 _MAX_FRAME_SAMPLES = 1 << 28
@@ -61,4 +61,7 @@ def read_sequence(path) -> PixelSequence:
         pos += consumed
     if not frames:
         raise TruncatedError("empty sequence file")
-    return PixelSequence(tuple(frames), depth)
+    try:
+        return PixelSequence(tuple(frames), depth)
+    except DomainError as exc:  # every argument comes from the file
+        raise InvariantError(str(exc)) from exc

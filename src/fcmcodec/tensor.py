@@ -64,7 +64,8 @@ class FeatureTensor:
             raise DomainError(f"expected a 3-d array, got {arr.ndim}-d")
         if min(arr.shape) < 1:
             raise DomainError(f"all dimensions must be >= 1, got {arr.shape}")
-        if not _all_finite(arr.reshape(-1)):
+        # NaN propagates through min and max, and an infinity is one of them.
+        if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
             raise DomainError("tensor contains non-finite values")
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
@@ -112,17 +113,6 @@ class TensorGroup:
 
     def __len__(self) -> int:
         return len(self.tensors)
-
-
-def _all_finite(flat: np.ndarray) -> bool:
-    """np.isfinite(flat).all() for a 1-d flat, a _CHUNK of flags at a time."""
-    flags = np.empty(min(len(flat), _CHUNK), dtype=bool)
-    for s in range(0, len(flat), _CHUNK):
-        part = flags[: min(_CHUNK, len(flat) - s)]
-        np.isfinite(flat[s : s + _CHUNK], out=part)
-        if not part.all():
-            return False
-    return True
 
 
 def _float64_chunks(src: np.ndarray, out: np.ndarray):

@@ -68,10 +68,10 @@ class TemporalSideInfo:
             raise TruncatedError("side-info shorter than 5 bytes")
         if len(data) > 5:
             raise InvariantError(f"{len(data) - 5} trailing bytes after side-info")
-        ratio, count = struct.unpack("<BI", data)
-        if ratio not in VALID_RATIOS:
-            raise DomainError(f"side-info carries invalid ratio {ratio}")
-        return cls(ratio, count)
+        try:
+            return cls(*struct.unpack("<BI", data))
+        except DomainError as exc:  # every argument comes from the bytes
+            raise InvariantError(f"side-info: {exc}") from exc
 
 
 def bitdepth_truncate(s: PixelSequence, shift: int) -> PixelSequence:

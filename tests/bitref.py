@@ -154,7 +154,7 @@ def dct_block_inverse(block: np.ndarray) -> np.ndarray:
     return idctn(block, type=2, norm="ortho")
 
 
-def reference_encode_dct(frame: np.ndarray, qp: int, bit_depth: int) -> bytes:
+def reference_encode_dct(frame: np.ndarray, qp: int) -> bytes:
     """BLOCK_DCT payload of frame, one ue symbol and one bit at a time."""
     blocks = _to_blocks(np.asarray(frame).astype(np.float64))
     coeffs = dctn(blocks, type=2, norm="ortho", axes=(-2, -1))
@@ -170,11 +170,11 @@ def reference_encode_dct(frame: np.ndarray, qp: int, bit_depth: int) -> bytes:
     writer = BitWriter()
     write_split_ue(writer, counts)
     write_split_ue(writer, pairs)
-    return bytes([bit_depth]) + writer.getvalue()
+    return bytes([qp]) + writer.getvalue()
 
 
-def reference_decode_dct(data: bytes, qp: int, shape: tuple[int, int]) -> np.ndarray:
-    """Decode a BLOCK_DCT payload one bit at a time.
+def reference_decode_dct(data: bytes, bit_depth: int, shape: tuple[int, int]) -> np.ndarray:
+    """Decode a BLOCK_DCT payload one bit at a time, clipped to bit_depth.
 
     Refuses as truncated a payload with fewer bits than it must hold
     codewords: one per block, then two per declared coefficient. Sizes the
@@ -183,9 +183,9 @@ def reference_decode_dct(data: bytes, qp: int, shape: tuple[int, int]) -> np.nda
     """
     if not data:
         raise TruncatedError("empty transform payload")
-    bit_depth = data[0]
-    if not 8 <= bit_depth <= 16:
-        raise PayloadDecodeError(f"bad bit depth {bit_depth} in payload")
+    qp = data[0]
+    if qp > 63:
+        raise PayloadDecodeError(f"qp {qp} in payload outside [0, 63]")
     h, w = shape
     hb = -(-h // BLOCK)
     wb = -(-w // BLOCK)

@@ -29,6 +29,7 @@ from fcmcodec import (
     restore_channels,
     score_channels,
     select_pruned,
+    serialize_stream,
     serialize_unit,
     unpack,
 )
@@ -81,9 +82,9 @@ def relabelled(stream: bytes, offset: int, fmt: str, value: int) -> bytes:
 
 
 # How far each field starts before the end of a unit's fixed fields, which
-# end with the codec id, the qp and the u32 payload length; the label's bytes
-# come between the transform id and the codec id.
-_FIELD_FROM_END = {"qp": 5, "codec": 6, "transform_id": 8, "sigma": 17, "mu": 21}
+# end with the codec id and the u32 payload length; the label's bytes come
+# between the transform id and the codec id.
+_FIELD_FROM_END = {"codec": 5, "transform_id": 7, "sigma": 16, "mu": 20}
 
 
 def patched(stream: bytes, unit: int, field: str, fmt: str, value) -> bytes:
@@ -96,6 +97,24 @@ def patched(stream: bytes, unit: int, field: str, fmt: str, value) -> bytes:
     label = len(header.label.encode("utf-8")) if field in ("transform_id", "sigma", "mu") else 0
     blob = bytearray(stream)
     struct.pack_into(fmt, blob, end - _FIELD_FROM_END[field] - label, value)
+    return bytes(blob)
+
+
+def mutate(rng, data: bytes) -> bytes:
+    """data cut short, with bytes overwritten, with a bit flipped or with
+    random bytes appended, one of the four at random."""
+    blob = bytearray(data)
+    kind = int(rng.integers(0, 4))
+    if kind == 0:
+        return bytes(blob[: int(rng.integers(0, len(blob) + 1))])
+    if kind == 1:
+        for _ in range(int(rng.integers(1, 5))):
+            blob[int(rng.integers(0, len(blob)))] = int(rng.integers(0, 256))
+    elif kind == 2:
+        i = int(rng.integers(0, len(blob)))
+        blob[i] ^= 1 << int(rng.integers(0, 8))
+    else:
+        blob += rng.integers(0, 256, size=int(rng.integers(1, 12)), dtype=np.uint8).tobytes()
     return bytes(blob)
 
 
@@ -114,6 +133,13 @@ def depth_relabelled_stream(codec: CodecId) -> bytes:
     t = FeatureTensor(np.random.default_rng(16).normal(size=(2, 8, 8)).astype(np.float32))
     stream = fcm_encode(TensorGroup((t,)), EncoderConfig(codec=codec, qp=4, bit_depth=16))
     return relabelled(stream, 14, "<B", 8)  # after N, k, rank length and the stats pair
+
+
+def with_payload_qp(stream: bytes, unit: int, qp: int) -> bytes:
+    """A BLOCK_DCT stream with the qp byte of one unit's payload rewritten."""
+    units = [(h, bytearray(p)) for h, p in parse_stream(stream)]
+    units[unit][1][0] = qp
+    return serialize_stream(units)
 
 
 def _as_sent(stats: GlobalStats) -> GlobalStats:
@@ -140,7 +166,7 @@ def staged_reference_decode(group: TensorGroup, cfg: EncoderConfig, stream: byte
         reduced = prune_channels(xt, decision)
         frame, layout = pack(reduced)
         _, (lo, hi) = quantize_frame(frame, cfg.bit_depth)
-        q = codec_decode(payload, h.codec, h.qp, h.bit_depth, (layout.frame_height, layout.frame_width))
+        q = codec_decode(payload, h.codec, h.bit_depth, (layout.frame_height, layout.frame_width))
         if lo == hi:
             x = np.full(q.shape, lo, dtype=np.float32)
         else:

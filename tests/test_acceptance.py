@@ -249,7 +249,7 @@ def _fuzz_payloads(iterations):
             for _ in range(int(rng.integers(1, 5))):
                 blob[int(rng.integers(0, len(blob)))] = int(rng.integers(0, 256))
         try:
-            out = codec_decode(bytes(blob), int(codec), 22, 10, (16, 16))
+            out = codec_decode(bytes(blob), int(codec), 10, (16, 16))
             assert out.shape == (16, 16)
             outcomes["ok"] += 1
         except FcmError:

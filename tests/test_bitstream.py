@@ -17,16 +17,18 @@ from fcmcodec import (
     fcm_encode,
 )
 from fcmcodec.bitstream import STREAM_MAGIC, STREAM_VERSION, parse_stream, parse_unit, serialize_stream, serialize_unit
+from fcmcodec.cli import main
 from fcmcodec.errors import (
     FcmError,
     FormatError,
     InvariantError,
     MagicMismatchError,
+    PayloadDecodeError,
     TruncatedError,
     VersionError,
 )
 
-from helpers import patched, random_group
+from helpers import patched, random_group, with_payload_qp
 
 # A 1x2x2 tensor as the version-1 writer coded it: a u16 unit count, a u16
 # permutation length per unit, and neither a transform id nor a label.
@@ -54,8 +56,14 @@ V3_STREAM = bytes.fromhex(
 )
 V3_DEFLATE = bytes.fromhex("7801636008655cc5f49f190006ba0205")
 
+# The same tensor as the version-4 writer coded it: today's fields, and a qp
+# byte after the codec id that RAW_LOSSLESS units carried unread.
+V4_STREAM = bytes.fromhex(
+    "46434d4204010100000000000000c03fbd1b8f3f0a0200020000000016100000007801636008655cc5f49f190006ba0205"
+)
 
-def make_header(n=8, k=2, rank=3, codec=0, qp=22, label=""):
+
+def make_header(n=8, k=2, rank=3, codec=0, label=""):
     return UnitHeader(
         original_channels=n,
         pruned_k=k,
@@ -67,7 +75,6 @@ def make_header(n=8, k=2, rank=3, codec=0, qp=22, label=""):
         transform_id=0,
         label=label,
         codec=codec,
-        qp=qp,
     )
 
 
@@ -88,7 +95,6 @@ def headers(draw):
         # at most 4 UTF-8 bytes per character, so within the u8 length
         label=draw(st.text(max_size=63)),
         codec=draw(st.sampled_from([int(c) for c in CodecId])),
-        qp=draw(st.integers(0, 63)),
     )
 
 
@@ -144,15 +150,21 @@ class TestStream:
         with pytest.raises(VersionError, match="version 2"):
             parse_stream(V2_STREAM[:6])
 
-    def test_version_3_rejected(self):
+    def test_version_3_rejected(self, tmp_path):
         with pytest.raises(VersionError, match="version 3"):
             parse_stream(V3_STREAM)
+        with pytest.raises(VersionError, match="version 4"):
+            parse_stream(V4_STREAM)
+        old = tmp_path / "v4.fcmb"
+        old.write_bytes(V4_STREAM)
+        assert main(["decode", "--input", str(old), "--output", str(tmp_path / "o.ftns")]) == 3
         # today's stream of the same tensor is 22 header bytes and the scheme
-        # byte shorter, and ends in the same deflate stream
+        # byte shorter than version 3's, and the qp byte shorter than version
+        # 4's, and all three end in the same deflate stream
         t = FeatureTensor(np.arange(4, dtype=np.float32).reshape(1, 2, 2))
         stream = fcm_encode(TensorGroup((t,)), EncoderConfig())
-        assert len(stream) == len(V3_STREAM) - 23
-        assert V3_STREAM.endswith(V3_DEFLATE) and stream.endswith(V3_DEFLATE)
+        assert len(stream) == len(V3_STREAM) - 24 == len(V4_STREAM) - 1
+        assert all(s.endswith(V3_DEFLATE) for s in (V3_STREAM, V4_STREAM, stream))
 
     @pytest.mark.parametrize("count", [0, 9])
     def test_unit_count_outside_1_to_8(self, count):
@@ -198,13 +210,22 @@ class TestStream:
             ("mu", "<f", math.nan, "finite"),
             ("sigma", "<f", -1.0, "non-negative"),
             ("sigma", "<f", math.inf, "finite"),
-            ("qp", "<B", 64, "qp 64"),
         ],
     )
     def test_header_field_out_of_range_refused(self, field, fmt, value, message):
         stream = serialize_stream([(make_header(label="p3"), b"xy")] * 2)
         with pytest.raises(InvariantError, match=f"unit 1: .*{message}"):
             parse_stream(patched(stream, 1, field, fmt, value))
+
+    def test_raw_stream_does_not_depend_on_qp(self, rng):
+        group = random_group(rng, count=2)
+        assert fcm_encode(group, EncoderConfig(qp=0)) == fcm_encode(group, EncoderConfig(qp=63))
+
+    def test_payload_qp_over_63_refused(self, rng):
+        stream = fcm_encode(random_group(rng, count=2), EncoderConfig(codec=CodecId.BLOCK_DCT, qp=63))
+        fcm_decode(stream)
+        with pytest.raises(PayloadDecodeError, match=r"^unit 1: qp 64 in payload outside \[0, 63\]$"):
+            fcm_decode(with_payload_qp(stream, 1, 64))
 
     def test_truncated_payload_len(self):
         blob = serialize_stream([(make_header(), b"abcdef")])

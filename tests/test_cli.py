@@ -2,6 +2,7 @@ import json
 import pathlib
 import re
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,9 +15,46 @@ from fcmcodec.planar import read_sequence, write_sequence
 from fcmcodec.tensor import _CHUNK, read_tensor_file, write_tensor_file
 from fcmcodec.vcm import PixelSequence
 
-from helpers import CHANNEL_MISMATCHES, channel_mismatch_stream, depth_relabelled_stream, patched, random_group
+from helpers import (
+    CHANNEL_MISMATCHES,
+    channel_mismatch_stream,
+    depth_relabelled_stream,
+    mutate,
+    patched,
+    random_group,
+    with_payload_qp,
+)
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "bdrate"
+
+
+# Bound (fixed bytes, bytes per input byte) on the tracemalloc peak of one CLI
+# run on a mutated input file. Building the parser and opening the files cost
+# most of it: on the inputs below, of at most 1 KB, the peak stays under 94 KB.
+MUTATED_RUN_PEAK = (128 << 10, 64)
+
+
+def run_mutated(seed: int, valid: bytes, path: pathlib.Path, argv: list[str], extra_bytes: int = 0) -> set[int]:
+    """Run argv on 200 seeded mutations of valid written to path. Each run exits
+    0, 3 or 4, and its tracemalloc peak is within MUTATED_RUN_PEAK of the
+    mutation's size plus extra_bytes, the size of the run's other inputs.
+    Returns the exit codes seen."""
+    rng = np.random.default_rng(seed)
+    fixed, per_byte = MUTATED_RUN_PEAK
+    codes = set()
+    for i in range(200):
+        blob = mutate(rng, valid)
+        path.write_bytes(blob)
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code in (0, 3, 4), (i, blob)
+        assert peak < fixed + per_byte * (len(blob) + extra_bytes), (i, peak, blob)
+        codes.add(code)
+    return codes
 
 
 @pytest.fixture
@@ -82,11 +120,12 @@ class TestCodecCommands:
         assert len(lines) == 2
         for line in lines:
             for field in (
-                "N=", "k=", "rank=", "mu=", "sigma=", "bit_depth=", "transform=", "label=", "codec=", "qp=",
-                "payload_len=",
+                "N=", "k=", "rank=", "mu=", "sigma=", "bit_depth=", "transform=", "label=", "codec=", "payload_len=",
             ):
                 assert field in line
             assert "transform=identity" in line
+            # a RAW_LOSSLESS unit codes no qp
+            assert "qp=" not in line
 
         even = tmp_path / "even.ftns"
         write_tensor_file(even, random_group(rng, count=2, height=8, width=6))
@@ -95,6 +134,22 @@ class TestCodecCommands:
         assert main(["inspect", "--input", str(pooled)]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 2 and all("transform=meanpool2x" in line for line in lines)
+
+        # a BLOCK_DCT unit's qp is read from its payload
+        dct = tmp_path / "dct.fcmb"
+        assert main(["encode", "--input", str(ftns), "--output", str(dct), "--codec", "dct", "--qp", "37"]) == 0
+        assert main(["inspect", "--input", str(dct)]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 2 and all("codec=1 qp=37 payload_len=" in line for line in lines)
+
+    def test_payload_qp_over_63_exit_3(self, tmp_path, ftns, capsys):
+        fcmb = tmp_path / "out.fcmb"
+        assert main(["encode", "--input", str(ftns), "--output", str(fcmb), "--codec", "dct"]) == 0
+        bad = tmp_path / "bad.fcmb"
+        bad.write_bytes(with_payload_qp(fcmb.read_bytes(), 1, 64))
+        for argv in (["decode", "--output", str(tmp_path / "o.ftns")], ["inspect"]):
+            assert main(argv + ["--input", str(bad)]) == 3
+            assert "qp 64 in payload outside [0, 63]" in capsys.readouterr().err
 
     def test_decode_bad_magic_exit_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.fcmb"
@@ -150,12 +205,18 @@ class TestCodecCommands:
         assert main(["decode", "--input", str(bad), "--output", str(tmp_path / "o.ftns")]) == 3
         assert "unit 0:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("codec", list(CodecId))
+    @pytest.mark.parametrize("codec", [CodecId.RAW_LOSSLESS])
     def test_samples_past_bit_depth_exit_3(self, tmp_path, capsys, codec):
         bad = tmp_path / "bad.fcmb"
         bad.write_bytes(depth_relabelled_stream(codec))
         assert main(["decode", "--input", str(bad), "--output", str(tmp_path / "o.ftns")]) == 3
         assert "exceeds bit depth 8" in capsys.readouterr().err
+
+    def test_dct_stream_relabelled_to_8_bits_decodes(self, tmp_path):
+        # the decoder clips DCT pixels to the bit depth of the unit header
+        relabelled = tmp_path / "relabelled.fcmb"
+        relabelled.write_bytes(depth_relabelled_stream(CodecId.BLOCK_DCT))
+        assert main(["decode", "--input", str(relabelled), "--output", str(tmp_path / "o.ftns")]) == 0
 
     def test_non_finite_ftns_past_the_first_chunk_exit_3(self, tmp_path, capsys):
         data = np.zeros((3, 1, _CHUNK), dtype="<f4")
@@ -220,6 +281,34 @@ class TestBdrateCommand:
         b.write_text("rate_kbps,quality\n1,20\n2,21\n4,22\n8,23\n")
         assert main(["bdrate", "--anchor", str(a), "--test", str(b)]) == 4
 
+    @pytest.mark.parametrize(
+        "anchor,test,code",
+        [
+            (b"rate_kbps,quality\n1,10\n2,\xff11\n4,12\n8,13\n", None, 3),
+            (b'rate_kbps,quality\n1,"' + b"1" * 131073 + b'"\n', None, 3),
+            # the cubic fit fails
+            (b"rate_kbps,quality\n1,-1e308\n2,-1e307\n4,1e307\n8,1e308\n", None, 4),
+            # the fit of an infinite rate is not finite
+            (b"rate_kbps,quality\n1,1\n2,2\n4,3\n1e400,4\n", b"rate_kbps,quality\n1,1\n2,2\n4,3\n8,4\n", 4),
+            # the rates differ by a factor of 1e600
+            (b"rate_kbps,quality\n1e-300,1\n2e-300,2\n4e-300,3\n8e-300,4\n",
+             b"rate_kbps,quality\n1e300,1\n2e300,2\n4e300,3\n8e300,4\n", 4),
+        ],
+        ids=["not_utf8", "field_past_the_csv_limit", "qualities_of_1e308", "rate_of_1e400", "rate_ratio_of_1e600"],
+    )
+    def test_unreadable_or_unfittable_curves(self, tmp_path, capsys, anchor, test, code):
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        a.write_bytes(anchor)
+        b.write_bytes(test or anchor)
+        assert main(["bdrate", "--anchor", str(a), "--test", str(b)]) == code
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_mutated_csv_files(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        argv = ["bdrate", "--anchor", str(FIXTURES / "sfu_class_c_remote.csv"), "--test", str(bad)]
+        assert run_mutated(3, (FIXTURES / "sfu_class_c_fcm.csv").read_bytes(), bad, argv) >= {0, 3}
+
 
 class TestVcmCommands:
     @pytest.fixture
@@ -269,9 +358,36 @@ class TestVcmCommands:
         assert main(["vcm-trestore"] + argv) == 3
         assert "4 trailing bytes" in capsys.readouterr().err
 
+    def test_sample_past_the_frame_bit_depth_exit_3(self, tmp_path, capsys):
+        seq = tmp_path / "seq.raw"
+        seq.write_bytes(struct.pack("<IIB", 2, 1, 8) + np.array([3, 256], "<u2").tobytes())
+        assert main(["vcm-truncate", "--input", str(seq), "--output", str(tmp_path / "o.raw"), "--shift", "1"]) == 3
+        assert "exceeds 8-bit range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ratio,count", [(3, 9), (4, 0)])
+    def test_side_info_outside_its_domain_exit_3(self, tmp_path, seq_file, capsys, ratio, count):
+        side = tmp_path / "side.bin"
+        side.write_bytes(struct.pack("<BI", ratio, count))
+        argv = ["--input", str(seq_file), "--output", str(tmp_path / "r.raw"), "--sideinfo", str(side)]
+        assert main(["vcm-trestore"] + argv) == 3
+        assert "side-info" in capsys.readouterr().err
+
     def test_bad_ratio_exit_4(self, tmp_path, seq_file):
         rc = main(
             ["vcm-tsample", "--input", str(seq_file), "--output", str(tmp_path / "o"),
              "--ratio", "3", "--sideinfo", str(tmp_path / "s")]
         )
         assert rc == 4
+
+    def test_mutated_sequence_files(self, tmp_path, seq_file, capsys):
+        bad = tmp_path / "bad.raw"
+        argv = ["vcm-truncate", "--input", str(bad), "--output", str(tmp_path / "o.raw"), "--shift", "2"]
+        assert run_mutated(1, seq_file.read_bytes(), bad, argv) >= {0, 3}
+
+    def test_mutated_side_info_files(self, tmp_path, seq_file, capsys):
+        sampled = tmp_path / "s.raw"
+        side = tmp_path / "side.bin"
+        argv = ["--input", str(seq_file), "--output", str(sampled), "--ratio", "4", "--sideinfo", str(side)]
+        assert main(["vcm-tsample"] + argv) == 0
+        argv = ["vcm-trestore", "--input", str(sampled), "--output", str(tmp_path / "r.raw"), "--sideinfo", str(side)]
+        assert run_mutated(2, side.read_bytes(), side, argv, sampled.stat().st_size) >= {0, 3}

@@ -98,25 +98,25 @@ class TestRawLossless:
     def test_roundtrip_bit_exact(self, rng):
         frame = rng.integers(0, 1024, size=(23, 31)).astype(np.uint16)
         payload = codec_encode(frame, CodecId.RAW_LOSSLESS, qp=10)
-        np.testing.assert_array_equal(codec_decode(payload, CodecId.RAW_LOSSLESS, 10, 10, frame.shape), frame)
+        np.testing.assert_array_equal(codec_decode(payload, CodecId.RAW_LOSSLESS, 10, frame.shape), frame)
 
     def test_small_frames_exhaustive_values(self):
         for v in (0, 1, 511, 1023):
             frame = np.full((1, 1), v, np.uint16)
             payload = codec_encode(frame, CodecId.RAW_LOSSLESS)
-            np.testing.assert_array_equal(codec_decode(payload, CodecId.RAW_LOSSLESS, 22, 10, (1, 1)), frame)
+            np.testing.assert_array_equal(codec_decode(payload, CodecId.RAW_LOSSLESS, 10, (1, 1)), frame)
 
     def test_truncated_payload(self, rng):
         frame = rng.integers(0, 1024, size=(8, 8)).astype(np.uint16)
         payload = codec_encode(frame, CodecId.RAW_LOSSLESS)
         with pytest.raises((PayloadDecodeError, TruncatedError)):
-            codec_decode(payload[: len(payload) // 2], CodecId.RAW_LOSSLESS, 22, 10, frame.shape)
+            codec_decode(payload[: len(payload) // 2], CodecId.RAW_LOSSLESS, 10, frame.shape)
 
     def test_wrong_dims_rejected(self, rng):
         frame = rng.integers(0, 1024, size=(8, 8)).astype(np.uint16)
         payload = codec_encode(frame, CodecId.RAW_LOSSLESS)
         with pytest.raises(PayloadDecodeError):
-            codec_decode(payload, CodecId.RAW_LOSSLESS, 22, 10, (8, 9))
+            codec_decode(payload, CodecId.RAW_LOSSLESS, 10, (8, 9))
 
 
 class TestBlockDct:
@@ -128,7 +128,7 @@ class TestBlockDct:
     def test_constant_frame_exact_at_low_qp(self):
         frame = np.full((16, 24), 700, np.uint16)
         payload = codec_encode(frame, CodecId.BLOCK_DCT, qp=0)
-        np.testing.assert_array_equal(codec_decode(payload, CodecId.BLOCK_DCT, 0, 10, frame.shape), frame)
+        np.testing.assert_array_equal(codec_decode(payload, CodecId.BLOCK_DCT, 10, frame.shape), frame)
 
     def test_rate_non_increasing_in_qp(self, rng):
         frames = [smooth_frame(rng) for _ in range(4)]
@@ -143,14 +143,14 @@ class TestBlockDct:
 
     def test_distortion_non_decreasing_in_qp(self, rng):
         frame = smooth_frame(rng)
-        lo = codec_decode(codec_encode(frame, CodecId.BLOCK_DCT, qp=10), CodecId.BLOCK_DCT, 10, 10, frame.shape)
-        hi = codec_decode(codec_encode(frame, CodecId.BLOCK_DCT, qp=40), CodecId.BLOCK_DCT, 40, 10, frame.shape)
+        lo = codec_decode(codec_encode(frame, CodecId.BLOCK_DCT, qp=10), CodecId.BLOCK_DCT, 10, frame.shape)
+        hi = codec_decode(codec_encode(frame, CodecId.BLOCK_DCT, qp=40), CodecId.BLOCK_DCT, 10, frame.shape)
         assert psnr(frame, lo, 1023) >= psnr(frame, hi, 1023)
 
     def test_non_multiple_of_8_dims(self, rng):
         frame = smooth_frame(rng, shape=(13, 21))
         payload = codec_encode(frame, CodecId.BLOCK_DCT, qp=4)
-        out = codec_decode(payload, CodecId.BLOCK_DCT, 4, 10, frame.shape)
+        out = codec_decode(payload, CodecId.BLOCK_DCT, 10, frame.shape)
         assert out.shape == frame.shape
         # qp=4 is the near-lossless floor (step 1)
         assert np.max(np.abs(out.astype(int) - frame.astype(int))) <= 4
@@ -159,7 +159,7 @@ class TestBlockDct:
         frame = smooth_frame(rng, shape=(16, 16))
         payload = codec_encode(frame, CodecId.BLOCK_DCT, qp=22)
         with pytest.raises(FcmError):
-            codec_decode(payload[:3], CodecId.BLOCK_DCT, 22, 10, frame.shape)
+            codec_decode(payload[:3], CodecId.BLOCK_DCT, 10, frame.shape)
 
 
 class TestDispatch:
@@ -169,14 +169,19 @@ class TestDispatch:
 
     def test_unknown_codec_decode(self):
         with pytest.raises(PayloadDecodeError):
-            codec_decode(b"xx", 7, 10, 10, (4, 4))
+            codec_decode(b"xx", 7, 10, (4, 4))
 
     @pytest.mark.parametrize("qp", [-1, 64])
     def test_qp_out_of_range(self, qp):
         with pytest.raises(DomainError, match="qp must be in"):
             codec_encode(np.zeros((4, 4), np.uint16), CodecId.BLOCK_DCT, qp=qp)
-        with pytest.raises(DomainError, match="qp must be in"):
-            codec_decode(b"\x0a\xff", CodecId.BLOCK_DCT, qp, 10, (4, 4))
+
+    @pytest.mark.parametrize("bit_depth", [7, 17])
+    def test_decode_bit_depth_outside_8_to_16(self, bit_depth):
+        # DCT pixels are clipped to the depth, which past 16 would wrap in uint16
+        payload = codec_encode(np.zeros((4, 4), np.uint16), CodecId.BLOCK_DCT, qp=22, bit_depth=8)
+        with pytest.raises(DomainError, match="bit depth must be in"):
+            codec_decode(payload, CodecId.BLOCK_DCT, bit_depth, (4, 4))
 
     def test_samples_exceeding_bit_depth(self):
         with pytest.raises(DomainError):
@@ -184,15 +189,21 @@ class TestDispatch:
 
     @pytest.mark.parametrize("codec", list(CodecId))
     def test_decoded_samples_past_bit_depth(self, codec):
-        # samples coded at 16 bits, decoded as a unit that declares fewer
+        # Samples coded at 16 bits, decoded as a unit that declares fewer: a
+        # RAW sample past the depth is malformed, and DCT pixels are clipped
+        # to it.
         frame = np.array([[1023, 1024], [0, 65535]], np.uint16)
         payload = codec_encode(frame, codec, qp=0, bit_depth=16)
-        np.testing.assert_array_equal(codec_decode(payload, codec, 0, 16, frame.shape), frame)
+        np.testing.assert_array_equal(codec_decode(payload, codec, 16, frame.shape), frame)
         for bit_depth in (8, 10):
-            with pytest.raises(PayloadDecodeError, match=f"exceeds bit depth {bit_depth}"):
-                codec_decode(payload, codec, 0, bit_depth, frame.shape)
+            if codec == CodecId.RAW_LOSSLESS:
+                with pytest.raises(PayloadDecodeError, match=f"exceeds bit depth {bit_depth}"):
+                    codec_decode(payload, codec, bit_depth, frame.shape)
+            else:
+                clipped = np.minimum(frame, (1 << bit_depth) - 1)
+                np.testing.assert_array_equal(codec_decode(payload, codec, bit_depth, frame.shape), clipped)
         edge = codec_encode(frame[:, :1], codec, qp=0, bit_depth=16)
-        np.testing.assert_array_equal(codec_decode(edge, codec, 0, 10, (2, 1)), frame[:, :1])
+        np.testing.assert_array_equal(codec_decode(edge, codec, 10, (2, 1)), frame[:, :1])
 
 
 # Frames and bit depths codec_encode refuses. Before it checked them, each was

@@ -37,6 +37,8 @@ from fcmcodec import (
 from fcmcodec.codec import _SLICE_PAIRS, _BitWriter, _cuts, _row_slices, _slices
 from fcmcodec.errors import FcmError, PayloadDecodeError, TruncatedError
 
+from helpers import mutate
+
 FUZZ_DIMS = ((1, 1), (8, 8), (13, 21), (16, 16), (40, 24))
 
 
@@ -44,16 +46,8 @@ def encode(frame, qp, bit_depth):
     return codec_encode(frame, CodecId.BLOCK_DCT, qp=qp, bit_depth=bit_depth)
 
 
-def decode(data, qp, bit_depth, shape):
-    return codec_decode(data, CodecId.BLOCK_DCT, qp, bit_depth, shape)
-
-
-def within_depth(outcome, bit_depth):
-    """A reference outcome under codec_decode's rule that a sample at or past
-    2^bit_depth is a malformed payload."""
-    if isinstance(outcome, np.ndarray) and outcome.max() >= 1 << bit_depth:
-        return PayloadDecodeError(f"decoded sample exceeds bit depth {bit_depth}")
-    return outcome
+def decode(data, bit_depth, shape):
+    return codec_decode(data, CodecId.BLOCK_DCT, bit_depth, shape)
 
 
 def make_frame(rng, shape, bit_depth, smooth):
@@ -65,11 +59,11 @@ def make_frame(rng, shape, bit_depth, smooth):
 
 
 def assert_matches_reference(frame, qp, bit_depth):
-    expected = reference_encode_dct(frame, qp, bit_depth)
+    expected = reference_encode_dct(frame, qp)
     assert encode(frame, qp, bit_depth) == expected
-    decoded = decode(expected, qp, bit_depth, frame.shape)
+    decoded = decode(expected, bit_depth, frame.shape)
     assert decoded.dtype == np.uint16
-    np.testing.assert_array_equal(decoded, reference_decode_dct(expected, qp, frame.shape))
+    np.testing.assert_array_equal(decoded, reference_decode_dct(expected, bit_depth, frame.shape))
 
 
 @given(
@@ -118,7 +112,7 @@ def test_edge_frames_match_reference(frame, qp, bit_depth):
 
 
 def test_the_sliced_edge_frame_spans_three_slices():
-    counts = read_split_ue(BitReader(reference_encode_dct(SEVERAL_SLICES, 0, 16)[1:]), 24 * 24)
+    counts = read_split_ue(BitReader(reference_encode_dct(SEVERAL_SLICES, 0)[1:]), 24 * 24)
     assert len(_slices(len(counts), _cuts(np.array(counts), _SLICE_PAIRS))) >= 3
 
 
@@ -141,11 +135,11 @@ DECODER_SLICE_CASES = {
 def test_decoder_slices_match_reference(frame, check, monkeypatch):
     monkeypatch.setattr(fcmcodec.codec, "_DECODE_SLICE_PAIRS", 1024)
     monkeypatch.setattr(fcmcodec.codec, "_DECODE_SLICE_BLOCKS", 16)
-    data = reference_encode_dct(frame, 0, 16)
+    data = reference_encode_dct(frame, 0)
     hb, wb = -(-frame.shape[0] // 8), -(-frame.shape[1] // 8)
     counts = np.array(read_split_ue(BitReader(data[1:]), hb * wb)).reshape(hb, wb)
     assert check(len(_row_slices(counts)), counts.sum(axis=1))
-    np.testing.assert_array_equal(decode(data, 0, 16, frame.shape), reference_decode_dct(data, 0, frame.shape))
+    np.testing.assert_array_equal(decode(data, 16, frame.shape), reference_decode_dct(data, 16, frame.shape))
 
 
 def ue_symbols(rng, n: int) -> np.ndarray:
@@ -194,7 +188,7 @@ def test_bit_writer_at_every_offset(offset, monkeypatch):
     out.extend(suffixes)
     prefixes, suffix_bits = split_planes(pairs)
     expected = split_bits(lead + widest) + prefixes + "1" * offset + suffix_bits
-    assert out.getvalue(b"\x10") == payload(expected, bit_depth=16)
+    assert out.getvalue(b"\x10") == payload(expected, qp=16)
 
 
 def max_prefix_zeros(data: bytes, nblocks: int) -> int:
@@ -213,7 +207,7 @@ def max_prefix_zeros(data: bytes, nblocks: int) -> int:
     ids=["all_65535", "checkerboard"],
 )
 def test_extreme_16bit_frames_need_at_most_20_prefix_zeros(frame):
-    data = reference_encode_dct(frame, 0, 16)
+    data = reference_encode_dct(frame, 0)
     assert max_prefix_zeros(data, 4) <= 20 < MAX_DCT_PREFIX
     assert_matches_reference(frame, 0, 16)
 
@@ -229,19 +223,21 @@ def split_bits(values) -> str:
     return "".join(split_planes(values))
 
 
-def payload(bits: str, bit_depth=10, tail=b"") -> bytes:
-    """bit_depth, then bits and zero bits up to a whole byte, then tail."""
+def payload(bits: str, qp=10, tail=b"") -> bytes:
+    """qp, then bits and zero bits up to a whole byte, then tail."""
     bits += "0" * (-len(bits) % 8)
-    return bytes([bit_depth]) + bytes(int(bits[i : i + 8], 2) for i in range(0, len(bits), 8)) + tail
+    return bytes([qp]) + bytes(int(bits[i : i + 8], 2) for i in range(0, len(bits), 8)) + tail
 
 
-def codec_and_reference(data, shape, qp=22, bit_depth=10):
-    return outcome(decode, data, qp, bit_depth, shape), outcome(reference_decode_dct, data, qp, shape)
+def codec_and_reference(data, shape, bit_depth=10):
+    return outcome(decode, data, bit_depth, shape), outcome(reference_decode_dct, data, bit_depth, shape)
 
 
 ONE_PAIR = split_bits([1]) + split_bits([0, 5])  # 9 bits
 
 LAYOUT_ERRORS = {
+    "qp_over_63": (payload(ONE_PAIR, qp=64), PayloadDecodeError),
+    "no_qp": (b"", TruncatedError),
     # 25 zeros: no level past 2^25 - 2 can be coded
     "level_past_the_prefix_cap": (payload(split_bits([1]) + split_bits([0, 2**25 - 1])), PayloadDecodeError),
     "count_past_the_prefix_cap": (payload(split_bits([2**26])), PayloadDecodeError),
@@ -281,8 +277,8 @@ def test_huge_levels_decode_like_the_reference(levels):
     pairs = []
     for level in levels:
         pairs += [0, level]
-    data = payload(split_bits([len(levels), 0]) + split_bits(pairs), bit_depth=16)
-    got, expected = codec_and_reference(data, (16, 8), qp=4, bit_depth=16)
+    data = payload(split_bits([len(levels), 0]) + split_bits(pairs), qp=4)
+    got, expected = codec_and_reference(data, (16, 8), bit_depth=16)
     assert type(expected) is PayloadDecodeError, expected
     assert type(got) is PayloadDecodeError, got
 
@@ -290,7 +286,7 @@ def test_huge_levels_decode_like_the_reference(levels):
 def test_counts_are_checked_before_any_pair():
     # block 0 holds a zero level; block 1 a count over 64
     data = payload(split_bits([1, 65]) + split_bits([0, 0] + [0, 1] * 65))
-    for decoder in (lambda: decode(data, 22, 10, (8, 16)), lambda: reference_decode_dct(data, 22, (8, 16))):
+    for decoder in (lambda: decode(data, 10, (8, 16)), lambda: reference_decode_dct(data, 10, (8, 16))):
         with pytest.raises(PayloadDecodeError, match="count 65"):
             decoder()
 
@@ -337,7 +333,7 @@ def test_hostile_dims_are_refused_before_any_allocation():
     tracemalloc.start()
     try:
         with pytest.raises(FcmError):
-            decode(bytes([10, 0xFF]), 22, 10, (4096, 4096))
+            decode(bytes([10, 0xFF]), 10, (4096, 4096))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -349,9 +345,9 @@ def test_counts_past_the_payload_are_refused_before_the_pairs_are_sized():
 
     The 2M pair symbols would need an 8 MB int32 array."""
     data = payload(split_bits([64] * 16384)) + b"\x01\x02\x03"
-    got, peak = outcome_and_peak(decode, data, 22, 10, (1024, 1024))
+    got, peak = outcome_and_peak(decode, data, 10, (1024, 1024))
     assert type(got) is TruncatedError, got
-    assert type(outcome(reference_decode_dct, data, 22, (1024, 1024))) is TruncatedError
+    assert type(outcome(reference_decode_dct, data, 10, (1024, 1024))) is TruncatedError
     assert peak < peak_bound(data, PAYLOAD_PEAK) < 4 * 2**21
 
 
@@ -387,26 +383,10 @@ DECODE_PEAK_CASES = {
 @pytest.mark.parametrize("frame,qp,bit_depth,bound", DECODE_PEAK_CASES.values(), ids=DECODE_PEAK_CASES)
 def test_decode_peak_per_element(frame, qp, bit_depth, bound):
     data = encode(frame, qp, bit_depth)
-    decoded, peak = outcome_and_peak(decode, data, qp, bit_depth, frame.shape)
+    decoded, peak = outcome_and_peak(decode, data, bit_depth, frame.shape)
     assert isinstance(decoded, np.ndarray), decoded
     per_element = peak / frame.size
     assert per_element < bound, per_element
-
-
-def mutate(rng, data: bytes) -> bytes:
-    blob = bytearray(data)
-    kind = int(rng.integers(0, 4))
-    if kind == 0:
-        return bytes(blob[: int(rng.integers(0, len(blob) + 1))])
-    if kind == 1:
-        for _ in range(int(rng.integers(1, 5))):
-            blob[int(rng.integers(0, len(blob)))] = int(rng.integers(0, 256))
-    elif kind == 2:
-        i = int(rng.integers(0, len(blob)))
-        blob[i] ^= 1 << int(rng.integers(0, 8))
-    else:
-        blob += rng.integers(0, 256, size=int(rng.integers(1, 12)), dtype=np.uint8).tobytes()
-    return bytes(blob)
 
 
 def outcome(fn, *args):
@@ -424,9 +404,9 @@ def test_mutated_payloads_decode_like_the_reference(dims):
         bit_depth = int(rng.integers(8, 17))
         qp = int(rng.choice([0, 4, 22, 40]))
         frame = make_frame(rng, dims, bit_depth, smooth=i % 4 != 0)
-        blob = mutate(rng, reference_encode_dct(frame, qp, bit_depth))
-        expected = within_depth(outcome(reference_decode_dct, blob, qp, dims), bit_depth)
-        got, peak = outcome_and_peak(decode, blob, qp, bit_depth, dims)
+        blob = mutate(rng, reference_encode_dct(frame, qp))
+        expected = outcome(reference_decode_dct, blob, bit_depth, dims)
+        got, peak = outcome_and_peak(decode, blob, bit_depth, dims)
         assert peak < peak_bound(blob, PAYLOAD_PEAK), (i, peak)
         if isinstance(expected, np.ndarray):
             assert isinstance(got, np.ndarray), (i, got)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fcmcodec.pipeline
 from fcmcodec import (
     TRANSFORMS,
     CodecId,
@@ -156,7 +157,6 @@ def stream_declaring(codec: CodecId, frame_side: int, payload: bytes) -> bytes:
         transform_id=0,
         label="",
         codec=int(codec),
-        qp=22,
     )
     return serialize_stream([(header, payload)])
 
@@ -241,10 +241,25 @@ def test_layout_channel_count_must_be_n_minus_k(channels, ratio, declared):
         fcm_decode(channel_mismatch_stream(channels, ratio, declared))
 
 
-@pytest.mark.parametrize("codec", list(CodecId))
+@pytest.mark.parametrize("codec", [CodecId.RAW_LOSSLESS])
 def test_samples_past_the_header_bit_depth_are_malformed(codec):
     with pytest.raises(PayloadDecodeError, match="unit 0: decoded sample exceeds bit depth 8"):
         fcm_decode(depth_relabelled_stream(codec))
+
+
+def test_dct_frame_is_clipped_to_the_header_bit_depth(monkeypatch):
+    frames = []
+    decode = fcmcodec.pipeline.codec_decode
+
+    def recorded(*args):
+        frames.append(decode(*args))
+        return frames[-1]
+
+    monkeypatch.setattr(fcmcodec.pipeline, "codec_decode", recorded)
+    fcm_decode(depth_relabelled_stream(CodecId.BLOCK_DCT))
+    # a 16-bit frame decoded at the 8 bits its header now declares
+    (frame,) = frames
+    assert frame.max() == (1 << 8) - 1
 
 
 class TestTransforms:
