@@ -48,19 +48,27 @@ number of pairs and of blocks, so beyond the frame and a byte per codeword,
 the scratch memory does not grow with the payload or the frame. The pixels
 are clipped to the bit depth the caller passes, the unit header's.
 
-The encoder transforms a chunk of 512 blocks at a time, whole block rows or
-part of one row wider than that, with scipy's dctn in one reused float64
-buffer. It rounds each chunk's coefficients as trunc(x + copysign(1/2, x))
-into one int32 array of levels, already in zigzag order. It then codes the
-pairs of a slice of blocks at a time; a slice ends at about 2^13 pairs. frexp
-splits each symbol's v + 1 into its codeword width and its suffix. One cumsum
-of the widths gives every prefix's end, and every suffix's end is that less
-the count of codewords so far. packbits writes the prefixes' 1 bits. Every
-suffix, scaled to its place in a 51-bit window that starts at its 32-bit
-word, is summed per word by np.bincount in float64: the fields are disjoint,
-so the sum is their OR, and exact. codec_encode admits samples below 2^16
-only, so no suffix is wider than 20 bits and a window holds each one. The
-pair suffixes wait in a second writer until the last slice.
+The forward DCT is one product with the same basis: raster blocks times its
+transpose are their coefficients, already in zigzag order. The encoder
+transforms a chunk of 512 blocks at a time, whole block rows or part of one
+row wider than that, in two reused float64 buffers, and rounds each chunk's
+coefficients over qstep into one int32 array of levels: half away from zero,
+where a value at most 2^-20 below k + 1/2 counts as k + 1/2. The band is
+for exact ties. At zigzag positions 0, 10, 14 and 39 every basis entry is
++-1/8, so where qstep is a power of two an integer block often lands on
+k + 1/2 exactly, and the product's rounding error, which depends on the
+order BLAS sums in, puts it a few ulps to either side. With the band every
+such tie rounds away from zero, on any BLAS kernel and under scipy's FFT
+alike. The encoder then codes the pairs of a slice of blocks at a time; a
+slice ends at about 2^13 pairs. frexp splits each symbol's v + 1 into its
+codeword width and its suffix. One cumsum of the widths gives every prefix's
+end, and every suffix's end is that less the count of codewords so far.
+packbits writes the prefixes' 1 bits. Every suffix, scaled to its place in a
+51-bit window that starts at its 32-bit word, is summed per word by
+np.bincount in float64: the fields are disjoint, so the sum is their OR, and
+exact. codec_encode admits samples below 2^16 only, so no suffix is wider
+than 20 bits and a window holds each one. The pair suffixes wait in a second
+writer until the last slice.
 """
 
 from __future__ import annotations
@@ -69,15 +77,15 @@ import zlib
 from enum import IntEnum
 
 import numpy as np
-from scipy.fft import dctn
 
-# The rounding rule of the levels, for code that rebuilds them.
-from .conversion import _round_half_away  # noqa: F401
 from .errors import DomainError, PayloadDecodeError, TruncatedError
 from .tensor import _CHUNK
 
 BLOCK = 8
 _COEFFS = BLOCK * BLOCK
+
+# A level at most this far below k + 1/2 rounds as k + 1/2 does; see above.
+_TIE = 2.0**-20
 
 # Longest accepted ue zero prefix, so every value fits int32.
 _MAX_UE_PREFIX = 24
@@ -142,6 +150,25 @@ def _inverse_basis() -> np.ndarray:
 
 
 _BASIS = _inverse_basis()
+_FORWARD = np.ascontiguousarray(_BASIS.T)
+
+
+def dctn(blocks: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The zigzag-ordered coefficients, (n, 64), of the orthonormal DCT of
+    8x8 blocks in raster order, (n, 64): one product with the basis's
+    transpose, written to out if given."""
+    return np.matmul(blocks, _FORWARD, out=out)
+
+
+def _round_half_away(x: np.ndarray) -> np.ndarray:
+    """Round the float array x to the codec's levels in place; returns x.
+
+    Half away from zero, where a value at most _TIE below k + 1/2 counts as
+    k + 1/2. 1/2 + _TIE is exact in float32.
+    """
+    x += np.copysign(0.5 + _TIE, x, dtype=np.float32)
+    np.trunc(x, out=x)
+    return x
 
 
 def idctn(coeffs: np.ndarray) -> np.ndarray:
@@ -341,24 +368,22 @@ def _encode_dct(frame: np.ndarray, qp: int) -> bytes:
     # A chunk is whole block rows, or part of one row wider than the chunk.
     per_chunk = _CHUNK // _COEFFS
     rows, cols = max(1, per_chunk // wb), min(wb, per_chunk)
-    chunk = np.empty(_CHUNK)
+    raster = np.empty((min(rows, hb) * cols, _COEFFS))
+    zigzag = np.empty_like(raster)
     levels = np.empty((hb * wb, _COEFFS), dtype=np.int32)
     s = 0
     for r in range(0, hb, rows):
         for c in range(0, wb, cols):
             part = blocks[r : r + rows, c : c + cols]
             n = part.shape[0] * part.shape[1]
-            coeffs = chunk[: n * _COEFFS].reshape(part.shape)
-            coeffs[...] = part
-            coeffs = dctn(coeffs, type=2, norm="ortho", axes=(-2, -1), overwrite_x=True)
+            raster[:n].reshape(part.shape)[...] = part
+            coeffs = dctn(raster[:n], zigzag[:n])
             coeffs /= step
-            # trunc(x + copysign(1/2, x)) is _round_half_away(x): the addition
-            # rounds as |x| + 1/2 does, and the int32 cast truncates. A
-            # float32 half is exact.
-            coeffs += np.copysign(0.5, coeffs, dtype=np.float32)
-            levels[s : s + n] = coeffs.reshape(n, _COEFFS)[:, ZIGZAG]
+            # _round_half_away, with the int32 cast as its trunc.
+            coeffs += np.copysign(0.5 + _TIE, coeffs, dtype=np.float32)
+            levels[s : s + n] = coeffs
             s += n
-    del chunk, coeffs
+    del raster, zigzag, coeffs
     counts = np.count_nonzero(levels, axis=1)
     out, suffixes = _BitWriter(), _BitWriter()
     out.write_ue(out, counts)

@@ -21,19 +21,6 @@ def _levels(bit_depth: int) -> int:
     return (1 << bit_depth) - 1
 
 
-def _round_half_away(x: np.ndarray) -> np.ndarray:
-    """Round the float array x half away from zero in place; returns x.
-
-    copysign(floor(|x| + 0.5), x) needs no temporary beyond the sign mask.
-    """
-    negative = np.signbit(x)
-    np.abs(x, out=x)
-    x += 0.5
-    np.floor(x, out=x)
-    np.negative(x, out=x, where=negative)
-    return x
-
-
 def quantize_frame(frame: np.ndarray, bit_depth: int = 10) -> tuple[np.ndarray, tuple[float, float]]:
     """Map a float frame onto [0, 2^n - 1] integers; also returns the frame's
     (min, max), the range the integers span."""

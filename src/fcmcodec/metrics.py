@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,12 +50,22 @@ class RdCurve:
 
 
 def _log_rate_integral(curve: RdCurve, lo: float, hi: float, center: float) -> float:
-    """Integral of the cubic fit of log10(rate) vs quality over [lo, hi]."""
-    q = np.asarray(curve.qualities, dtype=np.float64) - center
-    log_r = np.log10(np.asarray(curve.rates, dtype=np.float64))
-    coeffs = np.polyfit(q, log_r, 3)
-    integral = np.polyint(coeffs)
-    return float(np.polyval(integral, hi - center) - np.polyval(integral, lo - center))
+    """Integral of the cubic fit of log10(rate) vs quality over [lo, hi].
+
+    Huge qualities overflow the fit or leave it ill-conditioned. numpy's
+    warnings about that are silenced; bd_rate judges the result.
+    """
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", np.exceptions.RankWarning)
+        q = np.asarray(curve.qualities, dtype=np.float64) - center
+        # polyfit would scale an infinite cube to NaN, and LAPACK prints
+        # about a NaN matrix on stdout.
+        if not np.isfinite(q**3).all():
+            raise DomainError("no finite BD-rate: qualities too far apart for a cubic fit")
+        log_r = np.log10(np.asarray(curve.rates, dtype=np.float64))
+        coeffs = np.polyfit(q, log_r, 3)
+        integral = np.polyint(coeffs)
+        return float(np.polyval(integral, hi - center) - np.polyval(integral, lo - center))
 
 
 def bd_rate(anchor: RdCurve, test: RdCurve) -> float:

@@ -6,9 +6,11 @@ reads and writes one bit at a time, in the split-plane layout the codec
 module's docstring describes: a sequence's prefixes (z zeros and a 1) first,
 then its suffixes (the low z bits of each v+1). The tests require the
 codec's bytes and decoded frames, or its error class, to equal its. The
-reference encoder's levels come from scipy's `dctn` of the whole frame, and
-its decoder's pixels from the codec's own inverse, `codec.idctn`, so it checks
-the entropy layer and the encoder's chunking, not the inverse's float rounding.
+reference encoder's levels come from scipy's `dctn` of the whole frame,
+rounded by the codec's own level rule, `codec._round_half_away`, and its
+decoder's pixels from the codec's own inverse, `codec.idctn`. So it checks the
+entropy layer, the encoder's chunking and its forward product against an
+independent transform, not the float rounding of either product.
 `dct_block_forward` and `dct_block_inverse` transform one 8x8 block with
 scipy, an independent check of the transform convention.
 """
@@ -158,7 +160,7 @@ def reference_encode_dct(frame: np.ndarray, qp: int) -> bytes:
     """BLOCK_DCT payload of frame, one ue symbol and one bit at a time."""
     blocks = _to_blocks(np.asarray(frame).astype(np.float64))
     coeffs = dctn(blocks, type=2, norm="ortho", axes=(-2, -1))
-    q = _round_half_away(coeffs / qstep(qp)).astype(np.int64)
+    q = codec._round_half_away(coeffs / qstep(qp)).astype(np.int64)
     counts, pairs = [], []
     for row in q.reshape(-1, BLOCK * BLOCK)[:, ZIGZAG]:
         nz = np.nonzero(row)[0]

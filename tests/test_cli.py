@@ -1,7 +1,10 @@
 import json
+import os
 import pathlib
 import re
 import struct
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -55,6 +58,17 @@ def run_mutated(seed: int, valid: bytes, path: pathlib.Path, argv: list[str], ex
         assert peak < fixed + per_byte * (len(blob) + extra_bytes), (i, peak, blob)
         codes.add(code)
     return codes
+
+
+def test_cold_start_imports_no_scipy():
+    """The package and its CLI load without scipy, which alone took most of
+    a fresh interpreter's import time when the encoder used scipy.fft."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys, fcmcodec, fcmcodec.cli\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 @pytest.fixture
@@ -303,6 +317,26 @@ class TestBdrateCommand:
         b.write_bytes(test or anchor)
         assert main(["bdrate", "--anchor", str(a), "--test", str(b)]) == code
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "qualities,code",
+        [((-1e308, -1e307, 1e307, 1e308), 4), ((1e100, 2e100, 3e100, 4e100), 0)],
+        ids=["qualities_of_1e308", "qualities_near_1e100"],
+    )
+    def test_huge_qualities_print_one_line(self, tmp_path, capfd, qualities, code):
+        # An overflowing and an ill-conditioned cubic fit: one result or
+        # error line, with no numpy warning and no LAPACK message.
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        for path, rates in ((a, (1, 2, 4, 8)), (b, (1.5, 2.5, 4.5, 8.5))):
+            path.write_text("rate_kbps,quality\n" + "".join(f"{r},{q}\n" for r, q in zip(rates, qualities)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["bdrate", "--anchor", str(a), "--test", str(b)]) == code
+        assert not caught, [str(w.message) for w in caught]
+        out, err = capfd.readouterr()
+        line = err if code else out
+        assert (out if code else err) == "" and line.count("\n") == 1, (out, err)
 
     def test_mutated_csv_files(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

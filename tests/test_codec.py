@@ -10,7 +10,7 @@ from fcmcodec import CodecId, codec, codec_decode, codec_encode, qstep
 from fcmcodec.errors import DomainError, FcmError, PayloadDecodeError, TruncatedError
 from fcmcodec.metrics import psnr
 
-from bitref import dct_block_forward, dct_block_inverse
+from bitref import dct_block_forward, dct_block_inverse, reference_encode_dct
 
 
 def naive_dct2(block):
@@ -65,6 +65,19 @@ class TestDctBlocks:
             dct_block_forward(np.zeros((4, 4)))
 
 
+def extreme_16bit_blocks(rng):
+    top = 65535.0
+    return np.array(
+        [
+            np.full((8, 8), top),
+            np.indices((8, 8)).sum(axis=0) % 2 * top,  # checkerboard
+            np.indices((8, 8))[0] % 2 * top,  # stripes
+            np.pad(np.full((1, 1), top), ((0, 7), (0, 7))),  # one corner
+            rng.integers(0, 2, size=(8, 8)) * top,
+        ]
+    )
+
+
 def assert_inverse_matches_scipy(coeffs):
     """codec.idctn of the zigzag-ordered (n, 8, 8) raster coefficient blocks
     is scipy's inverse DCT within 1e-9 of each block's largest magnitude."""
@@ -80,18 +93,71 @@ class TestInverseBasis:
         assert_inverse_matches_scipy(rng.normal(size=(500, 8, 8)) * magnitude)
 
     def test_extreme_16bit_blocks(self, rng):
-        top = 65535.0
-        pixels = [
-            np.full((8, 8), top),
-            np.indices((8, 8)).sum(axis=0) % 2 * top,  # checkerboard
-            np.indices((8, 8))[0] % 2 * top,  # stripes
-            np.pad(np.full((1, 1), top), ((0, 7), (0, 7))),  # one corner
-            rng.integers(0, 2, size=(8, 8)) * top,
-        ]
-        coeffs = [scipy_dctn(p, type=2, norm="ortho") for p in pixels]
+        coeffs = list(scipy_dctn(extreme_16bit_blocks(rng), type=2, norm="ortho", axes=(-2, -1)))
         # The largest levels a 16-bit frame codes at qp 0, of either sign.
         coeffs.append(rng.choice([-1.0, 1.0], size=(8, 8)) * (2**20 - 1) * qstep(0))
         assert_inverse_matches_scipy(np.array(coeffs))
+
+
+def assert_forward_matches_scipy(pixels):
+    """codec.dctn of the (n, 8, 8) pixel blocks, flattened in raster order,
+    is scipy's DCT in zigzag order within 1e-9 of each block's largest
+    magnitude."""
+    expected = scipy_dctn(pixels, type=2, norm="ortho", axes=(-2, -1)).reshape(-1, 64)[:, codec.ZIGZAG]
+    got = codec.dctn(pixels.reshape(-1, 64))
+    scale = np.abs(pixels).reshape(-1, 64).max(axis=1, keepdims=True)
+    assert (np.abs(got - expected) <= 1e-9 * scale).all()
+
+
+class TestForwardBasis:
+    def test_random_blocks(self, rng):
+        magnitude = 10.0 ** rng.uniform(-3, 7, size=(500, 1, 1))
+        assert_forward_matches_scipy(rng.normal(size=(500, 8, 8)) * magnitude)
+
+    def test_extreme_16bit_blocks(self, rng):
+        assert_forward_matches_scipy(extreme_16bit_blocks(rng))
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("z", [0, 10, 14, 39])
+    def test_exact_ties_round_away_from_zero(self, rng, z, sign):
+        # Every basis entry at these zigzag positions is +-1/8, so integer
+        # blocks whose signed sum t is 8k + 4 have the coefficient k + 1/2
+        # exactly, and the product lands a few ulps to either side.
+        pattern = np.rint(8 * codec._BASIS[z])
+        blocks = rng.integers(0, 4000, size=(2000, 64)).astype(np.float64)
+        blocks[:, 0] += pattern[0] * ((4 - blocks @ pattern) % 8)
+        t = sign * (blocks @ pattern)
+        k = (t - 4) // 8
+        levels = codec._round_half_away(codec.dctn(sign * blocks))
+        np.testing.assert_array_equal(levels[:, z], np.where(t > 0, k + 1, k))
+
+
+class TestLevelRule:
+    K = np.array([0.0, 1.0, 2.0, 37.0, 1023.0, 2.0**20 - 1])
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_ties_and_the_band_below_them_round_away(self, sign):
+        for below in (0.0, 2.0**-21, 2.0**-20):
+            x = sign * (self.K + 0.5 - below)
+            assert codec._round_half_away(x) is x
+            np.testing.assert_array_equal(x, sign * (self.K + 1))
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_values_past_the_band_round_toward_zero(self, sign):
+        x = codec._round_half_away(sign * (self.K + 0.5 - 2.0**-18))
+        np.testing.assert_array_equal(x, sign * self.K)
+
+    @pytest.mark.parametrize("z", [0, 10, 14, 39])
+    def test_the_encoder_agrees_with_scipy_at_ties(self, rng, z):
+        # 10-bit blocks whose signed sum at zigzag position z is 8k + 4 tie
+        # there at qp 4, where qstep is 1, and at qp 22 after a scale of 8.
+        # The reference coder takes its coefficients from scipy's FFT.
+        pattern = np.rint(8 * codec._BASIS[z]).astype(np.int64)
+        for qp, scale in ((4, 1), (22, 8)):
+            blocks = rng.integers(8, 120, size=(24, 64)) * scale
+            blocks[:, 0] += pattern[0] * ((4 * scale - blocks @ pattern) % (8 * scale))
+            frame = blocks.reshape(4, 6, 8, 8).transpose(0, 2, 1, 3).reshape(32, 48).astype(np.uint16)
+            assert codec_encode(frame, CodecId.BLOCK_DCT, qp=qp) == reference_encode_dct(frame, qp)
 
 
 class TestRawLossless:

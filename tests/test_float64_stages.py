@@ -33,7 +33,6 @@ from fcmcodec import (
     restore_channels,
     score_channels,
 )
-from fcmcodec.conversion import _round_half_away
 from fcmcodec.errors import DomainError
 from fcmcodec.pipeline import _meanpool
 from fcmcodec.tensor import _CHUNK, _pairwise_sum, apply_refinement, compute_global_stats
@@ -69,13 +68,23 @@ def reference_refinement(data: np.ndarray, target: GlobalStats) -> np.ndarray:
     return out.astype(np.float32)
 
 
+def round_half_away(x: np.ndarray) -> np.ndarray:
+    """Round the float array x half away from zero in place; returns x."""
+    negative = np.signbit(x)
+    np.abs(x, out=x)
+    x += 0.5
+    np.floor(x, out=x)
+    np.negative(x, out=x, where=negative)
+    return x
+
+
 def reference_quantize(frame: np.ndarray, bit_depth: int) -> tuple[np.ndarray, float, float]:
     lo, hi = float(frame.min()), float(frame.max())
     if lo == hi:
         return np.zeros(frame.shape, dtype=np.uint16), lo, hi
     x = frame.astype(np.float64)
     scaled = (x - lo) / (hi - lo) * ((1 << bit_depth) - 1)
-    return _round_half_away(scaled).astype(np.uint16), lo, hi
+    return round_half_away(scaled).astype(np.uint16), lo, hi
 
 
 def reference_dequantize(q: np.ndarray, bit_depth: int) -> np.ndarray:

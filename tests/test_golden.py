@@ -121,9 +121,10 @@ OTHER_BLAS_CORE = "Nehalem"
 
 
 def test_dct_goldens_decode_alike_on_another_blas_kernel():
-    """The inverse DCT is a BLAS product, and the kernel sets the order of its
-    sums. Decoded with OpenBLAS's Nehalem kernel, in a fresh interpreter, the
-    DCT cases still give their pinned stream and decoded hashes."""
+    """Both DCTs are BLAS products, and the kernel sets the order of their
+    sums. Encoded and decoded with OpenBLAS's Nehalem kernel, in a fresh
+    interpreter, the DCT cases still give their pinned stream and decoded
+    hashes."""
     tests = Path(__file__).resolve().parent
     env = dict(
         os.environ,
