@@ -49,17 +49,18 @@ the scratch memory does not grow with the payload or the frame. The pixels
 are clipped to the bit depth the caller passes, the unit header's.
 
 The forward DCT is one product with the same basis: raster blocks times its
-transpose are their coefficients, already in zigzag order. The encoder
-transforms a chunk of 512 blocks at a time, whole block rows or part of one
-row wider than that, in two reused float64 buffers, and rounds each chunk's
-coefficients over qstep into one int32 array of levels: half away from zero,
-where a value at most 2^-20 below k + 1/2 counts as k + 1/2. The band is
-for exact ties. At zigzag positions 0, 10, 14 and 39 every basis entry is
-+-1/8, so where qstep is a power of two an integer block often lands on
-k + 1/2 exactly, and the product's rounding error, which depends on the
-order BLAS sums in, puts it a few ulps to either side. With the band every
-such tie rounds away from zero, on any BLAS kernel and under scipy's FFT
-alike. The encoder then codes the pairs of a slice of blocks at a time; a
+transpose are their coefficients, already in zigzag order. The encoder stages
+the blocks, in raster order, in the int32 array that will hold their levels,
+and walks it with tensor._float64_chunks, a float64 copy of 512 blocks at a
+time: each chunk's coefficients over qstep, rounded by _round_half_away, the
+codec's one level rule, overwrite the chunk's own rows. That rule is half
+away from zero, where a value at most 2^-20 below k + 1/2 counts as k + 1/2.
+The band is for exact ties. At zigzag positions 0, 10, 14 and 39 every basis
+entry is +-1/8, so where qstep is a power of two an integer block often
+lands on k + 1/2 exactly, and the product's rounding error, which depends on
+the order BLAS sums in, puts it a few ulps to either side. With the band
+every such tie rounds away from zero, on any BLAS kernel and under scipy's
+FFT alike. The encoder then codes the pairs of a slice of blocks at a time; a
 slice ends at about 2^13 pairs. frexp splits each symbol's v + 1 into its
 codeword width and its suffix. One cumsum of the widths gives every prefix's
 end, and every suffix's end is that less the count of codewords so far.
@@ -79,7 +80,7 @@ from enum import IntEnum
 import numpy as np
 
 from .errors import DomainError, PayloadDecodeError, TruncatedError
-from .tensor import _CHUNK
+from .tensor import _float64_chunks
 
 BLOCK = 8
 _COEFFS = BLOCK * BLOCK
@@ -153,11 +154,11 @@ _BASIS = _inverse_basis()
 _FORWARD = np.ascontiguousarray(_BASIS.T)
 
 
-def dctn(blocks: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def dctn(blocks: np.ndarray) -> np.ndarray:
     """The zigzag-ordered coefficients, (n, 64), of the orthonormal DCT of
     8x8 blocks in raster order, (n, 64): one product with the basis's
-    transpose, written to out if given."""
-    return np.matmul(blocks, _FORWARD, out=out)
+    transpose."""
+    return blocks @ _FORWARD
 
 
 def _round_half_away(x: np.ndarray) -> np.ndarray:
@@ -363,27 +364,15 @@ def _row_slices(counts: np.ndarray) -> list[tuple[int, int]]:
 
 def _encode_dct(frame: np.ndarray, qp: int) -> bytes:
     blocks = _to_blocks(frame)
-    hb, wb = blocks.shape[:2]
     step = qstep(qp)
-    # A chunk is whole block rows, or part of one row wider than the chunk.
-    per_chunk = _CHUNK // _COEFFS
-    rows, cols = max(1, per_chunk // wb), min(wb, per_chunk)
-    raster = np.empty((min(rows, hb) * cols, _COEFFS))
-    zigzag = np.empty_like(raster)
-    levels = np.empty((hb * wb, _COEFFS), dtype=np.int32)
-    s = 0
-    for r in range(0, hb, rows):
-        for c in range(0, wb, cols):
-            part = blocks[r : r + rows, c : c + cols]
-            n = part.shape[0] * part.shape[1]
-            raster[:n].reshape(part.shape)[...] = part
-            coeffs = dctn(raster[:n], zigzag[:n])
-            coeffs /= step
-            # _round_half_away, with the int32 cast as its trunc.
-            coeffs += np.copysign(0.5 + _TIE, coeffs, dtype=np.float32)
-            levels[s : s + n] = coeffs
-            s += n
-    del raster, zigzag, coeffs
+    levels = np.empty((blocks.shape[0] * blocks.shape[1], _COEFFS), dtype=np.int32)
+    levels.reshape(blocks.shape)[...] = blocks
+    del blocks  # a padded copy of the frame, unless its sides are multiples of 8
+    for x, rows in _float64_chunks(levels, levels):
+        coeffs = dctn(x)
+        coeffs /= step
+        rows[...] = _round_half_away(coeffs)
+    del x, rows, coeffs
     counts = np.count_nonzero(levels, axis=1)
     out, suffixes = _BitWriter(), _BitWriter()
     out.write_ue(out, counts)

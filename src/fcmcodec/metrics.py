@@ -49,23 +49,25 @@ class RdCurve:
         object.__setattr__(self, "qualities", qualities)
 
 
-def _log_rate_integral(curve: RdCurve, lo: float, hi: float, center: float) -> float:
-    """Integral of the cubic fit of log10(rate) vs quality over [lo, hi].
+def _log_rate_integral(curve: RdCurve, center: float, span: float) -> float:
+    """Integral over [-1/2, 1/2] of the cubic fit of log10(rate) against the
+    quality q' = (q - center) / span.
 
-    Huge qualities overflow the fit or leave it ill-conditioned. numpy's
-    warnings about that are silenced; bd_rate judges the result.
+    In q' the fit's conditioning does not depend on the scale of the
+    qualities. A curve that reaches far past the overlap can still overflow
+    the fit or leave it ill-conditioned; numpy's warnings about that are
+    silenced, and bd_rate judges the result.
     """
     with np.errstate(all="ignore"), warnings.catch_warnings():
         warnings.simplefilter("ignore", np.exceptions.RankWarning)
-        q = np.asarray(curve.qualities, dtype=np.float64) - center
+        q = (np.asarray(curve.qualities, dtype=np.float64) - center) / span
         # polyfit would scale an infinite cube to NaN, and LAPACK prints
         # about a NaN matrix on stdout.
         if not np.isfinite(q**3).all():
             raise DomainError("no finite BD-rate: qualities too far apart for a cubic fit")
         log_r = np.log10(np.asarray(curve.rates, dtype=np.float64))
-        coeffs = np.polyfit(q, log_r, 3)
-        integral = np.polyint(coeffs)
-        return float(np.polyval(integral, hi - center) - np.polyval(integral, lo - center))
+        integral = np.polyint(np.polyfit(q, log_r, 3))
+        return float(np.polyval(integral, 0.5) - np.polyval(integral, -0.5))
 
 
 def bd_rate(anchor: RdCurve, test: RdCurve) -> float:
@@ -77,13 +79,12 @@ def bd_rate(anchor: RdCurve, test: RdCurve) -> float:
     hi = min(max(anchor.qualities), max(test.qualities))
     if not lo < hi:
         raise DomainError("curves have no overlapping quality range")
-    center = 0.5 * (lo + hi)
     span = hi - lo
+    if not math.isfinite(span):
+        raise DomainError("no finite BD-rate: the overlapping quality range is not finite")
+    center = lo + span / 2
     try:
-        avg_diff = (
-            _log_rate_integral(test, lo, hi, center)
-            - _log_rate_integral(anchor, lo, hi, center)
-        ) / span
+        avg_diff = _log_rate_integral(test, center, span) - _log_rate_integral(anchor, center, span)
         rate = 100.0 * (10.0 ** avg_diff - 1.0)
     except (np.linalg.LinAlgError, OverflowError) as exc:
         raise DomainError(f"no finite BD-rate: {exc}") from exc

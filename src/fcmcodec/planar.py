@@ -1,4 +1,4 @@
-"""Planar raw-frame exchange format (also used by external codec adapters).
+"""Planar raw-frame exchange format.
 
 One frame record: width u32, height u32, bit-depth u8, then height*width
 samples as little-endian u16. A sequence file is records back to back.

@@ -120,7 +120,8 @@ def _float64_chunks(src: np.ndarray, out: np.ndarray):
 
     Yields a float64 copy of each chunk, in one reused buffer, and the same
     rows of out, which has src's number of rows. A row wider than _CHUNK is a
-    chunk of its own.
+    chunk of its own. out may be src: each chunk is copied before its rows
+    are yielded.
     """
     rows = max(1, _CHUNK // src.shape[1])
     buf = np.empty((min(rows, len(src)), src.shape[1]))

@@ -338,6 +338,24 @@ class TestBdrateCommand:
         line = err if code else out
         assert (out if code else err) == "" and line.count("\n") == 1, (out, err)
 
+    def test_tiny_qualities_exit_promptly(self, tmp_path):
+        # A cubic fit in qualities near 1e-100 spun in LAPACK; in the
+        # overlap's own scale it gives the unscaled curves' result. Run in a
+        # subprocess, so that a hang fails by the timeout.
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        for path, rates in ((a, (1, 2, 4, 8)), (b, (1.5, 2.5, 4.5, 8.5))):
+            path.write_text("rate_kbps,quality\n" + "".join(f"{r},{q}e-100\n" for r, q in zip(rates, (1, 2, 3, 4))))
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run(
+            [sys.executable, "-m", "fcmcodec.cli", "bdrate", "--anchor", str(a), "--test", str(b)],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "+20.46%\n", "")
+
     def test_mutated_csv_files(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         argv = ["bdrate", "--anchor", str(FIXTURES / "sfu_class_c_remote.csv"), "--test", str(bad)]

@@ -96,15 +96,19 @@ SEVERAL_SLICES = make_frame(np.random.default_rng(4), (192, 192), 16, smooth=Fal
         (np.full((8, 8), 65535, np.uint16), 0, 16),
         (make_frame(np.random.default_rng(3), (136, 136), 10, smooth=True), 22, 10),
         (SEVERAL_SLICES, 0, 16),
-        # The encoder transforms _CHUNK // 64 = 512 blocks at a time: whole
-        # block rows, or part of a row wider than that. 2 rows of 600 blocks,
-        # each cut at 512; one row of 563 blocks, from 5 rows of pixels; 13
-        # rows of 100 blocks, in chunks of 5 rows, the last of them 3 rows.
+        # The encoder transforms _CHUNK // 64 = 512 blocks at a time: runs of
+        # blocks in raster order, cut anywhere in a row. 2 rows of 600 blocks,
+        # cut at block 512 of the first and block 424 of the second; one row
+        # of 563 blocks, from 5 rows of pixels; 13 rows of 100 blocks, the
+        # last chunk 276 blocks; 8 rows of 64 blocks, exactly one chunk; one
+        # row of 513 blocks, a chunk and one block.
         pytest.param(make_frame(np.random.default_rng(8), (16, 4800), 10, smooth=True), 22, 10, id="rows_wider_than_a_chunk"),
         pytest.param(make_frame(np.random.default_rng(9), (5, 4500), 16, smooth=True), 4, 16, id="one_block_row"),
         pytest.param(
             make_frame(np.random.default_rng(10), (104, 800), 12, smooth=True), 8, 12, id="blocks_not_a_multiple_of_the_chunk"
         ),
+        pytest.param(make_frame(np.random.default_rng(11), (64, 512), 10, smooth=True), 22, 10, id="one_chunk"),
+        pytest.param(make_frame(np.random.default_rng(12), (8, 4104), 16, smooth=False), 0, 16, id="a_chunk_and_a_block"),
     ],
 )
 def test_edge_frames_match_reference(frame, qp, bit_depth):

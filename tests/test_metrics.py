@@ -51,12 +51,14 @@ class TestBdRate:
     def test_quality_relabeling_invariant(self):
         test = curve([90, 180, 360, 720, 1500], [30.5, 33.2, 36.4, 38.7, 41.2])
         base = bd_rate(ANCHOR, test)
-        shift = 7.5
-        shifted = bd_rate(
-            curve(ANCHOR.rates, [q + shift for q in ANCHOR.qualities]),
-            curve(test.rates, [q + shift for q in test.qualities]),
-        )
-        assert shifted == pytest.approx(base, abs=1e-9)
+        # a shift, and scales at which a cubic fit in the raw qualities
+        # underflows or overflows
+        for relabel in (lambda q: q + 7.5, lambda q: q * 1e-200, lambda q: q * 1e100, lambda q: q * 1e300):
+            relabeled = bd_rate(
+                curve(ANCHOR.rates, [relabel(q) for q in ANCHOR.qualities]),
+                curve(test.rates, [relabel(q) for q in test.qualities]),
+            )
+            assert relabeled == pytest.approx(base, abs=1e-9)
 
     def test_no_overlap_rejected(self):
         low = curve([1, 2, 4, 8], [10, 11, 12, 13])

@@ -1,0 +1,42 @@
+"""Smoke tests of the scripts the README walks through."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+from fcmcodec.cli import main
+from fcmcodec.tensor import read_tensor_file
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_readme_cli_walkthrough(tmp_path, capsys):
+    demo, stream, back = tmp_path / "demo.ftns", tmp_path / "demo.fcmb", tmp_path / "back.ftns"
+    done = run_script("make_demo_tensors.py", str(demo))
+    assert done.returncode == 0, done.stderr
+    argv = ["encode", "--input", str(demo), "--output", str(stream), "--codec", "dct"]
+    assert main(argv + ["--transform", "meanpool2x", "--prune-ratio", "0.25"]) == 0
+    assert main(["decode", "--input", str(stream), "--output", str(back)]) == 0
+    source, decoded = read_tensor_file(demo), read_tensor_file(back)
+    assert decoded.labels == source.labels == ("p3", "p4", "p5")
+    assert [t.data.shape for t in decoded.tensors] == [t.data.shape for t in source.tensors]
+    capsys.readouterr()
+    assert main(["inspect", "--input", str(stream)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["unit=0", "unit=1", "unit=2"]
+    assert all("transform=meanpool2x" in line and "qp=22" in line for line in lines), lines
+
+
+def test_rd_sweep_prints_its_table():
+    done = run_script("rd_sweep.py", "--channels", "4", "--size", "8")
+    assert (done.returncode, done.stderr) == (0, "")
+    # a header, 3 RAW rows (qp does not apply) and 9 DCT rows
+    assert len(done.stdout.splitlines()) == 13
