@@ -4,7 +4,8 @@ Stream layout: magic `FCMB`, version u8 (5), unit count u8 (1-8), then units.
 A unit holds, in order:
 - the channel count N and the pruned count k (u16 each);
 - the combination rank of the pruned set, a u16-length-prefixed big-endian
-  big integer (length 0 means rank 0);
+  big integer in its fewest bytes (length 0 means rank 0), so each pruned
+  set has one encoding;
 - the tensor's global mean and std (f32 each), the decoder's one refinement
   target;
 - the bit depth (u8) and the tile height and width (u16 each); the tile grid
@@ -140,7 +141,10 @@ def parse_unit(data: bytes, offset: int = 0) -> tuple[UnitHeader, memoryview, in
 
     n_channels, k = struct.unpack("<HH", take(4))
     (rank_len,) = struct.unpack("<H", take(2))
-    rank = int.from_bytes(take(rank_len), "big")
+    rank_field = take(rank_len)
+    if rank_len and rank_field[0] == 0:
+        raise InvariantError("rank field has a leading zero byte")
+    rank = int.from_bytes(rank_field, "big")
     mu, sigma = struct.unpack("<ff", take(8))
     bit_depth, tile_h, tile_w = struct.unpack("<BHH", take(5))
     transform_id, label_len = struct.unpack("<BB", take(2))

@@ -21,6 +21,8 @@ planes are bit-contiguous and zero bits pad the last byte. The codewords are
 those of one plain ue stream, so the payload is exactly as long.
 
 A decoder refuses:
+- a block row of 2^25 or more blocks, 2^31 coefficients
+  (DimensionOverflowError), before it reads the payload;
 - a qp byte over 63 (PayloadDecodeError);
 - a prefix of more than 24 zeros (PayloadDecodeError), so every value fits
   int32; valid 16-bit levels at qp 0 need at most 20;
@@ -33,20 +35,29 @@ A decoder refuses:
   (PayloadDecodeError).
 
 Decoding needs no loop per codeword or per block. unpackbits and flatnonzero
-find every prefix's 1, hence every codeword's length; a cumsum gives every
-suffix's bit offset; a 32-bit gather reads every value; a cumsum over the
-counts places the pairs in their blocks, and one scatter writes the
-coefficients at their zigzag positions. The inverse DCT is one product with
-a fixed 64x64 matrix, as the H.26x standards define it: row z of the basis
-kron(D, D)[ZIGZAG], for the 8-point DCT-II matrix D, is the block of the unit
-coefficient at zigzag position z. The decoder first scans every prefix into
-one byte per codeword and runs every truncation and padding check, then
-decodes a slice of block rows at a time: it reads the slice's values,
-scatters them and writes the slice's inverse DCT into the frame. The prefix
-scan and the value read run in bounded chunks, and a slice holds a bounded
-number of pairs and of blocks, so beyond the frame and a byte per codeword,
-the scratch memory does not grow with the payload or the frame. The pixels
-are clipped to the bit depth the caller passes, the unit header's.
+find every prefix's 1, hence every codeword's length. The value read takes
+2^14 codewords at a time: it copies the bytes of their suffixes, and 4 zero
+bytes, into a segment of its own, turns that into the native uint32 window
+that starts at each of its bytes with one astype, and reads each value from
+its suffix's window with uint32 shifts at bit offsets counted from the
+chunk's first byte. A cumsum over the counts places the pairs in their
+blocks, and one scatter writes each level times qstep at its zigzag position.
+Those positions are int32, counted from the first block of a slice of block
+rows. A slice holds one row or fewer than 2^12 blocks, so its positions fit
+while a row has fewer than 2^25 blocks. Through FCMB a frame is at most
+256 x 65535 samples wide, a row of 2^21 blocks and 2^27 positions; but
+codec_decode takes any shape, so it refuses a row of 2^25 blocks or more.
+The inverse DCT is one product with a fixed 64x64 matrix, as the H.26x
+standards define it: row z of the basis kron(D, D)[ZIGZAG], for the 8-point
+DCT-II matrix D, is the block of the unit coefficient at zigzag position z.
+The decoder first scans every prefix into one byte per codeword and runs
+every truncation and padding check, then decodes a slice of block rows at a
+time: it reads the slice's values, scatters them and writes the slice's
+inverse DCT into the frame. The prefix scan and the value read run in
+bounded chunks, and a slice holds a bounded number of pairs and of blocks,
+so beyond the frame and a byte per codeword, the scratch memory does not
+grow with the payload or the frame. The pixels are clipped to the bit depth
+the caller passes, the unit header's.
 
 The forward DCT is one product with the same basis: raster blocks times its
 transpose are their coefficients, already in zigzag order. The encoder stages
@@ -79,7 +90,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .errors import DomainError, PayloadDecodeError, TruncatedError
+from .errors import DimensionOverflowError, DomainError, PayloadDecodeError, TruncatedError
 from .tensor import _float64_chunks
 
 BLOCK = 8
@@ -101,12 +112,15 @@ _SLICE_PAIRS = 1 << 13
 _EXTEND_WORDS = 1 << 14
 
 # Payload bytes per chunk of the decoder's prefix scan, and codewords per
-# chunk of its value read: their scratch stays under about 0.6 MB.
+# chunk of its value read. Measured with tracemalloc, a chunk's scratch peaks
+# at 0.79 MB in a scan where every bit is a prefix's 1, and at 0.64 MB in a
+# read of 24-bit suffixes.
 _SCAN_BYTES = 1 << 13
 _READ_CODEWORDS = 1 << 14
 
 # Pairs and blocks per decoder slice, of whole block rows. A slice holds about
-# 32 bytes of scratch per pair and 1 KB per block. At 2^15 pairs the perfbench
+# 21 bytes of scratch per pair, its 8 bytes of pair symbols included, and 1 KB
+# per block (tracemalloc). At 2^15 pairs the perfbench
 # dense_dct16 frames decoded no faster and peaked 0.2 MB higher; the block
 # bound binds on sparse frames only.
 _DECODE_SLICE_PAIRS = 1 << 14
@@ -390,6 +404,8 @@ def _ue_lengths(buf: np.ndarray, nbits: int, start: int, n: int) -> tuple[np.nda
     its suffix plane starts at; and the bit after it. n is at most
     nbits - start, so the counts take no more bytes than the payload has bits."""
     zeros = np.empty(n, dtype=np.uint8)
+    # The gaps between the 1s of a chunk, which lie under 2^16 bits apart.
+    gaps = np.empty(min(n, 8 * _SCAN_BYTES), dtype=np.uint16)
     done = 0
     last = start - 1  # the bit of the latest prefix's 1
     byte = start >> 3
@@ -400,96 +416,105 @@ def _ue_lengths(buf: np.ndarray, nbits: int, start: int, n: int) -> tuple[np.nda
             raise TruncatedError("bitstream exhausted")
         bits = np.unpackbits(buf[byte : min(byte + _SCAN_BYTES, nbits >> 3)])
         bits[: max(start - 8 * byte, 0)] = 0
-        ones = np.flatnonzero(bits.view(bool))[: n - done]
-        ones += 8 * byte
-        chunk = np.diff(ones, prepend=last)
+        ones = np.flatnonzero(bits.view(bool))[: n - done]  # from bit 8 * byte
+        chunk = gaps[: len(ones)]
+        np.subtract(ones[1:], ones[:-1], out=chunk[1:], casting="unsafe")
+        if len(ones):
+            # The gap from the latest 1 before the chunk, capped where it is
+            # too long anyway.
+            chunk[0] = min(8 * byte + int(ones[0]) - last, 0xFFFF)
+            last = 8 * byte + int(ones[-1])
         chunk -= 1
         if chunk.max(initial=0) > _MAX_UE_PREFIX:
             raise PayloadDecodeError("exp-Golomb prefix too long")
-        if len(ones):
-            last = int(ones[-1])
         zeros[done : done + len(ones)] = chunk
         done += len(ones)
         byte += _SCAN_BYTES
+        del bits, ones  # before the next chunk's
     end = last + 1 + int(zeros.sum(dtype=np.int64))
     if end > nbits:
         raise TruncatedError("bitstream exhausted")
     return zeros, last + 1, end
 
 
-def _words(payload: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The big-endian 32-bit words at byte offsets 0 .. len(payload) of the
-    uint8 payload followed by zero bytes, as two arrays: those that lie
-    inside it, read in place, then the rest, from a padded copy of its last
-    3 bytes."""
-    inside = max(len(payload) - 3, 0)
-    tail = np.zeros(len(payload) - inside + 4, dtype=np.uint8)
-    tail[: len(payload) - inside] = payload[inside:]
-    return (
-        np.ndarray((inside,), dtype=">u4", buffer=payload, strides=(1,)),
-        np.ndarray((len(tail) - 3,), dtype=">u4", buffer=tail, strides=(1,)),
-    )
-
-
-def _ue_values(words: tuple[np.ndarray, np.ndarray], zeros: np.ndarray, start: int) -> tuple[np.ndarray, int]:
+def _ue_values(payload: np.ndarray, zeros: np.ndarray, start: int) -> tuple[np.ndarray, int]:
     """The int32 values of the codewords whose prefix zero counts are zeros
-    and whose suffixes start at bit start of the payload whose _words are
-    words, and the bit after the last suffix."""
-    inside, tail = words
+    and whose suffixes start at bit start of the uint8 payload, and the bit
+    after the last suffix."""
     values = np.empty(len(zeros), dtype=np.int32)
     for s in range(0, len(zeros), _READ_CODEWORDS):
-        z = zeros[s : s + _READ_CODEWORDS].astype(np.int64)
-        at = np.cumsum(z)
-        at += start - z
-        start += int(z.sum())
-        # Each suffix's byte, then its word; the bytes rise, so only the last
-        # ones reach the tail.
-        x = at >> 3
-        cut = int(np.searchsorted(x, len(inside)))
-        x[:cut] = inside[x[:cut]]
-        x[cut:] = tail[x[cut:] - len(inside)]
-        x <<= at & 7
-        x &= 0xFFFFFFFF
-        x >>= 32 - z
-        x -= 1
-        x += 1 << z
-        values[s : s + _READ_CODEWORDS] = x
+        z = zeros[s : s + _READ_CODEWORDS].astype(np.uint32)
+        # Each suffix's bit, counted from the chunk's first byte.
+        at = np.cumsum(z, dtype=np.uint32)
+        end = start + int(at[-1])
+        at -= z
+        at += start & 7
+        # The chunk's bytes and 4 zero bytes, as the native 32-bit window
+        # that starts at each byte.
+        span = payload[start >> 3 : (end + 7) >> 3]
+        segment = np.zeros(len(span) + 4, dtype=np.uint8)
+        segment[: len(span)] = span
+        windows = np.ndarray((len(span) + 1,), dtype=">u4", buffer=segment, strides=(1,)).astype(np.uint32)
+        # numpy indexes in intp: one cast is faster than the gather's own.
+        x = windows[(at >> 3).astype(np.intp)]
+        at &= 7
+        x <<= at
+        # x holds the suffix from its top bit on. Put the leading 1 of v + 1
+        # in front of it and shift v + 1 down: no shift count reaches 32.
+        x >>= 1
+        x |= np.uint32(1 << 31)
+        np.subtract(31, z, out=z)
+        x >>= z
+        np.subtract(x, np.uint32(1), out=values[s : s + _READ_CODEWORDS].view(np.uint32))
+        start = end
     return values, start
 
 
 def _scatter_blocks(counts: np.ndarray, pairs: np.ndarray, step: float) -> np.ndarray:
     """Dequantized coefficients of the blocks, (len(counts), 64) in zigzag
-    order. Overwrites pairs."""
+    order, from their int32 pair counts and pair symbols. Overwrites pairs.
+    64 * len(counts) must be below 2^31."""
     runs, levels = pairs[0::2], pairs[1::2]
     full = np.flatnonzero(counts)  # the blocks that hold pairs
     if not len(full):
         return np.zeros((len(counts), _COEFFS))
-    first = np.cumsum(counts)[full] - counts[full]  # their first pairs
+    # A run over 63 ends past its block; refusing it first keeps every sum
+    # below 64 * (len(counts) + 1).
+    at = runs + np.int32(1)
+    if at.max() > _COEFFS:
+        raise PayloadDecodeError("coefficient position past end of block")
+    first = np.cumsum(counts, dtype=np.int32)[full]
+    first -= counts[full]  # the blocks' first pairs
+    # A block's run + 1 sum is the position after its last pair.
+    sums = np.add.reduceat(at, first, dtype=np.int32)
+    if sums.max() > _COEFFS:
+        raise PayloadDecodeError("coefficient position past end of block")
     # at = 64 * block + zigzag position: a cumsum of run + 1 that each block
     # restarts at 64 * block - 1, by a jump at its first pair.
-    at = runs.astype(np.int64)
-    at += 1
-    sums = np.add.reduceat(at, first)
-    start = 64 * full - 1
-    start -= np.cumsum(sums) - sums
-    at[first] += np.diff(start, prepend=0)
-    np.cumsum(at, out=at)
-    # Positions rise within a block, so its last pair holds its largest.
-    if (at[first + counts[full] - 1] >= 64 * full + 64).any():
-        raise PayloadDecodeError("coefficient position past end of block")
-    if not levels.all():
-        raise PayloadDecodeError("zero level in run-level pair")
-    # m -> (m + 1) / 2 for odd m, -m / 2 for even m: x ^ -1 - -1 is -x
-    mask = levels & 1
-    mask -= 1
-    levels += 1
-    levels >>= 1
-    levels ^= mask
-    levels -= mask
+    start = full.astype(np.int32)
+    start *= _COEFFS
+    start -= 1
+    start -= np.cumsum(sums, dtype=np.int32) - sums
+    at[first] += np.diff(start, prepend=np.int32(0))
+    # m -> (m + 1) / 2 for odd m, -m / 2 for even m: x ^ -1 - -1 is -x. Only
+    # m = 0 gives 0.
+    level = levels & 1
+    mask = level - np.int32(1)
+    level += levels
+    level >>= 1
+    level ^= mask
+    level -= mask
     del mask
+    if not level.all():
+        raise PayloadDecodeError("zero level in run-level pair")
+    # Every symbol is read: the 8 bytes of each pair take its coefficient.
+    value = pairs.view(np.float64)
+    np.multiply(level, step, out=value)
+    del level
+    # The positions come out in intp, the index type numpy scatters with.
+    at = np.cumsum(at, dtype=np.intp)
     coeffs = np.zeros((len(counts), _COEFFS))
-    coeffs.reshape(-1)[at] = levels
-    coeffs *= step
+    coeffs.reshape(-1)[at] = value
     return coeffs
 
 
@@ -507,14 +532,16 @@ def _decode_dct(data: bytes, bit_depth: int, shape: tuple[int, int]) -> np.ndarr
     h, w = shape
     hb = -(-h // BLOCK)
     wb = -(-w // BLOCK)
+    # A slice of block rows addresses its coefficients in int32.
+    if _COEFFS * wb >= 1 << 31:
+        raise DimensionOverflowError(f"a row of {wb} blocks has 2^31 or more coefficients")
     nbits = 8 * (len(data) - 1)
     # Every codeword costs at least one bit: refuse before sizing anything.
     if hb * wb > nbits:
         raise TruncatedError(f"{hb * wb} blocks cannot fit in {nbits} payload bits")
     payload = np.frombuffer(data, dtype=np.uint8, offset=1)
-    words = _words(payload)
     zeros, suffix, end = _ue_lengths(payload, nbits, 0, hb * wb)
-    counts, _ = _ue_values(words, zeros, suffix)
+    counts, _ = _ue_values(payload, zeros, suffix)
     if counts.max() > _COEFFS:
         raise PayloadDecodeError(f"block coefficient count {counts.max()} > 64")
     npairs = 2 * int(counts.sum())
@@ -533,7 +560,7 @@ def _decode_dct(data: bytes, bit_depth: int, shape: tuple[int, int]) -> np.ndarr
     for r0, r1 in _row_slices(row_counts):
         blocks = row_counts[r0:r1].reshape(-1)
         last = first + 2 * int(blocks.sum())
-        pairs, suffix = _ue_values(words, zeros[first:last], suffix)
+        pairs, suffix = _ue_values(payload, zeros[first:last], suffix)
         first = last
         coeffs = _scatter_blocks(blocks, pairs, step)
         del pairs

@@ -21,7 +21,6 @@ VALID_RATIOS = (2, 4, 8)
 class PixelSequence:
     frames: tuple[np.ndarray, ...]
     bit_depth: int
-    frame_rate: float = 30.0
 
     def __post_init__(self):
         if not self.frames:
@@ -81,7 +80,7 @@ def bitdepth_truncate(s: PixelSequence, shift: int) -> PixelSequence:
     if shift == 0:
         return s
     frames = tuple(np.right_shift(f, shift) for f in s.frames)
-    return PixelSequence(frames, s.bit_depth - shift, s.frame_rate)
+    return PixelSequence(frames, s.bit_depth - shift)
 
 
 def bitdepth_restore(s: PixelSequence, shift: int) -> PixelSequence:
@@ -91,7 +90,7 @@ def bitdepth_restore(s: PixelSequence, shift: int) -> PixelSequence:
     if shift == 0:
         return s
     frames = tuple(np.left_shift(f.astype(np.uint16), shift) for f in s.frames)
-    return PixelSequence(frames, s.bit_depth + shift, s.frame_rate)
+    return PixelSequence(frames, s.bit_depth + shift)
 
 
 def temporal_resample_scalar(s: PixelSequence, ratio: int) -> tuple[PixelSequence, TemporalSideInfo]:
@@ -99,7 +98,7 @@ def temporal_resample_scalar(s: PixelSequence, ratio: int) -> tuple[PixelSequenc
     if ratio not in VALID_RATIOS:
         raise DomainError(f"ratio must be one of {VALID_RATIOS}, got {ratio}")
     kept = tuple(s.frames[i] for i in range(0, len(s), ratio))
-    out = PixelSequence(kept, s.bit_depth, s.frame_rate / ratio)
+    out = PixelSequence(kept, s.bit_depth)
     return out, TemporalSideInfo(ratio, len(s))
 
 
@@ -123,4 +122,4 @@ def temporal_restore(s: PixelSequence, info: TemporalSideInfo) -> PixelSequence:
         else:
             # past the last kept frame: duplicate it
             frames.append(s.frames[-1])
-    return PixelSequence(tuple(frames), s.bit_depth, s.frame_rate * info.ratio)
+    return PixelSequence(tuple(frames), s.bit_depth)

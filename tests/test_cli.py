@@ -198,6 +198,19 @@ class TestCodecCommands:
             assert "unit 1: unknown codec id 7" in capsys.readouterr().err
         assert capsys.readouterr().out == ""
 
+    def test_rank_with_a_leading_zero_byte_exit_3(self, tmp_path, rng, capsys):
+        # 00 || rank names the same pruned set as rank; only the fewest bytes
+        # are accepted, so each pruned set has one encoding.
+        stream = fcm_encode(random_group(rng, count=1, channels=8), EncoderConfig(prune_ratio=0.5))
+        rank_at = 6 + 4  # magic, version, unit count, N, k
+        (rank_len,) = struct.unpack_from("<H", stream, rank_at)
+        assert rank_len and stream[rank_at + 2]
+        bad = tmp_path / "bad.fcmb"
+        bad.write_bytes(stream[:rank_at] + struct.pack("<H", rank_len + 1) + b"\0" + stream[rank_at + 2 :])
+        for argv in (["decode", "--output", str(tmp_path / "o.ftns")], ["inspect"]):
+            assert main(argv + ["--input", str(bad)]) == 3
+            assert "unit 0: rank field has a leading zero byte" in capsys.readouterr().err
+
     def test_sigma_overflowing_the_refinement_exit_3(self, tmp_path, rng, capsys):
         # A finite f32 sigma whose refined samples overflow float32: one
         # error line, and no numpy warning before it.

@@ -34,8 +34,8 @@ from fcmcodec import (
     fcm_decode,
     fcm_encode,
 )
-from fcmcodec.codec import _SLICE_PAIRS, _BitWriter, _cuts, _row_slices, _slices
-from fcmcodec.errors import FcmError, PayloadDecodeError, TruncatedError
+from fcmcodec.codec import _SLICE_PAIRS, _BitWriter, _cuts, _row_slices, _slices, _ue_lengths, _ue_values
+from fcmcodec.errors import DimensionOverflowError, FcmError, PayloadDecodeError, TruncatedError
 
 from helpers import mutate
 
@@ -308,6 +308,90 @@ def test_layout_edge_payloads_decode_like_the_reference(data):
     got, expected = codec_and_reference(data, (16, 16))
     assert isinstance(expected, np.ndarray), expected
     np.testing.assert_array_equal(got, expected)
+
+
+def read_values(data: bytes, n: int) -> list[int]:
+    """The codec's values of the split-plane ue sequence of n codewords that
+    starts the payload data, after its qp byte."""
+    buf = np.frombuffer(data, dtype=np.uint8, offset=1)
+    zeros, suffix, end = _ue_lengths(buf, 8 * len(buf), 0, n)
+    values, after = _ue_values(buf, zeros, suffix)
+    assert after == end
+    return values.tolist()
+
+
+def assert_values_match_reference(values):
+    data = payload(split_bits(values))
+    assert read_values(data, len(values)) == read_split_ue(BitReader(data[1:]), len(values)) == list(values)
+
+
+# A block row of one block that holds two pairs whose levels have 24-bit
+# suffixes, the longest accepted, behind lead blocks without pairs.
+WIDEST_PAIRS = [0, 2**25 - 2, 0, 2**24 - 1]
+
+
+@pytest.mark.parametrize("lead", range(8))
+def test_value_read_at_every_bit_offset(lead):
+    """z = 0 codewords (v + 1 = 1) and z = 24 codewords, whose suffixes span
+    4 bytes; lead one-bit codewords in front start the suffix plane at every
+    bit of a byte over the 8 cases."""
+    values = [0] * lead + WIDEST_PAIRS + [0]
+    assert (len(split_planes(values)[0]) - lead) % 8 == 5
+    assert_values_match_reference(values)
+    data = payload(split_bits([0] * lead + [2]) + split_bits(WIDEST_PAIRS))
+    got, expected = codec_and_reference(data, (8, 8 * (lead + 1)), bit_depth=16)
+    assert isinstance(expected, np.ndarray), expected
+    np.testing.assert_array_equal(got, expected)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 4])
+def test_value_read_across_chunk_boundaries(chunk, monkeypatch):
+    """Sequences of a chunk less one, exactly one chunk, one more, and two
+    chunks of codewords, and a frame whose 12 counts fill whole chunks."""
+    monkeypatch.setattr(fcmcodec.codec, "_READ_CODEWORDS", chunk)
+    rng = np.random.default_rng(chunk)
+    for n in (chunk - 1, chunk, chunk + 1, 2 * chunk):
+        zeros = rng.choice([0, 1, 7, 8, 23, 24], size=n)
+        assert_values_match_reference(((1 << zeros) - 1 + rng.integers(0, 1 << zeros)).tolist())
+    frame = make_frame(rng, (24, 32), 16, smooth=False)
+    data = reference_encode_dct(frame, 0)
+    np.testing.assert_array_equal(decode(data, 16, frame.shape), reference_decode_dct(data, 16, frame.shape))
+
+
+@pytest.mark.parametrize("last", [2**25 - 2, 2**24 - 1, 1], ids=["all_ones", "all_zeros", "one_bit"])
+def test_suffix_plane_ending_on_the_last_byte(last):
+    """The last suffix ends on the payload's last bit, with no padding, so
+    its 32-bit window reaches 3 bytes past the payload. One-bit codewords in
+    front, one bit each, bring the end to a byte boundary."""
+    values = [0, last]
+    values = [0] * (-len(split_bits(values)) % 8) + values
+    assert len(split_bits(values)) % 8 == 0
+    assert_values_match_reference(values)
+    counts, pairs = [0] * 7 + [1], [0, last]
+    lead = -len(split_bits(counts) + split_bits(pairs)) % 8
+    data = payload(split_bits([0] * lead + counts) + split_bits(pairs))
+    assert 8 * (len(data) - 1) == len(split_bits([0] * lead + counts) + split_bits(pairs))
+    got, expected = codec_and_reference(data, (8, 8 * (lead + len(counts))), bit_depth=16)
+    assert isinstance(expected, np.ndarray), expected
+    np.testing.assert_array_equal(got, expected)
+
+
+def test_a_block_row_past_int32_positions_is_refused_before_any_allocation():
+    """A row of 2^25 blocks has 2^31 coefficient positions, past the int32
+    positions a slice uses. Its 2^25 one-bit count-0 codewords fit in 4 MB,
+    so the bit check alone would let it through."""
+    data = bytes([22]) + b"\xff" * (1 << 22)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionOverflowError, match="2\\^31"):
+            decode(data, 10, (1, 8 << 25))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    # one block less passes the guard and fails on the bits it lacks
+    with pytest.raises(TruncatedError):
+        decode(data[:2], 10, (1, 8 * (2**25 - 1)))
 
 
 # Bounds (fixed bytes, bytes per input byte) on the tracemalloc peak of each
