@@ -3,11 +3,21 @@
 rate-distortion table (stream size in bytes, PSNR of the reconstruction
 against the source tensors).
 
+With --csv DIR it also writes one rate-distortion curve per codec and prune
+ratio, in the `rate_kbps,quality` form that `fcmcodec bdrate` reads: the rate
+column holds stream bits per tensor element and the quality column PSNR in
+dB, one row per operating point in order of rate. BLOCK_DCT curves sweep qp
+16 to 40 at the default bit depth; RAW_LOSSLESS ignores qp, so its curves
+sweep the bit depth. Files are named <codec>_prune<ratio>.csv, for example
+dct_prune0.25.csv.
+
 Usage:
-    python3 scripts/rd_sweep.py [--channels 16] [--size 32] [--seed 7]
+    python3 scripts/rd_sweep.py [--channels 16] [--size 32] [--seed 7] [--csv DIR]
 """
 
 import argparse
+import csv
+import pathlib
 
 import numpy as np
 
@@ -19,6 +29,10 @@ from fcmcodec import (
     fcm_decode,
     fcm_encode,
 )
+
+RATIOS = (0.0, 0.25, 0.5)
+CURVE_QPS = (16, 22, 28, 34, 40)
+CURVE_BIT_DEPTHS = (8, 10, 12, 14)
 
 
 def make_group(rng, channels, size, count=3):
@@ -44,11 +58,34 @@ def group_psnr(a, b):
     return 10 * np.log10(peak * peak / mse)
 
 
+def rd_point(group, cfg):
+    """(stream bits per element, PSNR in dB) of one encode and decode."""
+    stream = fcm_encode(group, cfg)
+    elements = sum(t.data.size for t in group.tensors)
+    return 8 * len(stream) / elements, group_psnr(group, fcm_decode(stream))
+
+
+def write_curves(group, directory):
+    directory.mkdir(parents=True, exist_ok=True)
+    for ratio in RATIOS:
+        sweeps = {
+            "dct": [EncoderConfig(ratio, codec=CodecId.BLOCK_DCT, qp=qp) for qp in CURVE_QPS],
+            "raw": [EncoderConfig(ratio, bit_depth=depth) for depth in CURVE_BIT_DEPTHS],
+        }
+        for name, configs in sweeps.items():
+            points = sorted(rd_point(group, cfg) for cfg in configs)
+            with open(directory / f"{name}_prune{ratio:.2f}.csv", "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["rate_kbps", "quality"])
+                writer.writerows((f"{rate:.6f}", f"{quality:.4f}") for rate, quality in points)
+
+
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--channels", type=int, default=16)
     ap.add_argument("--size", type=int, default=32)
     ap.add_argument("--seed", type=int, default=7)
+    ap.add_argument("--csv", type=pathlib.Path, metavar="DIR", help="also write rate_kbps,quality curves to DIR")
     args = ap.parse_args()
 
     rng = np.random.default_rng(args.seed)
@@ -57,7 +94,7 @@ def main():
     print(f"{'codec':<6} {'qp':>3} {'prune':>5} {'bytes':>8} {'psnr_db':>8}")
     for codec, name in ((CodecId.RAW_LOSSLESS, "raw"), (CodecId.BLOCK_DCT, "dct")):
         for qp in (4, 22, 40):
-            for ratio in (0.0, 0.25, 0.5):
+            for ratio in RATIOS:
                 cfg = EncoderConfig(prune_ratio=ratio, codec=codec, qp=qp)
                 stream = fcm_encode(group, cfg)
                 decoded = fcm_decode(stream)
@@ -67,6 +104,8 @@ def main():
                 )
             if codec == CodecId.RAW_LOSSLESS:
                 break  # qp does not affect the lossless path
+    if args.csv is not None:
+        write_curves(group, args.csv)
 
 
 if __name__ == "__main__":

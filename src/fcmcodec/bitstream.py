@@ -126,8 +126,9 @@ def serialize_unit(header: UnitHeader, payload: bytes) -> bytes:
 def parse_unit(data: bytes, offset: int = 0) -> tuple[UnitHeader, memoryview, int]:
     """Parse one unit starting at offset; returns (header, payload, consumed).
 
-    The payload is a view into data, not a copy. A unit whose packed frame
-    would exceed the FTNS element cap is refused before anything is sized."""
+    The payload is a view into data, not a copy. A unit whose packed frame or
+    decoded tensor would exceed the FTNS element cap is refused before
+    anything is sized."""
     view = memoryview(data)
     pos = offset
 
@@ -171,6 +172,10 @@ def parse_unit(data: bytes, offset: int = 0) -> tuple[UnitHeader, memoryview, in
     lay = header.layout
     if lay.frame_height * lay.frame_width > MAX_ELEMENTS:
         raise DimensionOverflowError(f"{lay.frame_height}x{lay.frame_width} frame exceeds the element cap")
+    f = TRANSFORMS[header.transform]
+    c, h, w = n_channels, f * tile_h, f * tile_w
+    if c * h * w > MAX_ELEMENTS:
+        raise DimensionOverflowError(f"decoded tensor {c}x{h}x{w} exceeds the element cap")
     return header, payload, pos - offset
 
 

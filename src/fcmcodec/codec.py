@@ -72,15 +72,22 @@ lands on k + 1/2 exactly, and the product's rounding error, which depends on
 the order BLAS sums in, puts it a few ulps to either side. With the band
 every such tie rounds away from zero, on any BLAS kernel and under scipy's
 FFT alike. The encoder then codes the pairs of a slice of blocks at a time; a
-slice ends at about 2^13 pairs. frexp splits each symbol's v + 1 into its
-codeword width and its suffix. One cumsum of the widths gives every prefix's
-end, and every suffix's end is that less the count of codewords so far.
-packbits writes the prefixes' 1 bits. Every suffix, scaled to its place in a
-51-bit window that starts at its 32-bit word, is summed per word by
-np.bincount in float64: the fields are disjoint, so the sum is their OR, and
-exact. codec_encode admits samples below 2^16 only, so no suffix is wider
-than 20 bits and a window holds each one. The pair suffixes wait in a second
-writer until the last slice.
+slice ends at about 2^14 pairs or 2^12 blocks, so its coefficient and bit
+positions are int32. The symbols are int32 too, and each v + 1 is exact in
+float32: the exponent field gives the codeword's z, and the fraction field,
+moved to the top of a 32-bit word, holds its suffix and then zeros.
+codec_encode admits samples below 2^16 only, so a level codeword has at most
+20 suffix bits and a run codeword at most 6. A pair is then one field in each
+plane, at most 28 bits wide: its two prefixes, and its two suffixes one after
+the other. Its prefixes take 2 bits more than its suffixes, so one int32
+cumsum of the pairs' suffix widths places every field in its word. Each field
+is shifted to its place; only the last field of a word can spill into the
+next. A word is the sum of the parts of its fields that lie in it, since the
+fields are disjoint, and a uint32 cumsum over the fields gives every word as
+the difference of two running sums, exact modulo 2^32 though the sums wrap.
+The pair suffixes wait in a second writer until the last slice.
+A frame of 2^28 blocks or more is refused (DimensionOverflowError), so the
+count plane's bit positions fit int32 too.
 """
 
 from __future__ import annotations
@@ -102,11 +109,16 @@ _TIE = 2.0**-20
 # Longest accepted ue zero prefix, so every value fits int32.
 _MAX_UE_PREFIX = 24
 
-# Pairs per encoder slice. Writing a pair holds about 75 bytes of scratch, so
-# a slice needs about 0.6 MB. A slice also costs about 0.1 ms of numpy call
-# overhead: at 2^13 rather than 2^14 pairs the perfbench dense_dct16 frames
-# encoded about 6% slower in-process.
-_SLICE_PAIRS = 1 << 13
+# Pairs and blocks per encoder slice. A slice holds about 27 bytes of scratch
+# per pair, its 8 bytes of pair symbols included, so 2^14 pairs take 0.44 MB
+# (tracemalloc), and a mask byte per coefficient while it finds the pairs:
+# 2^12 blocks of one pair each take 0.31 MB. A slice also costs about 0.15 ms
+# of numpy call overhead: at 2^13 rather than 2^14 pairs the perfbench
+# dense_dct16 frames encoded 15-25% slower in-process. The block bound
+# binds where runs of empty blocks make a slice sparse; it also keeps the
+# slice's coefficient positions, 64 per block, far inside int32.
+_SLICE_PAIRS = 1 << 14
+_SLICE_BLOCKS = 1 << 12
 
 # Words per chunk when one bit writer takes another's bits.
 _EXTEND_WORDS = 1 << 14
@@ -230,22 +242,56 @@ def _decode_raw(data: bytes, shape: tuple[int, int]) -> np.ndarray:
 
 
 def _pair_symbols(levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The run and the level symbols of the (run, level) pairs of blocks of
-    zigzag-ordered int32 levels, pair by pair in stream order."""
-    at = np.flatnonzero(levels)
-    level = levels.reshape(-1)[at]
+    """The int32 run and level symbols of the (run, level) pairs of blocks of
+    zigzag-ordered int32 levels, pair by pair in stream order. 64 * len(levels)
+    must be below 2^31."""
+    nonzero = levels.reshape(-1) != 0
+    at = nonzero.nonzero()[0].astype(np.int32)
+    code = levels.reshape(-1)[nonzero]
+    del nonzero
     # A block's first run counts from its start, at & 63 positions in.
-    run = np.empty_like(at)
+    run = np.empty(len(at), dtype=np.int32)
     run[:1] = at[:1]
     np.subtract(at[1:], at[:-1], out=run[1:])
     run[1:] -= 1
     at &= _COEFFS - 1
     np.minimum(run, at, out=run)
+    del at
     # 2|l| - 1 for l > 0, 2|l| for l < 0
-    code = np.abs(level)
+    positive = code > 0
+    np.abs(code, out=code)
     code += code
-    code -= level > 0
+    code -= positive
     return run, code
+
+
+def _plane_words(fields: np.ndarray, place: np.ndarray) -> np.ndarray:
+    """The 32-bit words of a bit plane, then a spare word.
+
+    fields (uint32) are the plane's fields in order, each moved to the top of
+    a word, and place (uint8) the bit of its word each starts at. The first
+    starts in word 0 and each is under 32 bits wide, so every word up to the
+    last field's holds a field's start. Overwrites fields.
+
+    A field is the last to start in its word where the next one starts at a
+    lower place; only that one can spill into the next word. A word is the
+    sum of the parts of its fields that lie in it, the difference of two
+    running sums: exact modulo 2^32, so the sums may wrap."""
+    last = np.empty(len(place), dtype=bool)
+    np.less(place[1:], place[:-1], out=last[:-1])
+    last[-1] = True
+    last = last.nonzero()[0]
+    spill = fields[last] << (31 - place[last])
+    spill <<= 1
+    fields >>= place
+    np.add.accumulate(fields, out=fields)
+    upto = fields[last]
+    words = np.empty(len(last) + 1, dtype=np.uint32)
+    words[0] = upto[0]
+    np.subtract(upto[1:], upto[:-1], out=words[1:-1])
+    words[-1] = 0
+    words[1:] |= spill
+    return words
 
 
 class _BitWriter:
@@ -265,70 +311,70 @@ class _BitWriter:
         self._last = int(words[full])
         self._used = total & 31
 
-    def _write_fields(self, fields: list[tuple[np.ndarray, np.ndarray]], total: int) -> None:
-        """Append total bits, counted from the start of the last word, that
-        hold disjoint bit fields of at most 20 bits. Each pair of arrays
-        gives fields by their start bits and their values over 2^(w + 1) for
-        a w-bit field; both arrays are overwritten.
-
-        A field that starts at bit k of word j lies within the 51 bits from
-        word j on, its window; scaled by 2^(52 - k), its value sits at its
-        place there. bincount sums the windows of each word in float64: the
-        fields are disjoint, so the sum is their OR and is exact. A window's
-        top 32 bits are its word, the other 19 start the next word.
-        """
-        windows = np.zeros((total >> 5) + 1)
-        for start, value in fields:
-            shift = (start & 31).astype(np.int32)  # ldexp is slow on int64
-            np.negative(shift, out=shift)
-            np.ldexp(value, shift, out=value)
-            start >>= 5
-            windows += np.bincount(start, value, minlength=len(windows))
-        windows = np.ldexp(windows, 52).astype(np.uint64)
-        words = windows >> 19
-        words[1:] |= (windows[:-1] & 0x7FFFF) << 13
-        self._append(words, total)
-
     def write_ue(self, suffixes: "_BitWriter", *columns: np.ndarray) -> None:
         """Append the ue codewords of the symbols of the columns, row by row:
         their prefixes here and their suffixes to suffixes. Every symbol is a
-        non-negative int below 2^21 - 1."""
+        non-negative int below 2^21 - 1, and a call writes fewer than 2^31
+        bits to each."""
         rows = len(columns[0])
         if not rows:
             return
-        # v + 1 = mant * 2^width: width is z + 1, and the suffix, the low z
-        # bits of v + 1, over 2^(z + 1) is mant - 1/2.
-        coded = [np.frexp(c + 1.0) for c in columns]
-        row = coded[0][1]
-        for _, width in coded[1:]:
-            row = row + width
-        end = np.cumsum(row, dtype=np.int64)  # of each row's prefixes
-        bits = int(end[-1])
-        # A codeword has one prefix bit more than suffix bits, so a row's
-        # suffixes end k bits per row before its prefixes.
-        k = len(coded)
-        suffix_end = np.arange(k, k * (rows + 1), k, dtype=np.int64)
-        np.subtract(end, suffix_end, out=suffix_end)
+        # v + 1 in float32, exact below 2^24, is 2^z plus its suffix, the low
+        # z bits: its exponent field is 127 + z and its fraction field the
+        # suffix followed by 23 - z zeros.
+        code = np.empty((len(columns), rows), dtype=np.float32)
+        for c, column in enumerate(columns):
+            np.add(column, 1, out=code[c], dtype=np.float32)
+        fields = code.view(np.uint32)
+        zeros = np.empty(code.shape, dtype=np.uint8)
+        np.right_shift(fields, 23, out=zeros, casting="unsafe")
+        zeros -= 127
+        # A row's codewords make one field in each plane where their prefixes
+        # fit in 31 bits; otherwise each codeword makes its own.
+        if sum(int(z.max()) for z in zeros) + len(zeros) > 31:
+            fields, zeros = fields.T.reshape(1, -1), zeros.T.reshape(1, -1)
+        k, rows = zeros.shape
 
-        total = self._used + bits
-        ones = np.zeros(((total >> 5) + 1) << 5, dtype=np.uint8)
-        end += self._used - 1
-        for _, width in reversed(coded):
-            ones[end] = 1
-            end -= width
-        del end
-        self._append(np.packbits(ones).view(">u4").astype(np.uint64), total)
-        del ones
+        # Where each field starts in its word. A row's suffixes start after
+        # the suffix bits before it, its prefixes k bits per row later.
+        width = np.add.reduce(zeros, dtype=np.uint8)
+        start = np.empty(rows, dtype=np.int32)
+        start[0] = 0
+        np.add.accumulate(width[:-1], dtype=np.int32, out=start[1:])
+        suffix_bits = int(start[-1]) + int(width[-1])
+        del width
+        prefix_end = self._used + suffix_bits + k * rows
+        # When suffixes is this writer, the suffixes follow the prefixes.
+        used = suffixes._used if suffixes is not self else prefix_end & 31
+        suffix_place = np.empty(rows, dtype=np.uint8)
+        np.add(start, used, out=suffix_place, casting="unsafe")
+        suffix_place &= 31
+        start += np.arange(self._used, self._used + k * rows, k, dtype=np.int32)
+        prefix_place = np.empty(rows, dtype=np.uint8)
+        np.bitwise_and(start, 31, out=prefix_place, casting="unsafe")
+        del start
 
-        suffix_end += suffixes._used
-        fields = []
-        for mant, width in reversed(coded):
-            start = suffix_end - width
-            start += 1
-            mant -= 0.5
-            fields.append((start, mant))
-            suffix_end = start
-        suffixes._write_fields(fields, suffixes._used + bits - k * rows)
+        # A row's suffix field is its codewords' suffixes one after another;
+        # a fraction field moved to the top holds its suffix, then zeros.
+        fields <<= 9
+        shift = zeros[0]
+        for c in range(1, k):
+            fields[c] >>= shift
+            fields[0] |= fields[c]
+            shift = shift + zeros[c]
+        suffix_words = _plane_words(fields[0], suffix_place)
+        del code, fields, suffix_place
+
+        # A row's prefix field is each codeword's z zeros and a 1.
+        ones = np.zeros(rows, dtype=np.uint32)
+        shift = np.zeros(rows, dtype=np.uint8)
+        for z in zeros:
+            shift += z
+            ones |= np.right_shift(np.uint32(1 << 31), shift)
+            shift += 1
+        del zeros, shift
+        self._append(_plane_words(ones, prefix_place), prefix_end)
+        suffixes._append(suffix_words, used + suffix_bits)
 
     def _shift_in(self, words: np.ndarray, bits: int) -> None:
         """Append the first bits bits of the 32-bit words."""
@@ -390,7 +436,8 @@ def _encode_dct(frame: np.ndarray, qp: int) -> bytes:
     counts = np.count_nonzero(levels, axis=1)
     out, suffixes = _BitWriter(), _BitWriter()
     out.write_ue(out, counts)
-    for s, e in _slices(len(counts), _cuts(counts, _SLICE_PAIRS)):
+    by_blocks = np.arange(_SLICE_BLOCKS, len(counts), _SLICE_BLOCKS)
+    for s, e in _slices(len(counts), _cuts(counts, _SLICE_PAIRS), by_blocks):
         out.write_ue(suffixes, *_pair_symbols(levels[s:e]))
     del levels
     out.extend(suffixes)
@@ -587,6 +634,9 @@ def codec_encode(frame: np.ndarray, codec: CodecId, qp: int = 22, bit_depth: int
         raise DomainError(f"qp must be in [0, 63], got {qp}")
     if not 8 <= bit_depth <= 16:
         raise DomainError(f"bit depth must be in [8, 16], got {bit_depth}")
+    blocks = -(-frame.shape[0] // BLOCK) * -(-frame.shape[1] // BLOCK)
+    if codec == CodecId.BLOCK_DCT and blocks >= 1 << 28:
+        raise DimensionOverflowError(f"a frame of {blocks} blocks, 2^28 or more, is too large for BLOCK_DCT")
     if (frame.dtype.kind == "i" and frame.min() < 0) or frame.max() >= (1 << bit_depth):
         raise DomainError(f"samples outside [0, 2^{bit_depth})")
     if codec == CodecId.RAW_LOSSLESS:

@@ -17,8 +17,10 @@ from fcmcodec import (
     FeatureTensor,
     GlobalStats,
     TensorGroup,
+    UnitHeader,
     apply_refinement,
     codec_decode,
+    codec_encode,
     compute_global_stats,
     fcm_decode,
     fcm_encode,
@@ -133,6 +135,26 @@ def depth_relabelled_stream(codec: CodecId) -> bytes:
     t = FeatureTensor(np.random.default_rng(16).normal(size=(2, 8, 8)).astype(np.float32))
     stream = fcm_encode(TensorGroup((t,)), EncoderConfig(codec=codec, qp=4, bit_depth=16))
     return relabelled(stream, 14, "<B", 8)  # after N, k, rank length and the stats pair
+
+
+def one_tile_stream(channels: int, tile: int, transform: str) -> bytes:
+    """A one-unit BLOCK_DCT stream that keeps one tile x tile channel of
+    channels, so its packed frame is one tile while its decoded tensor is
+    channels x (f * tile) x (f * tile) for the transform's pooling factor f."""
+    header = UnitHeader(
+        original_channels=channels,
+        pruned_k=channels - 1,
+        lcr_rank=0,
+        transform_stats=GlobalStats(0.0, 1.0),
+        bit_depth=10,
+        tile_h=tile,
+        tile_w=tile,
+        transform_id=list(TRANSFORMS).index(transform),
+        label="",
+        codec=int(CodecId.BLOCK_DCT),
+    )
+    payload = codec_encode(np.zeros((tile, tile), np.uint16), CodecId.BLOCK_DCT, qp=22, bit_depth=10)
+    return serialize_stream([(header, payload)])
 
 
 def with_payload_qp(stream: bytes, unit: int, qp: int) -> bytes:

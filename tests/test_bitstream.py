@@ -19,6 +19,7 @@ from fcmcodec import (
 from fcmcodec.bitstream import STREAM_MAGIC, STREAM_VERSION, parse_stream, parse_unit, serialize_stream, serialize_unit
 from fcmcodec.cli import main
 from fcmcodec.errors import (
+    DimensionOverflowError,
     FcmError,
     FormatError,
     InvariantError,
@@ -28,7 +29,7 @@ from fcmcodec.errors import (
     VersionError,
 )
 
-from helpers import patched, random_group, with_payload_qp
+from helpers import one_tile_stream, patched, random_group, with_payload_qp
 
 # A 1x2x2 tensor as the version-1 writer coded it: a u16 unit count, a u16
 # permutation length per unit, and neither a transform id nor a label.
@@ -242,6 +243,26 @@ class TestStream:
         corrupted = blob[:idx] + b"\x0a" + blob[idx + 1 :]
         with pytest.raises(InvariantError):
             parse_stream(corrupted)
+
+    def test_decoded_tensor_over_the_element_cap(self):
+        # One kept 256x256 tile of 65535 channels: a 2^16-sample frame that
+        # decodes to 65535 * 2^16 elements, about 17 GB of float32.
+        with pytest.raises(DimensionOverflowError, match="decoded tensor 65535x256x256 exceeds"):
+            parse_stream(one_tile_stream(65535, 256, "identity"))
+
+    @pytest.mark.parametrize(
+        "channels,transform,refused",
+        [(32768, "identity", False), (32769, "identity", True), (8192, "meanpool2x", False), (16384, "meanpool2x", True)],
+    )
+    def test_the_decoded_cap_counts_channels_and_pooling(self, channels, transform, refused):
+        """2^31 decoded elements, MAX_ELEMENTS, pass; one channel more, or
+        the same channels repeated 2x2 by meanpool2x, do not."""
+        stream = one_tile_stream(channels, 256, transform)
+        if refused:
+            with pytest.raises(DimensionOverflowError, match="decoded tensor"):
+                parse_stream(stream)
+        else:
+            assert parse_stream(stream)[0][0].original_channels == channels
 
     def test_trailing_garbage(self):
         blob = serialize_stream([(make_header(), b"xy")])

@@ -23,6 +23,7 @@ from helpers import (
     channel_mismatch_stream,
     depth_relabelled_stream,
     mutate,
+    one_tile_stream,
     patched,
     random_group,
     with_payload_qp,
@@ -210,6 +211,16 @@ class TestCodecCommands:
         for argv in (["decode", "--output", str(tmp_path / "o.ftns")], ["inspect"]):
             assert main(argv + ["--input", str(bad)]) == 3
             assert "unit 0: rank field has a leading zero byte" in capsys.readouterr().err
+
+    def test_decoded_tensor_over_the_element_cap_exit_3(self, tmp_path, capsys):
+        # A 161-byte stream whose 65535 channels of 256x256, all but one pruned,
+        # would restore to about 17 GB: refused before any channel is sized.
+        bad = tmp_path / "bad.fcmb"
+        bad.write_bytes(one_tile_stream(65535, 256, "identity"))
+        for argv in (["decode", "--output", str(tmp_path / "o.ftns")], ["inspect"]):
+            assert main(argv + ["--input", str(bad)]) == 3
+            assert "unit 0: decoded tensor 65535x256x256 exceeds the element cap" in capsys.readouterr().err
+        assert not (tmp_path / "o.ftns").exists()
 
     def test_sigma_overflowing_the_refinement_exit_3(self, tmp_path, rng, capsys):
         # A finite f32 sigma whose refined samples overflow float32: one

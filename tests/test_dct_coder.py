@@ -34,7 +34,16 @@ from fcmcodec import (
     fcm_decode,
     fcm_encode,
 )
-from fcmcodec.codec import _SLICE_PAIRS, _BitWriter, _cuts, _row_slices, _slices, _ue_lengths, _ue_values
+from fcmcodec.codec import (
+    _SLICE_PAIRS,
+    _BitWriter,
+    _cuts,
+    _pair_symbols,
+    _row_slices,
+    _slices,
+    _ue_lengths,
+    _ue_values,
+)
 from fcmcodec.errors import DimensionOverflowError, FcmError, PayloadDecodeError, TruncatedError
 
 from helpers import mutate
@@ -118,6 +127,93 @@ def test_edge_frames_match_reference(frame, qp, bit_depth):
 def test_the_sliced_edge_frame_spans_three_slices():
     counts = read_split_ue(BitReader(reference_encode_dct(SEVERAL_SLICES, 0)[1:]), 24 * 24)
     assert len(_slices(len(counts), _cuts(np.array(counts), _SLICE_PAIRS))) >= 3
+
+
+def test_encoder_slices_are_bounded_in_blocks(monkeypatch):
+    """An all-zero frame with five textured blocks: 100 blocks, 95 of them
+    empty, and fewer pairs than the pair budget. With a budget of 16 blocks
+    the encoder codes 7 slices, one of them a run of empty blocks only."""
+    monkeypatch.setattr(fcmcodec.codec, "_SLICE_PAIRS", 1024)
+    monkeypatch.setattr(fcmcodec.codec, "_SLICE_BLOCKS", 16)
+    rng = np.random.default_rng(13)
+    frame = np.zeros((40, 160), np.uint16)  # 5 rows of 20 blocks
+    for block in (3, 17, 18, 64, 99):
+        r, c = divmod(block, 20)
+        frame[8 * r : 8 * r + 8, 8 * c : 8 * c + 8] = rng.integers(0, 1024, (8, 8))
+    sliced = []
+    real = fcmcodec.codec._pair_symbols
+    monkeypatch.setattr(fcmcodec.codec, "_pair_symbols", lambda levels: sliced.append(len(levels)) or real(levels))
+    assert encode(frame, 22, 10) == reference_encode_dct(frame, 22)
+    assert sliced == [16] * 6 + [4]
+
+
+def test_a_frame_of_2_to_the_28_blocks_is_refused(monkeypatch):
+    """Its count plane could pass 2^31 bits. The frame is a broadcast view of
+    one sample, and the encoder proper is stubbed out, so nothing of its size
+    is allocated."""
+    monkeypatch.setattr(fcmcodec.codec, "_encode_dct", lambda *args: pytest.fail("the frame reached the encoder"))
+    frame = np.broadcast_to(np.zeros((1, 1), np.uint16), (1 << 17, 1 << 17))
+    with pytest.raises(DimensionOverflowError, match="268435456 blocks"):
+        encode(frame, 22, 10)
+
+
+# 16-bit qp-0 frames with the widest codewords a frame gives: blocks of
+# 65535, whose DC level codes to 1664491 (20 suffix bits), next to 0/65535
+# checkerboards, whose last zigzag coefficient is the largest AC level, and
+# blocks lit at one corner. The widest pair of all, a run of 63 with a level
+# code of 2^21 - 2, cannot come from a frame: a block whose levels are all
+# zero but the last has a DC level of 0, so its mean is under 1/25.
+WIDE_CODE_FRAME = np.block(
+    [
+        [np.full((8, 8), 65535), np.indices((8, 8)).sum(axis=0) % 2 * 65535, np.pad([[65535]], ((0, 7), (0, 7)))],
+        [np.indices((8, 8)).sum(axis=0) % 2 * 65535, np.pad([[65535]], ((7, 0), (7, 0))), np.full((8, 8), 65535)],
+    ]
+).astype(np.uint16)
+
+
+def test_the_widest_codes_of_a_frame_match_the_reference():
+    data = reference_encode_dct(WIDE_CODE_FRAME, 0)
+    assert max_prefix_zeros(data, 6) == 20
+    assert_matches_reference(WIDE_CODE_FRAME, 0, 16)
+
+
+@pytest.mark.parametrize("lead", range(32))
+def test_the_widest_pairs_match_the_reference(lead):
+    """Blocks whose only level is the last one, at +-(2^20 - 1): pairs of a
+    run of 63 and a level code of 2^21 - 3 or 2^21 - 2, 28 prefix and 26
+    suffix bits, after lead blocks whose one pair adds 3 prefix bits and 1
+    suffix bit, so the wide fields start at every place in their words."""
+    levels = np.zeros((lead + 4, 64), np.int32)
+    levels[:lead, 0] = 1
+    levels[lead:, 63] = [2**20 - 1, -(2**20 - 1), 2**20 - 1, -(2**20 - 1)]
+    levels[lead + 2, :63] = 1 - 2 * (np.arange(63) % 2)  # and a full block
+    run, code = _pair_symbols(levels)
+    assert run.dtype == code.dtype == np.int32
+    counts = np.count_nonzero(levels, axis=1)
+    pairs = []
+    for block in levels:
+        prev = -1
+        for pos in np.flatnonzero(block):
+            level = int(block[pos])
+            pairs += [int(pos) - prev - 1, 2 * level - 1 if level > 0 else -2 * level]
+            prev = int(pos)
+    assert [int(x) for x in np.stack([run, code], axis=1).reshape(-1)] == pairs
+    assert max(pairs) == 2**21 - 2 and pairs.count(63) == 3
+    out, suffixes = _BitWriter(), _BitWriter()
+    out.write_ue(out, counts)
+    out.write_ue(suffixes, run, code)
+    out.extend(suffixes)
+    assert out.getvalue(b"\x00") == b"\x00" + reference_bits(counts, pairs)
+
+
+def test_bit_writer_leaves_its_columns_as_they_were():
+    rng = np.random.default_rng(3)
+    symbols = ue_symbols(rng, 400)
+    before = symbols.copy()
+    out, suffixes = _BitWriter(), _BitWriter()
+    out.write_ue(suffixes, symbols[0::2], symbols[1::2])
+    out.write_ue(out, symbols)
+    np.testing.assert_array_equal(symbols, before)
 
 
 # The decoder's slices hold whole block rows; with budgets of 1024 pairs and
@@ -441,10 +537,11 @@ def test_counts_past_the_payload_are_refused_before_the_pairs_are_sized():
 
 # Bound on the tracemalloc peak of a BLOCK_DCT encode, in bytes per frame
 # element. A 512x512 16-bit noise frame at qp 0, a 1 MB payload, peaks at
-# 10.8 B per element: 13.0 B with a whole-frame transform and slices of 2^14
-# pairs, 21.6 B before slices. The bound leaves a 1.25x margin. Coded as one
-# slice, the same frame peaks at 78 B per element.
-ENCODE_PEAK_PER_ELEMENT = 13.5
+# 10.1 B per element with slices of 2^14 pairs in 32-bit lanes: 10.8 B with
+# slices of 2^13 pairs in 64-bit lanes, 13.0 B with a whole-frame transform,
+# 21.6 B before slices. The bound leaves a 1.25x margin. Coded as one slice,
+# the same frame peaks at 34 B per element (82 B in 64-bit lanes).
+ENCODE_PEAK_PER_ELEMENT = 12.6
 
 
 def test_encode_peak_per_element():

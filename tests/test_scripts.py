@@ -2,6 +2,7 @@
 
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -40,3 +41,23 @@ def test_rd_sweep_prints_its_table():
     assert (done.returncode, done.stderr) == (0, "")
     # a header, 3 RAW rows (qp does not apply) and 9 DCT rows
     assert len(done.stdout.splitlines()) == 13
+
+
+def test_rd_sweep_curves_feed_bdrate(tmp_path, capsys):
+    """--csv DIR writes one rate_kbps,quality curve per codec and prune
+    ratio; bdrate reads two of them, the BLOCK_DCT curves at prune 0 of two
+    seeds of the same corpus."""
+    for seed in ("7", "8"):
+        done = run_script("rd_sweep.py", "--channels", "4", "--size", "8", "--seed", seed, "--csv", str(tmp_path / seed))
+        assert (done.returncode, done.stderr) == (0, "")
+        names = sorted(path.name for path in (tmp_path / seed).iterdir())
+        assert names == [f"{codec}_prune{ratio}.csv" for codec in ("dct", "raw") for ratio in ("0.00", "0.25", "0.50")]
+    # qp 16, 22, 28, 34 and 40; bit depths 8, 10, 12 and 14
+    assert [len((tmp_path / "7" / f"{codec}_prune0.00.csv").read_text().splitlines()) for codec in ("dct", "raw")] == [6, 5]
+    capsys.readouterr()
+    anchor, test = (str(tmp_path / seed / "dct_prune0.00.csv") for seed in ("7", "8"))
+    assert main(["bdrate", "--anchor", anchor, "--test", test]) == 0
+    out = capsys.readouterr().out.strip()
+    assert re.fullmatch(r"[+-]\d+\.\d\d%", out)
+    # the same corpus, so the two curves differ by its noise only
+    assert abs(float(out[:-1])) < 20
