@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
-"""Sweep qp and prune ratio on a seeded synthetic corpus and print an
-rate-distortion table (stream size in bytes, PSNR of the reconstruction
-against the source tensors).
+"""Sweep qp and prune ratio on a seeded synthetic corpus of feature-like
+tensors and print a rate-distortion table (stream size in bytes, PSNR of the
+reconstruction against the source tensors).
 
 With --csv DIR it also writes one rate-distortion curve per codec and prune
 ratio, in the `rate_kbps,quality` form that `fcmcodec bdrate` reads: the rate
 column holds stream bits per tensor element and the quality column PSNR in
 dB, one row per operating point in order of rate. BLOCK_DCT curves sweep qp
-16 to 40 at the default bit depth; RAW_LOSSLESS ignores qp, so its curves
-sweep the bit depth. Files are named <codec>_prune<ratio>.csv, for example
-dct_prune0.25.csv.
+4 to 40 in steps of 6 at the default bit depth; RAW_LOSSLESS ignores qp, so
+its curves sweep the bit depth. Files are named <codec>_prune<ratio>.csv, for
+example dct_prune0.25.csv. At the default size, bdrate can compare the
+BLOCK_DCT curve at prune 0.25, and the RAW_LOSSLESS one at prune 0, with the
+BLOCK_DCT one at prune 0.
 
 Usage:
     python3 scripts/rd_sweep.py [--channels 16] [--size 32] [--seed 7] [--csv DIR]
@@ -31,16 +33,20 @@ from fcmcodec import (
 )
 
 RATIOS = (0.0, 0.25, 0.5)
-CURVE_QPS = (16, 22, 28, 34, 40)
+CURVE_QPS = (4, 10, 16, 22, 28, 34, 40)
 CURVE_BIT_DEPTHS = (8, 10, 12, 14)
 
 
 def make_group(rng, channels, size, count=3):
-    tensors = tuple(
-        FeatureTensor(rng.normal(1.0, 1.0, (channels, size, size)).astype(np.float32))
-        for _ in range(count)
-    )
-    return TensorGroup(tensors)
+    """count feature-like tensors: sparse ReLU-style activations,
+    max(N(0, 1) - 0.3, 0), each channel scaled by exp(N(0, 1.5)), so channel
+    energies spread over orders of magnitude and pruning drops the weak ones."""
+    tensors = []
+    for _ in range(count):
+        scale = np.exp(rng.normal(0.0, 1.5, (channels, 1, 1)))
+        data = scale * np.maximum(rng.normal(size=(channels, size, size)) - 0.3, 0.0)
+        tensors.append(FeatureTensor(data.astype(np.float32)))
+    return TensorGroup(tuple(tensors))
 
 
 def group_psnr(a, b):

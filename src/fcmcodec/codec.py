@@ -34,6 +34,15 @@ A decoder refuses:
 - a whole byte past the last codeword, or a nonzero padding bit
   (PayloadDecodeError).
 
+Both coders take the pairs a slice of blocks at a time, by one rule. Given
+the blocks' pair counts as rows of blocks, a slice is a run of whole rows
+that ends at the last row keeping the pairs up to it within the next multiple
+of 2^14, and the blocks within the next multiple of a block budget; so it
+holds at most 2^14 pairs and the budget's blocks, plus those of its first
+row. The encoder's rows are single blocks and its budget 2^12; the decoder's
+rows are block rows and its budget 2^11, as its scratch per block is about
+16 times the encoder's.
+
 Decoding needs no loop per codeword or per block. unpackbits and flatnonzero
 find every prefix's 1, hence every codeword's length. The value read takes
 2^14 codewords at a time: it copies the bytes of their suffixes, and 4 zero
@@ -42,8 +51,8 @@ that starts at each of its bytes with one astype, and reads each value from
 its suffix's window with uint32 shifts at bit offsets counted from the
 chunk's first byte. A cumsum over the counts places the pairs in their
 blocks, and one scatter writes each level times qstep at its zigzag position.
-Those positions are int32, counted from the first block of a slice of block
-rows. A slice holds one row or fewer than 2^12 blocks, so its positions fit
+Those positions are int32, counted from the first block of a slice. A
+decoder slice holds one row or fewer than 2^12 blocks, so its positions fit
 while a row has fewer than 2^25 blocks. Through FCMB a frame is at most
 256 x 65535 samples wide, a row of 2^21 blocks and 2^27 positions; but
 codec_decode takes any shape, so it refuses a row of 2^25 blocks or more.
@@ -51,13 +60,13 @@ The inverse DCT is one product with a fixed 64x64 matrix, as the H.26x
 standards define it: row z of the basis kron(D, D)[ZIGZAG], for the 8-point
 DCT-II matrix D, is the block of the unit coefficient at zigzag position z.
 The decoder first scans every prefix into one byte per codeword and runs
-every truncation and padding check, then decodes a slice of block rows at a
-time: it reads the slice's values, scatters them and writes the slice's
-inverse DCT into the frame. The prefix scan and the value read run in
-bounded chunks, and a slice holds a bounded number of pairs and of blocks,
-so beyond the frame and a byte per codeword, the scratch memory does not
-grow with the payload or the frame. The pixels are clipped to the bit depth
-the caller passes, the unit header's.
+every truncation and padding check, then decodes a slice at a time: it
+reads the slice's values, scatters them and writes the slice's inverse DCT
+into the frame. The prefix scan and the value read run in bounded chunks,
+and a slice holds a bounded number of pairs and of blocks, so beyond the
+frame and a byte per codeword, the scratch memory does not grow with the
+payload or the frame. The pixels are clipped to the bit depth the caller
+passes, the unit header's.
 
 The forward DCT is one product with the same basis: raster blocks times its
 transpose are their coefficients, already in zigzag order. The encoder stages
@@ -71,15 +80,13 @@ entry is +-1/8, so where qstep is a power of two an integer block often
 lands on k + 1/2 exactly, and the product's rounding error, which depends on
 the order BLAS sums in, puts it a few ulps to either side. With the band
 every such tie rounds away from zero, on any BLAS kernel and under scipy's
-FFT alike. The encoder then codes the pairs of a slice of blocks at a time; a
-slice ends at about 2^14 pairs or 2^12 blocks, so its coefficient and bit
-positions are int32. The symbols are int32 too, and each v + 1 is exact in
-float32: the exponent field gives the codeword's z, and the fraction field,
-moved to the top of a 32-bit word, holds its suffix and then zeros.
-codec_encode admits samples below 2^16 only, so a level codeword has at most
-20 suffix bits and a run codeword at most 6. A pair is then one field in each
-plane, at most 28 bits wide: its two prefixes, and its two suffixes one after
-the other. Its prefixes take 2 bits more than its suffixes, so one int32
+FFT alike. The encoder then codes the pairs a slice at a time, and a slice's
+coefficient and bit positions are int32. The symbols are int32 too, and each
+v + 1 is exact in float32: the exponent field gives the codeword's z, and the
+fraction field, moved to the top of a 32-bit word, holds its suffix and then
+zeros. A pair is one field in each plane, at most 28 bits wide (see
+_BitWriter.write_ue): its two prefixes, and its two suffixes one after the
+other. Its prefixes take 2 bits more than its suffixes, so one int32
 cumsum of the pairs' suffix widths places every field in its word. Each field
 is shifted to its place; only the last field of a word can spill into the
 next. A word is the sum of the parts of its fields that lie in it, since the
@@ -109,14 +116,15 @@ _TIE = 2.0**-20
 # Longest accepted ue zero prefix, so every value fits int32.
 _MAX_UE_PREFIX = 24
 
-# Pairs and blocks per encoder slice. A slice holds about 27 bytes of scratch
-# per pair, its 8 bytes of pair symbols included, so 2^14 pairs take 0.44 MB
-# (tracemalloc), and a mask byte per coefficient while it finds the pairs:
-# 2^12 blocks of one pair each take 0.31 MB. A slice also costs about 0.15 ms
-# of numpy call overhead: at 2^13 rather than 2^14 pairs the perfbench
-# dense_dct16 frames encoded 15-25% slower in-process. The block bound
-# binds where runs of empty blocks make a slice sparse; it also keeps the
-# slice's coefficient positions, 64 per block, far inside int32.
+# Pairs per slice of either coder, and blocks per encoder slice (see
+# _slices). An encoder slice holds about 27 bytes of scratch per pair, its 8
+# bytes of pair symbols included, so 2^14 pairs take 0.44 MB (tracemalloc),
+# and a mask byte per coefficient while it finds the pairs: 2^12 blocks of
+# one pair each take 0.31 MB. A slice also costs about 0.15 ms of numpy call
+# overhead: at 2^13 rather than 2^14 pairs the perfbench dense_dct16 frames
+# encoded 15-25% slower in-process. The block bound binds where runs of
+# empty blocks make a slice sparse; it also keeps the slice's coefficient
+# positions, 64 per block, far inside int32.
 _SLICE_PAIRS = 1 << 14
 _SLICE_BLOCKS = 1 << 12
 
@@ -130,12 +138,11 @@ _EXTEND_WORDS = 1 << 14
 _SCAN_BYTES = 1 << 13
 _READ_CODEWORDS = 1 << 14
 
-# Pairs and blocks per decoder slice, of whole block rows. A slice holds about
-# 21 bytes of scratch per pair, its 8 bytes of pair symbols included, and 1 KB
-# per block (tracemalloc). At 2^15 pairs the perfbench
-# dense_dct16 frames decoded no faster and peaked 0.2 MB higher; the block
-# bound binds on sparse frames only.
-_DECODE_SLICE_PAIRS = 1 << 14
+# Blocks per decoder slice (see _slices). A decoder slice holds about 21
+# bytes of scratch per pair, its 8 bytes of pair symbols included, and 1 KB
+# per block (tracemalloc), about 16 times an encoder slice's; the block bound
+# binds on sparse frames only. At 2^15 pairs the perfbench dense_dct16 frames
+# decoded no faster and peaked 0.2 MB higher.
 _DECODE_SLICE_BLOCKS = 1 << 11
 
 # deflate memLevel of RAW_LOSSLESS. With the run-length strategy it sets the
@@ -313,27 +320,25 @@ class _BitWriter:
 
     def write_ue(self, suffixes: "_BitWriter", *columns: np.ndarray) -> None:
         """Append the ue codewords of the symbols of the columns, row by row:
-        their prefixes here and their suffixes to suffixes. Every symbol is a
-        non-negative int below 2^21 - 1, and a call writes fewer than 2^31
-        bits to each."""
-        rows = len(columns[0])
+        their prefixes here and their suffixes to suffixes, fewer than 2^31
+        bits to each. A row's prefixes make one field, so they must take at
+        most 31 bits; the codec's rows do. A count is at most 64, and since
+        codec_encode admits samples below 2^16 and qstep is at least 2^(-4/6),
+        a run is at most 63 and a level code below 2^21 - 1, so a pair's
+        prefixes take at most 7 + 21 = 28 bits."""
+        k, rows = len(columns), len(columns[0])
         if not rows:
             return
         # v + 1 in float32, exact below 2^24, is 2^z plus its suffix, the low
         # z bits: its exponent field is 127 + z and its fraction field the
         # suffix followed by 23 - z zeros.
-        code = np.empty((len(columns), rows), dtype=np.float32)
+        code = np.empty((k, rows), dtype=np.float32)
         for c, column in enumerate(columns):
             np.add(column, 1, out=code[c], dtype=np.float32)
         fields = code.view(np.uint32)
         zeros = np.empty(code.shape, dtype=np.uint8)
         np.right_shift(fields, 23, out=zeros, casting="unsafe")
         zeros -= 127
-        # A row's codewords make one field in each plane where their prefixes
-        # fit in 31 bits; otherwise each codeword makes its own.
-        if sum(int(z.max()) for z in zeros) + len(zeros) > 31:
-            fields, zeros = fields.T.reshape(1, -1), zeros.T.reshape(1, -1)
-        k, rows = zeros.shape
 
         # Where each field starts in its word. A row's suffixes start after
         # the suffix bits before it, its prefixes k bits per row later.
@@ -397,29 +402,16 @@ class _BitWriter:
         return b"".join((head, self._buf, self._last.to_bytes(4, "big")[: (self._used + 7) >> 3]))
 
 
-def _cuts(counts: np.ndarray, budget: int) -> np.ndarray:
-    """Where the slices of a run of items end, given a count per item. A slice
-    ends at the last item that keeps the count up to it within the next
-    multiple of budget, so it holds at most budget plus its first item's
-    count."""
-    ends = np.cumsum(counts)
-    return np.searchsorted(ends, np.arange(budget, int(ends[-1]), budget), side="right")
-
-
-def _slices(n: int, *cuts: np.ndarray) -> list[tuple[int, int]]:
-    """The (first, end) ranges of the non-empty slices of n items that end at
-    every one of the cuts."""
-    edges = np.unique(np.concatenate([[0], *cuts, [n]])).tolist()
-    return list(zip(edges[:-1], edges[1:]))
-
-
-def _row_slices(counts: np.ndarray) -> list[tuple[int, int]]:
-    """The decoder's slices of whole block rows, given the blocks' pair counts
-    as (rows, blocks per row). Each holds at most _DECODE_SLICE_PAIRS pairs
-    and _DECODE_SLICE_BLOCKS blocks, plus those of one row."""
+def _slices(counts: np.ndarray, blocks: int) -> list[tuple[int, int]]:
+    """The (first, end) row ranges of the slices that the rule above cuts
+    from rows of blocks, given their pair counts as (rows, blocks per row)
+    and the block budget, blocks."""
     rows, per_row = counts.shape
-    by_pairs = _cuts(counts.sum(axis=1), _DECODE_SLICE_PAIRS)
-    return _slices(rows, by_pairs, _cuts(np.full(rows, per_row), _DECODE_SLICE_BLOCKS))
+    ends = np.cumsum(counts.sum(axis=1))
+    by_pairs = np.searchsorted(ends, np.arange(_SLICE_PAIRS, int(ends[-1]), _SLICE_PAIRS), side="right")
+    by_blocks = np.arange(blocks, rows * per_row, blocks) // per_row
+    edges = np.unique(np.concatenate([[0], by_pairs, by_blocks, [rows]])).tolist()
+    return list(zip(edges[:-1], edges[1:]))
 
 
 def _encode_dct(frame: np.ndarray, qp: int) -> bytes:
@@ -436,8 +428,7 @@ def _encode_dct(frame: np.ndarray, qp: int) -> bytes:
     counts = np.count_nonzero(levels, axis=1)
     out, suffixes = _BitWriter(), _BitWriter()
     out.write_ue(out, counts)
-    by_blocks = np.arange(_SLICE_BLOCKS, len(counts), _SLICE_BLOCKS)
-    for s, e in _slices(len(counts), _cuts(counts, _SLICE_PAIRS), by_blocks):
+    for s, e in _slices(counts[:, None], _SLICE_BLOCKS):
         out.write_ue(suffixes, *_pair_symbols(levels[s:e]))
     del levels
     out.extend(suffixes)
@@ -604,7 +595,7 @@ def _decode_dct(data: bytes, bit_depth: int, shape: tuple[int, int]) -> np.ndarr
     frame = np.empty(shape, dtype=np.uint16)
     row_counts = counts.reshape(hb, wb)
     first = 0  # the slice's first pair symbol
-    for r0, r1 in _row_slices(row_counts):
+    for r0, r1 in _slices(row_counts, _DECODE_SLICE_BLOCKS):
         blocks = row_counts[r0:r1].reshape(-1)
         last = first + 2 * int(blocks.sum())
         pairs, suffix = _ue_values(payload, zeros[first:last], suffix)

@@ -27,7 +27,8 @@ def psnr(a: np.ndarray, b: np.ndarray, peak: float) -> float:
 
 @dataclass(frozen=True)
 class RdCurve:
-    """At least four (rate, quality) points, strictly increasing in rate."""
+    """At least four (rate, quality) points, strictly increasing in rate;
+    rates positive and finite, qualities finite."""
 
     rates: tuple[float, ...]
     qualities: tuple[float, ...]
@@ -39,8 +40,8 @@ class RdCurve:
             raise DomainError("rates and qualities must have equal length")
         if len(rates) < 4:
             raise DomainError(f"curve needs >= 4 points, got {len(rates)}")
-        if any(r <= 0 for r in rates):
-            raise DomainError("rates must be positive")
+        if not all(0 < r < math.inf for r in rates):  # a NaN fails too
+            raise DomainError("rates must be positive and finite")
         if any(r1 >= r2 for r1, r2 in zip(rates, rates[1:])):
             raise DomainError("rates must be strictly increasing")
         if not all(math.isfinite(q) for q in qualities):

@@ -326,13 +326,17 @@ class TestBdrateCommand:
             (b'rate_kbps,quality\n1,"' + b"1" * 131073 + b'"\n', None, 3),
             # the cubic fit fails
             (b"rate_kbps,quality\n1,-1e308\n2,-1e307\n4,1e307\n8,1e308\n", None, 4),
-            # the fit of an infinite rate is not finite
+            # an infinite rate, and a NaN one, which passes every comparison
             (b"rate_kbps,quality\n1,1\n2,2\n4,3\n1e400,4\n", b"rate_kbps,quality\n1,1\n2,2\n4,3\n8,4\n", 4),
+            (b"rate_kbps,quality\n1,1\n2,2\n4,3\nnan,4\n", b"rate_kbps,quality\n1,1\n2,2\n4,3\n8,4\n", 4),
             # the rates differ by a factor of 1e600
             (b"rate_kbps,quality\n1e-300,1\n2e-300,2\n4e-300,3\n8e-300,4\n",
              b"rate_kbps,quality\n1e300,1\n2e300,2\n4e300,3\n8e300,4\n", 4),
         ],
-        ids=["not_utf8", "field_past_the_csv_limit", "qualities_of_1e308", "rate_of_1e400", "rate_ratio_of_1e600"],
+        ids=[
+            "not_utf8", "field_past_the_csv_limit", "qualities_of_1e308", "rate_of_1e400", "nan_rate",
+            "rate_ratio_of_1e600",
+        ],
     )
     def test_unreadable_or_unfittable_curves(self, tmp_path, capsys, anchor, test, code):
         a = tmp_path / "a.csv"

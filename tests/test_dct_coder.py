@@ -35,11 +35,9 @@ from fcmcodec import (
     fcm_encode,
 )
 from fcmcodec.codec import (
-    _SLICE_PAIRS,
+    _SLICE_BLOCKS,
     _BitWriter,
-    _cuts,
     _pair_symbols,
-    _row_slices,
     _slices,
     _ue_lengths,
     _ue_values,
@@ -126,7 +124,7 @@ def test_edge_frames_match_reference(frame, qp, bit_depth):
 
 def test_the_sliced_edge_frame_spans_three_slices():
     counts = read_split_ue(BitReader(reference_encode_dct(SEVERAL_SLICES, 0)[1:]), 24 * 24)
-    assert len(_slices(len(counts), _cuts(np.array(counts), _SLICE_PAIRS))) >= 3
+    assert len(_slices(np.array(counts)[:, None], _SLICE_BLOCKS)) >= 3
 
 
 def test_encoder_slices_are_bounded_in_blocks(monkeypatch):
@@ -208,7 +206,7 @@ def test_the_widest_pairs_match_the_reference(lead):
 
 def test_bit_writer_leaves_its_columns_as_they_were():
     rng = np.random.default_rng(3)
-    symbols = ue_symbols(rng, 400)
+    symbols = pair_symbols(rng, 200)
     before = symbols.copy()
     out, suffixes = _BitWriter(), _BitWriter()
     out.write_ue(suffixes, symbols[0::2], symbols[1::2])
@@ -220,7 +218,8 @@ def test_bit_writer_leaves_its_columns_as_they_were():
 # 16 blocks, 16-bit noise at qp 0 (about 63 pairs per block) spans 3 or more
 # slices in 5 block rows of 8 blocks and overruns both budgets in one row of
 # 20 blocks, and a flat frame (at most a pair per block) spans 3 slices of 3
-# block rows of 5 blocks by the block budget alone.
+# block rows of 5 blocks by the block budget alone. The encoder slices the
+# same frames by the same rule in rows of one block.
 DECODER_SLICE_CASES = {
     "three_slices": (make_frame(np.random.default_rng(6), (40, 64), 16, smooth=False), lambda n, rows: n >= 3),
     "one_row_over_the_budgets": (
@@ -233,13 +232,46 @@ DECODER_SLICE_CASES = {
 
 @pytest.mark.parametrize("frame,check", DECODER_SLICE_CASES.values(), ids=DECODER_SLICE_CASES)
 def test_decoder_slices_match_reference(frame, check, monkeypatch):
-    monkeypatch.setattr(fcmcodec.codec, "_DECODE_SLICE_PAIRS", 1024)
+    monkeypatch.setattr(fcmcodec.codec, "_SLICE_PAIRS", 1024)
+    monkeypatch.setattr(fcmcodec.codec, "_SLICE_BLOCKS", 16)
     monkeypatch.setattr(fcmcodec.codec, "_DECODE_SLICE_BLOCKS", 16)
     data = reference_encode_dct(frame, 0)
     hb, wb = -(-frame.shape[0] // 8), -(-frame.shape[1] // 8)
     counts = np.array(read_split_ue(BitReader(data[1:]), hb * wb)).reshape(hb, wb)
-    assert check(len(_row_slices(counts)), counts.sum(axis=1))
+    assert check(len(checked_slices(counts, 16)), counts.sum(axis=1))
+    checked_slices(counts.reshape(-1, 1), 16)
+    assert encode(frame, 0, 16) == data
     np.testing.assert_array_equal(decode(data, 16, frame.shape), reference_decode_dct(data, 16, frame.shape))
+
+
+def checked_slices(counts, blocks):
+    """The slices of the rows of pair counts, after checking that they tile
+    the rows in order and that each holds at most _SLICE_PAIRS pairs plus
+    those of its first row, and blocks blocks plus one row."""
+    slices = _slices(counts, blocks)
+    assert [s for s, _ in slices] == [0] + [e for _, e in slices[:-1]]
+    assert slices[-1][1] == len(counts) and all(s < e for s, e in slices)
+    pairs = counts.sum(axis=1)
+    for s, e in slices:
+        assert pairs[s:e].sum() <= fcmcodec.codec._SLICE_PAIRS + pairs[s]
+        assert (e - s) * counts.shape[1] <= blocks + counts.shape[1]
+    return slices
+
+
+@given(
+    counts=st.lists(st.lists(st.integers(0, 64), min_size=3, max_size=3), min_size=1, max_size=40),
+    pair_budget=st.integers(1, 200),
+    blocks=st.integers(1, 10),
+)
+@settings(max_examples=200, deadline=None)
+def test_slices_tile_the_rows_within_their_budgets(counts, pair_budget, blocks):
+    """Rows of three blocks, and each one's pairs alone as the encoder's rows
+    of one block, against budgets that a row can overrun several times."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fcmcodec.codec, "_SLICE_PAIRS", pair_budget)
+        counts = np.array(counts)
+        checked_slices(counts, blocks)
+        checked_slices(counts.reshape(-1, 1), blocks)
 
 
 def ue_symbols(rng, n: int) -> np.ndarray:
@@ -247,6 +279,14 @@ def ue_symbols(rng, n: int) -> np.ndarray:
     either end of that range."""
     zeros = rng.choice([0, 20, int(rng.integers(0, 21))], size=n)
     return (1 << zeros) - 1 + rng.integers(0, 1 << zeros)
+
+
+def pair_symbols(rng, n: int) -> np.ndarray:
+    """n (run, level code) pairs of the kind the codec writes, one after the
+    other: runs of 0 to 63, a third of them at either end of that range, and
+    level codes from ue_symbols."""
+    runs = rng.choice([0, 63, int(rng.integers(0, 64))], size=n)
+    return np.stack([runs, ue_symbols(rng, n)], axis=1).reshape(-1)
 
 
 def reference_bits(*sequences) -> bytes:
@@ -263,7 +303,7 @@ def test_bit_writer_matches_the_reference_across_calls(seed, monkeypatch):
     monkeypatch.setattr(fcmcodec.codec, "_EXTEND_WORDS", 2)
     rng = np.random.default_rng(seed)
     head = ue_symbols(rng, int(rng.integers(0, 40)))
-    calls = [ue_symbols(rng, 2 * int(rng.integers(0, 30))) for _ in range(int(rng.integers(1, 9)))]
+    calls = [pair_symbols(rng, int(rng.integers(0, 30))) for _ in range(int(rng.integers(1, 9)))]
     out, suffixes = _BitWriter(), _BitWriter()
     out.write_ue(out, head)
     for symbols in calls:
@@ -276,19 +316,21 @@ def test_bit_writer_matches_the_reference_across_calls(seed, monkeypatch):
 def test_bit_writer_at_every_offset(offset, monkeypatch):
     """offset one-bit codewords lead both writers, so over the 64 offsets the
     20-bit suffixes straddle 32- and 64-bit word boundaries at every bit, and
-    extend starts at every offset in a 64-bit word."""
+    extend starts at every offset in a 64-bit word. The pairs hold runs of 0
+    to 63 and, first and last, the widest pair the codec writes, (63,
+    2^21 - 2). A one-bit codeword has no suffix, so the suffix writer's lead
+    reads as the prefixes of codewords after the pairs."""
     monkeypatch.setattr(fcmcodec.codec, "_EXTEND_WORDS", 1)
     widest = [2**21 - 2, 2**20 - 1, 0, 2**20 + 5, 2**21 - 2, 2**21 - 2]
-    pairs = widest + widest[::-1]
+    runs = [63, 0, 32, 63, 1, 62]
+    pairs = np.stack([runs + runs[::-1], widest + widest[::-1]], axis=1).reshape(-1).tolist()
     lead = [0] * offset
     out, suffixes = _BitWriter(), _BitWriter()
     out.write_ue(out, np.array(lead + widest))
     suffixes.write_ue(suffixes, np.array(lead, dtype=np.int64))
     out.write_ue(suffixes, np.array(pairs[0::2]), np.array(pairs[1::2]))
     out.extend(suffixes)
-    prefixes, suffix_bits = split_planes(pairs)
-    expected = split_bits(lead + widest) + prefixes + "1" * offset + suffix_bits
-    assert out.getvalue(b"\x10") == payload(expected, qp=16)
+    assert out.getvalue(b"\x10") == b"\x10" + reference_bits(lead + widest, pairs + lead)
 
 
 def max_prefix_zeros(data: bytes, nblocks: int) -> int:

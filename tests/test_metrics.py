@@ -70,6 +70,11 @@ class TestBdRate:
         with pytest.raises(DomainError):
             curve([1, 2, 4], [1, 2, 3])
 
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_non_finite_rates_rejected(self, rate):
+        with pytest.raises(DomainError, match="rates must be positive and finite"):
+            curve([1, 2, 4, rate], [1, 2, 3, 4])
+
     def test_non_increasing_rates_rejected(self):
         with pytest.raises(DomainError):
             curve([1, 2, 2, 4], [1, 2, 3, 4])

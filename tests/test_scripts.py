@@ -52,8 +52,8 @@ def test_rd_sweep_curves_feed_bdrate(tmp_path, capsys):
         assert (done.returncode, done.stderr) == (0, "")
         names = sorted(path.name for path in (tmp_path / seed).iterdir())
         assert names == [f"{codec}_prune{ratio}.csv" for codec in ("dct", "raw") for ratio in ("0.00", "0.25", "0.50")]
-    # qp 16, 22, 28, 34 and 40; bit depths 8, 10, 12 and 14
-    assert [len((tmp_path / "7" / f"{codec}_prune0.00.csv").read_text().splitlines()) for codec in ("dct", "raw")] == [6, 5]
+    # qp 4, 10, 16, 22, 28, 34 and 40; bit depths 8, 10, 12 and 14
+    assert [len((tmp_path / "7" / f"{codec}_prune0.00.csv").read_text().splitlines()) for codec in ("dct", "raw")] == [8, 5]
     capsys.readouterr()
     anchor, test = (str(tmp_path / seed / "dct_prune0.00.csv") for seed in ("7", "8"))
     assert main(["bdrate", "--anchor", anchor, "--test", test]) == 0
@@ -61,3 +61,18 @@ def test_rd_sweep_curves_feed_bdrate(tmp_path, capsys):
     assert re.fullmatch(r"[+-]\d+\.\d\d%", out)
     # the same corpus, so the two curves differ by its noise only
     assert abs(float(out[:-1])) < 20
+
+
+def test_rd_sweep_curves_compare_prune_ratios_and_codecs(tmp_path, capsys):
+    """At the default size, bdrate compares the BLOCK_DCT curve at prune 0
+    with the one at prune 0.25, and with the RAW_LOSSLESS curve at prune 0:
+    their quality ranges overlap. Pruning costs rate at equal quality, and
+    where the RAW_LOSSLESS curve overlaps, above 64 dB, it needs less rate."""
+    done = run_script("rd_sweep.py", "--csv", str(tmp_path))
+    assert (done.returncode, done.stderr) == (0, "")
+    anchor = str(tmp_path / "dct_prune0.00.csv")
+    for test, sign in (("dct_prune0.25.csv", "+"), ("raw_prune0.00.csv", "-")):
+        capsys.readouterr()
+        assert main(["bdrate", "--anchor", anchor, "--test", str(tmp_path / test)]) == 0, capsys.readouterr().err
+        out = capsys.readouterr().out.strip()
+        assert re.fullmatch(r"[+-]\d+\.\d\d%", out) and out.startswith(sign), (test, out)
