@@ -19,8 +19,9 @@ Other multi-byte integers are little-endian.
 
 `UnitHeader` is the one place that decides which ids exist: it refuses a
 transform id past `TRANSFORMS` and a codec id outside `CodecId`, so a stream
-that parses names only stages the decoder has. `parse_stream`
-prefixes a unit's parse error with its index.
+that parses names only stages the decoder has. Like every value type, it
+raises `DomainError`, which `parse_unit` reports as an `InvariantError`.
+`parse_stream` prefixes a unit's parse error with its index.
 """
 
 from __future__ import annotations
@@ -30,11 +31,12 @@ from dataclasses import dataclass
 
 from .codec import CodecId
 from .errors import (
+    ByteReader,
     DimensionOverflowError,
+    DomainError,
     FormatError,
     InvariantError,
     MagicMismatchError,
-    TruncatedError,
     VersionError,
 )
 from .lcr import binomial
@@ -70,25 +72,25 @@ class UnitHeader:
 
     def __post_init__(self):
         if not 0 < self.original_channels <= _U16_MAX:
-            raise InvariantError("original channel count out of range")
+            raise DomainError("original channel count out of range")
         if not 0 <= self.pruned_k < self.original_channels:
-            raise InvariantError("pruned_k leaves no channel")
+            raise DomainError("pruned_k leaves no channel")
         if not 0 <= self.lcr_rank < binomial(self.original_channels, self.pruned_k):
-            raise InvariantError("rank outside [0, C(N, k))")
+            raise DomainError("rank outside [0, C(N, k))")
         if not (0 < self.tile_h <= _U16_MAX and 0 < self.tile_w <= _U16_MAX):
-            raise InvariantError("tile dimension outside 1-65535")
+            raise DomainError("tile dimension outside 1-65535")
         if not 8 <= self.bit_depth <= 16:
-            raise InvariantError("bit depth outside [8, 16]")
+            raise DomainError("bit depth outside [8, 16]")
         if not 0 <= self.transform_id < len(TRANSFORMS):
-            raise InvariantError(f"unknown transform id {self.transform_id}")
+            raise DomainError(f"unknown transform id {self.transform_id}")
         if self.codec not in list(CodecId):
-            raise InvariantError(f"unknown codec id {self.codec}")
+            raise DomainError(f"unknown codec id {self.codec}")
         try:
             label_size = len(self.label.encode("utf-8"))
         except UnicodeEncodeError as exc:
-            raise InvariantError(f"label not encodable as UTF-8: {self.label!r}") from exc
+            raise DomainError(f"label not encodable as UTF-8: {self.label!r}") from exc
         if label_size > 255:
-            raise InvariantError("label longer than 255 bytes")
+            raise DomainError("label longer than 255 bytes")
 
     @property
     def transform(self) -> str:
@@ -129,34 +131,21 @@ def parse_unit(data: bytes, offset: int = 0) -> tuple[UnitHeader, memoryview, in
     The payload is a view into data, not a copy. A unit whose packed frame or
     decoded tensor would exceed the FTNS element cap is refused before
     anything is sized."""
-    view = memoryview(data)
-    pos = offset
-
-    def take(n: int) -> memoryview:
-        nonlocal pos
-        if pos + n > len(view):
-            raise TruncatedError(f"unit truncated at byte {pos} (need {n} more)")
-        out = view[pos : pos + n]
-        pos += n
-        return out
-
-    n_channels, k = struct.unpack("<HH", take(4))
-    (rank_len,) = struct.unpack("<H", take(2))
-    rank_field = take(rank_len)
+    r = ByteReader(data, "unit", offset)
+    n_channels, k, rank_len = r.unpack("<HHH")
+    rank_field = r.take(rank_len)
     if rank_len and rank_field[0] == 0:
         raise InvariantError("rank field has a leading zero byte")
-    rank = int.from_bytes(rank_field, "big")
-    mu, sigma = struct.unpack("<ff", take(8))
-    bit_depth, tile_h, tile_w = struct.unpack("<BHH", take(5))
-    transform_id, label_len = struct.unpack("<BB", take(2))
-    label = take(label_len)
-    codec, payload_len = struct.unpack("<BI", take(5))
-    payload = take(payload_len)
+    mu, sigma = r.unpack("<ff")
+    bit_depth, tile_h, tile_w, transform_id, label_len = r.unpack("<BHHBB")
+    label = r.take(label_len)
+    codec, payload_len = r.unpack("<BI")
+    payload = r.take(payload_len)
     try:
         header = UnitHeader(
             original_channels=n_channels,
             pruned_k=k,
-            lcr_rank=rank,
+            lcr_rank=int.from_bytes(rank_field, "big"),
             transform_stats=GlobalStats(mu, sigma),
             bit_depth=bit_depth,
             tile_h=tile_h,
@@ -165,10 +154,8 @@ def parse_unit(data: bytes, offset: int = 0) -> tuple[UnitHeader, memoryview, in
             label=bytes(label).decode("utf-8"),
             codec=codec,
         )
-    except InvariantError:
-        raise
-    except Exception as exc:
-        raise InvariantError(f"invalid unit header: {exc}") from exc
+    except (DomainError, UnicodeDecodeError) as exc:  # every value comes from the bytes
+        raise InvariantError(str(exc)) from exc
     lay = header.layout
     if lay.frame_height * lay.frame_width > MAX_ELEMENTS:
         raise DimensionOverflowError(f"{lay.frame_height}x{lay.frame_width} frame exceeds the element cap")
@@ -176,7 +163,7 @@ def parse_unit(data: bytes, offset: int = 0) -> tuple[UnitHeader, memoryview, in
     c, h, w = n_channels, f * tile_h, f * tile_w
     if c * h * w > MAX_ELEMENTS:
         raise DimensionOverflowError(f"decoded tensor {c}x{h}x{w} exceeds the element cap")
-    return header, payload, pos - offset
+    return header, payload, r.pos - offset
 
 
 def serialize_stream(units: list[tuple[UnitHeader, bytes]]) -> bytes:
@@ -187,24 +174,21 @@ def serialize_stream(units: list[tuple[UnitHeader, bytes]]) -> bytes:
 
 
 def parse_stream(data: bytes) -> list[tuple[UnitHeader, memoryview]]:
-    if len(data) < 6:
-        raise TruncatedError("stream shorter than its fixed header")
-    if data[:4] != STREAM_MAGIC:
+    r = ByteReader(data, "stream")
+    if r.take(4) != STREAM_MAGIC:
         raise MagicMismatchError("not an FCMB stream (bad magic)")
-    version, count = data[4], data[5]
+    version, count = r.unpack("<BB")
     if version != STREAM_VERSION:
         raise VersionError(f"unsupported stream version {version}")
     if not 1 <= count <= MAX_TENSORS:
         raise InvariantError(f"stream declares {count} units, not 1-{MAX_TENSORS}")
-    pos = 6
     units = []
     for i in range(count):
         try:
-            header, payload, consumed = parse_unit(data, pos)
+            header, payload, consumed = parse_unit(data, r.pos)
         except FormatError as exc:
             raise type(exc)(f"unit {i}: {exc}") from exc
         units.append((header, payload))
-        pos += consumed
-    if pos != len(data):
-        raise InvariantError(f"{len(data) - pos} trailing bytes after last unit")
+        r.pos += consumed
+    r.end()
     return units

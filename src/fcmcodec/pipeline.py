@@ -82,8 +82,7 @@ def _encode_one(t: FeatureTensor, label: str, cfg: EncoderConfig) -> tuple[UnitH
 
     decision = select_pruned(score_channels(xt), cfg.prune_ratio)
     frame, layout = pack(prune_channels(xt, decision))
-    frame, _ = quantize_frame(frame, cfg.bit_depth)
-    payload = codec_encode(frame, cfg.codec, cfg.qp, cfg.bit_depth)
+    # Built before any coding, so a tensor the header cannot carry costs none.
     header = UnitHeader(
         original_channels=xt.channels,
         pruned_k=len(decision.pruned),
@@ -96,7 +95,8 @@ def _encode_one(t: FeatureTensor, label: str, cfg: EncoderConfig) -> tuple[UnitH
         label=label,
         codec=int(cfg.codec),
     )
-    return header, payload
+    frame, _ = quantize_frame(frame, cfg.bit_depth)
+    return header, codec_encode(frame, cfg.codec, cfg.qp, cfg.bit_depth)
 
 
 def fcm_encode(group: TensorGroup, cfg: EncoderConfig, workers: int = 1) -> bytes:

@@ -10,7 +10,7 @@ import struct
 
 import numpy as np
 
-from .errors import DimensionOverflowError, DomainError, InvariantError, TruncatedError
+from .errors import ByteReader, DimensionOverflowError, DomainError, InvariantError, TruncatedError
 from .vcm import PixelSequence
 
 _MAX_FRAME_SAMPLES = 1 << 28
@@ -22,21 +22,14 @@ def write_frame(fh, frame: np.ndarray, bit_depth: int) -> None:
     fh.write(np.ascontiguousarray(frame, dtype="<u2").tobytes())
 
 
-def read_frame(data: bytes, offset: int) -> tuple[np.ndarray, int, int]:
-    """Returns (frame, bit_depth, bytes_consumed)."""
-    if offset + 9 > len(data):
-        raise TruncatedError("frame header truncated")
-    w, h, bit_depth = struct.unpack_from("<IIB", data, offset)
+def read_frame(r: ByteReader) -> tuple[np.ndarray, int]:
+    """Read one frame record; returns (frame, bit_depth), a view of its samples."""
+    w, h, bit_depth = r.unpack("<IIB")
     if w < 1 or h < 1 or w * h > _MAX_FRAME_SAMPLES:
         raise DimensionOverflowError(f"bad frame dimensions {w}x{h}")
     if not 1 <= bit_depth <= 16:
         raise InvariantError(f"bad bit depth {bit_depth}")
-    need = w * h * 2
-    start = offset + 9
-    if start + need > len(data):
-        raise TruncatedError("frame samples truncated")
-    frame = np.frombuffer(data[start : start + need], dtype="<u2").reshape(h, w)
-    return frame.astype(np.uint16), bit_depth, 9 + need
+    return np.frombuffer(r.take(w * h * 2), dtype="<u2").reshape(h, w), bit_depth
 
 
 def write_sequence(path, seq: PixelSequence) -> None:
@@ -48,17 +41,16 @@ def write_sequence(path, seq: PixelSequence) -> None:
 def read_sequence(path) -> PixelSequence:
     with open(path, "rb") as fh:
         data = fh.read()
+    r = ByteReader(data, "sequence file")
     frames = []
     depth = None
-    pos = 0
-    while pos < len(data):
-        frame, bit_depth, consumed = read_frame(data, pos)
+    while r.pos < len(data):
+        frame, bit_depth = read_frame(r)
         if depth is None:
             depth = bit_depth
         elif bit_depth != depth:
             raise InvariantError("mixed bit depths in one sequence file")
         frames.append(frame)
-        pos += consumed
     if not frames:
         raise TruncatedError("empty sequence file")
     try:

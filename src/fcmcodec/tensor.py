@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    ByteReader,
     DimensionOverflowError,
     DomainError,
     InvariantError,
     MagicMismatchError,
-    TruncatedError,
     VersionError,
 )
 
@@ -54,7 +54,12 @@ class GlobalStats:
 
 @dataclass(frozen=True)
 class FeatureTensor:
-    """Immutable C x H x W float32 tensor with all-finite values."""
+    """Immutable C x H x W float32 tensor with all-finite values.
+
+    A C-contiguous float32 input array is kept, not copied, and made
+    read-only; any other input is converted to a new one. On a little-endian
+    host, a tensor read from an FTNS file views the file's bytes.
+    """
 
     data: np.ndarray
 
@@ -225,19 +230,10 @@ def read_tensor_file(path) -> TensorGroup:
 
 
 def _parse_tensor_bytes(data: bytes) -> TensorGroup:
-    pos = 0
-
-    def take(n: int) -> bytes:
-        nonlocal pos
-        if pos + n > len(data):
-            raise TruncatedError(f"tensor file truncated at byte {pos} (need {n} more)")
-        out = data[pos : pos + n]
-        pos += n
-        return out
-
-    if take(4) != TENSOR_MAGIC:
+    r = ByteReader(data, "tensor file")
+    if r.take(4) != TENSOR_MAGIC:
         raise MagicMismatchError("not an FTNS tensor file (bad magic)")
-    version, count = struct.unpack("<BB", take(2))
+    version, count = r.unpack("<BB")
     if version != TENSOR_FORMAT_VERSION:
         raise VersionError(f"unsupported tensor format version {version}")
     if not 1 <= count <= MAX_TENSORS:
@@ -246,23 +242,21 @@ def _parse_tensor_bytes(data: bytes) -> TensorGroup:
     tensors = []
     labels = []
     for _ in range(count):
-        (lbl_len,) = struct.unpack("<B", take(1))
+        (lbl_len,) = r.unpack("<B")
         try:
-            label = take(lbl_len).decode("utf-8")
+            label = bytes(r.take(lbl_len)).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise InvariantError(f"malformed label bytes: {exc}") from exc
-        c, h, w = struct.unpack("<III", take(12))
+        c, h, w = r.unpack("<III")
         if min(c, h, w) < 1:
             raise DimensionOverflowError(f"zero dimension in tensor header ({c}x{h}x{w})")
         if c * h * w > MAX_ELEMENTS:
             raise DimensionOverflowError(f"tensor {c}x{h}x{w} exceeds element cap")
-        raw = take(c * h * w * 4)
-        arr = np.frombuffer(raw, dtype="<f4").reshape(c, h, w)
+        arr = np.frombuffer(r.take(c * h * w * 4), dtype="<f4").reshape(c, h, w)
         try:
             tensors.append(FeatureTensor(arr))
         except DomainError as exc:  # the header checks leave only non-finite values
             raise InvariantError(str(exc)) from exc
         labels.append(label)
-    if pos != len(data):
-        raise TruncatedError(f"{len(data) - pos} trailing bytes after last tensor")
+    r.end()
     return TensorGroup(tuple(tensors), tuple(labels))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvariantError, TruncatedError
+from .errors import ByteReader, DomainError, InvariantError
 
 VALID_RATIOS = (2, 4, 8)
 
@@ -63,12 +63,11 @@ class TemporalSideInfo:
 
     @classmethod
     def parse(cls, data: bytes) -> "TemporalSideInfo":
-        if len(data) < 5:
-            raise TruncatedError("side-info shorter than 5 bytes")
-        if len(data) > 5:
-            raise InvariantError(f"{len(data) - 5} trailing bytes after side-info")
+        r = ByteReader(data, "side-info")
+        fields = r.unpack("<BI")
+        r.end()
         try:
-            return cls(*struct.unpack("<BI", data))
+            return cls(*fields)
         except DomainError as exc:  # every argument comes from the bytes
             raise InvariantError(f"side-info: {exc}") from exc
 

@@ -20,6 +20,7 @@ from fcmcodec.bitstream import STREAM_MAGIC, STREAM_VERSION, parse_stream, parse
 from fcmcodec.cli import main
 from fcmcodec.errors import (
     DimensionOverflowError,
+    DomainError,
     FcmError,
     FormatError,
     InvariantError,
@@ -188,7 +189,7 @@ class TestStream:
             parse_stream(blob.replace(b"abc", b"\xff\xfe\xfd"))
 
     def test_label_not_utf8_encodable(self):
-        with pytest.raises(InvariantError, match="UTF-8"):
+        with pytest.raises(DomainError, match="UTF-8"):
             make_header(label="p3\ud800")
 
     def test_unknown_transform_id(self, rng):

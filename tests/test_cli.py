@@ -11,7 +11,8 @@ import warnings
 import numpy as np
 import pytest
 
-from fcmcodec import CodecId, EncoderConfig, compute_global_stats, fcm_encode
+import fcmcodec.pipeline
+from fcmcodec import CodecId, EncoderConfig, FeatureTensor, TensorGroup, compute_global_stats, fcm_encode
 from fcmcodec.bitstream import parse_stream
 from fcmcodec.cli import main
 from fcmcodec.planar import read_sequence, write_sequence
@@ -273,6 +274,17 @@ class TestCodecCommands:
             ["encode", "--input", str(ftns), "--output", str(tmp_path / "o"), "--qp", "99"]
         )
         assert rc == 4
+
+    @pytest.mark.parametrize("shape", [(65536, 1, 1), (1, 1, 70000)])
+    def test_tensor_the_header_cannot_carry_exit_4_before_coding(self, tmp_path, monkeypatch, shape):
+        """65536 channels, or a 70000-wide tile, overflow a u16 header field;
+        the encoder refuses the tensor before the inner codec runs."""
+        src = tmp_path / "big.ftns"
+        write_tensor_file(src, TensorGroup((FeatureTensor(np.zeros(shape, dtype=np.float32)),)))
+        coded = []
+        monkeypatch.setattr(fcmcodec.pipeline, "codec_encode", lambda *args: coded.append(args))
+        assert main(["encode", "--input", str(src), "--output", str(tmp_path / "o.fcmb")]) == 4
+        assert coded == []
 
     def test_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as exc:
