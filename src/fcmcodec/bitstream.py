@@ -20,7 +20,8 @@ Other multi-byte integers are little-endian.
 `UnitHeader` is the one place that decides which ids exist: it refuses a
 transform id past `TRANSFORMS` and a codec id outside `CodecId`, so a stream
 that parses names only stages the decoder has. Like every value type, it
-raises `DomainError`, which `parse_unit` reports as an `InvariantError`.
+raises `DomainError`; `parse_unit` builds it through `ByteReader.build`, which
+reports that as an `InvariantError`.
 `parse_stream` prefixes a unit's parse error with its index.
 """
 
@@ -108,21 +109,22 @@ def _rank_bytes(rank: int) -> bytes:
     return rank.to_bytes((rank.bit_length() + 7) // 8, "big")
 
 
+def _unit_head(h: UnitHeader, payload_size: int) -> bytes:
+    """A unit's bytes before its payload."""
+    rank = _rank_bytes(h.lcr_rank)
+    label = h.label.encode("utf-8")
+    mu, sigma = h.transform_stats.mu, h.transform_stats.sigma
+    return (
+        struct.pack("<HHH", h.original_channels, h.pruned_k, len(rank))
+        + rank
+        + struct.pack("<ffBHHBB", mu, sigma, h.bit_depth, h.tile_h, h.tile_w, h.transform_id, len(label))
+        + label
+        + struct.pack("<BI", h.codec, payload_size)
+    )
+
+
 def serialize_unit(header: UnitHeader, payload: bytes) -> bytes:
-    rank = _rank_bytes(header.lcr_rank)
-    label = header.label.encode("utf-8")
-    parts = [
-        struct.pack("<HH", header.original_channels, header.pruned_k),
-        struct.pack("<H", len(rank)),
-        rank,
-        struct.pack("<ff", header.transform_stats.mu, header.transform_stats.sigma),
-        struct.pack("<BHH", header.bit_depth, header.tile_h, header.tile_w),
-        struct.pack("<BB", header.transform_id, len(label)),
-        label,
-        struct.pack("<BI", header.codec, len(payload)),
-        payload,
-    ]
-    return b"".join(parts)
+    return _unit_head(header, len(payload)) + payload
 
 
 def parse_unit(data: bytes, offset: int = 0) -> tuple[UnitHeader, memoryview, int]:
@@ -136,26 +138,23 @@ def parse_unit(data: bytes, offset: int = 0) -> tuple[UnitHeader, memoryview, in
     rank_field = r.take(rank_len)
     if rank_len and rank_field[0] == 0:
         raise InvariantError("rank field has a leading zero byte")
-    mu, sigma = r.unpack("<ff")
-    bit_depth, tile_h, tile_w, transform_id, label_len = r.unpack("<BHHBB")
-    label = r.take(label_len)
+    mu, sigma, bit_depth, tile_h, tile_w, transform_id, label_len = r.unpack("<ffBHHBB")
+    label = r.text(label_len)
     codec, payload_len = r.unpack("<BI")
     payload = r.take(payload_len)
-    try:
-        header = UnitHeader(
-            original_channels=n_channels,
-            pruned_k=k,
-            lcr_rank=int.from_bytes(rank_field, "big"),
-            transform_stats=GlobalStats(mu, sigma),
-            bit_depth=bit_depth,
-            tile_h=tile_h,
-            tile_w=tile_w,
-            transform_id=transform_id,
-            label=bytes(label).decode("utf-8"),
-            codec=codec,
-        )
-    except (DomainError, UnicodeDecodeError) as exc:  # every value comes from the bytes
-        raise InvariantError(str(exc)) from exc
+    header = r.build(
+        UnitHeader,
+        original_channels=n_channels,
+        pruned_k=k,
+        lcr_rank=int.from_bytes(rank_field, "big"),
+        transform_stats=r.build(GlobalStats, mu, sigma),
+        bit_depth=bit_depth,
+        tile_h=tile_h,
+        tile_w=tile_w,
+        transform_id=transform_id,
+        label=label,
+        codec=codec,
+    )
     lay = header.layout
     if lay.frame_height * lay.frame_width > MAX_ELEMENTS:
         raise DimensionOverflowError(f"{lay.frame_height}x{lay.frame_width} frame exceeds the element cap")
@@ -169,8 +168,10 @@ def parse_unit(data: bytes, offset: int = 0) -> tuple[UnitHeader, memoryview, in
 def serialize_stream(units: list[tuple[UnitHeader, bytes]]) -> bytes:
     if not 1 <= len(units) <= MAX_TENSORS:
         raise InvariantError(f"stream must contain 1-{MAX_TENSORS} units")
-    head = STREAM_MAGIC + struct.pack("<BB", STREAM_VERSION, len(units))
-    return head + b"".join(serialize_unit(h, p) for h, p in units)
+    parts = [STREAM_MAGIC + struct.pack("<BB", STREAM_VERSION, len(units))]
+    for header, payload in units:
+        parts += (_unit_head(header, len(payload)), payload)
+    return b"".join(parts)
 
 
 def parse_stream(data: bytes) -> list[tuple[UnitHeader, memoryview]]:

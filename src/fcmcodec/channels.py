@@ -60,7 +60,7 @@ def prune_channels(t: FeatureTensor, d: PruneDecision) -> FeatureTensor:
         raise DomainError("cannot prune every channel; at least one must survive")
     if not d.pruned.indices:
         return t
-    keep = np.setdiff1d(np.arange(t.channels), np.asarray(d.pruned.indices))
+    keep = np.delete(np.arange(t.channels), d.pruned.indices)
     return FeatureTensor(t.data[keep])
 
 
@@ -74,6 +74,6 @@ def restore_channels(t: FeatureTensor, d: PruneDecision) -> FeatureTensor:
         return t
     fill = np.float32(_mean(t.data))
     out = np.full((d.total_channels, t.height, t.width), fill, dtype=np.float32)
-    keep = np.setdiff1d(np.arange(d.total_channels), np.asarray(d.pruned.indices))
+    keep = np.delete(np.arange(d.total_channels), d.pruned.indices)
     out[keep] = t.data
     return FeatureTensor(out)

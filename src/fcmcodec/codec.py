@@ -410,7 +410,7 @@ def _slices(counts: np.ndarray, blocks: int) -> list[tuple[int, int]]:
     ends = np.cumsum(counts.sum(axis=1))
     by_pairs = np.searchsorted(ends, np.arange(_SLICE_PAIRS, int(ends[-1]), _SLICE_PAIRS), side="right")
     by_blocks = np.arange(blocks, rows * per_row, blocks) // per_row
-    edges = np.unique(np.concatenate([[0], by_pairs, by_blocks, [rows]])).tolist()
+    edges = sorted({0, rows, *by_pairs.tolist(), *by_blocks.tolist()})
     return list(zip(edges[:-1], edges[1:]))
 
 

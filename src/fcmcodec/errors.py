@@ -6,8 +6,10 @@ truncation, corrupt payloads); DomainError covers valid bytes used wrongly
 (mismatched shapes, out-of-range parameters). The CLI maps these to distinct
 exit codes.
 
-`ByteReader` keeps every container's two rules: input that ends inside a field
-is truncated, and input left after the last field breaks an invariant.
+`ByteReader` keeps every container's three rules: input that ends inside a
+field is truncated; input left after the last field breaks an invariant; and
+so does a value that its type refuses, since every field came from the bytes
+(`text` for UTF-8 fields, `build` for value types).
 """
 
 import struct
@@ -70,6 +72,22 @@ class ByteReader:
 
     def unpack(self, fmt: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def text(self, n: int) -> str:
+        """The next n bytes, decoded as UTF-8."""
+        at = self.pos
+        try:
+            return str(self.take(n), "utf-8")
+        except UnicodeDecodeError as exc:
+            raise InvariantError(f"malformed UTF-8 in {self.what} at byte {at + exc.start}: {exc.reason}") from exc
+
+    def build(self, cls, *args, **kwargs):
+        """cls(*args, **kwargs), built from fields just read; a value that
+        cls refuses breaks an invariant of the container."""
+        try:
+            return cls(*args, **kwargs)
+        except DomainError as exc:
+            raise InvariantError(str(exc)) from exc
 
     def end(self) -> None:
         if self.pos < len(self.view):

@@ -10,7 +10,7 @@ import struct
 
 import numpy as np
 
-from .errors import ByteReader, DimensionOverflowError, DomainError, InvariantError, TruncatedError
+from .errors import ByteReader, DimensionOverflowError, InvariantError, TruncatedError
 from .vcm import PixelSequence
 
 _MAX_FRAME_SAMPLES = 1 << 28
@@ -19,7 +19,7 @@ _MAX_FRAME_SAMPLES = 1 << 28
 def write_frame(fh, frame: np.ndarray, bit_depth: int) -> None:
     h, w = frame.shape
     fh.write(struct.pack("<IIB", w, h, bit_depth))
-    fh.write(np.ascontiguousarray(frame, dtype="<u2").tobytes())
+    fh.write(np.ascontiguousarray(frame, dtype="<u2"))
 
 
 def read_frame(r: ByteReader) -> tuple[np.ndarray, int]:
@@ -27,8 +27,6 @@ def read_frame(r: ByteReader) -> tuple[np.ndarray, int]:
     w, h, bit_depth = r.unpack("<IIB")
     if w < 1 or h < 1 or w * h > _MAX_FRAME_SAMPLES:
         raise DimensionOverflowError(f"bad frame dimensions {w}x{h}")
-    if not 1 <= bit_depth <= 16:
-        raise InvariantError(f"bad bit depth {bit_depth}")
     return np.frombuffer(r.take(w * h * 2), dtype="<u2").reshape(h, w), bit_depth
 
 
@@ -53,7 +51,4 @@ def read_sequence(path) -> PixelSequence:
         frames.append(frame)
     if not frames:
         raise TruncatedError("empty sequence file")
-    try:
-        return PixelSequence(tuple(frames), depth)
-    except DomainError as exc:  # every argument comes from the file
-        raise InvariantError(str(exc)) from exc
+    return r.build(PixelSequence, tuple(frames), depth)

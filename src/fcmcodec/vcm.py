@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ByteReader, DomainError, InvariantError
+from .errors import ByteReader, DomainError
 
 VALID_RATIOS = (2, 4, 8)
 
@@ -54,9 +54,9 @@ class TemporalSideInfo:
 
     def __post_init__(self):
         if self.ratio not in VALID_RATIOS:
-            raise DomainError(f"ratio must be one of {VALID_RATIOS}, got {self.ratio}")
+            raise DomainError(f"side-info ratio must be one of {VALID_RATIOS}, got {self.ratio}")
         if self.original_count < 1:
-            raise DomainError("original_count must be >= 1")
+            raise DomainError("side-info original_count must be >= 1")
 
     def serialize(self) -> bytes:
         return struct.pack("<BI", self.ratio, self.original_count)
@@ -66,10 +66,7 @@ class TemporalSideInfo:
         r = ByteReader(data, "side-info")
         fields = r.unpack("<BI")
         r.end()
-        try:
-            return cls(*fields)
-        except DomainError as exc:  # every argument comes from the bytes
-            raise InvariantError(f"side-info: {exc}") from exc
+        return r.build(cls, *fields)
 
 
 def bitdepth_truncate(s: PixelSequence, shift: int) -> PixelSequence:
@@ -88,7 +85,7 @@ def bitdepth_restore(s: PixelSequence, shift: int) -> PixelSequence:
         raise DomainError(f"shift {shift} pushes bit depth past 16")
     if shift == 0:
         return s
-    frames = tuple(np.left_shift(f.astype(np.uint16), shift) for f in s.frames)
+    frames = tuple(np.left_shift(f, shift) for f in s.frames)
     return PixelSequence(frames, s.bit_depth + shift)
 
 

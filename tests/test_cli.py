@@ -15,6 +15,7 @@ import fcmcodec.pipeline
 from fcmcodec import CodecId, EncoderConfig, FeatureTensor, TensorGroup, compute_global_stats, fcm_encode
 from fcmcodec.bitstream import parse_stream
 from fcmcodec.cli import main
+from fcmcodec.errors import DimensionOverflowError, InvariantError
 from fcmcodec.planar import read_sequence, write_sequence
 from fcmcodec.tensor import _CHUNK, read_tensor_file, write_tensor_file
 from fcmcodec.vcm import PixelSequence
@@ -71,6 +72,26 @@ def test_cold_start_imports_no_scipy():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_coding_path_imports_no_numpy_ma():
+    """A fresh interpreter encodes and decodes a pruned BLOCK_DCT group
+    without importing numpy.ma, which np.unique and np.setdiff1d load; that
+    import took 8-17 ms of a process's first such coding on a 2-core Xeon
+    host."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from fcmcodec import CodecId, EncoderConfig, FeatureTensor, TensorGroup, fcm_decode, fcm_encode\n"
+        "t = FeatureTensor(np.random.default_rng(0).normal(size=(8, 16, 16)).astype(np.float32))\n"
+        "fcm_decode(fcm_encode(TensorGroup((t,)), EncoderConfig(codec=CodecId.BLOCK_DCT, prune_ratio=0.5)))\n"
+        "print('numpy.ma' in sys.modules)"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 @pytest.fixture
@@ -264,6 +285,35 @@ class TestCodecCommands:
         bad.write_bytes(b"FTNS" + struct.pack("<BBB", 1, 1, 0) + struct.pack("<III", *data.shape) + data.tobytes())
         assert main(["encode", "--input", str(bad), "--output", str(tmp_path / "o.fcmb")]) == 3
         assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "blob,error,message",
+        [
+            (b"FTNS\x01\x00", InvariantError, "got 0"),
+            (b"FTNS\x01\x09" + (b"\x00" + struct.pack("<III", 1, 1, 1) + bytes(4)) * 9, InvariantError, "got 9"),
+            (b"FTNS\x01\x01\x02\xff\xfe" + struct.pack("<III", 1, 1, 1) + bytes(4), InvariantError, "at byte 7"),
+            (b"FTNS\x01\x01\x00" + struct.pack("<III", 2, 0, 3), InvariantError, "dimensions must be >= 1"),
+            # 19 bytes, header and dimensions only: refused before any size is taken
+            (b"FTNS\x01\x01\x00" + struct.pack("<III", 65536, 65536, 1), DimensionOverflowError, "element cap"),
+        ],
+        ids=["count-0", "count-9", "label-not-utf8", "zero-dimension", "over-the-element-cap"],
+    )
+    def test_tensor_file_refusals_exit_3(self, tmp_path, capsys, blob, error, message):
+        bad = tmp_path / "bad.ftns"
+        bad.write_bytes(blob)
+        with pytest.raises(error, match=message):
+            read_tensor_file(bad)
+        assert main(["encode", "--input", str(bad), "--output", str(tmp_path / "o.fcmb")]) == 3
+        assert message in capsys.readouterr().err
+
+    def test_mutated_tensor_files(self, tmp_path, ftns, capsys):
+        out = tmp_path / "o.fcmb"
+        # The first BLOCK_DCT encode of a process pays one-off costs that
+        # MUTATED_RUN_PEAK does not cover.
+        assert main(["encode", "--input", str(ftns), "--output", str(out), "--codec", "dct"]) == 0
+        bad = tmp_path / "bad.ftns"
+        argv = ["encode", "--input", str(bad), "--output", str(out), "--codec", "dct"]
+        assert run_mutated(4, ftns.read_bytes(), bad, argv) >= {0, 3}
 
     def test_missing_file_exit_3(self, tmp_path):
         rc = main(["decode", "--input", str(tmp_path / "nope"), "--output", str(tmp_path / "o")])
@@ -470,6 +520,17 @@ class TestVcmCommands:
              "--ratio", "3", "--sideinfo", str(tmp_path / "s")]
         )
         assert rc == 4
+
+    @pytest.mark.parametrize(
+        "depths,message", [((10, 12), "mixed bit depths"), ((0,), "bit depth must be"), ((17,), "bit depth must be")]
+    )
+    def test_bad_bit_depths_exit_3(self, tmp_path, capsys, depths, message):
+        seq = tmp_path / "seq.raw"
+        seq.write_bytes(b"".join(struct.pack("<IIB", 2, 1, depth) + bytes(4) for depth in depths))
+        with pytest.raises(InvariantError, match=message):
+            read_sequence(seq)
+        assert main(["vcm-truncate", "--input", str(seq), "--output", str(tmp_path / "o.raw"), "--shift", "1"]) == 3
+        assert message in capsys.readouterr().err
 
     def test_mutated_sequence_files(self, tmp_path, seq_file, capsys):
         bad = tmp_path / "bad.raw"

@@ -96,3 +96,14 @@ def test_sequence_file_read_without_a_copy(tmp_path, rng):
     assert peak <= 1.1 * path.stat().st_size
     for a, b in zip(frames, seq.frames):
         np.testing.assert_array_equal(a, b)
+
+
+def test_writers_hand_their_arrays_to_the_file(tmp_path, rng):
+    """Writing a 2 MiB FTNS group or planar sequence peaks at a small part of
+    its size: each array goes to the file as it is, with no bytes copy."""
+    group = TensorGroup((random_tensor(rng, 8, 256, 256),))
+    seq = PixelSequence(tuple(rng.integers(0, 1024, (512, 512)).astype(np.uint16) for _ in range(4)), 10)
+    for write, value in ((write_tensor_file, group), (write_sequence, seq)):
+        path = tmp_path / "out"
+        _, peak = traced_peak(lambda p: write(p, value), path)
+        assert peak <= 0.05 * path.stat().st_size, write.__name__

@@ -22,3 +22,26 @@ def test_no_unused_imports(module):
     tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(set(imported_names(tree)) - used) == []
+
+
+def names(node: ast.AST) -> set:
+    """Every name, and every attribute's name, inside node."""
+    return {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(node)}
+
+
+def classifying_handlers(tree: ast.Module):
+    """Lines of the except clauses that catch DomainError or
+    UnicodeDecodeError and name InvariantError in their body."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            body = set().union(*map(names, node.body))
+            if names(node.type) & {"DomainError", "UnicodeDecodeError"} and "InvariantError" in body:
+                yield node.lineno
+
+
+# `errors.ByteReader.build` and `.text` are the one place where a value read
+# from bytes that its type refuses becomes an InvariantError.
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py") if p.name != "errors.py"))
+def test_bytes_refused_by_a_value_type_classified_in_errors_only(module):
+    tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+    assert list(classifying_handlers(tree)) == []
