@@ -235,6 +235,10 @@ def _parse_tensor_bytes(data: bytes) -> TensorGroup:
         (lbl_len,) = r.unpack("<B")
         labels.append(r.text(lbl_len))
         c, h, w = r.unpack("<III")
+        # Checked before the reshape: with one zero dimension the element cap
+        # passes, and numpy sizes the other two against intp and overflows.
+        if min(c, h, w) < 1:
+            raise DimensionOverflowError(f"zero dimension in tensor header ({c}x{h}x{w})")
         if c * h * w > MAX_ELEMENTS:
             raise DimensionOverflowError(f"tensor {c}x{h}x{w} exceeds element cap")
         arr = np.frombuffer(r.take(c * h * w * 4), dtype="<f4").reshape(c, h, w)
