@@ -35,6 +35,7 @@ from .errors import (
     ByteReader,
     DimensionOverflowError,
     DomainError,
+    FcmError,
     FormatError,
     InvariantError,
     MagicMismatchError,
@@ -103,6 +104,20 @@ class UnitHeader:
         return PackingLayout(self.original_channels - self.pruned_k, self.tile_h, self.tile_w)
 
 
+def check_element_cap(header: UnitHeader, error: type[FcmError]) -> None:
+    """Raise error if the unit's packed frame or its decoded tensor, N x
+    (f * tile_h) x (f * tile_w) for the transform's pooling factor f, would
+    hold more than the FTNS element cap. The encoder and the parser both ask,
+    so no stream is written that the parser refuses."""
+    lay = header.layout
+    if lay.frame_height * lay.frame_width > MAX_ELEMENTS:
+        raise error(f"{lay.frame_height}x{lay.frame_width} frame exceeds the element cap")
+    f = TRANSFORMS[header.transform]
+    c, h, w = header.original_channels, f * header.tile_h, f * header.tile_w
+    if c * h * w > MAX_ELEMENTS:
+        raise error(f"decoded tensor {c}x{h}x{w} exceeds the element cap")
+
+
 def _rank_bytes(rank: int) -> bytes:
     if rank == 0:
         return b""
@@ -131,8 +146,8 @@ def parse_unit(data: bytes, offset: int = 0) -> tuple[UnitHeader, memoryview, in
     """Parse one unit starting at offset; returns (header, payload, consumed).
 
     The payload is a view into data, not a copy. A unit whose packed frame or
-    decoded tensor would exceed the FTNS element cap is refused before
-    anything is sized."""
+    decoded tensor would exceed the FTNS element cap is refused with
+    DimensionOverflowError before anything is sized."""
     r = ByteReader(data, "unit", offset)
     n_channels, k, rank_len = r.unpack("<HHH")
     rank_field = r.take(rank_len)
@@ -155,13 +170,7 @@ def parse_unit(data: bytes, offset: int = 0) -> tuple[UnitHeader, memoryview, in
         label=label,
         codec=codec,
     )
-    lay = header.layout
-    if lay.frame_height * lay.frame_width > MAX_ELEMENTS:
-        raise DimensionOverflowError(f"{lay.frame_height}x{lay.frame_width} frame exceeds the element cap")
-    f = TRANSFORMS[header.transform]
-    c, h, w = n_channels, f * tile_h, f * tile_w
-    if c * h * w > MAX_ELEMENTS:
-        raise DimensionOverflowError(f"decoded tensor {c}x{h}x{w} exceeds the element cap")
+    check_element_cap(header, DimensionOverflowError)
     return header, payload, r.pos - offset
 
 

@@ -64,16 +64,22 @@ def prune_channels(t: FeatureTensor, d: PruneDecision) -> FeatureTensor:
     return FeatureTensor(t.data[keep])
 
 
-def restore_channels(t: FeatureTensor, d: PruneDecision) -> FeatureTensor:
-    """Reinsert pruned channels, filled with the scalar mean of t."""
-    if d.kept_count != t.channels:
+def restore_channels(x: np.ndarray, d: PruneDecision) -> np.ndarray:
+    """Reinsert pruned channels into the kept C x H x W array x, filled with
+    the scalar mean of x.
+
+    With nothing pruned, x itself is returned. Otherwise the result is a new
+    float32 array, and x is only read.
+    """
+    if d.kept_count != len(x):
         raise DomainError(
-            f"decision expects {d.kept_count} kept channels, tensor has {t.channels}"
+            f"decision expects {d.kept_count} kept channels, array has {len(x)}"
         )
     if not d.pruned.indices:
-        return t
-    fill = np.float32(_mean(t.data))
-    out = np.full((d.total_channels, t.height, t.width), fill, dtype=np.float32)
-    keep = np.delete(np.arange(d.total_channels), d.pruned.indices)
-    out[keep] = t.data
-    return FeatureTensor(out)
+        return x
+    # The mean's float64 scratch is freed before the output is sized.
+    fill = np.float32(_mean(x))
+    out = np.empty((d.total_channels, *x.shape[1:]), dtype=np.float32)
+    out[list(d.pruned.indices)] = fill
+    out[np.delete(np.arange(d.total_channels), d.pruned.indices)] = x
+    return out

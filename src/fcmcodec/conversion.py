@@ -46,12 +46,11 @@ def quantize_frame(frame: np.ndarray, bit_depth: int = 10) -> tuple[np.ndarray, 
     return out, (lo, hi)
 
 
-def dequantize_frame(frame: np.ndarray, bit_depth: int) -> np.ndarray:
-    """The n-bit integer frame on [0, 1] as float32: q / (2^n - 1)."""
+def dequantize_frame(q: np.ndarray, bit_depth: int) -> np.ndarray:
+    """The n-bit integer samples of q, of any shape, on [0, 1] as a new
+    float32 array of that shape: q / (2^n - 1)."""
     levels = _levels(bit_depth)
-    q = np.asarray(frame)
-    if q.ndim != 2:
-        raise DomainError("expected a 2-d frame")
+    q = np.asarray(q)
     if q.min() < 0 or q.max() > levels:
         raise DomainError(f"sample outside [0, {levels}]")
     x = q.astype(np.float32)

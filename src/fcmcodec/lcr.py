@@ -7,12 +7,18 @@ arbitrary-precision integers: C(256, 128) alone needs 252 bits.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 from .errors import DomainError, RankRangeError
+from .tensor import MAX_TENSORS
 
 
+# A unit's header check and its rank decode both ask for C(N, k), which costs
+# 0.085 s at N = 65535 and k = 32767. A stream's headers are all checked before
+# its first unit is decoded, so the cache keeps one value per unit.
+@functools.lru_cache(maxsize=MAX_TENSORS)
 def binomial(n: int, r: int) -> int:
     """Exact C(n, r); 0 whenever r < 0 or r > n."""
     if n < 0:

@@ -66,8 +66,9 @@ def pack(t: FeatureTensor) -> tuple[np.ndarray, PackingLayout]:
     return frame, layout
 
 
-def unpack(frame: np.ndarray, layout: PackingLayout) -> FeatureTensor:
-    """Invert pack; pad tiles are discarded."""
+def unpack(frame: np.ndarray, layout: PackingLayout) -> np.ndarray:
+    """Invert pack: the C x tile_h x tile_w array of frame's channel tiles,
+    a new array in frame's dtype; pad tiles are discarded."""
     frame = np.asarray(frame)
     if frame.ndim != 2 or frame.shape != (layout.frame_height, layout.frame_width):
         raise DomainError(
@@ -75,9 +76,9 @@ def unpack(frame: np.ndarray, layout: PackingLayout) -> FeatureTensor:
             f"({layout.frame_height}, {layout.frame_width})"
         )
     tiles = _tiles(frame, layout)
-    out = np.empty((layout.channel_count, layout.tile_h, layout.tile_w), dtype=np.float32)
+    out = np.empty((layout.channel_count, layout.tile_h, layout.tile_w), dtype=frame.dtype)
     full, rest = divmod(layout.channel_count, layout.grid_cols)
     out[: full * layout.grid_cols].reshape(tiles[:full].shape)[...] = tiles[:full]
     if rest:
         out[full * layout.grid_cols :] = tiles[full, :rest]
-    return FeatureTensor(out)
+    return out

@@ -3,9 +3,10 @@
 Encoder, per tensor: capture global stats, mean-pool by the factor the
 configured transform names in `bitstream.TRANSFORMS` (factor 1 passes the
 tensor through), prune low-energy channels, pack, quantize, inner-codec
-encode, emit one unit. Decoder, per unit: inner-codec decode, dequantize onto
-[0, 1], unpack, restore pruned channels, repeat samples by the unit's
-transform factor, refine onto the transmitted global stats.
+encode, emit one unit. Decoder, per unit: inner-codec decode, unpack the
+integer tiles, dequantize them onto [0, 1], restore pruned channels, repeat
+samples by the unit's transform factor, refine onto the transmitted global
+stats.
 
 A unit needs to carry neither the quantizer range nor the stats of the kept
 channels. Mapping the samples onto either is a positive affine map; restoring
@@ -14,7 +15,13 @@ such a map commutes with both, and the refinement cancels it.
 
 The decoder is one chain of calls that rebinds a single name, so each
 intermediate is freed once the next stage has returned, and it computes
-nothing the output does not need.
+nothing the output does not need. It holds one float32 buffer per unit:
+unpacking comes first, so the pad tiles are dropped while the samples are
+still 16-bit integers; dequantizing makes the buffer; restoring and repeating
+pass it through or replace it; and the refinement writes its affine map back
+into it, a float64 chunk at a time, before it becomes the output tensor's
+read-only data. Each sample sees the same IEEE operations in the same order
+as in a decoder that copies at every stage, so the output has the same bits.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitstream import TRANSFORMS, UnitHeader, parse_stream, serialize_stream
+from .bitstream import TRANSFORMS, UnitHeader, check_element_cap, parse_stream, serialize_stream
 from .channels import PruneDecision, prune_channels, restore_channels, score_channels, select_pruned
 from .codec import CodecId, codec_decode, codec_encode
 from .conversion import dequantize_frame, quantize_frame
@@ -50,11 +57,15 @@ def _meanpool(t: FeatureTensor, factor: int) -> FeatureTensor:
     return FeatureTensor(pooled)
 
 
-def _repeat(t: FeatureTensor, factor: int) -> FeatureTensor:
-    """Repeat each sample factor times along each spatial axis."""
+def _repeat(x: np.ndarray, factor: int) -> np.ndarray:
+    """Repeat each sample of the C x H x W array x factor times along each
+    spatial axis: x itself for factor 1, else one new array."""
     if factor == 1:
-        return t
-    return FeatureTensor(np.repeat(np.repeat(t.data, factor, axis=1), factor, axis=2))
+        return x
+    c, h, w = x.shape
+    out = np.empty((c, h * factor, w * factor), dtype=x.dtype)
+    out.reshape(c, h, factor, w, factor)[...] = x[:, :, None, :, None]
+    return out
 
 
 @dataclass(frozen=True)
@@ -82,7 +93,8 @@ def _encode_one(t: FeatureTensor, label: str, cfg: EncoderConfig) -> tuple[UnitH
 
     decision = select_pruned(score_channels(xt), cfg.prune_ratio)
     frame, layout = pack(prune_channels(xt, decision))
-    # Built before any coding, so a tensor the header cannot carry costs none.
+    # Built and sized before any coding, so a tensor the header cannot carry,
+    # or that the decoder would refuse to size, costs none.
     header = UnitHeader(
         original_channels=xt.channels,
         pruned_k=len(decision.pruned),
@@ -95,6 +107,7 @@ def _encode_one(t: FeatureTensor, label: str, cfg: EncoderConfig) -> tuple[UnitH
         label=label,
         codec=int(cfg.codec),
     )
+    check_element_cap(header, DomainError)
     frame, _ = quantize_frame(frame, cfg.bit_depth)
     return header, codec_encode(frame, cfg.codec, cfg.qp, cfg.bit_depth)
 
@@ -116,8 +129,8 @@ def fcm_encode(group: TensorGroup, cfg: EncoderConfig, workers: int = 1) -> byte
 def _decode_one(header: UnitHeader, payload: bytes) -> FeatureTensor:
     lay = header.layout
     x = codec_decode(payload, header.codec, header.bit_depth, (lay.frame_height, lay.frame_width))
-    x = dequantize_frame(x, header.bit_depth)
     x = unpack(x, lay)
+    x = dequantize_frame(x, header.bit_depth)
     pruned = lcr_decode(LcrCode(header.pruned_k, header.lcr_rank), header.original_channels)
     x = restore_channels(x, PruneDecision(pruned))
     x = _repeat(x, TRANSFORMS[header.transform])

@@ -165,6 +165,13 @@ def _mean(data: np.ndarray) -> float:
     return _pairwise_sum(data, None) / data.size
 
 
+def _stats(data: np.ndarray) -> GlobalStats:
+    """compute_global_stats of the elements of the non-empty array data."""
+    mu = _mean(data)
+    sigma = math.sqrt(_pairwise_sum(data, mu) / data.size)
+    return GlobalStats(mu, sigma)
+
+
 def compute_global_stats(t: FeatureTensor) -> GlobalStats:
     """Mean and population (biased) standard deviation over all elements.
 
@@ -172,34 +179,39 @@ def compute_global_stats(t: FeatureTensor) -> GlobalStats:
     a time, and has the bits of the mean of a whole-tensor float64 copy and
     of the square root of the mean of its squared deviations from that mean.
     """
-    mu = _mean(t.data)
-    sigma = math.sqrt(_pairwise_sum(t.data, mu) / t.data.size)
-    return GlobalStats(mu, sigma)
+    return _stats(t.data)
 
 
-def apply_refinement(t: FeatureTensor, target: GlobalStats) -> FeatureTensor:
-    """Affinely remap t so its global statistics become (target.mu, target.sigma).
+def apply_refinement(x: np.ndarray, target: GlobalStats) -> FeatureTensor:
+    """Affinely remap the C x H x W float32 array x so its global statistics
+    become (target.mu, target.sigma), and return it as a tensor.
 
-    With a zero-spread input the normalized term is taken as 0, so the output
-    is the constant target.mu.
+    The map is written into x itself, which then becomes the read-only data
+    of the returned tensor: the caller hands over a buffer it owns. With a
+    zero-spread input the normalized term is taken as 0, so the output is the
+    constant target.mu.
     """
-    current = compute_global_stats(t)
+    if not (x.dtype == np.float32 and x.ndim == 3 and x.size and x.flags.c_contiguous and x.flags.writeable):
+        raise DomainError("refinement needs a writable, non-empty, C-contiguous 3-d float32 array")
+    current = _stats(x)
     if current.sigma == 0.0:
-        return FeatureTensor(np.full(t.shape, target.mu, dtype=np.float32))
+        x.fill(target.mu)
+        return FeatureTensor(x)
     # target.sigma * (x - mu) / sigma + target.mu, one IEEE step at a time,
-    # a float64 chunk at a time.
-    out = np.empty(t.shape, dtype=np.float32)
-    # A hostile target.sigma can take x past float32 in the cast to rows (the
-    # float64 steps cannot overflow on finite float32 input). The sample
+    # a float64 chunk of rows at a time; each chunk is copied out of x before
+    # its rows are written back.
+    # A hostile target.sigma can take a sample past float32 in the cast back
+    # (the float64 steps cannot overflow on finite float32 input). The sample
     # becomes inf, which FeatureTensor refuses, so numpy need not warn.
+    rows = x.reshape(-1, x.shape[-1])
     with np.errstate(over="ignore"):
-        for x, rows in _float64_chunks(t.data.reshape(-1, t.width), out.reshape(-1, t.width)):
-            x -= current.mu
-            x *= target.sigma
-            x /= current.sigma
-            x += target.mu
-            rows[...] = x
-    return FeatureTensor(out)
+        for chunk, out in _float64_chunks(rows, rows):
+            chunk -= current.mu
+            chunk *= target.sigma
+            chunk /= current.sigma
+            chunk += target.mu
+            out[...] = chunk
+    return FeatureTensor(x)
 
 
 def write_tensor_file(path, group: TensorGroup) -> None:

@@ -197,10 +197,10 @@ def staged_reference_decode(group: TensorGroup, cfg: EncoderConfig, stream: byte
             x *= hi - lo
             x += lo
         x = unpack(x.astype(np.float32), layout)
-        x = apply_refinement(x, _as_sent(compute_global_stats(reduced)))
+        x = apply_refinement(x, _as_sent(compute_global_stats(reduced))).data.copy()
         x = restore_channels(x, decision)
         x = _repeat(x, factor)
-        spread = compute_global_stats(x).sigma
+        spread = compute_global_stats(FeatureTensor(x.copy())).sigma
         out.append((apply_refinement(x, h.transform_stats).data, h.transform_stats.sigma / spread if spread else 0.0))
     return out
 

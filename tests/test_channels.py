@@ -92,24 +92,28 @@ class TestPruneRestore:
             prune_channels(random_tensor(rng, channels=3), decision([0], 4))
 
     def test_restore_fill_is_mean(self):
-        kept = FeatureTensor(
-            np.asarray([[[1.0, 2.0]], [[1.0, 2.0]]], np.float32)
-        )  # mean 1.5
+        kept = np.asarray([[[1.0, 2.0]], [[1.0, 2.0]]], np.float32)  # mean 1.5
+        before = kept.copy()
         out = restore_channels(kept, decision([1, 3], 4))
-        assert out.channels == 4
-        np.testing.assert_array_equal(out.data[0], kept.data[0])
-        np.testing.assert_array_equal(out.data[2], kept.data[1])
-        np.testing.assert_array_equal(out.data[1], np.full((1, 2), 1.5, np.float32))
-        np.testing.assert_array_equal(out.data[3], np.full((1, 2), 1.5, np.float32))
+        assert out.shape == (4, 1, 2) and out.dtype == np.float32
+        np.testing.assert_array_equal(out[0], kept[0])
+        np.testing.assert_array_equal(out[2], kept[1])
+        np.testing.assert_array_equal(out[1], np.full((1, 2), 1.5, np.float32))
+        np.testing.assert_array_equal(out[3], np.full((1, 2), 1.5, np.float32))
+        np.testing.assert_array_equal(kept, before)
 
     def test_restore_zero_mean(self):
-        kept = FeatureTensor(np.zeros((2, 2, 2), np.float32))
+        kept = np.zeros((2, 2, 2), np.float32)
         out = restore_channels(kept, decision([0], 3))
-        np.testing.assert_array_equal(out.data, np.zeros((3, 2, 2), np.float32))
+        np.testing.assert_array_equal(out, np.zeros((3, 2, 2), np.float32))
 
     def test_restore_count_mismatch(self, rng):
         with pytest.raises(DomainError):
-            restore_channels(random_tensor(rng, channels=3), decision([1], 3))
+            restore_channels(random_tensor(rng, channels=3).data, decision([1], 3))
+
+    def test_restore_nothing_pruned_passes_the_array_through(self, rng):
+        kept = random_tensor(rng, channels=3).data
+        assert restore_channels(kept, decision([], 3)) is kept
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
@@ -120,8 +124,8 @@ class TestPruneRestore:
         k = int(rng.integers(0, c))
         pruned = sorted(rng.choice(c, size=k, replace=False).tolist())
         d = decision(pruned, c)
-        restored = restore_channels(prune_channels(t, d), d)
-        assert restored.channels == c
+        restored = restore_channels(prune_channels(t, d).data, d)
+        assert len(restored) == c
         keep = [i for i in range(c) if i not in pruned]
         for i in keep:
-            np.testing.assert_array_equal(restored.data[i], t.data[i])
+            np.testing.assert_array_equal(restored[i], t.data[i])

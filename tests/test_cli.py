@@ -11,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
+import fcmcodec.bitstream
 import fcmcodec.pipeline
 from fcmcodec import CodecId, EncoderConfig, FeatureTensor, TensorGroup, compute_global_stats, fcm_encode
 from fcmcodec.bitstream import parse_stream
@@ -327,10 +328,18 @@ class TestCodecCommands:
         )
         assert rc == 4
 
-    @pytest.mark.parametrize("shape", [(65536, 1, 1), (1, 1, 70000)])
-    def test_tensor_the_header_cannot_carry_exit_4_before_coding(self, tmp_path, monkeypatch, shape):
-        """65536 channels, or a 70000-wide tile, overflow a u16 header field;
-        the encoder refuses the tensor before the inner codec runs."""
+    @pytest.mark.parametrize(
+        ("shape", "cap"),
+        [((65536, 1, 1), None), ((1, 1, 70000), None), ((4, 8, 8), 255)],
+        ids=["shape0", "shape1", "over_the_element_cap"],
+    )
+    def test_tensor_the_header_cannot_carry_exit_4_before_coding(self, tmp_path, monkeypatch, shape, cap):
+        """65536 channels, or a 70000-wide tile, overflow a u16 header field,
+        and with the element cap lowered to 255, parse_unit would refuse the
+        stream of a 4x8x8 tensor; the encoder refuses the tensor before the
+        inner codec runs."""
+        if cap is not None:
+            monkeypatch.setattr(fcmcodec.bitstream, "MAX_ELEMENTS", cap)
         src = tmp_path / "big.ftns"
         write_tensor_file(src, TensorGroup((FeatureTensor(np.zeros(shape, dtype=np.float32)),)))
         coded = []

@@ -41,6 +41,12 @@ class TestDequantize:
         assert out.dtype == np.float32
         np.testing.assert_array_equal(out, [[0.0, 1.0]])
 
+    def test_any_shape(self):
+        q = np.arange(24, dtype=np.uint16).reshape(2, 3, 4)
+        out = dequantize_frame(q, 8)
+        assert out.dtype == np.float32 and out.shape == q.shape
+        np.testing.assert_array_equal(out, (q.astype(np.float64) / 255).astype(np.float32))
+
     def test_out_of_range_sample(self):
         with pytest.raises(DomainError):
             dequantize_frame(np.asarray([[256]], np.int64), 8)

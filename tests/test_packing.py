@@ -38,8 +38,9 @@ def test_pack_and_unpack_match_the_per_channel_copies(rng, channels):
     expected = reference_pack(t)
     assert frame.dtype == expected.dtype and frame.tobytes() == expected.tobytes()
     noisy = frame + rng.normal(size=frame.shape).astype(np.float32)  # pad tiles too
-    back = unpack(noisy, layout).data
-    assert back.tobytes() == reference_unpack(noisy, layout).tobytes()
+    back = unpack(noisy, layout)
+    expected = reference_unpack(noisy, layout)
+    assert back.dtype == expected.dtype and back.tobytes() == expected.tobytes()
 
 
 class TestPack:
@@ -69,19 +70,26 @@ class TestUnpack:
     def test_roundtrip(self, rng):
         t = random_tensor(rng, channels=6, height=4, width=4)
         frame, layout = pack(t)
-        np.testing.assert_array_equal(unpack(frame, layout).data, t.data)
+        np.testing.assert_array_equal(unpack(frame, layout), t.data)
 
     def test_pad_tile_ignored(self, rng):
         t = random_tensor(rng, channels=3, height=2, width=2)
         frame, layout = pack(t)
         frame = frame.copy()
         frame[2:, 2:] = 99.0
-        np.testing.assert_array_equal(unpack(frame, layout).data, t.data)
+        np.testing.assert_array_equal(unpack(frame, layout), t.data)
 
     def test_impossible_layout(self):
         for dims in ((0, 2, 2), (5, 0, 2), (5, 2, 0)):
             with pytest.raises(DomainError):
                 PackingLayout(*dims)
+
+    def test_integer_frame_keeps_its_dtype(self):
+        layout = PackingLayout(3, 2, 2)
+        frame = np.arange(16, dtype=np.uint16).reshape(4, 4)
+        out = unpack(frame, layout)
+        assert out.dtype == np.uint16
+        np.testing.assert_array_equal(out, reference_unpack(frame, layout))
 
     def test_dims_mismatch(self, rng):
         _, layout = pack(random_tensor(rng, channels=4, height=2, width=2))
@@ -97,7 +105,7 @@ class TestUnpack:
         w = int(rng.integers(1, 33))
         t = FeatureTensor(rng.normal(size=(c, h, w)).astype(np.float32))
         frame, layout = pack(t)
-        np.testing.assert_array_equal(unpack(frame, layout).data, t.data)
+        np.testing.assert_array_equal(unpack(frame, layout), t.data)
         # near-square grid keeps overhead under 2x
         assert frame.size >= c * h * w
         assert frame.size / (c * h * w) < 2.0

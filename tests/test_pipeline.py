@@ -1,12 +1,15 @@
+import math
 import tracemalloc
 import warnings
 import zlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fcmcodec.lcr
 import fcmcodec.pipeline
 from fcmcodec import (
     TRANSFORMS,
@@ -14,6 +17,7 @@ from fcmcodec import (
     EncoderConfig,
     FeatureTensor,
     TensorGroup,
+    binomial,
     compute_global_stats,
     fcm_decode,
     fcm_encode,
@@ -206,10 +210,11 @@ def raw_decode_peak(samples: np.ndarray) -> tuple[int, int]:
 
 
 def test_large_valid_raw_decode_peak_per_element():
-    """Each decoder stage's input is freed once the next stage returns, and
-    the inflated bytes are the frame, not copied into it: 8.3 B per element."""
+    """Each decoder stage's input is freed once the next stage returns, the
+    inflated bytes are the frame, not copied into it, and the refinement
+    writes into the dequantized buffer: 6.0 B per element."""
     _, peak = raw_decode_peak(np.arange(1 << 20) % 1024)
-    assert peak < 10.5 * (1 << 20)
+    assert peak < 7 * (1 << 20)
 
 
 def test_decode_peak_does_not_grow_with_the_payload():
@@ -218,6 +223,46 @@ def test_decode_peak_does_not_grow_with_the_payload():
     large, large_peak = raw_decode_peak(np.random.default_rng(0).integers(0, 1024, 1 << 20))
     assert large - small > 1_300_000
     assert large_peak - small_peak < 500_000
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [lossless_cfg(), EncoderConfig(prune_ratio=0.5, codec=CodecId.BLOCK_DCT, qp=22)],
+    ids=["raw", "dct-pruned"],
+)
+def test_decode_peak_is_one_float32_buffer_and_a_half(cfg):
+    """The decoder keeps one float32 buffer the size of the tensor. Beside
+    it, it holds at most the 16-bit samples it dequantizes (half its size),
+    or the kept half of the channels that restoring copies into it, so the
+    peak is 1.5x the tensor's bytes plus scratch (2.17x when each stage
+    made a fresh output)."""
+    t = FeatureTensor(np.random.default_rng(5).standard_normal((256, 32, 48)).astype(np.float32))
+    stream = fcm_encode(TensorGroup((t,)), cfg)
+    tracemalloc.start()
+    try:
+        fcm_decode(stream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * t.data.nbytes
+
+
+def test_a_unit_decode_evaluates_its_binomial_once(monkeypatch):
+    """A unit's header check and its rank decode both need C(N, k), which
+    takes 0.085 s at N = 65535 and k = 32767; math.comb runs once per unit."""
+    rng = np.random.default_rng(9)
+    group = TensorGroup(tuple(random_tensor(rng, channels=c, height=2, width=2) for c in (64, 48)))
+    stream = fcm_encode(group, lossless_cfg(prune_ratio=0.5))
+    binomial.cache_clear()
+    calls = []
+
+    def comb(n, r):
+        calls.append((n, r))
+        return math.comb(n, r)
+
+    monkeypatch.setattr(fcmcodec.lcr, "math", SimpleNamespace(comb=comb))
+    fcm_decode(stream)
+    assert calls == [(64, 32), (48, 24)]
 
 
 def test_frame_past_the_element_cap_is_refused_before_decoding():

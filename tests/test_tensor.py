@@ -54,42 +54,77 @@ class TestGlobalStats:
         assert a.sigma == pytest.approx(b.sigma, rel=1e-12)
 
 
+def buffer_of(values, shape):
+    return np.asarray(values, dtype=np.float32).reshape(shape)
+
+
 class TestRefinement:
     def test_affine_map(self):
-        t = tensor_of([-1.0, 1.0], (1, 1, 2))  # stats (0, 1)
-        out = apply_refinement(t, GlobalStats(3.0, 2.0))
+        x = buffer_of([-1.0, 1.0], (1, 1, 2))  # stats (0, 1)
+        out = apply_refinement(x, GlobalStats(3.0, 2.0))
         np.testing.assert_allclose(out.data.ravel(), [1.0, 5.0], atol=1e-6)
 
     def test_own_stats_is_identity(self, rng):
         t = random_tensor(rng)
-        out = apply_refinement(t, compute_global_stats(t))
+        out = apply_refinement(t.data.copy(), compute_global_stats(t))
         np.testing.assert_allclose(out.data, t.data, atol=1e-5)
 
     def test_normalize_known(self):
-        t = tensor_of([1.0, 2.0, 3.0], (1, 1, 3))
-        out = apply_refinement(t, GlobalStats(0.0, 1.0))
+        x = buffer_of([1.0, 2.0, 3.0], (1, 1, 3))
+        out = apply_refinement(x, GlobalStats(0.0, 1.0))
         np.testing.assert_allclose(
             out.data.ravel(), [-1.224745, 0.0, 1.224745], atol=1e-6
         )
 
     def test_zero_spread_input(self):
-        t = tensor_of([4.0] * 6, (1, 2, 3))
-        out = apply_refinement(t, GlobalStats(2.5, 3.0))
+        x = buffer_of([4.0] * 6, (1, 2, 3))
+        out = apply_refinement(x, GlobalStats(2.5, 3.0))
         np.testing.assert_array_equal(out.data, np.full((1, 2, 3), 2.5, np.float32))
+        assert np.shares_memory(out.data, x)
 
     @given(st.integers(0, 2**32 - 1), st.floats(-50, 50), st.floats(0.01, 20))
     @settings(max_examples=100, deadline=None)
     def test_stats_forced_onto_target(self, seed, mu, sigma):
         t = random_tensor(np.random.default_rng(seed))
-        out = compute_global_stats(apply_refinement(t, GlobalStats(mu, sigma)))
+        out = compute_global_stats(apply_refinement(t.data.copy(), GlobalStats(mu, sigma)))
         assert out.mu == pytest.approx(mu, rel=1e-4, abs=1e-4)
         assert out.sigma == pytest.approx(sigma, rel=1e-4)
 
     def test_idempotent(self, rng):
         target = GlobalStats(1.5, 0.7)
-        once = apply_refinement(random_tensor(rng), target)
-        twice = apply_refinement(once, target)
+        once = apply_refinement(random_tensor(rng).data.copy(), target)
+        twice = apply_refinement(once.data.copy(), target)
         assert np.max(np.abs(twice.data - once.data)) <= 1e-5
+
+    def test_writes_into_the_buffer_it_is_given(self, rng):
+        x = random_tensor(rng).data.copy()
+        out = apply_refinement(x, GlobalStats(1.5, 0.7))
+        assert np.shares_memory(out.data, x)
+        # the buffer is now the tensor's data, and as read-only as it
+        assert not x.flags.writeable
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            np.ones((2, 3, 4), np.float64),
+            np.ones((2, 3), np.float32),
+            np.ones((0, 3, 4), np.float32),
+            np.ones((2, 3, 4), np.float32).transpose(2, 1, 0),
+        ],
+        ids=["float64", "2-d", "empty", "not-contiguous"],
+    )
+    def test_refuses_a_buffer_it_cannot_write_as_the_tensor(self, x):
+        with pytest.raises(DomainError):
+            apply_refinement(x, GlobalStats(0.0, 1.0))
+
+    def test_refuses_a_tensors_data(self, rng):
+        """A FeatureTensor's data is read-only: refining it would change the
+        tensor, so the caller must hand over a copy."""
+        t = random_tensor(rng)
+        before = t.data.copy()
+        with pytest.raises(DomainError):
+            apply_refinement(t.data, GlobalStats(0.0, 1.0))
+        np.testing.assert_array_equal(t.data, before)
 
 
 class TestValidation:
