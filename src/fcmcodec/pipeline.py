@@ -131,7 +131,7 @@ def _decode_one(header: UnitHeader, payload: bytes) -> FeatureTensor:
     x = codec_decode(payload, header.codec, header.bit_depth, (lay.frame_height, lay.frame_width))
     x = unpack(x, lay)
     x = dequantize_frame(x, header.bit_depth)
-    pruned = lcr_decode(LcrCode(header.pruned_k, header.lcr_rank), header.original_channels)
+    pruned = lcr_decode(LcrCode(header.pruned_k, header.lcr_rank), header.original_channels, header.combinations)
     x = restore_channels(x, PruneDecision(pruned))
     x = _repeat(x, TRANSFORMS[header.transform])
     return apply_refinement(x, header.transform_stats)
