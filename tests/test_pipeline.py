@@ -306,6 +306,13 @@ def test_dct_frame_is_clipped_to_the_header_bit_depth(monkeypatch):
 
 
 class TestTransforms:
+    def test_repeat_is_numpys_repeat_along_both_axes(self, rng):
+        x = random_tensor(rng, channels=3, height=4, width=5).data
+        out = fcmcodec.pipeline._repeat(x, 2)
+        expected = np.repeat(np.repeat(x, 2, axis=1), 2, axis=2)
+        assert out.dtype == expected.dtype and out.tobytes() == expected.tobytes()
+        assert fcmcodec.pipeline._repeat(x, 1) is x
+
     def test_meanpool_roundtrip_shape(self, rng):
         t = random_tensor(rng, channels=4, height=8, width=12)
         group = TensorGroup((t,))
