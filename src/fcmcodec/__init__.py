@@ -2,19 +2,18 @@
 rate-distortion evaluation utilities."""
 
 from .bitstream import TRANSFORMS, UnitHeader, parse_stream, parse_unit, serialize_stream, serialize_unit
-from .channels import PruneDecision, prune_channels, restore_channels, score_channels, select_pruned
+from .channels import PruneDecision, prune_channels, score_channels, select_pruned
 from .codec import CodecId, codec_decode, codec_encode, qstep
 from .conversion import dequantize_frame, quantize_frame
 from .errors import DomainError, FcmError, FormatError
 from .lcr import ChannelIndexSet, LcrCode, binomial, lcr_decode, lcr_encode
 from .metrics import RdCurve, bd_rate, psnr
-from .packing import PackingLayout, pack, unpack
+from .packing import PackingLayout, pack
 from .pipeline import EncoderConfig, fcm_decode, fcm_encode
 from .tensor import (
     FeatureTensor,
     GlobalStats,
     TensorGroup,
-    apply_refinement,
     compute_global_stats,
     read_tensor_file,
     write_tensor_file,

@@ -28,7 +28,7 @@ reports that as an `InvariantError`.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .codec import CodecId
 from .errors import (
@@ -71,17 +71,13 @@ class UnitHeader:
     transform_id: int
     label: str
     codec: int
-    # C(N, k), the number of pruned sets; kept for the rank decode, since
-    # computing it takes 0.085 s at N = 65535 and k = 32767.
-    combinations: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 < self.original_channels <= _U16_MAX:
             raise DomainError("original channel count out of range")
         if not 0 <= self.pruned_k < self.original_channels:
             raise DomainError("pruned_k leaves no channel")
-        object.__setattr__(self, "combinations", binomial(self.original_channels, self.pruned_k))
-        if not 0 <= self.lcr_rank < self.combinations:
+        if not 0 <= self.lcr_rank < binomial(self.original_channels, self.pruned_k):
             raise DomainError("rank outside [0, C(N, k))")
         if not (0 < self.tile_h <= _U16_MAX and 0 < self.tile_w <= _U16_MAX):
             raise DomainError("tile dimension outside 1-65535")

@@ -7,12 +7,18 @@ arbitrary-precision integers: C(256, 128) alone needs 252 bits.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 from .errors import DomainError, RankRangeError
+from .tensor import MAX_TENSORS
 
 
+# A unit's header check and its rank decode both ask for C(N, k), which costs
+# 0.085 s at N = 65535 and k = 32767. A stream's headers are all checked before
+# its first unit is decoded, so the cache keeps one value per unit.
+@functools.lru_cache(maxsize=MAX_TENSORS)
 def binomial(n: int, r: int) -> int:
     """Exact C(n, r); 0 whenever r < 0 or r > n."""
     if n < 0:
@@ -86,19 +92,16 @@ def lcr_encode(s: ChannelIndexSet) -> LcrCode:
     return LcrCode(k=k, rank=rank)
 
 
-def lcr_decode(code: LcrCode, total_channels: int, combinations: int | None = None) -> ChannelIndexSet:
+def lcr_decode(code: LcrCode, total_channels: int) -> ChannelIndexSet:
     """Invert lcr_encode: walk candidate indices, subtracting block sizes,
     with the binomials updated step by step as in lcr_encode. The walk is
     quadratic in N, up to N steps on binomials of up to N bits: about 0.8 s
-    at N = 65535 and k = 32767 on one core of a Xeon server.
-
-    A caller that has C(N, k) already, as a checked `UnitHeader` does, passes
-    it as combinations; it takes 0.085 s to compute at that N and k."""
+    at N = 65535 and k = 32767 on one core of a Xeon server."""
     n = total_channels
     k = code.k
     if k > n:
         raise DomainError(f"k={k} exceeds total channels N={n}")
-    total = binomial(n, k) if combinations is None else combinations
+    total = binomial(n, k)
     if code.rank >= total:
         raise RankRangeError(f"rank {code.rank} >= C({n}, {k})")
     if not k:

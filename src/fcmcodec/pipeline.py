@@ -62,10 +62,7 @@ def _repeat(x: np.ndarray, factor: int) -> np.ndarray:
     spatial axis: x itself for factor 1, else one new array."""
     if factor == 1:
         return x
-    c, h, w = x.shape
-    out = np.empty((c, h * factor, w * factor), dtype=x.dtype)
-    out.reshape(c, h, factor, w, factor)[...] = x[:, :, None, :, None]
-    return out
+    return np.repeat(np.repeat(x, factor, axis=1), factor, axis=2)
 
 
 @dataclass(frozen=True)
@@ -131,7 +128,7 @@ def _decode_one(header: UnitHeader, payload: bytes) -> FeatureTensor:
     x = codec_decode(payload, header.codec, header.bit_depth, (lay.frame_height, lay.frame_width))
     x = unpack(x, lay)
     x = dequantize_frame(x, header.bit_depth)
-    pruned = lcr_decode(LcrCode(header.pruned_k, header.lcr_rank), header.original_channels, header.combinations)
+    pruned = lcr_decode(LcrCode(header.pruned_k, header.lcr_rank), header.original_channels)
     x = restore_channels(x, PruneDecision(pruned))
     x = _repeat(x, TRANSFORMS[header.transform])
     return apply_refinement(x, header.transform_stats)

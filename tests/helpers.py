@@ -18,7 +18,6 @@ from fcmcodec import (
     GlobalStats,
     TensorGroup,
     UnitHeader,
-    apply_refinement,
     codec_decode,
     codec_encode,
     compute_global_stats,
@@ -28,14 +27,15 @@ from fcmcodec import (
     parse_stream,
     prune_channels,
     quantize_frame,
-    restore_channels,
     score_channels,
     select_pruned,
     serialize_stream,
     serialize_unit,
-    unpack,
 )
+from fcmcodec.channels import restore_channels
+from fcmcodec.packing import unpack
 from fcmcodec.pipeline import _meanpool, _repeat
+from fcmcodec.tensor import apply_refinement
 
 
 def random_tensor(rng, channels=None, height=None, width=None, mu=0.0, sigma=1.0):

@@ -8,10 +8,10 @@ from fcmcodec import (
     FeatureTensor,
     PruneDecision,
     prune_channels,
-    restore_channels,
     score_channels,
     select_pruned,
 )
+from fcmcodec.channels import restore_channels
 from fcmcodec.errors import DomainError
 
 from helpers import random_tensor

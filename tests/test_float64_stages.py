@@ -31,9 +31,9 @@ from fcmcodec import (
     dequantize_frame,
     pack,
     quantize_frame,
-    restore_channels,
     score_channels,
 )
+from fcmcodec.channels import restore_channels
 from fcmcodec.errors import DomainError
 from fcmcodec.pipeline import _meanpool
 from fcmcodec.tensor import _CHUNK, _pairwise_sum, apply_refinement, compute_global_stats

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fcmcodec import FeatureTensor, PackingLayout, pack, unpack
+from fcmcodec import FeatureTensor, PackingLayout, pack
 from fcmcodec.errors import DomainError
+from fcmcodec.packing import unpack
 
 from helpers import random_tensor
 

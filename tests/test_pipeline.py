@@ -17,6 +17,7 @@ from fcmcodec import (
     EncoderConfig,
     FeatureTensor,
     TensorGroup,
+    binomial,
     compute_global_stats,
     fcm_decode,
     fcm_encode,
@@ -252,6 +253,7 @@ def test_a_unit_decode_evaluates_its_binomial_once(monkeypatch):
     rng = np.random.default_rng(9)
     group = TensorGroup(tuple(random_tensor(rng, channels=c, height=2, width=2) for c in (64, 48)))
     stream = fcm_encode(group, lossless_cfg(prune_ratio=0.5))
+    binomial.cache_clear()
     calls = []
 
     def comb(n, r):

@@ -9,13 +9,12 @@ from fcmcodec import (
     FeatureTensor,
     GlobalStats,
     TensorGroup,
-    apply_refinement,
     compute_global_stats,
     read_tensor_file,
     write_tensor_file,
 )
 from fcmcodec.errors import DomainError, MagicMismatchError, TruncatedError, VersionError
-from fcmcodec.tensor import _CHUNK
+from fcmcodec.tensor import _CHUNK, apply_refinement
 
 from helpers import random_group, random_tensor
 
