@@ -30,7 +30,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from .codec import CodecId
+from .codec import CodecId, sample_max
 from .errors import (
     ByteReader,
     DimensionOverflowError,
@@ -43,7 +43,7 @@ from .errors import (
 )
 from .lcr import binomial
 from .packing import PackingLayout
-from .tensor import MAX_ELEMENTS, MAX_TENSORS, GlobalStats
+from .tensor import MAX_ELEMENTS, MAX_TENSORS, GlobalStats, label_bytes
 
 STREAM_MAGIC = b"FCMB"
 STREAM_VERSION = 5
@@ -81,18 +81,12 @@ class UnitHeader:
             raise DomainError("rank outside [0, C(N, k))")
         if not (0 < self.tile_h <= _U16_MAX and 0 < self.tile_w <= _U16_MAX):
             raise DomainError("tile dimension outside 1-65535")
-        if not 8 <= self.bit_depth <= 16:
-            raise DomainError("bit depth outside [8, 16]")
+        sample_max(self.bit_depth)
         if not 0 <= self.transform_id < len(TRANSFORMS):
             raise DomainError(f"unknown transform id {self.transform_id}")
         if self.codec not in list(CodecId):
             raise DomainError(f"unknown codec id {self.codec}")
-        try:
-            label_size = len(self.label.encode("utf-8"))
-        except UnicodeEncodeError as exc:
-            raise DomainError(f"label not encodable as UTF-8: {self.label!r}") from exc
-        if label_size > 255:
-            raise DomainError("label longer than 255 bytes")
+        label_bytes(self.label)
 
     @property
     def transform(self) -> str:
@@ -127,7 +121,7 @@ def _rank_bytes(rank: int) -> bytes:
 def _unit_head(h: UnitHeader, payload_size: int) -> bytes:
     """A unit's bytes before its payload."""
     rank = _rank_bytes(h.lcr_rank)
-    label = h.label.encode("utf-8")
+    label = label_bytes(h.label)
     mu, sigma = h.transform_stats.mu, h.transform_stats.sigma
     return (
         struct.pack("<HHH", h.original_channels, h.pruned_k, len(rank))

@@ -32,11 +32,12 @@ _CODEC_NAMES = {"raw": CodecId.RAW_LOSSLESS, "dct": CodecId.BLOCK_DCT}
 
 
 def _add_encoder_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--prune-ratio", type=float, default=0.0)
-    p.add_argument("--bit-depth", type=int, default=10)
-    p.add_argument("--codec", choices=sorted(_CODEC_NAMES), default="raw")
-    p.add_argument("--qp", type=int, default=22)
-    p.add_argument("--transform", default="identity")
+    p.add_argument("--prune-ratio", type=float, default=EncoderConfig.prune_ratio)
+    p.add_argument("--bit-depth", type=int, default=EncoderConfig.bit_depth)
+    codec = next(name for name, c in _CODEC_NAMES.items() if c == EncoderConfig.codec)
+    p.add_argument("--codec", choices=sorted(_CODEC_NAMES), default=codec)
+    p.add_argument("--qp", type=int, default=EncoderConfig.qp)
+    p.add_argument("--transform", default=EncoderConfig.transform)
 
 
 def _config(args) -> EncoderConfig:
@@ -145,15 +146,9 @@ def _cmd_bdrate(args) -> int:
     return 0
 
 
-def _cmd_vcm_truncate(args) -> int:
+def _cmd_vcm_shift(args) -> int:
     seq = read_sequence(args.input)
-    write_sequence(args.output, bitdepth_truncate(seq, args.shift))
-    return 0
-
-
-def _cmd_vcm_restore(args) -> int:
-    seq = read_sequence(args.input)
-    write_sequence(args.output, bitdepth_restore(seq, args.shift))
+    write_sequence(args.output, args.shift_samples(seq, args.shift))
     return 0
 
 
@@ -204,17 +199,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test", required=True)
     p.set_defaults(func=_cmd_bdrate)
 
-    p = sub.add_parser("vcm-truncate", help="right-shift sample precision")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True)
-    p.add_argument("--shift", type=int, required=True)
-    p.set_defaults(func=_cmd_vcm_truncate)
-
-    p = sub.add_parser("vcm-restore", help="left-shift sample precision back")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True)
-    p.add_argument("--shift", type=int, required=True)
-    p.set_defaults(func=_cmd_vcm_restore)
+    for name, shift_samples, summary in (
+        ("vcm-truncate", bitdepth_truncate, "right-shift sample precision"),
+        ("vcm-restore", bitdepth_restore, "left-shift sample precision back"),
+    ):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--input", required=True)
+        p.add_argument("--output", required=True)
+        p.add_argument("--shift", type=int, required=True)
+        p.set_defaults(func=_cmd_vcm_shift, shift_samples=shift_samples)
 
     p = sub.add_parser("vcm-tsample", help="drop frames at a fixed ratio")
     p.add_argument("--input", required=True)

@@ -1,4 +1,4 @@
-"""The inner frame codecs: RAW_LOSSLESS and BLOCK_DCT.
+"""The inner frame codecs, and the owner of the sample format and qp range.
 
 RAW_LOSSLESS stores samples as little-endian u16 in one deflate stream, which
 is the whole payload, and decodes bit-exactly. The encoder uses zlib's
@@ -109,6 +109,7 @@ from .tensor import _float64_chunks
 
 BLOCK = 8
 _COEFFS = BLOCK * BLOCK
+_MAX_QP = 63
 
 # A level at most this far below k + 1/2 rounds as k + 1/2 does; see above.
 _TIE = 2.0**-20
@@ -154,6 +155,20 @@ _RAW_MEM_LEVEL = 9
 class CodecId(IntEnum):
     RAW_LOSSLESS = 0
     BLOCK_DCT = 1
+
+
+def sample_max(bit_depth) -> int:
+    """2^bit_depth - 1; raises DomainError unless bit_depth is an integer in [8, 16]."""
+    if not (isinstance(bit_depth, (int, np.integer)) and 8 <= bit_depth <= 16):
+        raise DomainError(f"bit depth must be in [8, 16], got {bit_depth}")
+    return (1 << int(bit_depth)) - 1
+
+
+def check_qp(qp) -> int:
+    """qp as an int; raises DomainError unless it is an integer in [0, 63]."""
+    if not (isinstance(qp, (int, np.integer)) and 0 <= qp <= _MAX_QP):
+        raise DomainError(f"qp must be in [0, {_MAX_QP}], got {qp}")
+    return int(qp)
 
 
 def qstep(qp: int) -> float:
@@ -560,8 +575,8 @@ def dct_qp(data: bytes) -> int:
     """The qp of a BLOCK_DCT payload, its leading byte."""
     if not data:
         raise TruncatedError("empty transform payload")
-    if data[0] > 63:
-        raise PayloadDecodeError(f"qp {data[0]} in payload outside [0, 63]")
+    if data[0] > _MAX_QP:
+        raise PayloadDecodeError(f"qp {data[0]} in payload outside [0, {_MAX_QP}]")
     return data[0]
 
 
@@ -608,7 +623,7 @@ def _decode_dct(data: bytes, bit_depth: int, shape: tuple[int, int]) -> np.ndarr
         rows = _from_blocks(pixels, min(h, BLOCK * r1) - BLOCK * r0, w)
         rows += 0.5
         np.floor(rows, out=rows)
-        np.clip(rows, 0, (1 << bit_depth) - 1, out=rows)
+        np.clip(rows, 0, sample_max(bit_depth), out=rows)
         frame[BLOCK * r0 : BLOCK * r1] = rows
         del pixels, rows
     return frame
@@ -621,14 +636,12 @@ def codec_encode(frame: np.ndarray, codec: CodecId, qp: int = 22, bit_depth: int
         raise DomainError(f"expected a 2-d integer frame, got {frame.ndim}-d {frame.dtype}")
     if frame.size == 0:
         raise DomainError("frame dimensions must be positive")
-    if not 0 <= qp <= 63:
-        raise DomainError(f"qp must be in [0, 63], got {qp}")
-    if not 8 <= bit_depth <= 16:
-        raise DomainError(f"bit depth must be in [8, 16], got {bit_depth}")
+    qp = check_qp(qp)
+    top = sample_max(bit_depth)
     blocks = -(-frame.shape[0] // BLOCK) * -(-frame.shape[1] // BLOCK)
     if codec == CodecId.BLOCK_DCT and blocks >= 1 << 28:
         raise DimensionOverflowError(f"a frame of {blocks} blocks, 2^28 or more, is too large for BLOCK_DCT")
-    if (frame.dtype.kind == "i" and frame.min() < 0) or frame.max() >= (1 << bit_depth):
+    if (frame.dtype.kind == "i" and frame.min() < 0) or frame.max() > top:
         raise DomainError(f"samples outside [0, 2^{bit_depth})")
     if codec == CodecId.RAW_LOSSLESS:
         return _encode_raw(frame)
@@ -643,13 +656,12 @@ def codec_decode(data: bytes, codec: int, bit_depth: int, shape: tuple[int, int]
     h, w = shape
     if h < 1 or w < 1:
         raise DomainError("expected dimensions must be positive")
-    if not 8 <= bit_depth <= 16:
-        raise DomainError(f"bit depth must be in [8, 16], got {bit_depth}")
+    top = sample_max(bit_depth)
     if codec == CodecId.BLOCK_DCT:
         return _decode_dct(data, bit_depth, (h, w))
     if codec != CodecId.RAW_LOSSLESS:
         raise PayloadDecodeError(f"no codec registered for id {codec}")
     frame = _decode_raw(data, (h, w))
-    if frame.max() >= (1 << bit_depth):
+    if frame.max() > top:
         raise PayloadDecodeError(f"decoded sample exceeds bit depth {bit_depth}")
     return frame

@@ -11,14 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from .codec import sample_max
 from .errors import DomainError
 from .tensor import _float64_chunks
-
-
-def _levels(bit_depth: int) -> int:
-    if not 8 <= bit_depth <= 16:
-        raise DomainError(f"bit depth must be in [8, 16], got {bit_depth}")
-    return (1 << bit_depth) - 1
 
 
 def quantize_frame(frame: np.ndarray, bit_depth: int = 10) -> tuple[np.ndarray, tuple[float, float]]:
@@ -27,7 +22,7 @@ def quantize_frame(frame: np.ndarray, bit_depth: int = 10) -> tuple[np.ndarray, 
     frame = np.asarray(frame, dtype=np.float32)
     if frame.ndim != 2:
         raise DomainError("expected a 2-d frame")
-    levels = _levels(bit_depth)
+    levels = sample_max(bit_depth)
     lo, hi = float(frame.min()), float(frame.max())
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise DomainError("frame values must be finite")
@@ -49,7 +44,7 @@ def quantize_frame(frame: np.ndarray, bit_depth: int = 10) -> tuple[np.ndarray, 
 def dequantize_frame(q: np.ndarray, bit_depth: int) -> np.ndarray:
     """The n-bit integer samples of q, of any shape, on [0, 1] as a new
     float32 array of that shape: q / (2^n - 1)."""
-    levels = _levels(bit_depth)
+    levels = sample_max(bit_depth)
     q = np.asarray(q)
     if q.min() < 0 or q.max() > levels:
         raise DomainError(f"sample outside [0, {levels}]")

@@ -33,7 +33,7 @@ import numpy as np
 
 from .bitstream import TRANSFORMS, UnitHeader, check_element_cap, parse_stream, serialize_stream
 from .channels import PruneDecision, prune_channels, restore_channels, score_channels, select_pruned
-from .codec import CodecId, codec_decode, codec_encode
+from .codec import CodecId, check_qp, codec_decode, codec_encode, sample_max
 from .conversion import dequantize_frame, quantize_frame
 from .errors import DomainError, FcmError, InvariantError
 from .lcr import LcrCode, lcr_decode, lcr_encode
@@ -76,10 +76,10 @@ class EncoderConfig:
     def __post_init__(self):
         if not 0.0 <= self.prune_ratio < 1.0:
             raise DomainError(f"prune_ratio must be in [0, 1), got {self.prune_ratio}")
-        if not 8 <= self.bit_depth <= 16:
-            raise DomainError(f"bit_depth must be in [8, 16], got {self.bit_depth}")
-        if not 0 <= self.qp <= 63:
-            raise DomainError(f"qp must be in [0, 63], got {self.qp}")
+        sample_max(self.bit_depth)
+        check_qp(self.qp)
+        if self.codec not in list(CodecId):
+            raise DomainError(f"unknown codec id {self.codec}")
         if self.transform not in TRANSFORMS:
             raise DomainError(f"unknown transform {self.transform!r}")
 

@@ -85,6 +85,17 @@ class FeatureTensor:
         return self.data.shape
 
 
+def label_bytes(label: str) -> bytes:
+    """A tensor label's UTF-8 bytes, as FTNS and FCMB carry them; DomainError past 255."""
+    try:
+        data = label.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise DomainError(f"label not encodable as UTF-8: {label!r}") from exc
+    if len(data) > 255:
+        raise DomainError(f"label longer than 255 bytes: {label!r}")
+    return data
+
+
 @dataclass(frozen=True)
 class TensorGroup:
     """Ordered group of 1-8 tensors, e.g. the levels of a feature pyramid."""
@@ -99,13 +110,8 @@ class TensorGroup:
         labels = tuple(self.labels) if self.labels else ("",) * len(tensors)
         if len(labels) != len(tensors):
             raise DomainError("one label per tensor required")
-        for lbl in labels:
-            try:
-                size = len(lbl.encode("utf-8"))
-            except UnicodeEncodeError as exc:
-                raise DomainError(f"label not encodable as UTF-8: {lbl!r}") from exc
-            if size > 255:
-                raise DomainError(f"label too long: {lbl!r}")
+        for label in labels:
+            label_bytes(label)
         object.__setattr__(self, "tensors", tensors)
         object.__setattr__(self, "labels", labels)
 
@@ -221,7 +227,7 @@ def write_tensor_file(path, group: TensorGroup) -> None:
     with open(path, "wb") as fh:
         fh.write(TENSOR_MAGIC + struct.pack("<BB", TENSOR_FORMAT_VERSION, len(group)))
         for tensor, label in zip(group.tensors, group.labels):
-            lbl = label.encode("utf-8")
+            lbl = label_bytes(label)
             fh.write(struct.pack("<B", len(lbl)) + lbl + struct.pack("<III", *tensor.shape))
             fh.write(tensor.data.astype("<f4", copy=False))
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -191,6 +192,28 @@ class TestStream:
     def test_label_not_utf8_encodable(self):
         with pytest.raises(DomainError, match="UTF-8"):
             make_header(label="p3\ud800")
+
+    @pytest.mark.parametrize("label", ["\u00e9" * 128, "p3\ud800"], ids=["256_bytes", "lone_surrogate"])
+    def test_group_and_header_refuse_a_label_alike(self, label):
+        # tensor.label_bytes is the one label rule; TensorGroup once said
+        # "label too long" where UnitHeader said "label longer than 255 bytes".
+        messages = []
+        tensor = FeatureTensor(np.zeros((1, 1, 1)))
+        for build in (lambda: TensorGroup((tensor,), (label,)), lambda: make_header(label=label)):
+            with pytest.raises(DomainError) as exc:
+                build()
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+
+    def test_label_of_255_utf8_bytes_kept(self):
+        label = "\u00e9" * 127 + "a"
+        blob = serialize_stream([(make_header(label=label), b"")])
+        assert parse_stream(blob)[0][0].label == label
+
+    @pytest.mark.parametrize("bit_depth", [7, 17, 10.5])
+    def test_header_bit_depth_outside_the_sample_format(self, bit_depth):
+        with pytest.raises(DomainError, match=rf"^bit depth must be in \[8, 16\], got {bit_depth}$"):
+            dataclasses.replace(make_header(), bit_depth=bit_depth)
 
     def test_unknown_transform_id(self, rng):
         stream = fcm_encode(random_group(rng, count=2), EncoderConfig())

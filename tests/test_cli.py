@@ -15,7 +15,7 @@ import fcmcodec.bitstream
 import fcmcodec.pipeline
 from fcmcodec import CodecId, EncoderConfig, FeatureTensor, TensorGroup, compute_global_stats, fcm_encode
 from fcmcodec.bitstream import parse_stream
-from fcmcodec.cli import main
+from fcmcodec.cli import _config, build_parser, main
 from fcmcodec.errors import DimensionOverflowError, InvariantError
 from fcmcodec.planar import read_sequence, write_sequence
 from fcmcodec.tensor import _CHUNK, read_tensor_file, write_tensor_file
@@ -327,6 +327,13 @@ class TestCodecCommands:
             ["encode", "--input", str(ftns), "--output", str(tmp_path / "o"), "--qp", "99"]
         )
         assert rc == 4
+
+    @pytest.mark.parametrize(
+        "argv", [["encode", "--output", "b"], ["roundtrip", "--report", "b"]], ids=["encode", "roundtrip"]
+    )
+    def test_encoder_flag_defaults_are_the_config_defaults(self, argv):
+        args = build_parser().parse_args([*argv, "--input", "a"])
+        assert _config(args) == EncoderConfig()
 
     @pytest.mark.parametrize(
         ("shape", "cap"),

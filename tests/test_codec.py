@@ -300,3 +300,37 @@ def test_any_integer_dtype_within_depth_codes_like_uint16(codec, dtype):
     frame = np.array([[0, 1, 200], [255, 17, 3]], np.uint16)
     expected = codec_encode(frame, codec, qp=4, bit_depth=8)
     assert codec_encode(frame.astype(dtype), codec, qp=4, bit_depth=8) == expected
+
+
+# A bit depth or qp that is not an integer is refused by the codec's one rule
+# for it, under both codecs. Before, 10.0 and 22.5 reached the coders, which
+# raised a bare TypeError, or in RAW_LOSSLESS's case took the qp unread.
+NOT_INTEGERS = {
+    "bit_depth_10.0": ({"bit_depth": 10.0}, r"^bit depth must be in \[8, 16\], got 10.0$"),
+    "qp_22.5": ({"qp": 22.5}, r"^qp must be in \[0, 63\], got 22.5$"),
+}
+
+
+@pytest.mark.parametrize("codec", list(CodecId), ids=[c.name for c in CodecId])
+@pytest.mark.parametrize("kwargs,message", NOT_INTEGERS.values(), ids=NOT_INTEGERS)
+def test_encode_refuses_a_bit_depth_or_qp_that_is_not_an_integer(codec, kwargs, message):
+    with pytest.raises(DomainError, match=message):
+        codec_encode(np.zeros((4, 4), np.uint16), codec, **kwargs)
+
+
+@pytest.mark.parametrize("codec", list(CodecId), ids=[c.name for c in CodecId])
+def test_decode_refuses_a_bit_depth_that_is_not_an_integer(codec):
+    payload = codec_encode(np.zeros((4, 4), np.uint16), codec, qp=22, bit_depth=10)
+    with pytest.raises(DomainError, match=r"^bit depth must be in \[8, 16\], got 10.0$"):
+        codec_decode(payload, codec, 10.0, (4, 4))
+
+
+@pytest.mark.parametrize("codec", list(CodecId), ids=[c.name for c in CodecId])
+def test_numpy_integer_bit_depth_and_qp_code_like_ints(codec):
+    # qp 2 as a uint8 once went into qstep as (qp - 4), which wraps in uint8.
+    frame = np.array([[0, 1, 200], [4095, 17, 3]], np.uint16)
+    expected = codec_encode(frame, codec, qp=2, bit_depth=12)
+    payload = codec_encode(frame, codec, qp=np.uint8(2), bit_depth=np.int64(12))
+    assert payload == expected
+    decoded = codec_decode(payload, codec, np.uint8(12), frame.shape)
+    np.testing.assert_array_equal(decoded, codec_decode(payload, codec, 12, frame.shape))

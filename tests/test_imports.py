@@ -45,3 +45,56 @@ def classifying_handlers(tree: ast.Module):
 def test_bytes_refused_by_a_value_type_classified_in_errors_only(module):
     tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
     assert list(classifying_handlers(tree)) == []
+
+
+def owner_free_nodes(tree: ast.Module, owners: set):
+    """Every node of tree outside the functions and classes named in owners."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in owners:
+            continue
+        yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def constants(node: ast.AST) -> set:
+    return {n.value for n in ast.walk(node) if isinstance(n, ast.Constant)}
+
+
+def rule_sites(tree: ast.Module, module: str):
+    """(rule, line) of each statement of a coding rule outside its owner:
+    the bit-depth range and the sample ceiling (codec.sample_max), the qp
+    range (codec.check_qp) and the label's UTF-8 encoding
+    (tensor.label_bytes)."""
+    owners = {"codec.py": {"sample_max", "check_qp"}, "tensor.py": {"label_bytes"}}.get(module, set())
+    for node in owner_free_nodes(tree, owners):
+        if isinstance(node, ast.Compare) and {8, 16} <= constants(node):
+            yield "bit depth range", node.lineno
+        if isinstance(node, ast.Compare) and {0, 63} <= constants(node):
+            yield "qp range", node.lineno
+        # vcm.py's pixel sequences are a format of their own, of 1-16 bits.
+        if (
+            module != "vcm.py"
+            and isinstance(node, ast.BinOp)
+            and isinstance(node.op, ast.LShift)
+            and isinstance(node.left, ast.Constant)
+            and node.left.value == 1
+            and "bit_depth" in names(node.right)
+        ):
+            yield "sample ceiling", node.lineno
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "encode"
+            and {"utf-8", "utf8"} & {str(c).lower() for c in constants(node)}
+        ):
+            yield "UTF-8 label", node.lineno
+
+
+# Each coding rule is stated once, in the module that owns the format it
+# describes, and every other module calls its owner.
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_each_coding_rule_stated_by_its_owner_only(module):
+    tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+    assert list(rule_sites(tree, module)) == []

@@ -82,6 +82,26 @@ class TestEncode:
         with pytest.raises(DomainError):
             EncoderConfig(transform="nope")
 
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"bit_depth": 10.5}, r"^bit depth must be in \[8, 16\], got 10.5$"),
+            ({"qp": 22.5}, r"^qp must be in \[0, 63\], got 22.5$"),
+            ({"codec": 7}, r"^unknown codec id 7$"),
+        ],
+    )
+    def test_config_refused_at_construction(self, kwargs, message):
+        # Each was accepted here and failed only inside fcm_encode, the first
+        # two with a bare TypeError.
+        with pytest.raises(DomainError, match=message):
+            EncoderConfig(**kwargs)
+
+    @pytest.mark.parametrize("codec", list(CodecId))
+    def test_numpy_integer_config_codes_like_ints(self, rng, codec):
+        group = random_group(rng, count=2)
+        cfg = EncoderConfig(codec=codec, bit_depth=np.int64(12), qp=np.uint8(2))
+        assert fcm_encode(group, cfg) == fcm_encode(group, EncoderConfig(codec=codec, bit_depth=12, qp=2))
+
 
 class TestDecode:
     def test_shapes_and_order_preserved(self, rng):
