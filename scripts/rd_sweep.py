@@ -30,6 +30,7 @@ from fcmcodec import (
     TensorGroup,
     fcm_decode,
     fcm_encode,
+    psnr,
 )
 
 RATIOS = (0.0, 0.25, 0.5)
@@ -50,18 +51,10 @@ def make_group(rng, channels, size, count=3):
 
 
 def group_psnr(a, b):
-    err = 0.0
-    peak = 0.0
-    n = 0
-    for ta, tb in zip(a.tensors, b.tensors):
-        d = ta.data.astype(np.float64) - tb.data.astype(np.float64)
-        err += float(np.sum(d * d))
-        peak = max(peak, float(np.max(np.abs(ta.data))))
-        n += d.size
-    mse = err / n
-    if mse == 0:
-        return float("inf")
-    return 10 * np.log10(peak * peak / mse)
+    """PSNR of group b against group a over all their samples, with peak max |a|."""
+    x = np.concatenate([t.data.reshape(-1) for t in a.tensors])
+    y = np.concatenate([t.data.reshape(-1) for t in b.tensors])
+    return psnr(x, y, peak=float(np.max(np.abs(x))))
 
 
 def rd_point(group, cfg):

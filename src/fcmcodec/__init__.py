@@ -1,7 +1,7 @@
 """Feature-tensor codec for split inference, with pixel-domain tools and
 rate-distortion evaluation utilities."""
 
-from .bitstream import TRANSFORMS, UnitHeader, parse_stream, parse_unit, serialize_stream, serialize_unit
+from .bitstream import TRANSFORMS, UnitHeader, parse_stream, serialize_stream
 from .channels import PruneDecision, prune_channels, score_channels, select_pruned
 from .codec import CodecId, codec_decode, codec_encode, qstep
 from .conversion import dequantize_frame, quantize_frame

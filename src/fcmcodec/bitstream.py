@@ -17,12 +17,12 @@ A unit holds, in order:
   payload is the inner codec's own: a BLOCK_DCT payload carries its qp.
 Other multi-byte integers are little-endian.
 
-`UnitHeader` is the one place that decides which ids exist: it refuses a
-transform id past `TRANSFORMS` and a codec id outside `CodecId`, so a stream
-that parses names only stages the decoder has. Like every value type, it
-raises `DomainError`; `parse_unit` builds it through `ByteReader.build`, which
-reports that as an `InvariantError`.
-`parse_stream` prefixes a unit's parse error with its index.
+Units are written only by `serialize_stream` and read only by `parse_stream`.
+`UnitHeader` refuses a transform id past `TRANSFORMS` and, through
+`codec.codec_id`, a codec id outside `CodecId`, so a stream that parses names
+only stages the decoder has. Like every value type, it raises `DomainError`;
+`parse_stream` builds it through `ByteReader.build`, which reports that as an
+`InvariantError`, and prefixes a unit's parse error with its index.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from .codec import CodecId, sample_max
+from .codec import codec_id, sample_max
 from .errors import (
     ByteReader,
     DimensionOverflowError,
@@ -84,8 +84,7 @@ class UnitHeader:
         sample_max(self.bit_depth)
         if not 0 <= self.transform_id < len(TRANSFORMS):
             raise DomainError(f"unknown transform id {self.transform_id}")
-        if self.codec not in list(CodecId):
-            raise DomainError(f"unknown codec id {self.codec}")
+        codec_id(self.codec)
         label_bytes(self.label)
 
     @property
@@ -132,17 +131,12 @@ def _unit_head(h: UnitHeader, payload_size: int) -> bytes:
     )
 
 
-def serialize_unit(header: UnitHeader, payload: bytes) -> bytes:
-    return _unit_head(header, len(payload)) + payload
+def _parse_unit(r: ByteReader) -> tuple[UnitHeader, memoryview]:
+    """Read one unit from r; returns (header, payload).
 
-
-def parse_unit(data: bytes, offset: int = 0) -> tuple[UnitHeader, memoryview, int]:
-    """Parse one unit starting at offset; returns (header, payload, consumed).
-
-    The payload is a view into data, not a copy. A unit whose packed frame or
-    decoded tensor would exceed the FTNS element cap is refused with
+    The payload is a view into the stream, not a copy. A unit whose packed
+    frame or decoded tensor would exceed the FTNS element cap is refused with
     DimensionOverflowError before anything is sized."""
-    r = ByteReader(data, "unit", offset)
     n_channels, k, rank_len = r.unpack("<HHH")
     rank_field = r.take(rank_len)
     if rank_len and rank_field[0] == 0:
@@ -165,7 +159,7 @@ def parse_unit(data: bytes, offset: int = 0) -> tuple[UnitHeader, memoryview, in
         codec=codec,
     )
     check_element_cap(header, DimensionOverflowError)
-    return header, payload, r.pos - offset
+    return header, payload
 
 
 def serialize_stream(units: list[tuple[UnitHeader, bytes]]) -> bytes:
@@ -189,10 +183,8 @@ def parse_stream(data: bytes) -> list[tuple[UnitHeader, memoryview]]:
     units = []
     for i in range(count):
         try:
-            header, payload, consumed = parse_unit(data, r.pos)
+            units.append(_parse_unit(r))
         except FormatError as exc:
             raise type(exc)(f"unit {i}: {exc}") from exc
-        units.append((header, payload))
-        r.pos += consumed
     r.end()
     return units

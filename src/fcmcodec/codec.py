@@ -1,4 +1,5 @@
-"""The inner frame codecs, and the owner of the sample format and qp range.
+"""The inner frame codecs, and the owner of the codec ids, the sample format
+and the qp range.
 
 RAW_LOSSLESS stores samples as little-endian u16 in one deflate stream, which
 is the whole payload, and decodes bit-exactly. The encoder uses zlib's
@@ -155,6 +156,13 @@ _RAW_MEM_LEVEL = 9
 class CodecId(IntEnum):
     RAW_LOSSLESS = 0
     BLOCK_DCT = 1
+
+
+def codec_id(value) -> CodecId:
+    """value as a CodecId; raises DomainError unless it is an integer that names one."""
+    if not (isinstance(value, (int, np.integer)) and value in list(CodecId)):
+        raise DomainError(f"unknown codec id {value}")
+    return CodecId(value)
 
 
 def sample_max(bit_depth) -> int:
@@ -637,6 +645,7 @@ def codec_encode(frame: np.ndarray, codec: CodecId, qp: int = 22, bit_depth: int
     if frame.size == 0:
         raise DomainError("frame dimensions must be positive")
     qp = check_qp(qp)
+    codec = codec_id(codec)
     top = sample_max(bit_depth)
     blocks = -(-frame.shape[0] // BLOCK) * -(-frame.shape[1] // BLOCK)
     if codec == CodecId.BLOCK_DCT and blocks >= 1 << 28:
@@ -645,9 +654,7 @@ def codec_encode(frame: np.ndarray, codec: CodecId, qp: int = 22, bit_depth: int
         raise DomainError(f"samples outside [0, 2^{bit_depth})")
     if codec == CodecId.RAW_LOSSLESS:
         return _encode_raw(frame)
-    if codec == CodecId.BLOCK_DCT:
-        return _encode_dct(frame, qp)
-    raise DomainError(f"no codec registered for id {codec}")
+    return _encode_dct(frame, qp)
 
 
 def codec_decode(data: bytes, codec: int, bit_depth: int, shape: tuple[int, int]) -> np.ndarray:
@@ -657,10 +664,8 @@ def codec_decode(data: bytes, codec: int, bit_depth: int, shape: tuple[int, int]
     if h < 1 or w < 1:
         raise DomainError("expected dimensions must be positive")
     top = sample_max(bit_depth)
-    if codec == CodecId.BLOCK_DCT:
+    if codec_id(codec) == CodecId.BLOCK_DCT:
         return _decode_dct(data, bit_depth, (h, w))
-    if codec != CodecId.RAW_LOSSLESS:
-        raise PayloadDecodeError(f"no codec registered for id {codec}")
     frame = _decode_raw(data, (h, w))
     if frame.max() > top:
         raise PayloadDecodeError(f"decoded sample exceeds bit depth {bit_depth}")

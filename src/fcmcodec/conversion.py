@@ -16,7 +16,7 @@ from .errors import DomainError
 from .tensor import _float64_chunks
 
 
-def quantize_frame(frame: np.ndarray, bit_depth: int = 10) -> tuple[np.ndarray, tuple[float, float]]:
+def quantize_frame(frame: np.ndarray, bit_depth: int) -> tuple[np.ndarray, tuple[float, float]]:
     """Map a float frame onto [0, 2^n - 1] integers; also returns the frame's
     (min, max), the range the integers span."""
     frame = np.asarray(frame, dtype=np.float32)

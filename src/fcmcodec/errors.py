@@ -59,10 +59,10 @@ class ByteReader:
     """Bounded reads of one container's bytes, named by what; each read is a
     view of data, not a copy."""
 
-    def __init__(self, data, what: str, pos: int = 0):
+    def __init__(self, data, what: str):
         self.view = memoryview(data)
         self.what = what
-        self.pos = pos
+        self.pos = 0
 
     def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.view):

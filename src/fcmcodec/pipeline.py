@@ -33,7 +33,7 @@ import numpy as np
 
 from .bitstream import TRANSFORMS, UnitHeader, check_element_cap, parse_stream, serialize_stream
 from .channels import PruneDecision, prune_channels, restore_channels, score_channels, select_pruned
-from .codec import CodecId, check_qp, codec_decode, codec_encode, sample_max
+from .codec import CodecId, check_qp, codec_decode, codec_encode, codec_id, sample_max
 from .conversion import dequantize_frame, quantize_frame
 from .errors import DomainError, FcmError, InvariantError
 from .lcr import LcrCode, lcr_decode, lcr_encode
@@ -78,8 +78,7 @@ class EncoderConfig:
             raise DomainError(f"prune_ratio must be in [0, 1), got {self.prune_ratio}")
         sample_max(self.bit_depth)
         check_qp(self.qp)
-        if self.codec not in list(CodecId):
-            raise DomainError(f"unknown codec id {self.codec}")
+        codec_id(self.codec)
         if self.transform not in TRANSFORMS:
             raise DomainError(f"unknown transform {self.transform!r}")
 

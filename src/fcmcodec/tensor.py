@@ -86,7 +86,10 @@ class FeatureTensor:
 
 
 def label_bytes(label: str) -> bytes:
-    """A tensor label's UTF-8 bytes, as FTNS and FCMB carry them; DomainError past 255."""
+    """A tensor label's UTF-8 bytes, as FTNS and FCMB carry them; DomainError
+    for a label that is not a str or takes more than 255 bytes."""
+    if not isinstance(label, str):
+        raise DomainError(f"label must be a str, got {label!r}")
     try:
         data = label.encode("utf-8")
     except UnicodeEncodeError as exc:

@@ -30,7 +30,6 @@ from fcmcodec import (
     score_channels,
     select_pruned,
     serialize_stream,
-    serialize_unit,
 )
 from fcmcodec.channels import restore_channels
 from fcmcodec.packing import unpack
@@ -83,6 +82,12 @@ def relabelled(stream: bytes, offset: int, fmt: str, value: int) -> bytes:
     return bytes(blob)
 
 
+def unit_bytes(header: UnitHeader, payload: bytes) -> bytes:
+    """The bytes of one unit, as a one-unit stream carries them after its
+    6-byte stream head."""
+    return serialize_stream([(header, payload)])[6:]
+
+
 # How far each field starts before the end of a unit's fixed fields, which
 # end with the codec id and the u32 payload length; the label's bytes come
 # between the transform id and the codec id.
@@ -93,9 +98,9 @@ def patched(stream: bytes, unit: int, field: str, fmt: str, value) -> bytes:
     """stream with one header field of one unit rewritten in place, so no
     UnitHeader check runs on the new value before the parser's."""
     units = parse_stream(stream)
-    start = 6 + sum(len(serialize_unit(h, p)) for h, p in units[:unit])
+    start = 6 + sum(len(unit_bytes(h, p)) for h, p in units[:unit])
     header = units[unit][0]
-    end = start + len(serialize_unit(header, b""))
+    end = start + len(unit_bytes(header, b""))
     label = len(header.label.encode("utf-8")) if field in ("transform_id", "sigma", "mu") else 0
     blob = bytearray(stream)
     struct.pack_into(fmt, blob, end - _FIELD_FROM_END[field] - label, value)

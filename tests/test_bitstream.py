@@ -17,7 +17,7 @@ from fcmcodec import (
     fcm_decode,
     fcm_encode,
 )
-from fcmcodec.bitstream import STREAM_MAGIC, STREAM_VERSION, parse_stream, parse_unit, serialize_stream, serialize_unit
+from fcmcodec.bitstream import STREAM_MAGIC, STREAM_VERSION, parse_stream, serialize_stream
 from fcmcodec.cli import main
 from fcmcodec.errors import (
     DimensionOverflowError,
@@ -31,7 +31,7 @@ from fcmcodec.errors import (
     VersionError,
 )
 
-from helpers import one_tile_stream, patched, random_group, with_payload_qp
+from helpers import one_tile_stream, patched, random_group, unit_bytes, with_payload_qp
 
 # A 1x2x2 tensor as the version-1 writer coded it: a u16 unit count, a u16
 # permutation length per unit, and neither a transform id nor a label.
@@ -101,29 +101,38 @@ def headers(draw):
     )
 
 
+def parse_one(unit):
+    """The (header, payload) of the one unit in unit, read by parse_stream."""
+    (parsed,) = parse_stream(STREAM_MAGIC + bytes([STREAM_VERSION, 1]) + unit)
+    return parsed
+
+
 class TestUnitRoundtrip:
     @given(headers(), st.binary(max_size=200))
     @settings(max_examples=500, deadline=None)
     def test_roundtrip_bit_exact(self, header, payload):
-        blob = serialize_unit(header, payload)
-        back, back_payload, consumed = parse_unit(blob)
-        assert consumed == len(blob)
+        blob = unit_bytes(header, payload)
+        back, back_payload = parse_one(blob)
+        # The unit is read to its last byte and no further: one byte more is
+        # the one byte left over.
+        with pytest.raises(InvariantError, match="^1 trailing bytes after stream$"):
+            parse_one(blob + b"\0")
         assert back == header
         assert back_payload == payload
-        assert serialize_unit(back, back_payload) == blob
+        assert unit_bytes(back, back_payload) == blob
 
     def test_large_rank_roundtrip(self):
         rank = math.comb(256, 128) - 1
         header = make_header(n=256, k=128, rank=rank)
-        back, _, _ = parse_unit(serialize_unit(header, b""))
+        back, _ = parse_one(unit_bytes(header, b""))
         assert back.lcr_rank == rank
 
     def test_empty_prune_set_zero_length_rank(self):
         header = make_header(k=0, rank=0)
-        blob = serialize_unit(header, b"")
+        blob = unit_bytes(header, b"")
         # rank length prefix directly after N and k
         assert blob[4:6] == b"\x00\x00"
-        back, _, _ = parse_unit(blob)
+        back, _ = parse_one(blob)
         assert back.pruned_k == 0 and back.lcr_rank == 0
 
 
@@ -171,7 +180,7 @@ class TestStream:
 
     @pytest.mark.parametrize("count", [0, 9])
     def test_unit_count_outside_1_to_8(self, count):
-        unit = serialize_unit(make_header(), b"xy")
+        unit = unit_bytes(make_header(), b"xy")
         blob = STREAM_MAGIC + bytes([STREAM_VERSION, count]) + unit * count
         with pytest.raises(InvariantError, match=f"declares {count} units"):
             parse_stream(blob)
@@ -193,7 +202,11 @@ class TestStream:
         with pytest.raises(DomainError, match="UTF-8"):
             make_header(label="p3\ud800")
 
-    @pytest.mark.parametrize("label", ["\u00e9" * 128, "p3\ud800"], ids=["256_bytes", "lone_surrogate"])
+    @pytest.mark.parametrize(
+        "label",
+        ["\u00e9" * 128, "p3\ud800", 5, None, b"p3"],
+        ids=["256_bytes", "lone_surrogate", "int", "none", "bytes"],
+    )
     def test_group_and_header_refuse_a_label_alike(self, label):
         # tensor.label_bytes is the one label rule; TensorGroup once said
         # "label too long" where UnitHeader said "label longer than 255 bytes".

@@ -342,7 +342,7 @@ class TestCodecCommands:
     )
     def test_tensor_the_header_cannot_carry_exit_4_before_coding(self, tmp_path, monkeypatch, shape, cap):
         """65536 channels, or a 70000-wide tile, overflow a u16 header field,
-        and with the element cap lowered to 255, parse_unit would refuse the
+        and with the element cap lowered to 255, parse_stream would refuse the
         stream of a 4x8x8 tensor; the encoder refuses the tensor before the
         inner codec runs."""
         if cap is not None:

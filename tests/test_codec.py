@@ -232,10 +232,17 @@ class TestDispatch:
     def test_unknown_codec_encode(self):
         with pytest.raises(DomainError):
             codec_encode(np.zeros((4, 4), np.uint16), 99, qp=10)
+        # 1.0 == BLOCK_DCT, but a codec id is an integer
+        with pytest.raises(DomainError, match="^unknown codec id 1.0$"):
+            codec_encode(np.zeros((4, 4), np.uint16), 1.0, qp=10)
 
     def test_unknown_codec_decode(self):
-        with pytest.raises(PayloadDecodeError):
+        # A codec id passed as an argument is a domain error; fcm_decode
+        # refuses one read from a stream in UnitHeader, as an InvariantError.
+        with pytest.raises(DomainError, match="^unknown codec id 7$"):
             codec_decode(b"xx", 7, 10, (4, 4))
+        with pytest.raises(DomainError, match="^unknown codec id 1.0$"):
+            codec_decode(b"xx", 1.0, 10, (4, 4))
 
     @pytest.mark.parametrize("qp", [-1, 64])
     def test_qp_out_of_range(self, qp):

@@ -65,10 +65,18 @@ def constants(node: ast.AST) -> set:
 def rule_sites(tree: ast.Module, module: str):
     """(rule, line) of each statement of a coding rule outside its owner:
     the bit-depth range and the sample ceiling (codec.sample_max), the qp
-    range (codec.check_qp) and the label's UTF-8 encoding
-    (tensor.label_bytes)."""
-    owners = {"codec.py": {"sample_max", "check_qp"}, "tensor.py": {"label_bytes"}}.get(module, set())
+    range (codec.check_qp), the codec ids (codec.codec_id) and the label's
+    UTF-8 encoding (tensor.label_bytes)."""
+    owners = {"codec.py": {"sample_max", "check_qp", "codec_id"}, "tensor.py": {"label_bytes"}}.get(module, set())
     for node in owner_free_nodes(tree, owners):
+        if (
+            isinstance(node, ast.Compare)
+            and any(isinstance(op, (ast.In, ast.NotIn)) for op in node.ops)
+            and "CodecId" in names(node)
+        ):
+            yield "codec ids", node.lineno
+        if isinstance(node, ast.Raise) and any("no codec registered" in str(c) for c in constants(node)):
+            yield "codec ids", node.lineno
         if isinstance(node, ast.Compare) and {8, 16} <= constants(node):
             yield "bit depth range", node.lineno
         if isinstance(node, ast.Compare) and {0, 63} <= constants(node):

@@ -88,6 +88,7 @@ class TestEncode:
             ({"bit_depth": 10.5}, r"^bit depth must be in \[8, 16\], got 10.5$"),
             ({"qp": 22.5}, r"^qp must be in \[0, 63\], got 22.5$"),
             ({"codec": 7}, r"^unknown codec id 7$"),
+            ({"codec": 1.0}, r"^unknown codec id 1.0$"),
         ],
     )
     def test_config_refused_at_construction(self, kwargs, message):
