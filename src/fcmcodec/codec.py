@@ -72,34 +72,43 @@ passes, the unit header's.
 The forward DCT is one product with the same basis: raster blocks times its
 transpose are their coefficients, already in zigzag order. The encoder stages
 the blocks, in raster order, in the int32 array that will hold their levels,
-and walks it with tensor._float64_chunks, a float64 copy of 512 blocks at a
-time: each chunk's coefficients over qstep, rounded by _round_half_away, the
-codec's one level rule, overwrite the chunk's own rows. That rule is half
-away from zero, where a value at most 2^-20 below k + 1/2 counts as k + 1/2.
-The band is for exact ties. At zigzag positions 0, 10, 14 and 39 every basis
+and walks it with tensor._float64_chunks, a float64 copy of 256 blocks at a
+time in one reused buffer: each chunk's coefficients over qstep, rounded by
+_round_half_away, the codec's one level rule, overwrite the chunk's own rows,
+and its product is freed before the next chunk's is made. Beside the levels
+the walk holds 0.33 MB: the copy, the product and the rounding's float32
+scratch. That rule is half away from zero, where a value at most 2^-20 below
+k + 1/2 counts as k + 1/2. The band is for exact ties. At zigzag positions 0, 10, 14 and 39 every basis
 entry is +-1/8, so where qstep is a power of two an integer block often
 lands on k + 1/2 exactly, and the product's rounding error, which depends on
 the order BLAS sums in, puts it a few ulps to either side. With the band
 every such tie rounds away from zero, on any BLAS kernel and under scipy's
 FFT alike. The encoder then codes the pairs a slice at a time, and a slice's
-coefficient and bit positions are int32. The symbols are int32 too, and each
-v + 1 is exact in float32: the exponent field gives the codeword's z, and the
-fraction field, moved to the top of a 32-bit word, holds its suffix and then
-zeros. A pair is one field in each plane, at most 28 bits wide (see
-_BitWriter.write_ue): its two prefixes, and its two suffixes one after the
-other. Its prefixes take 2 bits more than its suffixes, so one int32
-cumsum of the pairs' suffix widths places every field in its word. Each field
-is shifted to its place; only the last field of a word can spill into the
-next. A word is the sum of the parts of its fields that lie in it, since the
-fields are disjoint, and a uint32 cumsum over the fields gives every word as
-the difference of two running sums, exact modulo 2^32 though the sums wrap.
-The pair suffixes wait in a second writer until the last slice.
+coefficient and bit positions are int32. Its run and level symbols are the
+two rows of one int32 array, which the writer takes over: each v + 1, exact
+in float32, is written over its symbol, and the exponent field gives the
+codeword's z, and the fraction field, moved to the top of a 32-bit word,
+holds its suffix and then zeros. A pair is one field in each plane, at most
+28 bits wide (see _BitWriter.write_ue): its two prefixes, and its two
+suffixes one after the other. Its prefixes take 2 bits more than its
+suffixes, so one int32 cumsum of the pairs' suffix widths places every field
+in its word. Each field is shifted to its place; only the last field of a
+word can spill into the next. A word is the sum of the parts of its fields
+that lie in it, since the fields are disjoint, and a uint32 cumsum over the
+fields gives every word as the difference of two running sums, exact modulo
+2^32 though the sums wrap. Once the suffix fields are merged, the symbols'
+last row holds the prefix fields. The counts go to the writer as an int32
+copy, since the slices are cut from them after. The pair suffixes wait in a
+second writer until the last slice; the first then takes them a bounded
+chunk of words at a time, shifted to its bit offset in uint32 lanes. A
+writer turns its words big-endian in place and appends their bytes.
 A frame of 2^28 blocks or more is refused (DimensionOverflowError), so the
 count plane's bit positions fit int32 too.
 """
 
 from __future__ import annotations
 
+import sys
 import zlib
 from enum import IntEnum
 
@@ -119,10 +128,11 @@ _TIE = 2.0**-20
 _MAX_UE_PREFIX = 24
 
 # Pairs per slice of either coder, and blocks per encoder slice (see
-# _slices). An encoder slice holds about 27 bytes of scratch per pair, its 8
-# bytes of pair symbols included, so 2^14 pairs take 0.44 MB (tracemalloc),
+# _slices). An encoder slice holds about 20 bytes of scratch per pair, its 8
+# bytes of pair symbols included, so 2^14 pairs take 0.33 MB (tracemalloc;
+# 27 bytes and 0.44 MB when the writer cast the symbols into a second array),
 # and a mask byte per coefficient while it finds the pairs: 2^12 blocks of
-# one pair each take 0.31 MB. A slice also costs about 0.15 ms of numpy call
+# one pair each take 0.33 MB. A slice also costs about 0.15 ms of numpy call
 # overhead: at 2^13 rather than 2^14 pairs the perfbench dense_dct16 frames
 # encoded 15-25% slower in-process. The block bound binds where runs of
 # empty blocks make a slice sparse; it also keeps the slice's coefficient
@@ -130,8 +140,21 @@ _MAX_UE_PREFIX = 24
 _SLICE_PAIRS = 1 << 14
 _SLICE_BLOCKS = 1 << 12
 
-# Words per chunk when one bit writer takes another's bits.
+# Blocks per chunk of the forward transform, 128 KB of float64. At 512
+# blocks the chunk's copy, its product and the last chunk's product, 0.79 MB,
+# set the encoder's peak. At 256 the codec encoded perfbench-shaped frames
+# about 1.5% slower in-process, less than perfbench's run-to-run spread.
+_DCT_BLOCKS = 1 << 8
+
+# Words per chunk when one bit writer takes another's bits. Measured with
+# tracemalloc, taking 1 MB at an odd bit offset holds 0.17 MB of scratch
+# beside the two writers: the chunk's shifted words and one uint32 temporary
+# (0.53 MB in uint64 lanes, with a big-endian copy and its bytes).
 _EXTEND_WORDS = 1 << 14
+
+# Symbols per run of the writer's in-place float32 cast: numpy copies an input
+# that overlaps its output, so each run costs a 16 KB copy.
+_CAST_SYMBOLS = 1 << 12
 
 # Payload bytes per chunk of the decoder's prefix scan, and codewords per
 # chunk of its value read. Measured with tracemalloc, a chunk's scratch peaks
@@ -158,23 +181,32 @@ class CodecId(IntEnum):
     BLOCK_DCT = 1
 
 
+def _is_integer(value) -> bool:
+    """Whether value is a Python or numpy integer other than a bool, which
+    would pass as 0 or 1."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def codec_id(value) -> CodecId:
-    """value as a CodecId; raises DomainError unless it is an integer that names one."""
-    if not (isinstance(value, (int, np.integer)) and value in list(CodecId)):
+    """value as a CodecId; raises DomainError unless it is an integer, not a
+    bool, that names one."""
+    if not (_is_integer(value) and value in list(CodecId)):
         raise DomainError(f"unknown codec id {value}")
     return CodecId(value)
 
 
 def sample_max(bit_depth) -> int:
-    """2^bit_depth - 1; raises DomainError unless bit_depth is an integer in [8, 16]."""
-    if not (isinstance(bit_depth, (int, np.integer)) and 8 <= bit_depth <= 16):
+    """2^bit_depth - 1; raises DomainError unless bit_depth is an integer, not
+    a bool, in [8, 16]."""
+    if not (_is_integer(bit_depth) and 8 <= bit_depth <= 16):
         raise DomainError(f"bit depth must be in [8, 16], got {bit_depth}")
     return (1 << int(bit_depth)) - 1
 
 
 def check_qp(qp) -> int:
-    """qp as an int; raises DomainError unless it is an integer in [0, 63]."""
-    if not (isinstance(qp, (int, np.integer)) and 0 <= qp <= _MAX_QP):
+    """qp as an int; raises DomainError unless it is an integer, not a bool,
+    in [0, 63]."""
+    if not (_is_integer(qp) and 0 <= qp <= _MAX_QP):
         raise DomainError(f"qp must be in [0, {_MAX_QP}], got {qp}")
     return int(qp)
 
@@ -271,16 +303,18 @@ def _decode_raw(data: bytes, shape: tuple[int, int]) -> np.ndarray:
     return np.frombuffer(raw, dtype="<u2").reshape(shape)
 
 
-def _pair_symbols(levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _pair_symbols(levels: np.ndarray) -> np.ndarray:
     """The int32 run and level symbols of the (run, level) pairs of blocks of
-    zigzag-ordered int32 levels, pair by pair in stream order. 64 * len(levels)
-    must be below 2^31."""
-    nonzero = levels.reshape(-1) != 0
+    zigzag-ordered int32 levels, as the two rows of one array, pair by pair
+    in stream order. 64 * len(levels) must be below 2^31."""
+    flat = levels.reshape(-1)
+    nonzero = flat != 0
     at = nonzero.nonzero()[0].astype(np.int32)
-    code = levels.reshape(-1)[nonzero]
+    pairs = np.empty((2, len(at)), dtype=np.int32)
+    run, code = pairs
+    code[...] = flat[nonzero]
     del nonzero
     # A block's first run counts from its start, at & 63 positions in.
-    run = np.empty(len(at), dtype=np.int32)
     run[:1] = at[:1]
     np.subtract(at[1:], at[:-1], out=run[1:])
     run[1:] -= 1
@@ -292,7 +326,7 @@ def _pair_symbols(levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     np.abs(code, out=code)
     code += code
     code -= positive
-    return run, code
+    return pairs
 
 
 def _plane_words(fields: np.ndarray, place: np.ndarray) -> np.ndarray:
@@ -333,33 +367,42 @@ class _BitWriter:
         self._used = 0  # bits of it in use
 
     def _append(self, words: np.ndarray, total: int) -> None:
-        """Take words, which hold total bits from the start of the last word
-        on; the last word's bits are OR-ed into words[0]."""
+        """Take words, native uint32 that hold total bits from the start of
+        the last word on; the last word's bits are OR-ed into words[0].
+        Overwrites words."""
         words[0] |= self._last
         full = total >> 5
-        self._buf += words[:full].astype(">u4").tobytes()
         self._last = int(words[full])
         self._used = total & 31
+        whole = words[:full]
+        if sys.byteorder == "little":
+            whole.byteswap(inplace=True)
+        self._buf += whole.data
 
-    def write_ue(self, suffixes: "_BitWriter", *columns: np.ndarray) -> None:
-        """Append the ue codewords of the symbols of the columns, row by row:
-        their prefixes here and their suffixes to suffixes, fewer than 2^31
-        bits to each. A row's prefixes make one field, so they must take at
-        most 31 bits; the codec's rows do. A count is at most 64, and since
-        codec_encode admits samples below 2^16 and qstep is at least 2^(-4/6),
-        a run is at most 63 and a level code below 2^21 - 1, so a pair's
-        prefixes take at most 7 + 21 = 28 bits."""
-        k, rows = len(columns), len(columns[0])
+    def write_ue(self, suffixes: "_BitWriter", symbols: np.ndarray) -> None:
+        """Append the ue codewords of symbols, a C-contiguous int32 (k, rows)
+        array, a row of k codewords at a time: symbols[:, 0], then
+        symbols[:, 1], and so on. Their prefixes go here and their suffixes
+        to suffixes, fewer than 2^31 bits to each. Overwrites symbols. A
+        row's prefixes make one field, so they must take at most 31 bits;
+        the codec's rows do. A count is at most 64, and
+        since codec_encode admits samples below 2^16 and qstep is at least
+        2^(-4/6), a run is at most 63 and a level code below 2^21 - 1, so a
+        pair's prefixes take at most 7 + 21 = 28 bits."""
+        k, rows = symbols.shape
         if not rows:
             return
         # v + 1 in float32, exact below 2^24, is 2^z plus its suffix, the low
         # z bits: its exponent field is 127 + z and its fraction field the
-        # suffix followed by 23 - z zeros.
-        code = np.empty((k, rows), dtype=np.float32)
-        for c, column in enumerate(columns):
-            np.add(column, 1, out=code[c], dtype=np.float32)
-        fields = code.view(np.uint32)
-        zeros = np.empty(code.shape, dtype=np.uint8)
+        # suffix followed by 23 - z zeros. Each is written over its symbol, a
+        # run of _CAST_SYMBOLS at a time.
+        symbols += 1
+        flat = symbols.reshape(-1)
+        code = flat.view(np.float32)
+        for s in range(0, len(flat), _CAST_SYMBOLS):
+            code[s : s + _CAST_SYMBOLS] = flat[s : s + _CAST_SYMBOLS]
+        fields = symbols.view(np.uint32)
+        zeros = np.empty((k, rows), dtype=np.uint8)
         np.right_shift(fields, 23, out=zeros, casting="unsafe")
         zeros -= 127
 
@@ -391,10 +434,13 @@ class _BitWriter:
             fields[0] |= fields[c]
             shift = shift + zeros[c]
         suffix_words = _plane_words(fields[0], suffix_place)
-        del code, fields, suffix_place
+        del suffix_place
 
-        # A row's prefix field is each codeword's z zeros and a 1.
-        ones = np.zeros(rows, dtype=np.uint32)
+        # A row's prefix field is each codeword's z zeros and a 1, built in
+        # the symbols' last row, which the suffix fields no longer need.
+        ones = fields[-1]
+        ones[...] = 0
+        del fields
         shift = np.zeros(rows, dtype=np.uint8)
         for z in zeros:
             shift += z
@@ -406,10 +452,11 @@ class _BitWriter:
 
     def _shift_in(self, words: np.ndarray, bits: int) -> None:
         """Append the first bits bits of the 32-bit words."""
-        words = words.astype(np.uint64)
-        shifted = np.zeros(len(words) + 1, dtype=np.uint64)
-        shifted[:-1] = words >> self._used
-        shifted[1:] |= (words << (32 - self._used)) & 0xFFFFFFFF
+        shifted = np.empty(len(words) + 1, dtype=np.uint32)
+        np.right_shift(words, self._used, out=shifted[:-1])
+        shifted[-1] = 0
+        if self._used:
+            shifted[1:] |= np.left_shift(words, 32 - self._used, dtype=np.uint32)
         self._append(shifted, self._used + bits)
 
     def extend(self, other: "_BitWriter") -> None:
@@ -418,7 +465,7 @@ class _BitWriter:
         for s in range(0, len(words), _EXTEND_WORDS):
             chunk = words[s : s + _EXTEND_WORDS]
             self._shift_in(chunk, 32 * len(chunk))
-        self._shift_in(np.array([other._last]), other._used)
+        self._shift_in(np.array([other._last], dtype=np.uint32), other._used)
 
     def getvalue(self, head: bytes) -> bytes:
         """head, then every bit written, padded with zero bits to a byte."""
@@ -443,16 +490,17 @@ def _encode_dct(frame: np.ndarray, qp: int) -> bytes:
     levels = np.empty((blocks.shape[0] * blocks.shape[1], _COEFFS), dtype=np.int32)
     levels.reshape(blocks.shape)[...] = blocks
     del blocks  # a padded copy of the frame, unless its sides are multiples of 8
-    for x, rows in _float64_chunks(levels, levels):
+    for x, rows in _float64_chunks(levels, levels, _DCT_BLOCKS * _COEFFS):
         coeffs = dctn(x)
         coeffs /= step
         rows[...] = _round_half_away(coeffs)
-    del x, rows, coeffs
+        del coeffs  # before the next chunk's product
+    del x, rows
     counts = np.count_nonzero(levels, axis=1)
     out, suffixes = _BitWriter(), _BitWriter()
-    out.write_ue(out, counts)
+    out.write_ue(out, counts.astype(np.int32)[None])  # a copy: _slices reads counts
     for s, e in _slices(counts[:, None], _SLICE_BLOCKS):
-        out.write_ue(suffixes, *_pair_symbols(levels[s:e]))
+        out.write_ue(suffixes, _pair_symbols(levels[s:e]))
     del levels
     out.extend(suffixes)
     del suffixes

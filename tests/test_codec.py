@@ -232,9 +232,13 @@ class TestDispatch:
     def test_unknown_codec_encode(self):
         with pytest.raises(DomainError):
             codec_encode(np.zeros((4, 4), np.uint16), 99, qp=10)
-        # 1.0 == BLOCK_DCT, but a codec id is an integer
+        # 1.0 == True == BLOCK_DCT, but a codec id is an integer, not a bool
         with pytest.raises(DomainError, match="^unknown codec id 1.0$"):
             codec_encode(np.zeros((4, 4), np.uint16), 1.0, qp=10)
+        with pytest.raises(DomainError, match="^unknown codec id True$"):
+            codec_encode(np.zeros((4, 4), np.uint16), True, qp=10)
+        with pytest.raises(DomainError, match="^unknown codec id False$"):
+            codec_encode(np.zeros((4, 4), np.uint16), False, qp=10)
 
     def test_unknown_codec_decode(self):
         # A codec id passed as an argument is a domain error; fcm_decode
@@ -243,6 +247,8 @@ class TestDispatch:
             codec_decode(b"xx", 7, 10, (4, 4))
         with pytest.raises(DomainError, match="^unknown codec id 1.0$"):
             codec_decode(b"xx", 1.0, 10, (4, 4))
+        with pytest.raises(DomainError, match="^unknown codec id True$"):
+            codec_decode(b"xx", True, 10, (4, 4))
 
     @pytest.mark.parametrize("qp", [-1, 64])
     def test_qp_out_of_range(self, qp):
@@ -311,10 +317,13 @@ def test_any_integer_dtype_within_depth_codes_like_uint16(codec, dtype):
 
 # A bit depth or qp that is not an integer is refused by the codec's one rule
 # for it, under both codecs. Before, 10.0 and 22.5 reached the coders, which
-# raised a bare TypeError, or in RAW_LOSSLESS's case took the qp unread.
+# raised a bare TypeError, or in RAW_LOSSLESS's case took the qp unread; a
+# bool qp was coded as qp 0 or 1.
 NOT_INTEGERS = {
     "bit_depth_10.0": ({"bit_depth": 10.0}, r"^bit depth must be in \[8, 16\], got 10.0$"),
     "qp_22.5": ({"qp": 22.5}, r"^qp must be in \[0, 63\], got 22.5$"),
+    "qp_True": ({"qp": True}, r"^qp must be in \[0, 63\], got True$"),
+    "qp_False": ({"qp": False}, r"^qp must be in \[0, 63\], got False$"),
 }
 
 

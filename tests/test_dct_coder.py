@@ -35,6 +35,7 @@ from fcmcodec import (
     fcm_encode,
 )
 from fcmcodec.codec import (
+    _DCT_BLOCKS,
     _SLICE_BLOCKS,
     _BitWriter,
     _pair_symbols,
@@ -103,19 +104,29 @@ SEVERAL_SLICES = make_frame(np.random.default_rng(4), (192, 192), 16, smooth=Fal
         (np.full((8, 8), 65535, np.uint16), 0, 16),
         (make_frame(np.random.default_rng(3), (136, 136), 10, smooth=True), 22, 10),
         (SEVERAL_SLICES, 0, 16),
-        # The encoder transforms _CHUNK // 64 = 512 blocks at a time: runs of
-        # blocks in raster order, cut anywhere in a row. 2 rows of 600 blocks,
-        # cut at block 512 of the first and block 424 of the second; one row
-        # of 563 blocks, from 5 rows of pixels; 13 rows of 100 blocks, the
-        # last chunk 276 blocks; 8 rows of 64 blocks, exactly one chunk; one
-        # row of 513 blocks, a chunk and one block.
+        # The encoder transforms N = _DCT_BLOCKS blocks at a time: runs of
+        # blocks in raster order, cut anywhere in a row. 2 rows of 600 blocks;
+        # one row of 563 blocks, from 5 rows of pixels; 13 rows of 100
+        # blocks; 8 rows of N / 8 blocks, exactly one chunk; one row of N + 1
+        # blocks, a chunk and one block; one block; one row of N - 1 blocks;
+        # and N blocks in 2 rows, from 13 x (4N - 5) pixels, padded at both
+        # edges.
         pytest.param(make_frame(np.random.default_rng(8), (16, 4800), 10, smooth=True), 22, 10, id="rows_wider_than_a_chunk"),
         pytest.param(make_frame(np.random.default_rng(9), (5, 4500), 16, smooth=True), 4, 16, id="one_block_row"),
         pytest.param(
             make_frame(np.random.default_rng(10), (104, 800), 12, smooth=True), 8, 12, id="blocks_not_a_multiple_of_the_chunk"
         ),
-        pytest.param(make_frame(np.random.default_rng(11), (64, 512), 10, smooth=True), 22, 10, id="one_chunk"),
-        pytest.param(make_frame(np.random.default_rng(12), (8, 4104), 16, smooth=False), 0, 16, id="a_chunk_and_a_block"),
+        pytest.param(make_frame(np.random.default_rng(11), (64, _DCT_BLOCKS), 10, smooth=True), 22, 10, id="one_chunk"),
+        pytest.param(
+            make_frame(np.random.default_rng(12), (8, 8 * _DCT_BLOCKS + 8), 16, smooth=False), 0, 16, id="a_chunk_and_a_block"
+        ),
+        pytest.param(make_frame(np.random.default_rng(15), (8, 8), 16, smooth=False), 0, 16, id="one_block"),
+        pytest.param(
+            make_frame(np.random.default_rng(16), (8, 8 * _DCT_BLOCKS - 8), 16, smooth=False), 0, 16, id="a_chunk_less_a_block"
+        ),
+        pytest.param(
+            make_frame(np.random.default_rng(17), (13, 4 * _DCT_BLOCKS - 5), 16, smooth=True), 4, 16, id="one_padded_chunk"
+        ),
     ],
 )
 def test_edge_frames_match_reference(frame, qp, bit_depth):
@@ -185,7 +196,8 @@ def test_the_widest_pairs_match_the_reference(lead):
     levels[:lead, 0] = 1
     levels[lead:, 63] = [2**20 - 1, -(2**20 - 1), 2**20 - 1, -(2**20 - 1)]
     levels[lead + 2, :63] = 1 - 2 * (np.arange(63) % 2)  # and a full block
-    run, code = _pair_symbols(levels)
+    symbols = _pair_symbols(levels)
+    run, code = symbols
     assert run.dtype == code.dtype == np.int32
     counts = np.count_nonzero(levels, axis=1)
     pairs = []
@@ -198,20 +210,23 @@ def test_the_widest_pairs_match_the_reference(lead):
     assert [int(x) for x in np.stack([run, code], axis=1).reshape(-1)] == pairs
     assert max(pairs) == 2**21 - 2 and pairs.count(63) == 3
     out, suffixes = _BitWriter(), _BitWriter()
-    out.write_ue(out, counts)
-    out.write_ue(suffixes, run, code)
+    out.write_ue(out, rows(counts))
+    out.write_ue(suffixes, symbols)
     out.extend(suffixes)
     assert out.getvalue(b"\x00") == b"\x00" + reference_bits(counts, pairs)
 
 
-def test_bit_writer_leaves_its_columns_as_they_were():
-    rng = np.random.default_rng(3)
-    symbols = pair_symbols(rng, 200)
-    before = symbols.copy()
-    out, suffixes = _BitWriter(), _BitWriter()
-    out.write_ue(suffixes, symbols[0::2], symbols[1::2])
-    out.write_ue(out, symbols)
-    np.testing.assert_array_equal(symbols, before)
+def test_the_slices_read_the_counts_the_writer_took(monkeypatch):
+    """The bit writer overwrites the symbols it takes, so the encoder gives it
+    a copy of the block counts, which _slices reads after it."""
+    frame = make_frame(np.random.default_rng(3), (40, 64), 16, smooth=False)
+    seen = []
+    real = fcmcodec.codec._slices
+    monkeypatch.setattr(fcmcodec.codec, "_slices", lambda counts, blocks: seen.append(counts.copy()) or real(counts, blocks))
+    data = encode(frame, 0, 16)
+    assert data == reference_encode_dct(frame, 0)
+    [counts] = seen
+    assert counts.reshape(-1).tolist() == read_split_ue(BitReader(data[1:]), 40)
 
 
 # The decoder's slices hold whole block rows; with budgets of 1024 pairs and
@@ -289,6 +304,11 @@ def pair_symbols(rng, n: int) -> np.ndarray:
     return np.stack([runs, ue_symbols(rng, n)], axis=1).reshape(-1)
 
 
+def rows(*columns) -> np.ndarray:
+    """The bit writer's symbols: one int32 row per column, which it overwrites."""
+    return np.array(columns, dtype=np.int32)
+
+
 def reference_bits(*sequences) -> bytes:
     writer = BitWriter()
     for symbols in sequences:
@@ -305,9 +325,9 @@ def test_bit_writer_matches_the_reference_across_calls(seed, monkeypatch):
     head = ue_symbols(rng, int(rng.integers(0, 40)))
     calls = [pair_symbols(rng, int(rng.integers(0, 30))) for _ in range(int(rng.integers(1, 9)))]
     out, suffixes = _BitWriter(), _BitWriter()
-    out.write_ue(out, head)
+    out.write_ue(out, rows(head))
     for symbols in calls:
-        out.write_ue(suffixes, symbols[0::2], symbols[1::2])
+        out.write_ue(suffixes, rows(symbols[0::2], symbols[1::2]))
     out.extend(suffixes)
     assert out.getvalue(b"\x0a") == b"\x0a" + reference_bits(head, np.concatenate(calls))
 
@@ -326,9 +346,9 @@ def test_bit_writer_at_every_offset(offset, monkeypatch):
     pairs = np.stack([runs + runs[::-1], widest + widest[::-1]], axis=1).reshape(-1).tolist()
     lead = [0] * offset
     out, suffixes = _BitWriter(), _BitWriter()
-    out.write_ue(out, np.array(lead + widest))
-    suffixes.write_ue(suffixes, np.array(lead, dtype=np.int64))
-    out.write_ue(suffixes, np.array(pairs[0::2]), np.array(pairs[1::2]))
+    out.write_ue(out, rows(lead + widest))
+    suffixes.write_ue(suffixes, rows(lead))
+    out.write_ue(suffixes, rows(pairs[0::2], pairs[1::2]))
     out.extend(suffixes)
     assert out.getvalue(b"\x10") == b"\x10" + reference_bits(lead + widest, pairs + lead)
 
@@ -577,21 +597,29 @@ def test_counts_past_the_payload_are_refused_before_the_pairs_are_sized():
     assert peak < peak_bound(data, PAYLOAD_PEAK) < 4 * 2**21
 
 
-# Bound on the tracemalloc peak of a BLOCK_DCT encode, in bytes per frame
-# element. A 512x512 16-bit noise frame at qp 0, a 1 MB payload, peaks at
+# Bounds on the tracemalloc peak of a BLOCK_DCT encode, in bytes per frame
+# element. A 512x512 16-bit noise frame at qp 0, a 1 MB payload, peaked at
 # 10.1 B per element with slices of 2^14 pairs in 32-bit lanes: 10.8 B with
 # slices of 2^13 pairs in 64-bit lanes, 13.0 B with a whole-frame transform,
-# 21.6 B before slices. The bound leaves a 1.25x margin. Coded as one slice,
-# the same frame peaks at 34 B per element (82 B in 64-bit lanes).
-ENCODE_PEAK_PER_ELEMENT = 12.6
+# 21.6 B before slices. Coded as one slice, it peaked at 34 B per element (82
+# B in 64-bit lanes). A smooth 256x384 16-bit frame at qp 4, shaped like the
+# perfbench dense_dct16 frame, peaked at 12.0 B with the transform's float64
+# copy, product and rounding scratch of 512 blocks alive beside the levels.
+# With 256-block chunks, each product freed before the next, the writer's
+# merges in uint32 lanes and each slice's symbols held once, the two peak at
+# 9.6 and 9.0 B. The bounds leave 1.25x and 1.17x margins.
+ENCODE_PEAK_CASES = {
+    "noise": (make_frame(np.random.default_rng(5), (512, 512), 16, smooth=False), 0, 1_000_000, 12.0),
+    "dense": (make_frame(np.random.default_rng(14), (256, 384), 16, smooth=True), 4, 200_000, 10.5),
+}
 
 
 def test_encode_peak_per_element():
-    frame = make_frame(np.random.default_rng(5), (512, 512), 16, smooth=False)
-    data, peak = outcome_and_peak(encode, frame, 0, 16)
-    assert len(data) > 1_000_000
-    per_element = peak / frame.size
-    assert per_element < ENCODE_PEAK_PER_ELEMENT, per_element
+    for name, (frame, qp, payload_bytes, bound) in ENCODE_PEAK_CASES.items():
+        data, peak = outcome_and_peak(encode, frame, qp, 16)
+        assert len(data) > payload_bytes, name
+        per_element = peak / frame.size
+        assert per_element < bound, (name, per_element)
 
 
 # Bounds on the tracemalloc peak of a BLOCK_DCT decode, in bytes per frame

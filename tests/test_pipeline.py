@@ -89,11 +89,15 @@ class TestEncode:
             ({"qp": 22.5}, r"^qp must be in \[0, 63\], got 22.5$"),
             ({"codec": 7}, r"^unknown codec id 7$"),
             ({"codec": 1.0}, r"^unknown codec id 1.0$"),
+            ({"codec": True}, r"^unknown codec id True$"),
+            ({"qp": True}, r"^qp must be in \[0, 63\], got True$"),
+            ({"qp": False}, r"^qp must be in \[0, 63\], got False$"),
         ],
     )
     def test_config_refused_at_construction(self, kwargs, message):
-        # Each was accepted here and failed only inside fcm_encode, the first
-        # two with a bare TypeError.
+        # Each of the first four was accepted here and failed only inside
+        # fcm_encode, the first two with a bare TypeError. The bools passed
+        # as the integers 1 and 0: codec True coded BLOCK_DCT, qp True qp 1.
         with pytest.raises(DomainError, match=message):
             EncoderConfig(**kwargs)
 
