@@ -1,11 +1,20 @@
 """The inner frame codecs, and the owner of the codec ids, the sample format
 and the qp range.
 
-RAW_LOSSLESS stores samples as little-endian u16 in one deflate stream, which
+RAW_LOSSLESS stores samples as little-endian u16 in one zlib stream, which
 is the whole payload, and decodes bit-exactly. The encoder uses zlib's
 run-length strategy (Z_RLE), which on packed feature frames is both smaller
 and several times faster than the default strategy; the decoder reads any
-deflate stream, so streams from other strategies and levels decode too.
+zlib stream, so streams from other strategies and levels decode too. A frame
+of n bytes is written as k = ceil(n / 2^19) pieces of near-equal size, cut at
+sample boundaries; k depends on n alone, so the bytes do not depend on the
+host. Each piece is deflated raw, pieces 1..k-1 on a pool of one thread per
+core while the calling thread deflates piece 0; each ends in a full flush
+and the last in the final block. They are joined into one stream: zlib's
+header, the pieces, and the Adler-32 of the whole frame. A full flush aligns
+the pieces to bytes and no piece refers back into another, so any inflater
+reads the stream unchanged. zlib's own wrapper adds only that header and
+trailer, so one piece is exactly zlib's one-call stream.
 
 BLOCK_DCT is a lossy intra codec: 8x8 orthonormal DCT, uniform scalar
 quantization with qstep(qp) = 2^((qp-4)/6) and zigzag scan. A block is
@@ -108,8 +117,10 @@ count plane's bit positions fit int32 too.
 
 from __future__ import annotations
 
+import os
 import sys
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 from enum import IntEnum
 
 import numpy as np
@@ -174,6 +185,35 @@ _DECODE_SLICE_BLOCKS = 1 << 11
 # block size: on the perfbench pyramid frames 9 codes 0.3% fewer bits than 8
 # at the same speed. That strategy writes the same bytes at levels 1-9.
 _RAW_MEM_LEVEL = 9
+
+# Frame bytes per RAW_LOSSLESS deflate piece, at most (see _encode_raw). The
+# perfbench pyramids' P3 frame (786,432 B) takes 2 pieces at 2^19, 3 at 2^18
+# and 6 at 2^17. On a 2-core host fcm_encode took 3.8 ms per pyramid_lossless
+# group in-process at 2^19 and at 2^17, 4.2 ms at 2^18 (3 pieces on 2
+# cores) and 5.1 ms in one piece; the streams grew by 0.011%, 0.037% and
+# 0.087%. At 2^19 the P3 frame's encode peaks at 1.09 MB in tracemalloc,
+# against 0.93 MB in one piece, below quantize_frame's 2.62 MB.
+_RAW_PIECE = 1 << 19
+
+# The zlib header of a 32 KB window under Z_RLE, which zlib marks as level 0.
+_ZLIB_HEADER = b"\x78\x01"
+
+
+def _new_piece_pool() -> None:
+    """Give the process a pool for pieces 1..k-1 of a frame. Its threads
+    call zlib alone and wait on nothing, so callers on threads of their own,
+    such as fcm_encode's unit workers, share it without deadlock. A pool per
+    frame started a thread per frame: on a 2-core host that held
+    pyramid_lossless encode_mbps to 153 MB/s against 168 with this pool."""
+    global _PIECE_POOL
+    _PIECE_POOL = ThreadPoolExecutor(max_workers=os.cpu_count() or 1)
+
+
+_new_piece_pool()
+if hasattr(os, "register_at_fork"):
+    # A forked child has none of its parent's threads, so the parent's pool
+    # would queue the child's pieces for ever.
+    os.register_at_fork(after_in_child=_new_piece_pool)
 
 
 class CodecId(IntEnum):
@@ -284,9 +324,21 @@ def _from_blocks(blocks: np.ndarray, h: int, w: int) -> np.ndarray:
     return frame[:h, :w]
 
 
+def _deflate(data, end: int) -> bytes:
+    deflate = zlib.compressobj(6, zlib.DEFLATED, -15, _RAW_MEM_LEVEL, zlib.Z_RLE)
+    return deflate.compress(data) + deflate.flush(end)
+
+
 def _encode_raw(frame: np.ndarray) -> bytes:
-    deflate = zlib.compressobj(6, zlib.DEFLATED, 15, _RAW_MEM_LEVEL, zlib.Z_RLE)
-    return deflate.compress(np.ascontiguousarray(frame, dtype="<u2")) + deflate.flush()
+    samples = np.ascontiguousarray(frame, dtype="<u2").reshape(-1)
+    k = -(-samples.nbytes // _RAW_PIECE)
+    cuts = [i * samples.size // k for i in range(k + 1)]
+    ends = [zlib.Z_FULL_FLUSH] * (k - 1) + [zlib.Z_FINISH]
+    pieces = [samples[a:b] for a, b in zip(cuts, cuts[1:])]
+    rest = [_PIECE_POOL.submit(_deflate, piece, end) for piece, end in zip(pieces[1:], ends[1:])]
+    first = _deflate(pieces[0], ends[0])
+    trailer = zlib.adler32(samples).to_bytes(4, "big")
+    return b"".join([_ZLIB_HEADER, first, *(piece.result() for piece in rest), trailer])
 
 
 def _decode_raw(data: bytes, shape: tuple[int, int]) -> np.ndarray:
@@ -685,7 +737,7 @@ def _decode_dct(data: bytes, bit_depth: int, shape: tuple[int, int]) -> np.ndarr
     return frame
 
 
-def codec_encode(frame: np.ndarray, codec: CodecId, qp: int = 22, bit_depth: int = 10) -> bytes:
+def codec_encode(frame: np.ndarray, codec: CodecId, qp: int, bit_depth: int) -> bytes:
     """Compress one non-empty 2-d integer frame of samples in [0, 2^bit_depth)."""
     frame = np.asarray(frame)
     if frame.ndim != 2 or frame.dtype.kind not in "iu":

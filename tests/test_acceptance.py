@@ -152,7 +152,7 @@ def test_criterion_06_bitrate_dominance():
         frames.append(np.round(img * 1023).astype(np.uint16))
     qps = (4, 10, 22, 34, 40, 51)
     sizes = [
-        sum(len(codec_encode(f, CodecId.BLOCK_DCT, qp=qp)) for f in frames)
+        sum(len(codec_encode(f, CodecId.BLOCK_DCT, qp=qp, bit_depth=10)) for f in frames)
         for qp in qps
     ]
     inversions = sum(1 for a, b in zip(sizes, sizes[1:]) if b > a)
@@ -235,7 +235,7 @@ def _fuzz_payloads(iterations):
     rng = np.random.default_rng(12)
     frame = rng.integers(0, 1024, (16, 16)).astype(np.uint16)
     valid = {
-        codec: bytearray(codec_encode(frame, codec, qp=22))
+        codec: bytearray(codec_encode(frame, codec, qp=22, bit_depth=10))
         for codec in (CodecId.RAW_LOSSLESS, CodecId.BLOCK_DCT)
     }
     outcomes = {"ok": 0, "error": 0}

@@ -1,4 +1,8 @@
 import math
+import multiprocessing
+import sys
+import zlib
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -157,32 +161,83 @@ class TestLevelRule:
             blocks = rng.integers(8, 120, size=(24, 64)) * scale
             blocks[:, 0] += pattern[0] * ((4 * scale - blocks @ pattern) % (8 * scale))
             frame = blocks.reshape(4, 6, 8, 8).transpose(0, 2, 1, 3).reshape(32, 48).astype(np.uint16)
-            assert codec_encode(frame, CodecId.BLOCK_DCT, qp=qp) == reference_encode_dct(frame, qp)
+            assert codec_encode(frame, CodecId.BLOCK_DCT, qp=qp, bit_depth=10) == reference_encode_dct(frame, qp)
 
 
 class TestRawLossless:
     def test_roundtrip_bit_exact(self, rng):
         frame = rng.integers(0, 1024, size=(23, 31)).astype(np.uint16)
-        payload = codec_encode(frame, CodecId.RAW_LOSSLESS, qp=10)
+        payload = codec_encode(frame, CodecId.RAW_LOSSLESS, qp=10, bit_depth=10)
         np.testing.assert_array_equal(codec_decode(payload, CodecId.RAW_LOSSLESS, 10, frame.shape), frame)
 
     def test_small_frames_exhaustive_values(self):
         for v in (0, 1, 511, 1023):
             frame = np.full((1, 1), v, np.uint16)
-            payload = codec_encode(frame, CodecId.RAW_LOSSLESS)
+            payload = codec_encode(frame, CodecId.RAW_LOSSLESS, qp=22, bit_depth=10)
             np.testing.assert_array_equal(codec_decode(payload, CodecId.RAW_LOSSLESS, 10, (1, 1)), frame)
 
     def test_truncated_payload(self, rng):
         frame = rng.integers(0, 1024, size=(8, 8)).astype(np.uint16)
-        payload = codec_encode(frame, CodecId.RAW_LOSSLESS)
+        payload = codec_encode(frame, CodecId.RAW_LOSSLESS, qp=22, bit_depth=10)
         with pytest.raises((PayloadDecodeError, TruncatedError)):
             codec_decode(payload[: len(payload) // 2], CodecId.RAW_LOSSLESS, 10, frame.shape)
 
     def test_wrong_dims_rejected(self, rng):
         frame = rng.integers(0, 1024, size=(8, 8)).astype(np.uint16)
-        payload = codec_encode(frame, CodecId.RAW_LOSSLESS)
+        payload = codec_encode(frame, CodecId.RAW_LOSSLESS, qp=22, bit_depth=10)
         with pytest.raises(PayloadDecodeError):
             codec_decode(payload, CodecId.RAW_LOSSLESS, 10, (8, 9))
+
+    def test_a_frame_of_several_pieces_is_one_zlib_stream(self, rng):
+        # 3 pieces of a ramp, so that deflate finds runs to code, with rows
+        # of noise.
+        frame = (np.arange(640 * 1024).reshape(640, 1024) // 7 % 1024).astype(np.uint16)
+        frame[::5] = rng.integers(0, 1024, size=(128, 1024))
+        assert -(-frame.nbytes // codec._RAW_PIECE) == 3
+        payload = codec_encode(frame, CodecId.RAW_LOSSLESS, qp=22, bit_depth=10)
+        np.testing.assert_array_equal(codec_decode(payload, CodecId.RAW_LOSSLESS, 10, frame.shape), frame)
+        # A plain inflater with the default window checks the header and
+        # the whole frame's Adler-32 trailer.
+        assert zlib.decompress(payload) == frame.astype("<u2").tobytes()
+        broken = bytearray(payload)
+        broken[-1] ^= 1
+        with pytest.raises(PayloadDecodeError):
+            codec_decode(bytes(broken), CodecId.RAW_LOSSLESS, 10, frame.shape)
+
+    @pytest.mark.parametrize(
+        "samples", [codec._RAW_PIECE // 2, codec._RAW_PIECE // 2 + 1, 3 * codec._RAW_PIECE // 4, 5 * codec._RAW_PIECE // 4]
+    )
+    def test_the_bytes_depend_on_the_frame_alone(self, rng, monkeypatch, samples):
+        frame = rng.integers(0, 1024, size=(1, samples)).astype(np.uint16)
+        payload = codec_encode(frame, CodecId.RAW_LOSSLESS, qp=22, bit_depth=10)
+        if frame.nbytes <= codec._RAW_PIECE:
+            # One piece is exactly the one-call stream the goldens were made by.
+            deflate = zlib.compressobj(6, zlib.DEFLATED, 15, 9, zlib.Z_RLE)
+            assert payload == deflate.compress(frame.astype("<u2").tobytes()) + deflate.flush()
+            assert payload[:2] == codec._ZLIB_HEADER
+        # From 3 pieces on, a pool of one thread queues a piece behind another.
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            monkeypatch.setattr(codec, "_PIECE_POOL", pool)
+            assert codec_encode(frame, CodecId.RAW_LOSSLESS, qp=22, bit_depth=10) == payload
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
+    # Python 3.12 on warns at every fork of a process with threads, and the
+    # pool's idle threads are alive here by design.
+    @pytest.mark.filterwarnings("ignore:.*use of fork\\(\\) may lead to deadlocks:DeprecationWarning")
+    def test_a_forked_child_encodes_after_its_parent(self, rng):
+        # The parent's pieces ran on pool threads, which a forked child does
+        # not inherit; the child must still code a frame of several pieces.
+        frame = rng.integers(0, 1024, size=(1, 5 * codec._RAW_PIECE // 4)).astype(np.uint16)
+        payload = codec_encode(frame, CodecId.RAW_LOSSLESS, qp=22, bit_depth=10)
+        child = multiprocessing.get_context("fork").Process(
+            target=lambda: sys.exit(codec_encode(frame, CodecId.RAW_LOSSLESS, qp=22, bit_depth=10) != payload)
+        )
+        child.start()
+        child.join(30)
+        if child.is_alive():
+            child.kill()
+            child.join()
+        assert child.exitcode == 0
 
 
 class TestBlockDct:
@@ -193,7 +248,7 @@ class TestBlockDct:
 
     def test_constant_frame_exact_at_low_qp(self):
         frame = np.full((16, 24), 700, np.uint16)
-        payload = codec_encode(frame, CodecId.BLOCK_DCT, qp=0)
+        payload = codec_encode(frame, CodecId.BLOCK_DCT, qp=0, bit_depth=10)
         np.testing.assert_array_equal(codec_decode(payload, CodecId.BLOCK_DCT, 10, frame.shape), frame)
 
     def test_rate_non_increasing_in_qp(self, rng):
@@ -202,20 +257,20 @@ class TestBlockDct:
         sizes = []
         for qp in qps:
             sizes.append(
-                sum(len(codec_encode(f, CodecId.BLOCK_DCT, qp=qp)) for f in frames)
+                sum(len(codec_encode(f, CodecId.BLOCK_DCT, qp=qp, bit_depth=10)) for f in frames)
             )
         inversions = sum(1 for a, b in zip(sizes, sizes[1:]) if b > a)
         assert inversions <= 1, sizes
 
     def test_distortion_non_decreasing_in_qp(self, rng):
         frame = smooth_frame(rng)
-        lo = codec_decode(codec_encode(frame, CodecId.BLOCK_DCT, qp=10), CodecId.BLOCK_DCT, 10, frame.shape)
-        hi = codec_decode(codec_encode(frame, CodecId.BLOCK_DCT, qp=40), CodecId.BLOCK_DCT, 10, frame.shape)
+        lo = codec_decode(codec_encode(frame, CodecId.BLOCK_DCT, qp=10, bit_depth=10), CodecId.BLOCK_DCT, 10, frame.shape)
+        hi = codec_decode(codec_encode(frame, CodecId.BLOCK_DCT, qp=40, bit_depth=10), CodecId.BLOCK_DCT, 10, frame.shape)
         assert psnr(frame, lo, 1023) >= psnr(frame, hi, 1023)
 
     def test_non_multiple_of_8_dims(self, rng):
         frame = smooth_frame(rng, shape=(13, 21))
-        payload = codec_encode(frame, CodecId.BLOCK_DCT, qp=4)
+        payload = codec_encode(frame, CodecId.BLOCK_DCT, qp=4, bit_depth=10)
         out = codec_decode(payload, CodecId.BLOCK_DCT, 10, frame.shape)
         assert out.shape == frame.shape
         # qp=4 is the near-lossless floor (step 1)
@@ -223,7 +278,7 @@ class TestBlockDct:
 
     def test_truncated_payload(self, rng):
         frame = smooth_frame(rng, shape=(16, 16))
-        payload = codec_encode(frame, CodecId.BLOCK_DCT, qp=22)
+        payload = codec_encode(frame, CodecId.BLOCK_DCT, qp=22, bit_depth=10)
         with pytest.raises(FcmError):
             codec_decode(payload[:3], CodecId.BLOCK_DCT, 10, frame.shape)
 
@@ -231,14 +286,14 @@ class TestBlockDct:
 class TestDispatch:
     def test_unknown_codec_encode(self):
         with pytest.raises(DomainError):
-            codec_encode(np.zeros((4, 4), np.uint16), 99, qp=10)
+            codec_encode(np.zeros((4, 4), np.uint16), 99, qp=10, bit_depth=10)
         # 1.0 == True == BLOCK_DCT, but a codec id is an integer, not a bool
         with pytest.raises(DomainError, match="^unknown codec id 1.0$"):
-            codec_encode(np.zeros((4, 4), np.uint16), 1.0, qp=10)
+            codec_encode(np.zeros((4, 4), np.uint16), 1.0, qp=10, bit_depth=10)
         with pytest.raises(DomainError, match="^unknown codec id True$"):
-            codec_encode(np.zeros((4, 4), np.uint16), True, qp=10)
+            codec_encode(np.zeros((4, 4), np.uint16), True, qp=10, bit_depth=10)
         with pytest.raises(DomainError, match="^unknown codec id False$"):
-            codec_encode(np.zeros((4, 4), np.uint16), False, qp=10)
+            codec_encode(np.zeros((4, 4), np.uint16), False, qp=10, bit_depth=10)
 
     def test_unknown_codec_decode(self):
         # A codec id passed as an argument is a domain error; fcm_decode
@@ -253,7 +308,7 @@ class TestDispatch:
     @pytest.mark.parametrize("qp", [-1, 64])
     def test_qp_out_of_range(self, qp):
         with pytest.raises(DomainError, match="qp must be in"):
-            codec_encode(np.zeros((4, 4), np.uint16), CodecId.BLOCK_DCT, qp=qp)
+            codec_encode(np.zeros((4, 4), np.uint16), CodecId.BLOCK_DCT, qp=qp, bit_depth=10)
 
     @pytest.mark.parametrize("bit_depth", [7, 17])
     def test_decode_bit_depth_outside_8_to_16(self, bit_depth):
@@ -264,7 +319,7 @@ class TestDispatch:
 
     def test_samples_exceeding_bit_depth(self):
         with pytest.raises(DomainError):
-            codec_encode(np.full((2, 2), 1024, np.uint16), CodecId.RAW_LOSSLESS, bit_depth=10)
+            codec_encode(np.full((2, 2), 1024, np.uint16), CodecId.RAW_LOSSLESS, qp=22, bit_depth=10)
 
     @pytest.mark.parametrize("codec", list(CodecId))
     def test_decoded_samples_past_bit_depth(self, codec):
@@ -331,7 +386,7 @@ NOT_INTEGERS = {
 @pytest.mark.parametrize("kwargs,message", NOT_INTEGERS.values(), ids=NOT_INTEGERS)
 def test_encode_refuses_a_bit_depth_or_qp_that_is_not_an_integer(codec, kwargs, message):
     with pytest.raises(DomainError, match=message):
-        codec_encode(np.zeros((4, 4), np.uint16), codec, **kwargs)
+        codec_encode(np.zeros((4, 4), np.uint16), codec, **{"qp": 22, "bit_depth": 10, **kwargs})
 
 
 @pytest.mark.parametrize("codec", list(CodecId), ids=[c.name for c in CodecId])

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fcmcodec.codec
 import fcmcodec.lcr
 import fcmcodec.pipeline
 from fcmcodec import (
@@ -372,6 +373,19 @@ class TestDeterminismAndRate:
         group = random_group(rng, count=4)
         cfg = EncoderConfig(codec=CodecId.BLOCK_DCT, qp=22, prune_ratio=0.25)
         baseline = fcm_encode(group, cfg, workers=1)
+        for workers in (2, 4):
+            assert fcm_encode(group, cfg, workers=workers) == baseline
+
+    def test_byte_identical_across_workers_when_frames_deflate_in_pieces(self, rng):
+        # The first unit's 512x640 frame takes 2 deflate pieces, so unit
+        # threads submit pieces to the codec's shared pool at the same time.
+        group = TensorGroup(
+            (random_tensor(rng, 64, 64, 80), random_tensor(rng, 64, 48, 80), random_tensor(rng, 4, 8, 8))
+        )
+        cfg = lossless_cfg()
+        baseline = fcm_encode(group, cfg, workers=1)
+        lay = parse_stream(baseline)[0][0].layout
+        assert 2 * lay.frame_height * lay.frame_width > fcmcodec.codec._RAW_PIECE
         for workers in (2, 4):
             assert fcm_encode(group, cfg, workers=workers) == baseline
 
