@@ -16,6 +16,76 @@ the pieces to bytes and no piece refers back into another, so any inflater
 reads the stream unchanged. zlib's own wrapper adds only that header and
 trailer, so one piece is exactly zlib's one-call stream.
 
+The decoder reads a frame of k >= 2 pieces the same way: pieces 1..k-1
+inflate on the pool while the calling thread inflates piece 0. It returns
+that result only where its checks prove it to be what one zlib inflater
+reads serially; on any failed check it reads the payload serially, so every
+zlib stream still decodes, and as before. The serial reading refuses
+(PayloadDecodeError) a stream that raises in zlib, that ends before the
+frame's n bytes or runs past them, or that has bytes after its trailer. The
+checks:
+- the payload starts with _ZLIB_HEADER, whose 32 KB window is the raw
+  inflaters' (other headers, such as zlib's default 78 9c, read serially);
+- it holds exactly k - 1 markers 00 00 ff ff. Piece 0 starts at byte 2,
+  piece i just after marker i, and the last runs to the payload's end;
+- each piece, in a fresh raw inflater, gives exactly the size the
+  encoder's cut rule gives it, with no input left over and no zlib.error;
+- the last piece ends the final block with exactly 4 bytes left, which are
+  the Adler-32 of the whole frame;
+- every other piece does not end the stream, and two copies of its
+  inflater accept the probes F = 01 00 00 ff ff, an empty final stored
+  block, and L = 58 empty non-final stored blocks 00 00 00 ff ff, then F.
+  A copy accepts a probe when decompress(probe, 1) writes nothing, ends the
+  stream, leaves nothing unused and raises nothing.
+
+Why that is the serial reading. After the header a serial inflater is where
+a fresh raw one starts: in zlib's inflate mode TYPE, no bits held. Say it is
+there at the start of piece i. A fresh inflater then reads the piece as the
+serial one does, except that a back-reference past the piece's start, which
+the serial one reads from its window, raises zlib.error ("invalid distance
+too far back"). So both write the same bytes and rest in the same state at
+the piece's end. The piece's inflater ran out of input with room left to
+write, so it rests in a mode that waits for input: not MATCH or LIT, which
+wait for room; not CHECK, LENGTH or DONE, as the stream has not ended; not
+BAD, MEM or SYNC; a raw inflater never enters HEAD, FLAGS, TIME, OS, EXLEN,
+EXTRA, NAME, COMMENT, HCRC, DICTID or DICT. Read first bit first, F is a 1,
+23 zeros and 16 ones.
+(a) F is accepted only in TYPE with no bits held, or inside the header of a
+    final dynamic block (TABLE, LENLENS, CODELENS). In every other state:
+    - TYPE (TYPEDO) waits with 1 or 2 bits held. With 1, F makes an empty
+      fixed block, after which the stream ends with 3 bytes of F unused, or
+      the block was not final (see the last case). With 2, the block type is
+      3, which raises, or 2, whose code-length code read from F is one code
+      of 7 bits, incomplete, which raises.
+    - STORED, 0-3 bytes of LEN and NLEN held: they are not complements,
+      which raises, or LEN > 0 and F's next byte is written.
+    - COPY_ or COPY: F's first byte is written.
+    - Huffman data (LEN_, LEN, LENEXT, DIST, DISTEXT): the pending symbol
+      needs a bit of F. Any but end-of-block writes, raises or runs out.
+      End-of-block takes at most 15 bits of F; after a final block the
+      stream ends with 3 or 4 bytes of F unused (a non-final one: see the
+      last case).
+    - TABLE, LENLENS or CODELENS of a non-final block: the header raises,
+      runs out, or completes and reads Huffman data as above.
+    - A non-final block ends at bit p of F: for p < 22 the next block is
+      stored and empty or longer than F, so F runs out before the stream
+      ends; at 22 it is dynamic with 288 literal/length codes, which
+      raises; at 23 to 37 its type is 3, which raises; from 38 on, F runs
+      out.
+(b) L is not accepted inside the header of a final dynamic block. What is
+    left of the header takes at most 14 + 57 + 316 * 7 bits (no code
+    length takes more than 7 bits, counting a repeat's extra bits over the
+    lengths it repeats), and its data raises, writes, or ends at the
+    end-of-block code within 15 more: 2298 bits, under 288 bytes, so bytes
+    of L's 295 are left unused.
+So the serial inflater is in TYPE with no bits held at the start of piece
+i + 1 too, and by induction at every split. It then ends the final block
+where the last piece does, reads the same 4 bytes as its Adler-32, and has
+written the same n bytes. Each probe alone is not enough: a fake marker in
+the code lengths of a final dynamic block can pass F, and one in a
+non-final block can pass L, where the empty stored blocks that follow put
+the reader back on a boundary (tests/test_codec.py builds both).
+
 BLOCK_DCT is a lossy intra codec: 8x8 orthonormal DCT, uniform scalar
 quantization with qstep(qp) = 2^((qp-4)/6) and zigzag scan. A block is
 described by its count of nonzero coefficients and one (run, level) pair per
@@ -118,6 +188,7 @@ count plane's bit positions fit int32 too.
 from __future__ import annotations
 
 import os
+import re
 import sys
 import zlib
 from concurrent.futures import ThreadPoolExecutor
@@ -197,6 +268,15 @@ _RAW_PIECE = 1 << 19
 
 # The zlib header of a 32 KB window under Z_RLE, which zlib marks as level 0.
 _ZLIB_HEADER = b"\x78\x01"
+
+# The empty non-final stored block that a full flush ends a piece with, from
+# its LEN field on.
+_FLUSH_MARKER = re.compile(b"\x00\x00\xff\xff")
+
+# The two probes of a piece's boundary (see above): F, an empty final stored
+# block, and L, 58 empty non-final ones before F, 295 bytes.
+_PROBE_FINAL = b"\x01\x00\x00\xff\xff"
+_PROBES = (_PROBE_FINAL, b"\x00\x00\x00\xff\xff" * 58 + _PROBE_FINAL)
 
 
 def _new_piece_pool() -> None:
@@ -329,10 +409,21 @@ def _deflate(data, end: int) -> bytes:
     return deflate.compress(data) + deflate.flush(end)
 
 
+def _piece_count(nbytes: int) -> int:
+    """k, the number of deflate pieces of a frame of nbytes bytes."""
+    return -(-nbytes // _RAW_PIECE)
+
+
+def _piece_cuts(samples: int, k: int) -> list[int]:
+    """The k + 1 sample offsets that cut a frame of samples samples into its
+    k pieces of near-equal size."""
+    return [i * samples // k for i in range(k + 1)]
+
+
 def _encode_raw(frame: np.ndarray) -> bytes:
     samples = np.ascontiguousarray(frame, dtype="<u2").reshape(-1)
-    k = -(-samples.nbytes // _RAW_PIECE)
-    cuts = [i * samples.size // k for i in range(k + 1)]
+    k = _piece_count(samples.nbytes)
+    cuts = _piece_cuts(samples.size, k)
     ends = [zlib.Z_FULL_FLUSH] * (k - 1) + [zlib.Z_FINISH]
     pieces = [samples[a:b] for a, b in zip(cuts, cuts[1:])]
     rest = [_PIECE_POOL.submit(_deflate, piece, end) for piece, end in zip(pieces[1:], ends[1:])]
@@ -341,17 +432,79 @@ def _encode_raw(frame: np.ndarray) -> bytes:
     return b"".join([_ZLIB_HEADER, first, *(piece.result() for piece in rest), trailer])
 
 
+def _inflate_piece(piece, size: int, last: bool) -> bytes | None:
+    """The size bytes a fresh raw inflater reads from piece, or None unless
+    it reads exactly those and then rests where the proof above needs: the
+    last piece at the end of the final block with 4 bytes left, any other at
+    the boundary that both probes accept."""
+    d = zlib.decompressobj(-15)
+    try:
+        out = d.decompress(piece, size + 1)
+        if len(out) != size or d.unconsumed_tail or d.eof != last:
+            return None
+        if last:
+            return out if len(d.unused_data) == 4 else None
+        for probe in _PROBES:
+            tail = d.copy()
+            if tail.decompress(probe, 1) or not tail.eof or tail.unused_data:
+                return None
+    except zlib.error:
+        return None
+    return out
+
+
+def _inflate_pieces(data, n: int) -> bytes | None:
+    """The n bytes of a payload that the encoder wrote as k >= 2 pieces,
+    inflated piece by piece, pieces 1..k-1 on the pool; None unless every
+    check proves them to be the serial reading (see above)."""
+    k = _piece_count(n)
+    if k < 2 or data[:2] != _ZLIB_HEADER:
+        return None
+    # Where each piece starts: after the header, then after each marker. A
+    # hostile shape can make k huge, so nothing is sized by k before the
+    # marker count, bounded by the payload's length, equals k - 1.
+    starts = [2]
+    for marker in _FLUSH_MARKER.finditer(data, 2):
+        if len(starts) == k:
+            return None
+        starts.append(marker.end())
+    if len(starts) != k:
+        return None
+    cuts = _piece_cuts(n // 2, k)
+    sizes = [2 * (b - a) for a, b in zip(cuts, cuts[1:])]
+    pieces = [data[a:b] for a, b in zip(starts, [*starts[1:], len(data)])]
+    rest = [_PIECE_POOL.submit(_inflate_piece, pieces[i], sizes[i], i == k - 1) for i in range(1, k)]
+    out = [_inflate_piece(pieces[0], sizes[0], False), *(piece.result() for piece in rest)]
+    if None in out:
+        return None
+    frame = b"".join(out)
+    if zlib.adler32(frame).to_bytes(4, "big") != data[-4:]:
+        return None
+    return frame
+
+
+def _inflate_serial(data, n: int) -> bytes:
+    """The n bytes of the zlib stream data, read by one inflater in one call;
+    raises PayloadDecodeError unless the stream ends exactly there."""
+    d = zlib.decompressobj()
+    try:
+        raw = d.decompress(data, n + 1)
+    except zlib.error as exc:
+        raise PayloadDecodeError(f"corrupt lossless payload: {exc}") from exc
+    if len(raw) != n or d.unconsumed_tail or not d.eof:
+        raise PayloadDecodeError("lossless payload length mismatch")
+    if d.unused_data:
+        raise PayloadDecodeError(f"{len(d.unused_data)} bytes past the end of the lossless payload")
+    return raw
+
+
 def _decode_raw(data: bytes, shape: tuple[int, int]) -> np.ndarray:
     if not data:
         raise TruncatedError("empty lossless payload")
-    expected = shape[0] * shape[1] * 2
-    d = zlib.decompressobj()
-    try:
-        raw = d.decompress(data, expected + 1)
-    except zlib.error as exc:
-        raise PayloadDecodeError(f"corrupt lossless payload: {exc}") from exc
-    if len(raw) != expected or d.unconsumed_tail or not d.eof:
-        raise PayloadDecodeError("lossless payload length mismatch")
+    n = shape[0] * shape[1] * 2
+    raw = _inflate_pieces(data, n)
+    if raw is None:
+        raw = _inflate_serial(data, n)
     return np.frombuffer(raw, dtype="<u2").reshape(shape)
 
 

@@ -5,6 +5,7 @@ perfbench/tests imports that directory's conftest under the same module name.
 """
 
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -228,3 +229,136 @@ def assert_matches_staged_reference(group: TensorGroup, cfg: EncoderConfig, rel:
         want = want.astype(np.float64)
         err = float(np.max(np.abs(got.data - want)))
         assert err <= rel * float(want.max() - want.min()) + ulps, (err, cfg)
+
+
+class DeflateBits:
+    """A deflate bit string under construction (RFC 1951 3.1.1): fields are
+    packed from the least significant bit of each byte on, and a Huffman
+    code from its most significant bit."""
+
+    def __init__(self):
+        self._value = 0
+        self.length = 0  # bits written
+
+    def bits(self, value: int, count: int) -> "DeflateBits":
+        self._value |= value << self.length
+        self.length += count
+        return self
+
+    def code(self, code: int, length: int) -> "DeflateBits":
+        return self.bits(int(format(code, f"0{length}b")[::-1], 2), length)
+
+    def getvalue(self) -> bytes:
+        """The bits, padded with zero bits to a byte."""
+        return self._value.to_bytes(-(-self.length // 8), "little")
+
+
+def fixed_code(symbol: int) -> tuple[int, int]:
+    """(code, length) of a literal/length symbol in deflate's fixed Huffman
+    code (RFC 1951 3.2.6)."""
+    if symbol < 144:
+        return 0x30 + symbol, 8
+    if symbol < 256:
+        return 0x190 + symbol - 144, 9
+    if symbol < 280:
+        return symbol - 256, 7
+    return 0xC0 + symbol - 280, 8
+
+
+def fixed_block(w: DeflateBits, value: int, count: int, final: bool) -> None:
+    """A fixed-Huffman block of count bytes equal to value: a literal, then
+    matches of 258 bytes at distance 1, then literals."""
+    w.bits(final, 1).bits(1, 2).code(*fixed_code(value))
+    for _ in range((count - 1) // 258):
+        w.code(*fixed_code(285)).code(0, 5)  # length 258, distance code 0
+    for _ in range((count - 1) % 258):
+        w.code(*fixed_code(value))
+    w.code(*fixed_code(256))
+
+
+def canonical_code(lengths: dict[int, int]) -> dict[int, tuple[int, int]]:
+    """symbol -> (code, length) of the canonical Huffman code with these
+    nonzero code lengths (RFC 1951 3.2.2)."""
+    out, code = {}, 0
+    for length in range(1, 16):
+        for symbol in sorted(s for s, n in lengths.items() if n == length):
+            out[symbol] = (code, length)
+            code += 1
+        code <<= 1
+    return out
+
+
+# The order in which a dynamic block header sends the code-length code's lengths.
+_CODE_LENGTH_ORDER = (16, 17, 18, 0, 8, 7, 9, 6, 10, 5, 11, 4, 12, 3, 13, 2, 14, 1, 15)
+
+
+def dynamic_header(w: DeflateBits, final: bool, nlen: int, ndist: int, lengths: dict[int, int]) -> dict:
+    """A dynamic block's header up to its code lengths, with a code-length
+    code of these lengths; returns that code."""
+    hclen = max(_CODE_LENGTH_ORDER.index(s) for s in lengths) + 1
+    w.bits(final, 1).bits(2, 2).bits(nlen - 257, 5).bits(ndist - 1, 5).bits(hclen - 4, 4)
+    for symbol in _CODE_LENGTH_ORDER[:hclen]:
+        w.bits(lengths.get(symbol, 0), 3)
+    return canonical_code(lengths)
+
+
+FLUSH_MARKER = b"\x00\x00\xff\xff"
+
+# Two pieces of 262,144 and 262,146 bytes.
+FAKE_BOUNDARY_SHAPE = (1, (1 << 18) + 1)
+
+
+def fake_boundary_payload(final: bool) -> tuple[bytes, np.ndarray]:
+    """A RAW_LOSSLESS payload of FAKE_BOUNDARY_SHAPE that zlib refuses, with
+    the one flush marker of a 2-piece frame inside the code lengths of a
+    dynamic block header; and the frame that a fresh inflater per piece reads.
+
+    Piece 0 holds a fixed-Huffman block of its 262,144 bytes, then the
+    dynamic block, which is final if final is. Its code-length code is
+    0 -> "0", 1 -> "10" and a repeat code "11" (16 if final, else 17). The
+    marker's zeros are 16 zero lengths, and its ones repeat codes.
+    - final: the marker's ones are four "11"+"11", 24 zero lengths, and
+      literals 0..255 are coded with literal 0 alone of length 1. The empty
+      final stored block F completes the header: "10" gives the end-of-block
+      code length 1, then 34 zero lengths; its last byte holds end-of-block,
+      "1", so F reaches the end with no byte left. The longer probe L codes
+      too many lengths.
+    - not final: the marker's ones are three "11"+"111", 30 zero lengths,
+      and a last "1". The longer probe L's first bit, 0, completes it to
+      "10", the end-of-block code length 1; its next bit makes the one
+      distance length 0, and its third is end-of-block, which alone has a
+      code, "0". The next block header, 000, starts a stored block whose
+      LEN and NLEN are the rest of L's first empty stored block, and L's
+      other blocks end the stream with no byte left. F codes too many
+      lengths.
+    Piece 1 is a non-final fixed-Huffman block of 262,146 bytes of 0xC8, an
+    empty final fixed block and the frame's Adler-32. Read on from piece 0,
+    its first bits leave end-of-block with no code (final), or end the header
+    where a literal's first bit, 1, has no code (not final).
+    """
+    w = DeflateBits()
+    fixed_block(w, 0x11, 1 << 18, final=False)
+    repeat, nlen, ndist = (16, 261, 30) if final else (17, 257, 1)
+    cl = dynamic_header(w, final, nlen, ndist, {0: 1, 1: 2, repeat: 2})
+    if final:
+        w.code(*cl[1])  # literal 0
+    # The zero lengths of the other literals before the marker's, coded "0",
+    # but for a few repeats of 3 (16) or 4 (17) zeros, each a bit longer than
+    # as many "0"s, that bring the marker to a byte.
+    zeros = 215 if final else 210
+    repeats = -(w.length + zeros) % 8
+    w.code(*cl[0])
+    for _ in range(repeats):
+        w.code(*cl[repeat]).bits(0 if final else 1, 2 if final else 3)
+    for _ in range(zeros - 1 - repeats * (3 if final else 4)):
+        w.code(*cl[0])
+    assert w.length % 8 == 0
+    first = w.getvalue() + FLUSH_MARKER
+
+    w = DeflateBits()
+    fixed_block(w, 0xC8, (1 << 18) + 2, final=False)
+    w.bits(1, 1).bits(1, 2).code(*fixed_code(256))  # an empty final fixed block
+    data = bytes([0x11]) * (1 << 18) + bytes([0xC8]) * ((1 << 18) + 2)
+    payload = b"\x78\x01" + first + w.getvalue() + zlib.adler32(data).to_bytes(4, "big")
+    assert payload.count(FLUSH_MARKER) == 1
+    return payload, np.frombuffer(data, dtype="<u2").reshape(FAKE_BOUNDARY_SHAPE)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from collections.abc import Callable
 
 import numpy as np
 import pytest
@@ -41,20 +42,32 @@ FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "bdrate
 MUTATED_RUN_PEAK = (128 << 10, 64)
 
 
-def run_mutated(seed: int, valid: bytes, path: pathlib.Path, argv: list[str], extra_bytes: int = 0) -> set[int]:
-    """Run argv on 200 seeded mutations of valid written to path. Each run exits
-    0, 3 or 4, and its tracemalloc peak is within MUTATED_RUN_PEAK of the
-    mutation's size plus extra_bytes, the size of the run's other inputs.
-    Returns the exit codes seen."""
+def run_mutated(
+    seed: int,
+    valid: bytes,
+    tmp_path: pathlib.Path,
+    name: str,
+    argv: Callable[[pathlib.Path], list[str]],
+    extra_bytes: int = 0,
+) -> set[int]:
+    """Run argv(case) on 200 seeded mutations of valid, each written to the
+    file name in a new directory case under tmp_path, where the run also
+    writes its output: rewriting one file costs far more than writing a new
+    one on some file systems. Each run exits 0, 3 or 4, and its tracemalloc
+    peak is within MUTATED_RUN_PEAK of the mutation's size plus extra_bytes,
+    the size of the run's other inputs. Returns the exit codes seen."""
     rng = np.random.default_rng(seed)
     fixed, per_byte = MUTATED_RUN_PEAK
     codes = set()
     for i in range(200):
         blob = mutate(rng, valid)
-        path.write_bytes(blob)
+        case = tmp_path / f"case{i}"
+        case.mkdir()
+        (case / name).write_bytes(blob)
+        args = argv(case)
         tracemalloc.start()
         try:
-            code = main(argv)
+            code = main(args)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -314,9 +327,11 @@ class TestCodecCommands:
         # The first BLOCK_DCT encode of a process pays one-off costs that
         # MUTATED_RUN_PEAK does not cover.
         assert main(["encode", "--input", str(ftns), "--output", str(out), "--codec", "dct"]) == 0
-        bad = tmp_path / "bad.ftns"
-        argv = ["encode", "--input", str(bad), "--output", str(out), "--codec", "dct"]
-        assert run_mutated(4, ftns.read_bytes(), bad, argv) == {0, 3}
+
+        def argv(case):
+            return ["encode", "--input", str(case / "bad.ftns"), "--output", str(case / "o.fcmb"), "--codec", "dct"]
+
+        assert run_mutated(4, ftns.read_bytes(), tmp_path, "bad.ftns", argv) == {0, 3}
 
     def test_missing_file_exit_3(self, tmp_path):
         rc = main(["decode", "--input", str(tmp_path / "nope"), "--output", str(tmp_path / "o")])
@@ -465,9 +480,10 @@ class TestBdrateCommand:
         assert (done.returncode, done.stdout, done.stderr) == (0, "+20.46%\n", "")
 
     def test_mutated_csv_files(self, tmp_path, capsys):
-        bad = tmp_path / "bad.csv"
-        argv = ["bdrate", "--anchor", str(FIXTURES / "sfu_class_c_remote.csv"), "--test", str(bad)]
-        assert run_mutated(3, (FIXTURES / "sfu_class_c_fcm.csv").read_bytes(), bad, argv) >= {0, 3}
+        def argv(case):
+            return ["bdrate", "--anchor", str(FIXTURES / "sfu_class_c_remote.csv"), "--test", str(case / "bad.csv")]
+
+        assert run_mutated(3, (FIXTURES / "sfu_class_c_fcm.csv").read_bytes(), tmp_path, "bad.csv", argv) >= {0, 3}
 
 
 class TestVcmCommands:
@@ -551,14 +567,19 @@ class TestVcmCommands:
         assert message in capsys.readouterr().err
 
     def test_mutated_sequence_files(self, tmp_path, seq_file, capsys):
-        bad = tmp_path / "bad.raw"
-        argv = ["vcm-truncate", "--input", str(bad), "--output", str(tmp_path / "o.raw"), "--shift", "2"]
-        assert run_mutated(1, seq_file.read_bytes(), bad, argv) >= {0, 3}
+        def argv(case):
+            return ["vcm-truncate", "--input", str(case / "bad.raw"), "--output", str(case / "o.raw"), "--shift", "2"]
+
+        assert run_mutated(1, seq_file.read_bytes(), tmp_path, "bad.raw", argv) >= {0, 3}
 
     def test_mutated_side_info_files(self, tmp_path, seq_file, capsys):
         sampled = tmp_path / "s.raw"
         side = tmp_path / "side.bin"
         argv = ["--input", str(seq_file), "--output", str(sampled), "--ratio", "4", "--sideinfo", str(side)]
         assert main(["vcm-tsample"] + argv) == 0
-        argv = ["vcm-trestore", "--input", str(sampled), "--output", str(tmp_path / "r.raw"), "--sideinfo", str(side)]
-        assert run_mutated(2, side.read_bytes(), side, argv, sampled.stat().st_size) >= {0, 3}
+
+        def restore(case):
+            out, bad = str(case / "r.raw"), str(case / "side.bin")
+            return ["vcm-trestore", "--input", str(sampled), "--output", out, "--sideinfo", bad]
+
+        assert run_mutated(2, side.read_bytes(), tmp_path, "side.bin", restore, sampled.stat().st_size) >= {0, 3}

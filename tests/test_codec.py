@@ -1,5 +1,6 @@
 import math
 import multiprocessing
+import re
 import sys
 import zlib
 from concurrent.futures import ThreadPoolExecutor
@@ -15,6 +16,7 @@ from fcmcodec.errors import DomainError, FcmError, PayloadDecodeError, Truncated
 from fcmcodec.metrics import psnr
 
 from bitref import dct_block_forward, dct_block_inverse, reference_encode_dct
+from helpers import FAKE_BOUNDARY_SHAPE, FLUSH_MARKER, fake_boundary_payload
 
 
 def naive_dct2(block):
@@ -164,6 +166,96 @@ class TestLevelRule:
             assert codec_encode(frame, CodecId.BLOCK_DCT, qp=qp, bit_depth=10) == reference_encode_dct(frame, qp)
 
 
+def ramp_frame(rng, shape):
+    """A ramp, so that deflate finds runs to code, with every fifth row noise."""
+    frame = (np.arange(shape[0] * shape[1]).reshape(shape) // 7 % 1024).astype(np.uint16)
+    frame[::5] = rng.integers(0, 1024, size=frame[::5].shape)
+    return frame
+
+
+class SpyPool:
+    """A piece pool that counts the jobs submitted to it."""
+
+    def __init__(self, pool):
+        self.pool = pool
+        self.jobs = 0
+
+    def submit(self, *args):
+        self.jobs += 1
+        return self.pool.submit(*args)
+
+
+def spy_on_the_readers(monkeypatch) -> tuple[SpyPool, list]:
+    """Count the pool's jobs and the serial reader's calls."""
+    pool = SpyPool(codec._PIECE_POOL)
+    monkeypatch.setattr(codec, "_PIECE_POOL", pool)
+    serial, read = [], codec._inflate_serial
+    monkeypatch.setattr(codec, "_inflate_serial", lambda data, n: serial.append(n) or read(data, n))
+    return pool, serial
+
+
+def decode_outcome(payload, shape):
+    """The 16-bit frame that payload decodes to, or the class of the error."""
+    try:
+        return codec_decode(payload, CodecId.RAW_LOSSLESS, 16, shape)
+    except FcmError as exc:
+        return type(exc)
+
+
+def serial_outcome(monkeypatch, payload, shape):
+    """decode_outcome of the serial reader alone."""
+    with monkeypatch.context() as m:
+        m.setattr(codec, "_inflate_pieces", lambda data, n: None)
+        return decode_outcome(payload, shape)
+
+
+def forged(payload):
+    """payload with its trailer replaced by the Adler-32 of what a fresh raw
+    inflater per piece reads from it, so that only the other checks can
+    refuse it."""
+    starts = [2] + [m.end() for m in re.finditer(FLUSH_MARKER, payload)]
+    out = []
+    for a, b in zip(starts, [*starts[1:], len(payload) - 4]):
+        try:
+            out.append(zlib.decompressobj(-15).decompress(payload[a:b]))
+        except zlib.error:
+            return payload
+    return payload[:-4] + zlib.adler32(b"".join(out)).to_bytes(4, "big")
+
+
+def multi_piece_mutations(rng, payload):
+    """Payloads made from one of several pieces: bits flipped near a marker,
+    as they are and with a forged trailer; a marker moved or duplicated; bits
+    flipped in the trailer; truncations; and bits flipped anywhere."""
+    ends = [m.end() for m in re.finditer(FLUSH_MARKER, payload)]
+
+    def flipped(at):
+        blob = bytearray(payload)
+        blob[at] ^= 1 << int(rng.integers(0, 8))
+        return bytes(blob)
+
+    for end in ends:
+        for _ in range(12):
+            near = flipped(end + int(rng.integers(-12, 8)))
+            yield near
+            yield forged(near)
+        for _ in range(3):
+            cut = payload[: end - 4] + payload[end:]
+            at = end - 4 + int(rng.integers(-64, 64))
+            yield forged(cut[:at] + FLUSH_MARKER + cut[at:])
+            at = int(rng.integers(2, len(payload)))
+            yield forged(payload[:at] + FLUSH_MARKER + payload[at:])
+        yield payload[:end] + FLUSH_MARKER + payload[end:]
+        yield payload[: end + int(rng.integers(-6, 6))]
+    for _ in range(8):
+        yield flipped(len(payload) - 1 - int(rng.integers(0, 4)))
+    for _ in range(8):
+        yield payload[: int(rng.integers(0, len(payload)))]
+    yield payload[:-1]
+    for _ in range(16):
+        yield flipped(int(rng.integers(0, len(payload))))
+
+
 class TestRawLossless:
     def test_roundtrip_bit_exact(self, rng):
         frame = rng.integers(0, 1024, size=(23, 31)).astype(np.uint16)
@@ -189,10 +281,7 @@ class TestRawLossless:
             codec_decode(payload, CodecId.RAW_LOSSLESS, 10, (8, 9))
 
     def test_a_frame_of_several_pieces_is_one_zlib_stream(self, rng):
-        # 3 pieces of a ramp, so that deflate finds runs to code, with rows
-        # of noise.
-        frame = (np.arange(640 * 1024).reshape(640, 1024) // 7 % 1024).astype(np.uint16)
-        frame[::5] = rng.integers(0, 1024, size=(128, 1024))
+        frame = ramp_frame(rng, (640, 1024))
         assert -(-frame.nbytes // codec._RAW_PIECE) == 3
         payload = codec_encode(frame, CodecId.RAW_LOSSLESS, qp=22, bit_depth=10)
         np.testing.assert_array_equal(codec_decode(payload, CodecId.RAW_LOSSLESS, 10, frame.shape), frame)
@@ -219,6 +308,119 @@ class TestRawLossless:
         with ThreadPoolExecutor(max_workers=1) as pool:
             monkeypatch.setattr(codec, "_PIECE_POOL", pool)
             assert codec_encode(frame, CodecId.RAW_LOSSLESS, qp=22, bit_depth=10) == payload
+
+    @pytest.mark.parametrize("shape", [(512, 768), (640, 1024)], ids=["2_pieces", "3_pieces"])
+    def test_a_frame_of_several_pieces_inflates_on_the_pool(self, rng, monkeypatch, shape):
+        frame = ramp_frame(rng, shape)
+        k = -(-frame.nbytes // codec._RAW_PIECE)
+        payload = codec_encode(frame, CodecId.RAW_LOSSLESS, qp=22, bit_depth=10)
+        pool, serial = spy_on_the_readers(monkeypatch)
+        decoded = codec_decode(memoryview(payload), CodecId.RAW_LOSSLESS, 10, shape)
+        assert (pool.jobs, serial) == (k - 1, [])
+        assert decoded.tobytes() == zlib.decompress(payload) == frame.astype("<u2").tobytes()
+        # zlib's default header, 78 9c, is read serially.
+        foreign = zlib.compress(frame.astype("<u2").tobytes())
+        np.testing.assert_array_equal(codec_decode(foreign, CodecId.RAW_LOSSLESS, 10, shape), frame)
+        assert (pool.jobs, serial) == (k - 1, [frame.nbytes])
+        # From 3 pieces on, a pool of one thread queues a piece behind another.
+        with ThreadPoolExecutor(max_workers=1) as one:
+            monkeypatch.setattr(codec, "_PIECE_POOL", SpyPool(one))
+            np.testing.assert_array_equal(codec_decode(payload, CodecId.RAW_LOSSLESS, 10, shape), frame)
+            assert codec._PIECE_POOL.jobs == k - 1
+
+    @pytest.mark.parametrize("final", [True, False], ids=["final_block", "non_final_block"])
+    def test_a_fake_marker_in_a_dynamic_header_is_read_serially(self, monkeypatch, final):
+        # The one marker of a 2-piece frame lies inside the code lengths of a
+        # dynamic block, so a fresh inflater per piece reads a frame that the
+        # serial reader does not: zlib refuses the stream.
+        payload, frame = fake_boundary_payload(final)
+        with pytest.raises(zlib.error):
+            zlib.decompress(payload)
+        _, serial = spy_on_the_readers(monkeypatch)
+        with pytest.raises(PayloadDecodeError):
+            codec_decode(payload, CodecId.RAW_LOSSLESS, 16, FAKE_BOUNDARY_SHAPE)
+        assert serial == [frame.nbytes]
+        # Each probe alone lets one of the two through: F the marker in a
+        # final block's header, L the one in a non-final block's header.
+        final_probe, long_probe = codec._PROBES
+        monkeypatch.setattr(codec, "_PROBES", (final_probe if final else long_probe,))
+        np.testing.assert_array_equal(codec_decode(payload, CodecId.RAW_LOSSLESS, 16, FAKE_BOUNDARY_SHAPE), frame)
+        monkeypatch.setattr(codec, "_PROBES", (long_probe if final else final_probe,))
+        with pytest.raises(PayloadDecodeError):
+            codec_decode(payload, CodecId.RAW_LOSSLESS, 16, FAKE_BOUNDARY_SHAPE)
+
+    @pytest.mark.parametrize("shape", [(512, 768), (640, 1024)], ids=["2_pieces", "3_pieces"])
+    def test_mutated_payloads_of_several_pieces_decode_as_the_serial_reader_does(self, monkeypatch, shape):
+        rng = np.random.default_rng(26)
+        payload = codec_encode(ramp_frame(rng, shape), CodecId.RAW_LOSSLESS, qp=22, bit_depth=10)
+        accepted, inflate = [], codec._inflate_pieces
+        monkeypatch.setattr(codec, "_inflate_pieces", lambda data, n: accepted.append(inflate(data, n)) or accepted[-1])
+        for case, mutated in enumerate(multi_piece_mutations(rng, payload)):
+            fast = decode_outcome(mutated, shape)
+            serial = serial_outcome(monkeypatch, mutated, shape)
+            if isinstance(serial, type):
+                assert fast is serial, (case, fast, serial)
+            else:
+                assert isinstance(fast, np.ndarray), (case, fast)
+                np.testing.assert_array_equal(fast, serial)
+        # Some mutated payloads still pass every check of the fast path.
+        assert any(frame is not None for frame in accepted)
+
+    def test_a_shape_of_more_pieces_than_markers_is_read_serially(self, rng, monkeypatch):
+        # The unit header's shape sets k, here 4096; nothing is sized by it
+        # while the payload holds one marker.
+        payload = codec_encode(ramp_frame(rng, (512, 768)), CodecId.RAW_LOSSLESS, qp=22, bit_depth=10)
+        pool, serial = spy_on_the_readers(monkeypatch)
+        with pytest.raises(PayloadDecodeError, match="^lossless payload length mismatch$"):
+            codec_decode(payload, CodecId.RAW_LOSSLESS, 10, (1 << 15, 1 << 15))
+        assert (pool.jobs, serial) == (0, [1 << 31])
+
+    def test_threads_decoding_at_once_share_the_pool(self, rng):
+        # More callers than cores, each waiting on its pieces in the one pool,
+        # switching threads as often as the interpreter allows.
+        frames = [ramp_frame(rng, (512, 768)) for _ in range(2)]
+        payloads = [codec_encode(f, CodecId.RAW_LOSSLESS, qp=22, bit_depth=10) for f in frames]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as callers:
+                jobs = [
+                    callers.submit(codec_decode, payloads[i % 2], CodecId.RAW_LOSSLESS, 10, (512, 768)) for i in range(24)
+                ]
+                decoded = [job.result(timeout=60) for job in jobs]
+        finally:
+            sys.setswitchinterval(interval)
+        for i, frame in enumerate(decoded):
+            np.testing.assert_array_equal(frame, frames[i % 2])
+
+    @pytest.mark.parametrize("samples", [100, 5 * codec._RAW_PIECE // 4])
+    def test_bytes_after_the_stream_are_refused(self, rng, samples):
+        frame = rng.integers(0, 1024, size=(1, samples)).astype(np.uint16)
+        payload = codec_encode(frame, CodecId.RAW_LOSSLESS, qp=10, bit_depth=10)
+        np.testing.assert_array_equal(codec_decode(payload, CodecId.RAW_LOSSLESS, 10, frame.shape), frame)
+        with pytest.raises(PayloadDecodeError, match="^4 bytes past the end of the lossless payload$"):
+            codec_decode(payload + b"junk", CodecId.RAW_LOSSLESS, 10, frame.shape)
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
+    # Python 3.12 on warns at every fork of a process with threads, and the
+    # pool's idle threads are alive here by design.
+    @pytest.mark.filterwarnings("ignore:.*use of fork\\(\\) may lead to deadlocks:DeprecationWarning")
+    def test_a_forked_child_decodes_after_its_parent(self, rng):
+        # The parent's pieces ran on pool threads, which a forked child does
+        # not inherit; the child must still inflate a frame of several pieces.
+        frame = ramp_frame(rng, (512, 768))
+        payload = codec_encode(frame, CodecId.RAW_LOSSLESS, qp=22, bit_depth=10)
+        raw = frame.astype("<u2").tobytes()
+        assert codec._inflate_pieces(payload, len(raw)) == raw
+        child = multiprocessing.get_context("fork").Process(
+            target=lambda: sys.exit(codec._inflate_pieces(payload, len(raw)) != raw)
+        )
+        child.start()
+        child.join(30)
+        if child.is_alive():
+            child.kill()
+            child.join()
+        assert child.exitcode == 0
 
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
     # Python 3.12 on warns at every fork of a process with threads, and the

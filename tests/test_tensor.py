@@ -194,8 +194,10 @@ class TestTensorFile:
             read_tensor_file(path)
 
     def test_many_random_roundtrips(self, tmp_path, rng):
-        path = tmp_path / "r.ftns"
-        for _ in range(1000):
+        for i in range(1000):
+            # A new file each time: rewriting one costs far more on some file
+            # systems.
+            path = tmp_path / f"r{i}.ftns"
             group = random_group(rng)
             write_tensor_file(path, group)
             back = read_tensor_file(path)
