@@ -59,10 +59,14 @@ def _meanpool(t: FeatureTensor, factor: int) -> FeatureTensor:
 
 def _repeat(x: np.ndarray, factor: int) -> np.ndarray:
     """Repeat each sample of the C x H x W array x factor times along each
-    spatial axis: x itself for factor 1, else one new array."""
+    spatial axis: x itself for factor 1, else one new array, made with no
+    intermediate one."""
     if factor == 1:
         return x
-    return np.repeat(np.repeat(x, factor, axis=1), factor, axis=2)
+    c, h, w = x.shape
+    out = np.empty((c, h, factor, w, factor), dtype=x.dtype)
+    out[...] = x[:, :, None, :, None]
+    return out.reshape(c, factor * h, factor * w)
 
 
 @dataclass(frozen=True)

@@ -25,10 +25,6 @@ from fcmcodec import codec
 from fcmcodec.codec import BLOCK, ZIGZAG, _from_blocks, _to_blocks, qstep
 from fcmcodec.errors import DomainError, PayloadDecodeError, TruncatedError
 
-# Longest accepted exp-Golomb zero prefix; longer prefixes are treated as
-# corruption rather than attempting a 2^64-scale value.
-_MAX_UE_PREFIX = 64
-
 # Longest zero prefix of a BLOCK_DCT codeword, so every value fits int32.
 MAX_DCT_PREFIX = 24
 
@@ -49,14 +45,6 @@ class BitWriter:
                 self._buf.append(self._acc)
                 self._acc = 0
                 self._nbits = 0
-
-    def write_ue(self, value: int) -> None:
-        if value < 0:
-            raise ValueError("exp-Golomb encodes non-negative values only")
-        v = value + 1
-        n = v.bit_length()
-        self.write_bits(0, n - 1)
-        self.write_bits(v, n)
 
     def getvalue(self) -> bytes:
         out = bytearray(self._buf)
@@ -85,14 +73,6 @@ class BitReader:
         self._pos = pos
         return out
 
-    def read_ue(self) -> int:
-        zeros = 0
-        while self.read_bits(1) == 0:
-            zeros += 1
-            if zeros > _MAX_UE_PREFIX:
-                raise PayloadDecodeError("exp-Golomb prefix too long")
-        return ((1 << zeros) | self.read_bits(zeros)) - 1 if zeros else 0
-
 
 def write_split_ue(writer: BitWriter, values) -> None:
     """One split-plane ue sequence: every prefix, then every suffix."""
@@ -114,18 +94,6 @@ def read_split_ue(reader: BitReader, n: int) -> list[int]:
                 raise PayloadDecodeError("exp-Golomb prefix too long")
         zeros.append(z)
     return [((1 << z) | reader.read_bits(z)) - 1 for z in zeros]
-
-
-def expgolomb_write(value: int) -> bytes:
-    """Standalone exp-Golomb encode of one value (zero-padded to a byte)."""
-    w = BitWriter()
-    w.write_ue(value)
-    return w.getvalue()
-
-
-def expgolomb_read(data: bytes) -> int:
-    """Decode the first exp-Golomb value in data."""
-    return BitReader(data).read_ue()
 
 
 def _round_half_away(x: np.ndarray) -> np.ndarray:

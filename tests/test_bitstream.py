@@ -65,6 +65,13 @@ V4_STREAM = bytes.fromhex(
     "46434d4204010100000000000000c03fbd1b8f3f0a0200020000000016100000007801636008655cc5f49f190006ba0205"
 )
 
+# The same tensor as the version-5 writer coded it: today's units, but a
+# RAW_LOSSLESS payload of several deflate pieces joined them by full flushes
+# where today's declares their lengths.
+V5_STREAM = bytes.fromhex(
+    "46434d4205010100000000000000c03fbd1b8f3f0a02000200000000100000007801636008655cc5f49f190006ba0205"
+)
+
 
 def make_header(n=8, k=2, rank=3, codec=0, label=""):
     return UnitHeader(
@@ -177,6 +184,17 @@ class TestStream:
         stream = fcm_encode(TensorGroup((t,)), EncoderConfig())
         assert len(stream) == len(V3_STREAM) - 24 == len(V4_STREAM) - 1
         assert all(s.endswith(V3_DEFLATE) for s in (V3_STREAM, V4_STREAM, stream))
+
+    def test_version_5_rejected(self, tmp_path):
+        with pytest.raises(VersionError, match="version 5"):
+            parse_stream(V5_STREAM)
+        old = tmp_path / "v5.fcmb"
+        old.write_bytes(V5_STREAM)
+        assert main(["decode", "--input", str(old), "--output", str(tmp_path / "o.ftns")]) == 3
+        # A one-piece payload kept its bytes: only the version byte differs.
+        t = FeatureTensor(np.arange(4, dtype=np.float32).reshape(1, 2, 2))
+        stream = fcm_encode(TensorGroup((t,)), EncoderConfig())
+        assert stream == V5_STREAM[:4] + bytes([STREAM_VERSION]) + V5_STREAM[5:]
 
     @pytest.mark.parametrize("count", [0, 9])
     def test_unit_count_outside_1_to_8(self, count):

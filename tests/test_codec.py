@@ -1,7 +1,7 @@
 import math
 import multiprocessing
-import re
 import sys
+import tracemalloc
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 
@@ -16,7 +16,7 @@ from fcmcodec.errors import DomainError, FcmError, PayloadDecodeError, Truncated
 from fcmcodec.metrics import psnr
 
 from bitref import dct_block_forward, dct_block_inverse, reference_encode_dct
-from helpers import FAKE_BOUNDARY_SHAPE, FLUSH_MARKER, fake_boundary_payload
+from helpers import frame_pieces, piece_sizes, raw_deflate, raw_payload
 
 
 def naive_dct2(block):
@@ -186,7 +186,7 @@ class SpyPool:
 
 
 def spy_on_the_readers(monkeypatch) -> tuple[SpyPool, list]:
-    """Count the pool's jobs and the serial reader's calls."""
+    """Count the pool's jobs and the one-piece reader's calls."""
     pool = SpyPool(codec._PIECE_POOL)
     monkeypatch.setattr(codec, "_PIECE_POOL", pool)
     serial, read = [], codec._inflate_serial
@@ -202,58 +202,131 @@ def decode_outcome(payload, shape):
         return type(exc)
 
 
-def serial_outcome(monkeypatch, payload, shape):
-    """decode_outcome of the serial reader alone."""
-    with monkeypatch.context() as m:
-        m.setattr(codec, "_inflate_pieces", lambda data, n: None)
-        return decode_outcome(payload, shape)
+def split_payload(payload, k) -> list[bytes] | None:
+    """The k pieces that the length table of payload declares, or None where
+    the table and trailer do not fit it."""
+    table = 2 + 4 * (k - 1)
+    if len(payload) < table + 4:
+        return None
+    bounds = [table]
+    for i in range(k - 1):
+        bounds.append(bounds[-1] + int.from_bytes(payload[2 + 4 * i : 6 + 4 * i], "little"))
+    if bounds[-1] > len(payload) - 4:
+        return None
+    return [payload[a:b] for a, b in zip(bounds, [*bounds[1:], len(payload) - 4])]
 
 
-def forged(payload):
-    """payload with its trailer replaced by the Adler-32 of what a fresh raw
-    inflater per piece reads from it, so that only the other checks can
-    refuse it."""
-    starts = [2] + [m.end() for m in re.finditer(FLUSH_MARKER, payload)]
+def per_piece_reference(payload, shape):
+    """The 16-bit frame that a fresh raw inflater per declared piece reads
+    from a payload of several pieces, or None where the layout is broken: a
+    foreign header, a table or trailer that does not fit, a piece that does
+    not give exactly its size and end its stream there, or a trailer that is
+    not the frame's Adler-32."""
+    sizes = piece_sizes(shape)
+    pieces = split_payload(payload, len(sizes))
+    if payload[:2] != b"\x78\x01" or pieces is None:
+        return None
     out = []
-    for a, b in zip(starts, [*starts[1:], len(payload) - 4]):
+    for piece, size in zip(pieces, sizes):
+        d = zlib.decompressobj(-15)
         try:
-            out.append(zlib.decompressobj(-15).decompress(payload[a:b]))
+            out.append(d.decompress(piece, size + 1))
+        except zlib.error:
+            return None
+        if len(out[-1]) != size or not d.eof or d.unused_data or d.unconsumed_tail:
+            return None
+    raw = b"".join(out)
+    if zlib.adler32(raw).to_bytes(4, "big") != payload[-4:]:
+        return None
+    return np.frombuffer(raw, dtype="<u2").reshape(shape)
+
+
+def forged(payload, k):
+    """payload with its trailer replaced by the Adler-32 of what a fresh raw
+    inflater per declared piece reads from it, so that only the other checks
+    can refuse it."""
+    pieces = split_payload(payload, k)
+    if pieces is None:
+        return payload
+    out = []
+    for piece in pieces:
+        try:
+            out.append(zlib.decompressobj(-15).decompress(piece, 1 << 20))
         except zlib.error:
             return payload
     return payload[:-4] + zlib.adler32(b"".join(out)).to_bytes(4, "big")
 
 
-def multi_piece_mutations(rng, payload):
-    """Payloads made from one of several pieces: bits flipped near a marker,
-    as they are and with a forged trailer; a marker moved or duplicated; bits
-    flipped in the trailer; truncations; and bits flipped anywhere."""
-    ends = [m.end() for m in re.finditer(FLUSH_MARKER, payload)]
+def multi_piece_mutations(rng, payload, k):
+    """Payloads made from a payload of k pieces: a length in its table
+    changed by a little or at random; bits flipped in a piece, as they are
+    and with a forged trailer; bits flipped in the trailer; truncations;
+    bytes appended; and bits flipped anywhere."""
 
     def flipped(at):
         blob = bytearray(payload)
         blob[at] ^= 1 << int(rng.integers(0, 8))
         return bytes(blob)
 
-    for end in ends:
-        for _ in range(12):
-            near = flipped(end + int(rng.integers(-12, 8)))
-            yield near
-            yield forged(near)
-        for _ in range(3):
-            cut = payload[: end - 4] + payload[end:]
-            at = end - 4 + int(rng.integers(-64, 64))
-            yield forged(cut[:at] + FLUSH_MARKER + cut[at:])
-            at = int(rng.integers(2, len(payload)))
-            yield forged(payload[:at] + FLUSH_MARKER + payload[at:])
-        yield payload[:end] + FLUSH_MARKER + payload[end:]
-        yield payload[: end + int(rng.integers(-6, 6))]
+    def relength(i, length):
+        blob = bytearray(payload)
+        blob[2 + 4 * i : 6 + 4 * i] = (length % (1 << 32)).to_bytes(4, "little")
+        return bytes(blob)
+
+    table = 2 + 4 * (k - 1)
+    for i in range(k - 1):
+        length = int.from_bytes(payload[2 + 4 * i : 6 + 4 * i], "little")
+        for delta in (-5, -1, 1, 5):
+            yield relength(i, length + delta)
+        yield relength(i, int(rng.integers(0, 1 << 32)))
+    for _ in range(24):
+        near = flipped(int(rng.integers(table, len(payload) - 4)))
+        yield near
+        yield forged(near, k)
     for _ in range(8):
         yield flipped(len(payload) - 1 - int(rng.integers(0, 4)))
     for _ in range(8):
         yield payload[: int(rng.integers(0, len(payload)))]
     yield payload[:-1]
+    yield payload + rng.integers(0, 256, size=int(rng.integers(1, 8)), dtype=np.uint8).tobytes()
     for _ in range(16):
         yield flipped(int(rng.integers(0, len(payload))))
+
+
+# A frame of 2 pieces, of 262,144 and 262,146 bytes, and the cases of its
+# payload that break the layout, with the message of the check that refuses
+# each.
+TWO_PIECE_SHAPE = (1, (1 << 18) + 1)
+BROKEN_LAYOUTS = {
+    "short": "^lossless payload length mismatch$",
+    "long": "^lossless payload length mismatch$",
+    "not_final": "^lossless payload length mismatch$",
+    "byte_moved": "^lossless payload length mismatch$",
+    "lengths_past_the_trailer": "^the lossless piece lengths run past the payload$",
+    "foreign_header": "^a lossless payload of several pieces must start with 78 01$",
+    "foreign_stream": "^a lossless payload of several pieces must start with 78 01$",
+}
+
+
+def broken_layout(case: str, frame) -> bytes:
+    raw = frame.astype("<u2").tobytes()
+    cut = piece_sizes(frame.shape)[0]
+    if case == "short":
+        return raw_payload([raw_deflate(raw[: cut - 2]), raw_deflate(raw[cut - 2 :])], raw)
+    if case == "long":
+        return raw_payload([raw_deflate(raw[: cut + 2]), raw_deflate(raw[cut + 2 :])], raw)
+    if case == "not_final":
+        return raw_payload([raw_deflate(raw[:cut], end=zlib.Z_SYNC_FLUSH), raw_deflate(raw[cut:])], raw)
+    payload = codec_encode(frame, CodecId.RAW_LOSSLESS, qp=22, bit_depth=16)
+    if case == "byte_moved":
+        # Piece 0 declared a byte shorter: its last byte starts piece 1.
+        length = int.from_bytes(payload[2:6], "little")
+        return payload[:2] + (length - 1).to_bytes(4, "little") + payload[6:]
+    if case == "lengths_past_the_trailer":
+        return payload[:2] + (len(payload) - 9).to_bytes(4, "little") + payload[6:]
+    if case == "foreign_header":
+        return b"\x78\x9c" + payload[2:]  # zlib's default header
+    return zlib.compress(raw)
 
 
 class TestRawLossless:
@@ -280,17 +353,19 @@ class TestRawLossless:
         with pytest.raises(PayloadDecodeError):
             codec_decode(payload, CodecId.RAW_LOSSLESS, 10, (8, 9))
 
-    def test_a_frame_of_several_pieces_is_one_zlib_stream(self, rng):
+    def test_a_frame_of_several_pieces_declares_their_lengths(self, rng):
         frame = ramp_frame(rng, (640, 1024))
-        assert -(-frame.nbytes // codec._RAW_PIECE) == 3
         payload = codec_encode(frame, CodecId.RAW_LOSSLESS, qp=22, bit_depth=10)
         np.testing.assert_array_equal(codec_decode(payload, CodecId.RAW_LOSSLESS, 10, frame.shape), frame)
-        # A plain inflater with the default window checks the header and
-        # the whole frame's Adler-32 trailer.
-        assert zlib.decompress(payload) == frame.astype("<u2").tobytes()
+        # Each declared piece is a whole raw deflate stream of its share of
+        # the frame, and the trailer is the whole frame's Adler-32.
+        pieces = split_payload(payload, 3)
+        assert payload[:2] == b"\x78\x01"
+        assert [zlib.decompress(piece, wbits=-15) for piece in pieces] == frame_pieces(frame)
+        assert payload[-4:] == zlib.adler32(frame.astype("<u2").tobytes()).to_bytes(4, "big")
         broken = bytearray(payload)
         broken[-1] ^= 1
-        with pytest.raises(PayloadDecodeError):
+        with pytest.raises(PayloadDecodeError, match="Adler-32"):
             codec_decode(bytes(broken), CodecId.RAW_LOSSLESS, 10, frame.shape)
 
     @pytest.mark.parametrize(
@@ -312,68 +387,70 @@ class TestRawLossless:
     @pytest.mark.parametrize("shape", [(512, 768), (640, 1024)], ids=["2_pieces", "3_pieces"])
     def test_a_frame_of_several_pieces_inflates_on_the_pool(self, rng, monkeypatch, shape):
         frame = ramp_frame(rng, shape)
-        k = -(-frame.nbytes // codec._RAW_PIECE)
+        k = len(piece_sizes(shape))
         payload = codec_encode(frame, CodecId.RAW_LOSSLESS, qp=22, bit_depth=10)
         pool, serial = spy_on_the_readers(monkeypatch)
         decoded = codec_decode(memoryview(payload), CodecId.RAW_LOSSLESS, 10, shape)
         assert (pool.jobs, serial) == (k - 1, [])
-        assert decoded.tobytes() == zlib.decompress(payload) == frame.astype("<u2").tobytes()
-        # zlib's default header, 78 9c, is read serially.
-        foreign = zlib.compress(frame.astype("<u2").tobytes())
-        np.testing.assert_array_equal(codec_decode(foreign, CodecId.RAW_LOSSLESS, 10, shape), frame)
-        assert (pool.jobs, serial) == (k - 1, [frame.nbytes])
+        np.testing.assert_array_equal(decoded, frame)
+        # A one-piece frame is read by one zlib inflater, and any zlib stream
+        # of one piece decodes: here zlib's default header, 78 9c.
+        small = frame[:8]
+        foreign = zlib.compress(small.astype("<u2").tobytes())
+        np.testing.assert_array_equal(codec_decode(foreign, CodecId.RAW_LOSSLESS, 10, small.shape), small)
+        assert (pool.jobs, serial) == (k - 1, [small.nbytes])
         # From 3 pieces on, a pool of one thread queues a piece behind another.
         with ThreadPoolExecutor(max_workers=1) as one:
             monkeypatch.setattr(codec, "_PIECE_POOL", SpyPool(one))
             np.testing.assert_array_equal(codec_decode(payload, CodecId.RAW_LOSSLESS, 10, shape), frame)
             assert codec._PIECE_POOL.jobs == k - 1
 
-    @pytest.mark.parametrize("final", [True, False], ids=["final_block", "non_final_block"])
-    def test_a_fake_marker_in_a_dynamic_header_is_read_serially(self, monkeypatch, final):
-        # The one marker of a 2-piece frame lies inside the code lengths of a
-        # dynamic block, so a fresh inflater per piece reads a frame that the
-        # serial reader does not: zlib refuses the stream.
-        payload, frame = fake_boundary_payload(final)
-        with pytest.raises(zlib.error):
-            zlib.decompress(payload)
+    @pytest.mark.parametrize("size", [2, 16385], ids=["header", "table_less_a_byte"])
+    def test_a_table_past_the_payload_is_refused_first(self, monkeypatch, size):
+        # The unit header's shape sets k, here 4096: a table of 16,380 bytes
+        # and a 4-byte trailer that this payload cannot hold.
+        shape = (1 << 15, 1 << 15)
+        payload = (b"\x78\x01" + bytes(size))[:size]
+        pool, serial = spy_on_the_readers(monkeypatch)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncatedError, match="^a lossless payload of 4096 pieces needs 16386 bytes"):
+                codec_decode(payload, CodecId.RAW_LOSSLESS, 10, shape)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10, peak
+        assert (pool.jobs, serial) == (0, [])
+
+    @pytest.mark.parametrize("case", BROKEN_LAYOUTS)
+    def test_a_payload_that_breaks_the_layout_is_refused(self, rng, monkeypatch, case):
+        frame = rng.integers(0, 1 << 16, size=TWO_PIECE_SHAPE).astype(np.uint16)
+        payload = broken_layout(case, frame)
+        assert per_piece_reference(payload, frame.shape) is None
         _, serial = spy_on_the_readers(monkeypatch)
-        with pytest.raises(PayloadDecodeError):
-            codec_decode(payload, CodecId.RAW_LOSSLESS, 16, FAKE_BOUNDARY_SHAPE)
-        assert serial == [frame.nbytes]
-        # Each probe alone lets one of the two through: F the marker in a
-        # final block's header, L the one in a non-final block's header.
-        final_probe, long_probe = codec._PROBES
-        monkeypatch.setattr(codec, "_PROBES", (final_probe if final else long_probe,))
-        np.testing.assert_array_equal(codec_decode(payload, CodecId.RAW_LOSSLESS, 16, FAKE_BOUNDARY_SHAPE), frame)
-        monkeypatch.setattr(codec, "_PROBES", (long_probe if final else final_probe,))
-        with pytest.raises(PayloadDecodeError):
-            codec_decode(payload, CodecId.RAW_LOSSLESS, 16, FAKE_BOUNDARY_SHAPE)
+        with pytest.raises(PayloadDecodeError, match=BROKEN_LAYOUTS[case]):
+            codec_decode(payload, CodecId.RAW_LOSSLESS, 16, frame.shape)
+        assert serial == []
 
     @pytest.mark.parametrize("shape", [(512, 768), (640, 1024)], ids=["2_pieces", "3_pieces"])
-    def test_mutated_payloads_of_several_pieces_decode_as_the_serial_reader_does(self, monkeypatch, shape):
-        rng = np.random.default_rng(26)
-        payload = codec_encode(ramp_frame(rng, shape), CodecId.RAW_LOSSLESS, qp=22, bit_depth=10)
-        accepted, inflate = [], codec._inflate_pieces
-        monkeypatch.setattr(codec, "_inflate_pieces", lambda data, n: accepted.append(inflate(data, n)) or accepted[-1])
-        for case, mutated in enumerate(multi_piece_mutations(rng, payload)):
-            fast = decode_outcome(mutated, shape)
-            serial = serial_outcome(monkeypatch, mutated, shape)
-            if isinstance(serial, type):
-                assert fast is serial, (case, fast, serial)
+    def test_mutated_payloads_read_as_the_per_piece_reference(self, shape):
+        rng = np.random.default_rng(27)
+        frame = ramp_frame(rng, shape)
+        k = len(piece_sizes(shape))
+        payload = codec_encode(frame, CodecId.RAW_LOSSLESS, qp=22, bit_depth=10)
+        np.testing.assert_array_equal(per_piece_reference(payload, shape), frame)
+        accepted = 0
+        for case, mutated in enumerate(multi_piece_mutations(rng, payload, k)):
+            want = per_piece_reference(mutated, shape)
+            got = decode_outcome(mutated, shape)
+            if want is None:
+                assert isinstance(got, type) and issubclass(got, FcmError), (case, got)
             else:
-                assert isinstance(fast, np.ndarray), (case, fast)
-                np.testing.assert_array_equal(fast, serial)
-        # Some mutated payloads still pass every check of the fast path.
-        assert any(frame is not None for frame in accepted)
-
-    def test_a_shape_of_more_pieces_than_markers_is_read_serially(self, rng, monkeypatch):
-        # The unit header's shape sets k, here 4096; nothing is sized by it
-        # while the payload holds one marker.
-        payload = codec_encode(ramp_frame(rng, (512, 768)), CodecId.RAW_LOSSLESS, qp=22, bit_depth=10)
-        pool, serial = spy_on_the_readers(monkeypatch)
-        with pytest.raises(PayloadDecodeError, match="^lossless payload length mismatch$"):
-            codec_decode(payload, CodecId.RAW_LOSSLESS, 10, (1 << 15, 1 << 15))
-        assert (pool.jobs, serial) == (0, [1 << 31])
+                assert isinstance(got, np.ndarray), (case, got)
+                np.testing.assert_array_equal(got, want)
+                accepted += 1
+        # Some mutated payloads, with a forged trailer, pass every check.
+        assert accepted
 
     def test_threads_decoding_at_once_share_the_pool(self, rng):
         # More callers than cores, each waiting on its pieces in the one pool,
@@ -411,9 +488,9 @@ class TestRawLossless:
         frame = ramp_frame(rng, (512, 768))
         payload = codec_encode(frame, CodecId.RAW_LOSSLESS, qp=22, bit_depth=10)
         raw = frame.astype("<u2").tobytes()
-        assert codec._inflate_pieces(payload, len(raw)) == raw
+        assert codec._inflate_pieces(payload, len(raw), 2) == raw
         child = multiprocessing.get_context("fork").Process(
-            target=lambda: sys.exit(codec._inflate_pieces(payload, len(raw)) != raw)
+            target=lambda: sys.exit(codec._inflate_pieces(payload, len(raw), 2) != raw)
         )
         child.start()
         child.join(30)

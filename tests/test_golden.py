@@ -6,6 +6,9 @@ case. The test recomputes them, so any change to stream bytes or decoded
 values fails here until the fixtures are regenerated on purpose with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which also rewraps `pyramid_raw_level6.fcmb`, a stream of an older encoder,
+in the current stream version, keeping its unit payloads.
 """
 
 import hashlib
@@ -21,13 +24,15 @@ import numpy as np
 import pytest
 from scipy.ndimage import gaussian_filter
 
-from fcmcodec import CodecId, EncoderConfig, FeatureTensor, TensorGroup, fcm_decode, fcm_encode
+from fcmcodec import CodecId, EncoderConfig, FeatureTensor, TensorGroup, fcm_decode, fcm_encode, parse_stream
+from fcmcodec.bitstream import STREAM_VERSION
 from fcmcodec.tensor import read_tensor_file, write_tensor_file
 
 from helpers import assert_matches_staged_reference
 
 GOLDEN = Path(__file__).resolve().parent.parent / "fixtures" / "golden"
 MANIFEST = GOLDEN / "golden.json"
+RAW_LEVEL6 = GOLDEN / "pyramid_raw_level6.json"
 
 CODECS = {"raw": CodecId.RAW_LOSSLESS, "dct": CodecId.BLOCK_DCT}
 QPS = (0, 4, 22, 40)
@@ -176,11 +181,14 @@ def test_default_strategy_deflate_stream_still_decodes():
     """A RAW_LOSSLESS stream from the old level-6 default-strategy encoder.
 
     Its deflate body uses back-references the run-length encoder never
-    writes, so it pins that the decoder reads any deflate stream.
+    writes, so it pins that the decoder reads any deflate stream. Each
+    unit's payload is pinned too: a new stream version rewraps the units,
+    never their deflate bodies.
     """
-    meta = json.loads((GOLDEN / "pyramid_raw_level6.json").read_text())
+    meta = json.loads(RAW_LEVEL6.read_text())
     stream = (GOLDEN / meta["stream"]).read_bytes()
     assert hashlib.sha256(stream).hexdigest() == meta["stream_sha256"]
+    assert payload_digests(stream) == meta["payload_sha256"]
     assert decoded_digest(fcm_decode(stream)) == meta["decoded_sha256"]
     key = ("pyramid.ftns", meta["codec"], meta["qp"], meta["prune"], meta["bit_depth"])
     (case,) = [c for c in _manifest()["cases"] if _case_key(c) == key]
@@ -195,6 +203,35 @@ def test_changed_hashes_counts_each_field():
     assert changed_hashes(old, old) == {"stream_sha256": 0, "decoded_sha256": 0}
     assert changed_hashes(old, new) == {"stream_sha256": 1, "decoded_sha256": 0}
     assert changed_hashes({}, new) == {"stream_sha256": 1, "decoded_sha256": 1}
+
+
+def payload_digests(stream: bytes) -> list[str]:
+    return [hashlib.sha256(payload).hexdigest() for _, payload in parse_stream(stream)]
+
+
+def rewrap_raw_level6() -> None:
+    """Rewrite the level-6 default-strategy stream at STREAM_VERSION. Its
+    units have the layout of versions 5 and 6, so only the version byte
+    changes; a version that changes the unit layout must rewrap them here.
+    Every payload must keep its pinned digest."""
+    meta = json.loads(RAW_LEVEL6.read_text())
+    path = GOLDEN / meta["stream"]
+    old = path.read_bytes()
+    if hashlib.sha256(old).hexdigest() != meta["stream_sha256"]:
+        raise SystemExit(f"{path} is not the stream {RAW_LEVEL6.name} pins")
+    stream = old[:4] + bytes([STREAM_VERSION]) + old[5:]
+    payloads = payload_digests(stream)
+    if payloads != meta.get("payload_sha256", payloads):
+        raise SystemExit(f"rewrapping {path} changed a unit payload")
+    path.write_bytes(stream)
+    meta["deflate"] = (
+        "zlib.compress level 6, default strategy (the RAW_LOSSLESS encoder up to commit 7ff83cd); the deflate "
+        f"streams are byte-identical to that encoder's, rewrapped in FCMB version {STREAM_VERSION} units"
+    )
+    meta["stream_sha256"] = hashlib.sha256(stream).hexdigest()
+    meta["payload_sha256"] = payloads
+    RAW_LEVEL6.write_text(json.dumps(meta, indent=1) + "\n")
+    print(f"rewrapped {path.name} in FCMB version {STREAM_VERSION}, keeping its {len(payloads)} unit payloads")
 
 
 def regenerate() -> None:
@@ -214,6 +251,7 @@ def regenerate() -> None:
         f"changed against the old manifest: {changed['stream_sha256']} stream_sha256, "
         f"{changed['decoded_sha256']} decoded_sha256, {changed_inputs} input hashes"
     )
+    rewrap_raw_level6()
 
 
 if __name__ == "__main__":

@@ -40,9 +40,13 @@ from helpers import (
     assert_refined,
     channel_mismatch_stream,
     depth_relabelled_stream,
+    frame_pieces,
+    one_tile_stream,
     patched,
     random_group,
     random_tensor,
+    raw_deflate,
+    raw_payload,
     record_refinements,
 )
 
@@ -206,11 +210,14 @@ def raw_decode_peak_bound(stream: bytes) -> int:
         b"\xff\x13\x37",
         zlib.compress(bytes(1 << 20), 9)[:400],
         zlib.compress(bytes(1 << 20), 9),
+        raw_payload([raw_deflate(bytes(1 << 20), 9)] * 64, b""),
     ],
-    ids=["no-deflate", "short", "garbage", "truncated", "max-expansion"],
+    ids=["no-deflate", "short", "garbage", "truncated", "max-expansion", "max-expansion-pieces"],
 )
 def test_hostile_raw_decode_allocates_by_input_size(payload):
-    """A few payload bytes declaring a 4096x4096 frame (32 MiB of samples)."""
+    """A few payload bytes declaring a 4096x4096 frame (32 MiB of samples),
+    which takes 64 deflate pieces of 512 KiB: the zlib streams are refused by
+    their header, and in the last payload each piece expands past its size."""
     stream = stream_declaring(CodecId.RAW_LOSSLESS, 4096, payload)
     tracemalloc.start()
     try:
@@ -223,8 +230,11 @@ def test_hostile_raw_decode_allocates_by_input_size(payload):
 
 
 def raw_decode_peak(samples: np.ndarray) -> tuple[int, int]:
-    """(stream length, tracemalloc peak of fcm_decode) of a 1024x1024 RAW frame."""
-    stream = stream_declaring(CodecId.RAW_LOSSLESS, 1024, zlib.compress(samples.astype("<u2").tobytes(), 9))
+    """(stream length, tracemalloc peak of fcm_decode) of a 1024x1024 RAW
+    frame, its 4 pieces deflated at level 9."""
+    frame = samples.reshape(1024, 1024)
+    payload = raw_payload([raw_deflate(piece, 9) for piece in frame_pieces(frame)], frame.astype("<u2").tobytes())
+    stream = stream_declaring(CodecId.RAW_LOSSLESS, 1024, payload)
     tracemalloc.start()
     try:
         decoded = fcm_decode(stream)
@@ -335,11 +345,30 @@ def test_dct_frame_is_clipped_to_the_header_bit_depth(monkeypatch):
 
 class TestTransforms:
     def test_repeat_is_numpys_repeat_along_both_axes(self, rng):
-        x = random_tensor(rng, channels=3, height=4, width=5).data
-        out = fcmcodec.pipeline._repeat(x, 2)
-        expected = np.repeat(np.repeat(x, 2, axis=1), 2, axis=2)
-        assert out.dtype == expected.dtype and out.tobytes() == expected.tobytes()
+        # A side of 1 would let a reshaped broadcast be a read-only view.
+        for height, width in ((4, 5), (1, 5), (4, 1), (1, 1)):
+            x = random_tensor(rng, channels=3, height=height, width=width).data
+            out = fcmcodec.pipeline._repeat(x, 2)
+            expected = np.repeat(np.repeat(x, 2, axis=1), 2, axis=2)
+            assert out.dtype == expected.dtype and out.tobytes() == expected.tobytes()
+            # The refinement writes into it.
+            assert out.flags.c_contiguous and out.flags.writeable
         assert fcmcodec.pipeline._repeat(x, 1) is x
+
+    def test_repeat_makes_no_intermediate_array(self):
+        """A 34-byte stream of 16384 channels of one 16x16 tile under
+        meanpool2x decodes to 67 MB: the unit's buffer at a quarter of that,
+        and its repeat. Two nested repeats made a 2x one in between, a peak
+        of 1.76x the output."""
+        stream = one_tile_stream(16384, 16, "meanpool2x")
+        tracemalloc.start()
+        try:
+            (t,) = fcm_decode(stream).tensors
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(stream) == 34 and t.shape == (16384, 32, 32)
+        assert peak <= 1.3 * t.data.nbytes, peak
 
     def test_meanpool_roundtrip_shape(self, rng):
         t = random_tensor(rng, channels=4, height=8, width=12)
