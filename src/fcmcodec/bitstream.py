@@ -1,6 +1,6 @@
 """The FCMB container: one self-delimiting unit per coded tensor.
 
-Stream layout: magic `FCMB`, version u8 (6), unit count u8 (1-8), then units.
+Stream layout: magic `FCMB`, version u8 (7), unit count u8 (1-8), then units.
 A unit holds, in order:
 - the channel count N and the pruned count k (u16 each);
 - the combination rank of the pruned set, a u16-length-prefixed big-endian
@@ -15,7 +15,7 @@ A unit holds, in order:
   decodes with no side information;
 - the inner codec id (u8, a `CodecId`), then the payload (u32 length). The
   payload is the inner codec's own: a BLOCK_DCT payload carries its qp, and
-  a RAW_LOSSLESS payload of several deflate pieces the length of each.
+  a RAW_LOSSLESS payload of k zlib pieces the lengths of the first k - 1.
 Other multi-byte integers are little-endian.
 
 Units are written only by `serialize_stream` and read only by `parse_stream`.
@@ -47,7 +47,7 @@ from .packing import PackingLayout
 from .tensor import MAX_ELEMENTS, MAX_TENSORS, GlobalStats, label_bytes
 
 STREAM_MAGIC = b"FCMB"
-STREAM_VERSION = 6
+STREAM_VERSION = 7
 
 _U16_MAX = 0xFFFF
 

@@ -6,30 +6,27 @@ bit-exactly. The encoder uses zlib's run-length strategy (Z_RLE), which on
 packed feature frames is both smaller and several times faster than the
 default strategy. A frame of n bytes is written as k = ceil(n / 2^19) pieces
 of near-equal size, cut at sample boundaries; k depends on n alone, so the
-bytes do not depend on the host. Each piece is a whole raw deflate stream of
-its own, ended by its final block; pieces 1..k-1 are deflated on a pool of
-one thread per core while the calling thread deflates piece 0. The payload
-is zlib's header 78 01, the byte lengths of pieces 0..k-2 (u32 little-endian
-each), the k pieces, and the big-endian Adler-32 of the whole frame. As an
-HEVC slice header declares where each tile's substream starts, the lengths
-declare where each piece starts, so no decoder searches for it. A one-piece
-payload has no lengths, so it is exactly zlib's one-call stream.
+bytes do not depend on the host. Each piece is a whole zlib stream of its
+own, with its header and the Adler-32 of its bytes; pieces 1..k-1 are
+deflated on a pool of one thread per core while the calling thread deflates
+piece 0. The payload is the byte lengths of pieces 0..k-2 (u32
+little-endian each), then the k pieces. As an HEVC slice header declares
+where each tile's substream starts, the lengths declare where each piece
+starts, so no decoder searches for it. A one-piece payload has no lengths,
+so it is exactly zlib's one-call stream.
 
-The decoder reads a one-piece payload with one zlib inflater, so any zlib
-stream of one piece decodes, from any strategy or level. It refuses
-(PayloadDecodeError) a stream that raises in zlib, that ends before the
-frame's n bytes or runs past them, or that has bytes after its trailer.
-It reads a payload of k >= 2 pieces with a fresh raw inflater per piece:
-pieces 1..k-1 on the pool while the calling thread inflates piece 0. Every
+The decoder reads every payload one way: pieces 1..k-1 on the pool while
+the calling thread reads piece 0, each with a zlib inflater of its own, so
+any zlib stream decodes as a piece, from any strategy or level. Every
 piece's start and end are declared, and each piece must give exactly the
 size the cut rule gives it and end its stream there, so there is one
 reading of the payload: no two readers can split it differently. It refuses
-(PayloadDecodeError) a payload that does not start with 78 01, whose lengths
-run past its trailer, whose pieces fail the one-piece checks above, or whose
-trailer is not the Adler-32 of the joined frame; and one too short for its
-lengths and trailer (TruncatedError). That check comes before anything is
-sized by k, which the unit header's shape sets: a few bytes of header can
-declare thousands of pieces.
+a payload too short for its lengths, or whose lengths run past it
+(TruncatedError), before anything is sized by k, which the unit header's
+shape sets: a few bytes of header can declare thousands of pieces. It
+refuses (PayloadDecodeError) a piece that raises in zlib, such as one whose
+header or Adler-32 is wrong, that ends before its size or runs past it, or
+that has bytes after its stream.
 
 BLOCK_DCT is a lossy intra codec: 8x8 orthonormal DCT, uniform scalar
 quantization with qstep(qp) = 2^((qp-4)/6) and zigzag scan. A block is
@@ -138,11 +135,10 @@ import sys
 import zlib
 from concurrent.futures import ThreadPoolExecutor, wait
 from enum import IntEnum
-from itertools import accumulate
 
 import numpy as np
 
-from .errors import DimensionOverflowError, DomainError, PayloadDecodeError, TruncatedError
+from .errors import ByteReader, DimensionOverflowError, DomainError, PayloadDecodeError, TruncatedError
 from .tensor import _float64_chunks
 
 BLOCK = 8
@@ -211,9 +207,6 @@ _RAW_MEM_LEVEL = 9
 # 0.087%. At 2^19 the P3 frame's encode peaks at 1.09 MB in tracemalloc,
 # against 0.93 MB in one piece, below quantize_frame's 2.62 MB.
 _RAW_PIECE = 1 << 19
-
-# The zlib header of a 32 KB window under Z_RLE, which zlib marks as level 0.
-_ZLIB_HEADER = b"\x78\x01"
 
 
 def _new_piece_pool() -> None:
@@ -342,7 +335,7 @@ def _from_blocks(blocks: np.ndarray, h: int, w: int) -> np.ndarray:
 
 
 def _deflate(data) -> bytes:
-    deflate = zlib.compressobj(6, zlib.DEFLATED, -15, _RAW_MEM_LEVEL, zlib.Z_RLE)
+    deflate = zlib.compressobj(6, zlib.DEFLATED, zlib.MAX_WBITS, _RAW_MEM_LEVEL, zlib.Z_RLE)
     return deflate.compress(data) + deflate.flush()
 
 
@@ -364,17 +357,14 @@ def _encode_raw(frame: np.ndarray) -> bytes:
     pieces = [samples[a:b] for a, b in zip(cuts, cuts[1:])]
     rest = [_PIECE_POOL.submit(_deflate, piece) for piece in pieces[1:]]
     deflated = [_deflate(pieces[0]), *(piece.result() for piece in rest)]
-    lengths = struct.pack(f"<{k - 1}I", *map(len, deflated[:-1]))
-    trailer = zlib.adler32(samples).to_bytes(4, "big")
-    return b"".join([_ZLIB_HEADER, lengths, *deflated, trailer])
+    return b"".join([struct.pack(f"<{k - 1}I", *map(len, deflated[:-1])), *deflated])
 
 
-def _inflate(data, n: int, wbits: int) -> bytes:
-    """The n bytes that one inflater of wbits, 15 for a zlib stream or -15
-    for a raw deflate stream, reads from data in one call; raises
-    PayloadDecodeError unless the stream ends exactly there, with no byte
-    after it."""
-    d = zlib.decompressobj(wbits)
+def _inflate(data, n: int) -> bytes:
+    """The n bytes that one zlib inflater reads from data in one call;
+    raises PayloadDecodeError unless its stream ends exactly there, with no
+    byte after it."""
+    d = zlib.decompressobj()
     try:
         raw = d.decompress(data, n + 1)
     except zlib.error as exc:
@@ -386,42 +376,24 @@ def _inflate(data, n: int, wbits: int) -> bytes:
     return raw
 
 
-def _inflate_serial(data, n: int) -> bytes:
-    """The n bytes of data, the zlib stream of a one-piece frame."""
-    return _inflate(data, n, zlib.MAX_WBITS)
-
-
-def _inflate_pieces(data, n: int, k: int) -> bytes:
-    """The n bytes of a payload of k >= 2 pieces (see above), pieces 1..k-1
-    inflated on the pool while this thread inflates piece 0."""
-    if data[:2] != _ZLIB_HEADER:
-        raise PayloadDecodeError("a lossless payload of several pieces must start with 78 01")
-    table = 2 + 4 * (k - 1)
-    if len(data) < table + 4:
-        raise TruncatedError(f"a lossless payload of {k} pieces needs {table + 4} bytes, got {len(data)}")
-    starts = list(accumulate(struct.unpack_from(f"<{k - 1}I", data, 2), initial=table))
-    if starts[-1] > len(data) - 4:
-        raise PayloadDecodeError("the lossless piece lengths run past the payload")
-    starts.append(len(data) - 4)
-    cuts = _piece_cuts(n // 2, k)
-    pieces = [(data[a:b], 2 * (d - c)) for a, b, c, d in zip(starts, starts[1:], cuts, cuts[1:])]
-    rest = [_PIECE_POOL.submit(_inflate, piece, size, -zlib.MAX_WBITS) for piece, size in pieces[1:]]
-    try:
-        first = _inflate(*pieces[0], -zlib.MAX_WBITS)
-    finally:
-        wait(rest)  # so no job of a refused payload holds the pool after it
-    frame = b"".join([first, *(piece.result() for piece in rest)])
-    if zlib.adler32(frame).to_bytes(4, "big") != data[-4:]:
-        raise PayloadDecodeError("lossless payload Adler-32 mismatch")
-    return frame
-
-
 def _decode_raw(data: bytes, shape: tuple[int, int]) -> np.ndarray:
+    """The frame of a payload of k pieces (see above), pieces 1..k-1
+    inflated on the pool while this thread inflates piece 0."""
     if not data:
         raise TruncatedError("empty lossless payload")
     n = shape[0] * shape[1] * 2
     k = _piece_count(n)
-    raw = _inflate_serial(data, n) if k == 1 else _inflate_pieces(data, n, k)
+    r = ByteReader(data, "lossless payload")
+    pieces = [r.take(length) for length in r.unpack(f"<{k - 1}I")]
+    pieces.append(r.view[r.pos :])
+    cuts = _piece_cuts(n // 2, k)
+    sizes = [2 * (b - a) for a, b in zip(cuts, cuts[1:])]
+    rest = [_PIECE_POOL.submit(_inflate, piece, size) for piece, size in zip(pieces[1:], sizes[1:])]
+    try:
+        first = _inflate(pieces[0], sizes[0])
+    finally:
+        wait(rest)  # so no job of a refused payload holds the pool after it
+    raw = b"".join([first, *(piece.result() for piece in rest)])
     return np.frombuffer(raw, dtype="<u2").reshape(shape)
 
 

@@ -27,6 +27,7 @@ as in a decoder that copies at every stage, so the output has the same bits.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from numbers import Real
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,12 +79,12 @@ class EncoderConfig:
     transform: str = "identity"
 
     def __post_init__(self):
-        if not 0.0 <= self.prune_ratio < 1.0:
-            raise DomainError(f"prune_ratio must be in [0, 1), got {self.prune_ratio}")
+        if not (isinstance(self.prune_ratio, Real) and 0.0 <= self.prune_ratio < 1.0):
+            raise DomainError(f"prune_ratio must be in [0, 1), got {self.prune_ratio!r}")
         sample_max(self.bit_depth)
         check_qp(self.qp)
         codec_id(self.codec)
-        if self.transform not in TRANSFORMS:
+        if not (isinstance(self.transform, str) and self.transform in TRANSFORMS):
             raise DomainError(f"unknown transform {self.transform!r}")
 
 

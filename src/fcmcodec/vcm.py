@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .codec import _is_integer
 from .errors import ByteReader, DomainError
 
 VALID_RATIOS = (2, 4, 8)
@@ -25,20 +26,23 @@ class PixelSequence:
     def __post_init__(self):
         if not self.frames:
             raise DomainError("sequence must contain at least one frame")
-        if not 1 <= self.bit_depth <= 16:
+        if not (_is_integer(self.bit_depth) and 1 <= self.bit_depth <= 16):
             raise DomainError(f"bit depth must be in [1, 16], got {self.bit_depth}")
         frames = []
         shape = None
         for f in self.frames:
-            arr = np.ascontiguousarray(f, dtype=np.uint16)
+            arr = np.asarray(f)
             if arr.ndim != 2:
                 raise DomainError("frames must be 2-d")
+            if arr.dtype.kind not in "iu":
+                raise DomainError(f"samples must be integers, got {arr.dtype}")
             if shape is None:
                 shape = arr.shape
             elif arr.shape != shape:
                 raise DomainError(f"frame shape {arr.shape} differs from {shape}")
-            if arr.max(initial=0) >= (1 << self.bit_depth):
+            if arr.min(initial=0) < 0 or arr.max(initial=0) >= (1 << self.bit_depth):
                 raise DomainError(f"sample exceeds {self.bit_depth}-bit range")
+            arr = np.ascontiguousarray(arr, dtype=np.uint16)
             arr.flags.writeable = False
             frames.append(arr)
         object.__setattr__(self, "frames", tuple(frames))
@@ -53,10 +57,10 @@ class TemporalSideInfo:
     original_count: int
 
     def __post_init__(self):
-        if self.ratio not in VALID_RATIOS:
+        if not (_is_integer(self.ratio) and self.ratio in VALID_RATIOS):
             raise DomainError(f"side-info ratio must be one of {VALID_RATIOS}, got {self.ratio}")
-        if self.original_count < 1:
-            raise DomainError("side-info original_count must be >= 1")
+        if not (_is_integer(self.original_count) and 1 <= self.original_count < 1 << 32):
+            raise DomainError(f"side-info original_count must be in [1, 2^32), got {self.original_count}")
 
     def serialize(self) -> bytes:
         return struct.pack("<BI", self.ratio, self.original_count)
@@ -71,7 +75,7 @@ class TemporalSideInfo:
 
 def bitdepth_truncate(s: PixelSequence, shift: int) -> PixelSequence:
     """Right-shift every sample, lowering the declared bit depth."""
-    if shift < 0 or shift >= s.bit_depth:
+    if not (_is_integer(shift) and 0 <= shift < s.bit_depth):
         raise DomainError(f"shift {shift} not in [0, {s.bit_depth})")
     if shift == 0:
         return s
@@ -81,7 +85,7 @@ def bitdepth_truncate(s: PixelSequence, shift: int) -> PixelSequence:
 
 def bitdepth_restore(s: PixelSequence, shift: int) -> PixelSequence:
     """Left-shift every sample, raising the declared bit depth."""
-    if shift < 0 or s.bit_depth + shift > 16:
+    if not (_is_integer(shift) and 0 <= shift <= 16 - s.bit_depth):
         raise DomainError(f"shift {shift} pushes bit depth past 16")
     if shift == 0:
         return s
@@ -91,11 +95,8 @@ def bitdepth_restore(s: PixelSequence, shift: int) -> PixelSequence:
 
 def temporal_resample_scalar(s: PixelSequence, ratio: int) -> tuple[PixelSequence, TemporalSideInfo]:
     """Keep frames 0, ratio, 2*ratio, ..."""
-    if ratio not in VALID_RATIOS:
-        raise DomainError(f"ratio must be one of {VALID_RATIOS}, got {ratio}")
-    kept = tuple(s.frames[i] for i in range(0, len(s), ratio))
-    out = PixelSequence(kept, s.bit_depth)
-    return out, TemporalSideInfo(ratio, len(s))
+    info = TemporalSideInfo(ratio, len(s))
+    return PixelSequence(s.frames[::ratio], s.bit_depth), info
 
 
 def temporal_restore(s: PixelSequence, info: TemporalSideInfo) -> PixelSequence:

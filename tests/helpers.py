@@ -249,14 +249,12 @@ def frame_pieces(frame: np.ndarray) -> list[bytes]:
 
 
 def raw_deflate(data: bytes, level: int = 6, end: int = zlib.Z_FINISH) -> bytes:
-    """data deflated raw by zlib's default strategy, then flushed by end."""
-    deflate = zlib.compressobj(level, zlib.DEFLATED, -15)
+    """data as a zlib stream of zlib's default strategy, flushed by end."""
+    deflate = zlib.compressobj(level)
     return deflate.compress(data) + deflate.flush(end)
 
 
-def raw_payload(pieces: list[bytes], raw: bytes) -> bytes:
-    """A RAW_LOSSLESS payload of these deflate pieces: the zlib header 78 01,
-    the u32 little-endian length of every piece but the last, the pieces, and
-    the big-endian Adler-32 of raw, the frame's bytes."""
-    lengths = b"".join(len(piece).to_bytes(4, "little") for piece in pieces[:-1])
-    return b"\x78\x01" + lengths + b"".join(pieces) + zlib.adler32(raw).to_bytes(4, "big")
+def raw_payload(pieces: list[bytes]) -> bytes:
+    """A RAW_LOSSLESS payload of these zlib pieces: the u32 little-endian
+    length of every piece but the last, then the pieces."""
+    return b"".join([*(len(piece).to_bytes(4, "little") for piece in pieces[:-1]), *pieces])

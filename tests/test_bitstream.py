@@ -196,6 +196,13 @@ class TestStream:
         stream = fcm_encode(TensorGroup((t,)), EncoderConfig())
         assert stream == V5_STREAM[:4] + bytes([STREAM_VERSION]) + V5_STREAM[5:]
 
+    def test_version_6_rejected(self):
+        # Version 6 cut a RAW_LOSSLESS frame into raw deflate pieces inside
+        # one zlib header and trailer, where today's pieces are zlib streams;
+        # a one-piece payload kept its bytes.
+        with pytest.raises(VersionError, match="version 6"):
+            parse_stream(V5_STREAM[:4] + bytes([6]) + V5_STREAM[5:])
+
     @pytest.mark.parametrize("count", [0, 9])
     def test_unit_count_outside_1_to_8(self, count):
         unit = unit_bytes(make_header(), b"xy")

@@ -174,24 +174,29 @@ def ramp_frame(rng, shape):
 
 
 class SpyPool:
-    """A piece pool that counts the jobs submitted to it."""
+    """A piece pool that keeps the jobs submitted to it."""
 
     def __init__(self, pool):
         self.pool = pool
-        self.jobs = 0
+        self.futures = []
+
+    @property
+    def jobs(self) -> int:
+        return len(self.futures)
 
     def submit(self, *args):
-        self.jobs += 1
-        return self.pool.submit(*args)
+        self.futures.append(self.pool.submit(*args))
+        return self.futures[-1]
 
 
 def spy_on_the_readers(monkeypatch) -> tuple[SpyPool, list]:
-    """Count the pool's jobs and the one-piece reader's calls."""
+    """Keep the pool's jobs, and the size of each piece that _inflate reads,
+    on the pool or on the calling thread."""
     pool = SpyPool(codec._PIECE_POOL)
     monkeypatch.setattr(codec, "_PIECE_POOL", pool)
-    serial, read = [], codec._inflate_serial
-    monkeypatch.setattr(codec, "_inflate_serial", lambda data, n: serial.append(n) or read(data, n))
-    return pool, serial
+    sizes, read = [], codec._inflate
+    monkeypatch.setattr(codec, "_inflate", lambda data, n: sizes.append(n) or read(data, n))
+    return pool, sizes
 
 
 def decode_outcome(payload, shape):
@@ -204,64 +209,42 @@ def decode_outcome(payload, shape):
 
 def split_payload(payload, k) -> list[bytes] | None:
     """The k pieces that the length table of payload declares, or None where
-    the table and trailer do not fit it."""
-    table = 2 + 4 * (k - 1)
-    if len(payload) < table + 4:
-        return None
-    bounds = [table]
+    the table does not fit it."""
+    bounds = [4 * (k - 1)]
     for i in range(k - 1):
-        bounds.append(bounds[-1] + int.from_bytes(payload[2 + 4 * i : 6 + 4 * i], "little"))
-    if bounds[-1] > len(payload) - 4:
+        bounds.append(bounds[-1] + int.from_bytes(payload[4 * i : 4 * i + 4], "little"))
+    if bounds[-1] > len(payload):
         return None
-    return [payload[a:b] for a, b in zip(bounds, [*bounds[1:], len(payload) - 4])]
+    return [payload[a:b] for a, b in zip(bounds, [*bounds[1:], len(payload)])]
 
 
 def per_piece_reference(payload, shape):
-    """The 16-bit frame that a fresh raw inflater per declared piece reads
-    from a payload of several pieces, or None where the layout is broken: a
-    foreign header, a table or trailer that does not fit, a piece that does
-    not give exactly its size and end its stream there, or a trailer that is
-    not the frame's Adler-32."""
+    """The 16-bit frame that a fresh zlib inflater per declared piece reads
+    from a payload, or None where the layout is broken: a table that does
+    not fit, or a piece that zlib refuses or that does not give exactly its
+    size and end its stream there."""
     sizes = piece_sizes(shape)
     pieces = split_payload(payload, len(sizes))
-    if payload[:2] != b"\x78\x01" or pieces is None:
+    if pieces is None:
         return None
     out = []
     for piece, size in zip(pieces, sizes):
-        d = zlib.decompressobj(-15)
+        d = zlib.decompressobj()
         try:
             out.append(d.decompress(piece, size + 1))
         except zlib.error:
             return None
         if len(out[-1]) != size or not d.eof or d.unused_data or d.unconsumed_tail:
             return None
-    raw = b"".join(out)
-    if zlib.adler32(raw).to_bytes(4, "big") != payload[-4:]:
-        return None
-    return np.frombuffer(raw, dtype="<u2").reshape(shape)
-
-
-def forged(payload, k):
-    """payload with its trailer replaced by the Adler-32 of what a fresh raw
-    inflater per declared piece reads from it, so that only the other checks
-    can refuse it."""
-    pieces = split_payload(payload, k)
-    if pieces is None:
-        return payload
-    out = []
-    for piece in pieces:
-        try:
-            out.append(zlib.decompressobj(-15).decompress(piece, 1 << 20))
-        except zlib.error:
-            return payload
-    return payload[:-4] + zlib.adler32(b"".join(out)).to_bytes(4, "big")
+    return np.frombuffer(b"".join(out), dtype="<u2").reshape(shape)
 
 
 def multi_piece_mutations(rng, payload, k):
     """Payloads made from a payload of k pieces: a length in its table
-    changed by a little or at random; bits flipped in a piece, as they are
-    and with a forged trailer; bits flipped in the trailer; truncations;
-    bytes appended; and bits flipped anywhere."""
+    changed by a little or at random; each piece deflated again at zlib's
+    levels 1 and 9 with its length declared; bits flipped in a piece; bits
+    flipped in the last piece's Adler-32; truncations; bytes appended; and
+    bits flipped anywhere."""
 
     def flipped(at):
         blob = bytearray(payload)
@@ -270,19 +253,21 @@ def multi_piece_mutations(rng, payload, k):
 
     def relength(i, length):
         blob = bytearray(payload)
-        blob[2 + 4 * i : 6 + 4 * i] = (length % (1 << 32)).to_bytes(4, "little")
+        blob[4 * i : 4 * i + 4] = (length % (1 << 32)).to_bytes(4, "little")
         return bytes(blob)
 
-    table = 2 + 4 * (k - 1)
+    table = 4 * (k - 1)
     for i in range(k - 1):
-        length = int.from_bytes(payload[2 + 4 * i : 6 + 4 * i], "little")
+        length = int.from_bytes(payload[4 * i : 4 * i + 4], "little")
         for delta in (-5, -1, 1, 5):
             yield relength(i, length + delta)
         yield relength(i, int(rng.integers(0, 1 << 32)))
+    pieces = split_payload(payload, k)
+    for i in range(k):
+        for level in (1, 9):
+            yield raw_payload([*pieces[:i], zlib.compress(zlib.decompress(pieces[i]), level), *pieces[i + 1 :]])
     for _ in range(24):
-        near = flipped(int(rng.integers(table, len(payload) - 4)))
-        yield near
-        yield forged(near, k)
+        yield flipped(int(rng.integers(table, len(payload))))
     for _ in range(8):
         yield flipped(len(payload) - 1 - int(rng.integers(0, 4)))
     for _ in range(8):
@@ -293,18 +278,26 @@ def multi_piece_mutations(rng, payload, k):
         yield flipped(int(rng.integers(0, len(payload))))
 
 
+def piece_adler_flipped(payload, k, piece):
+    """A payload of k pieces with a bit flipped in the Adler-32 that ends one
+    of its zlib pieces."""
+    pieces = [bytearray(p) for p in split_payload(payload, k)]
+    pieces[piece][-1] ^= 1
+    return raw_payload([bytes(p) for p in pieces])
+
+
 # A frame of 2 pieces, of 262,144 and 262,146 bytes, and the cases of its
-# payload that break the layout, with the message of the check that refuses
-# each.
+# payload that break the layout, with the error and message of the check
+# that refuses each.
 TWO_PIECE_SHAPE = (1, (1 << 18) + 1)
 BROKEN_LAYOUTS = {
-    "short": "^lossless payload length mismatch$",
-    "long": "^lossless payload length mismatch$",
-    "not_final": "^lossless payload length mismatch$",
-    "byte_moved": "^lossless payload length mismatch$",
-    "lengths_past_the_trailer": "^the lossless piece lengths run past the payload$",
-    "foreign_header": "^a lossless payload of several pieces must start with 78 01$",
-    "foreign_stream": "^a lossless payload of several pieces must start with 78 01$",
+    "short": (PayloadDecodeError, "^lossless payload length mismatch$"),
+    "long": (PayloadDecodeError, "^lossless payload length mismatch$"),
+    "not_final": (PayloadDecodeError, "^lossless payload length mismatch$"),
+    "byte_moved": (PayloadDecodeError, "^lossless payload length mismatch$"),
+    "lengths_past_the_payload": (TruncatedError, "^lossless payload truncated at byte 4 "),
+    "foreign_header": (PayloadDecodeError, "^corrupt lossless payload: .*incorrect header check$"),
+    "foreign_stream": (TruncatedError, "^lossless payload truncated at byte 4 "),
 }
 
 
@@ -312,20 +305,23 @@ def broken_layout(case: str, frame) -> bytes:
     raw = frame.astype("<u2").tobytes()
     cut = piece_sizes(frame.shape)[0]
     if case == "short":
-        return raw_payload([raw_deflate(raw[: cut - 2]), raw_deflate(raw[cut - 2 :])], raw)
+        return raw_payload([raw_deflate(raw[: cut - 2]), raw_deflate(raw[cut - 2 :])])
     if case == "long":
-        return raw_payload([raw_deflate(raw[: cut + 2]), raw_deflate(raw[cut + 2 :])], raw)
+        return raw_payload([raw_deflate(raw[: cut + 2]), raw_deflate(raw[cut + 2 :])])
     if case == "not_final":
-        return raw_payload([raw_deflate(raw[:cut], end=zlib.Z_SYNC_FLUSH), raw_deflate(raw[cut:])], raw)
+        return raw_payload([raw_deflate(raw[:cut], end=zlib.Z_SYNC_FLUSH), raw_deflate(raw[cut:])])
     payload = codec_encode(frame, CodecId.RAW_LOSSLESS, qp=22, bit_depth=16)
     if case == "byte_moved":
         # Piece 0 declared a byte shorter: its last byte starts piece 1.
-        length = int.from_bytes(payload[2:6], "little")
-        return payload[:2] + (length - 1).to_bytes(4, "little") + payload[6:]
-    if case == "lengths_past_the_trailer":
-        return payload[:2] + (len(payload) - 9).to_bytes(4, "little") + payload[6:]
+        length = int.from_bytes(payload[:4], "little")
+        return (length - 1).to_bytes(4, "little") + payload[4:]
+    if case == "lengths_past_the_payload":
+        return (len(payload) - 3).to_bytes(4, "little") + payload[4:]
     if case == "foreign_header":
-        return b"\x78\x9c" + payload[2:]  # zlib's default header
+        pieces = split_payload(payload, 2)
+        return raw_payload([pieces[0], b"\x1f\x8b" + pieces[1][2:]])  # gzip's magic on piece 1
+    # One zlib stream of the whole frame, whose first 4 bytes declare a
+    # piece 0 longer than the stream.
     return zlib.compress(raw)
 
 
@@ -357,16 +353,11 @@ class TestRawLossless:
         frame = ramp_frame(rng, (640, 1024))
         payload = codec_encode(frame, CodecId.RAW_LOSSLESS, qp=22, bit_depth=10)
         np.testing.assert_array_equal(codec_decode(payload, CodecId.RAW_LOSSLESS, 10, frame.shape), frame)
-        # Each declared piece is a whole raw deflate stream of its share of
-        # the frame, and the trailer is the whole frame's Adler-32.
+        # The lengths of pieces 0 and 1, then the pieces, each a whole zlib
+        # stream of its share of the frame and nothing after the last.
         pieces = split_payload(payload, 3)
-        assert payload[:2] == b"\x78\x01"
-        assert [zlib.decompress(piece, wbits=-15) for piece in pieces] == frame_pieces(frame)
-        assert payload[-4:] == zlib.adler32(frame.astype("<u2").tobytes()).to_bytes(4, "big")
-        broken = bytearray(payload)
-        broken[-1] ^= 1
-        with pytest.raises(PayloadDecodeError, match="Adler-32"):
-            codec_decode(bytes(broken), CodecId.RAW_LOSSLESS, 10, frame.shape)
+        assert payload == raw_payload(pieces)
+        assert [zlib.decompress(piece) for piece in pieces] == frame_pieces(frame)
 
     @pytest.mark.parametrize(
         "samples", [codec._RAW_PIECE // 2, codec._RAW_PIECE // 2 + 1, 3 * codec._RAW_PIECE // 4, 5 * codec._RAW_PIECE // 4]
@@ -378,7 +369,6 @@ class TestRawLossless:
             # One piece is exactly the one-call stream the goldens were made by.
             deflate = zlib.compressobj(6, zlib.DEFLATED, 15, 9, zlib.Z_RLE)
             assert payload == deflate.compress(frame.astype("<u2").tobytes()) + deflate.flush()
-            assert payload[:2] == codec._ZLIB_HEADER
         # From 3 pieces on, a pool of one thread queues a piece behind another.
         with ThreadPoolExecutor(max_workers=1) as pool:
             monkeypatch.setattr(codec, "_PIECE_POOL", pool)
@@ -389,48 +379,74 @@ class TestRawLossless:
         frame = ramp_frame(rng, shape)
         k = len(piece_sizes(shape))
         payload = codec_encode(frame, CodecId.RAW_LOSSLESS, qp=22, bit_depth=10)
-        pool, serial = spy_on_the_readers(monkeypatch)
+        pool, sizes = spy_on_the_readers(monkeypatch)
         decoded = codec_decode(memoryview(payload), CodecId.RAW_LOSSLESS, 10, shape)
-        assert (pool.jobs, serial) == (k - 1, [])
+        assert (pool.jobs, sorted(sizes)) == (k - 1, sorted(piece_sizes(shape)))
         np.testing.assert_array_equal(decoded, frame)
-        # A one-piece frame is read by one zlib inflater, and any zlib stream
-        # of one piece decodes: here zlib's default header, 78 9c.
+        # A one-piece frame is read by the same reader on the calling thread,
+        # and any zlib stream of one piece decodes: here zlib's default
+        # header, 78 9c.
         small = frame[:8]
         foreign = zlib.compress(small.astype("<u2").tobytes())
         np.testing.assert_array_equal(codec_decode(foreign, CodecId.RAW_LOSSLESS, 10, small.shape), small)
-        assert (pool.jobs, serial) == (k - 1, [small.nbytes])
+        assert (pool.jobs, sizes[-1]) == (k - 1, small.nbytes)
         # From 3 pieces on, a pool of one thread queues a piece behind another.
         with ThreadPoolExecutor(max_workers=1) as one:
             monkeypatch.setattr(codec, "_PIECE_POOL", SpyPool(one))
             np.testing.assert_array_equal(codec_decode(payload, CodecId.RAW_LOSSLESS, 10, shape), frame)
             assert codec._PIECE_POOL.jobs == k - 1
 
-    @pytest.mark.parametrize("size", [2, 16385], ids=["header", "table_less_a_byte"])
+    @pytest.mark.parametrize("size", [2, 16379], ids=["header", "table_less_a_byte"])
     def test_a_table_past_the_payload_is_refused_first(self, monkeypatch, size):
         # The unit header's shape sets k, here 4096: a table of 16,380 bytes
-        # and a 4-byte trailer that this payload cannot hold.
+        # that this payload, a zlib header and zeros, cannot hold.
         shape = (1 << 15, 1 << 15)
         payload = (b"\x78\x01" + bytes(size))[:size]
-        pool, serial = spy_on_the_readers(monkeypatch)
+        pool, sizes = spy_on_the_readers(monkeypatch)
         tracemalloc.start()
         try:
-            with pytest.raises(TruncatedError, match="^a lossless payload of 4096 pieces needs 16386 bytes"):
+            with pytest.raises(TruncatedError, match="^lossless payload truncated at byte 0 \\(need 16380 more\\)$"):
                 codec_decode(payload, CodecId.RAW_LOSSLESS, 10, shape)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 64 << 10, peak
-        assert (pool.jobs, serial) == (0, [])
+        assert (pool.jobs, sizes) == (0, [])
 
     @pytest.mark.parametrize("case", BROKEN_LAYOUTS)
     def test_a_payload_that_breaks_the_layout_is_refused(self, rng, monkeypatch, case):
         frame = rng.integers(0, 1 << 16, size=TWO_PIECE_SHAPE).astype(np.uint16)
         payload = broken_layout(case, frame)
         assert per_piece_reference(payload, frame.shape) is None
-        _, serial = spy_on_the_readers(monkeypatch)
-        with pytest.raises(PayloadDecodeError, match=BROKEN_LAYOUTS[case]):
+        pool, sizes = spy_on_the_readers(monkeypatch)
+        error, message = BROKEN_LAYOUTS[case]
+        with pytest.raises(error, match=message):
             codec_decode(payload, CodecId.RAW_LOSSLESS, 16, frame.shape)
-        assert serial == []
+        # A table past the payload is refused before any piece is read, and
+        # no job of a refused payload is left on the pool.
+        if error is TruncatedError:
+            assert (pool.jobs, sizes) == (0, [])
+        assert all(job.done() for job in pool.futures)
+
+    @pytest.mark.parametrize("piece", [0, 1], ids=["piece_0", "pool_piece"])
+    def test_a_flipped_adler32_byte_is_refused(self, rng, monkeypatch, piece):
+        # Each piece ends with the Adler-32 of its own bytes, which zlib
+        # checks on the thread that inflates it.
+        frame = ramp_frame(rng, (512, 768))
+        payload = codec_encode(frame, CodecId.RAW_LOSSLESS, qp=22, bit_depth=10)
+        pool, _ = spy_on_the_readers(monkeypatch)
+        with pytest.raises(PayloadDecodeError, match="^corrupt lossless payload: .*incorrect data check$"):
+            codec_decode(piece_adler_flipped(payload, 2, piece), CodecId.RAW_LOSSLESS, 10, frame.shape)
+        assert pool.jobs == 1 and all(job.done() for job in pool.futures)
+
+    def test_pieces_of_another_level_or_strategy_decode(self, rng):
+        # zlib's default strategy at levels 1 and 9, where the encoder writes
+        # level 6 under Z_RLE.
+        frame = ramp_frame(rng, (512, 768))
+        first, second = frame_pieces(frame)
+        payload = raw_payload([raw_deflate(first, 1), raw_deflate(second, 9)])
+        assert payload != codec_encode(frame, CodecId.RAW_LOSSLESS, qp=22, bit_depth=10)
+        np.testing.assert_array_equal(codec_decode(payload, CodecId.RAW_LOSSLESS, 10, frame.shape), frame)
 
     @pytest.mark.parametrize("shape", [(512, 768), (640, 1024)], ids=["2_pieces", "3_pieces"])
     def test_mutated_payloads_read_as_the_per_piece_reference(self, shape):
@@ -449,8 +465,8 @@ class TestRawLossless:
                 assert isinstance(got, np.ndarray), (case, got)
                 np.testing.assert_array_equal(got, want)
                 accepted += 1
-        # Some mutated payloads, with a forged trailer, pass every check.
-        assert accepted
+        # The pieces deflated again at other levels pass every check.
+        assert accepted >= 2 * k
 
     def test_threads_decoding_at_once_share_the_pool(self, rng):
         # More callers than cores, each waiting on its pieces in the one pool,
@@ -487,11 +503,12 @@ class TestRawLossless:
         # not inherit; the child must still inflate a frame of several pieces.
         frame = ramp_frame(rng, (512, 768))
         payload = codec_encode(frame, CodecId.RAW_LOSSLESS, qp=22, bit_depth=10)
-        raw = frame.astype("<u2").tobytes()
-        assert codec._inflate_pieces(payload, len(raw), 2) == raw
-        child = multiprocessing.get_context("fork").Process(
-            target=lambda: sys.exit(codec._inflate_pieces(payload, len(raw), 2) != raw)
-        )
+
+        def decodes() -> bool:
+            return np.array_equal(codec_decode(payload, CodecId.RAW_LOSSLESS, 10, frame.shape), frame)
+
+        assert decodes()
+        child = multiprocessing.get_context("fork").Process(target=lambda: sys.exit(not decodes()))
         child.start()
         child.join(30)
         if child.is_alive():

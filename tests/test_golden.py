@@ -211,7 +211,7 @@ def payload_digests(stream: bytes) -> list[str]:
 
 def rewrap_raw_level6() -> None:
     """Rewrite the level-6 default-strategy stream at STREAM_VERSION. Its
-    units have the layout of versions 5 and 6, so only the version byte
+    units have the layout of versions 5 to 7, so only the version byte
     changes; a version that changes the unit layout must rewrap them here.
     Every payload must keep its pinned digest."""
     meta = json.loads(RAW_LEVEL6.read_text())
@@ -225,8 +225,9 @@ def rewrap_raw_level6() -> None:
         raise SystemExit(f"rewrapping {path} changed a unit payload")
     path.write_bytes(stream)
     meta["deflate"] = (
-        "zlib.compress level 6, default strategy (the RAW_LOSSLESS encoder up to commit 7ff83cd); the deflate "
-        f"streams are byte-identical to that encoder's, rewrapped in FCMB version {STREAM_VERSION} units"
+        "zlib.compress level 6, default strategy (the RAW_LOSSLESS encoder up to commit 7ff83cd); each unit's "
+        "payload is that encoder's zlib stream byte for byte, the RAW_LOSSLESS payload of a frame of one piece, "
+        f"rewrapped in FCMB version {STREAM_VERSION} units"
     )
     meta["stream_sha256"] = hashlib.sha256(stream).hexdigest()
     meta["payload_sha256"] = payloads

@@ -97,12 +97,16 @@ class TestEncode:
             ({"codec": True}, r"^unknown codec id True$"),
             ({"qp": True}, r"^qp must be in \[0, 63\], got True$"),
             ({"qp": False}, r"^qp must be in \[0, 63\], got False$"),
+            ({"prune_ratio": "0.5"}, r"^prune_ratio must be in \[0, 1\), got '0.5'$"),
+            ({"prune_ratio": None}, r"^prune_ratio must be in \[0, 1\), got None$"),
+            ({"transform": ["identity"]}, r"^unknown transform \['identity'\]$"),
         ],
     )
     def test_config_refused_at_construction(self, kwargs, message):
         # Each of the first four was accepted here and failed only inside
         # fcm_encode, the first two with a bare TypeError. The bools passed
         # as the integers 1 and 0: codec True coded BLOCK_DCT, qp True qp 1.
+        # The last three raised a bare TypeError here.
         with pytest.raises(DomainError, match=message):
             EncoderConfig(**kwargs)
 
@@ -210,14 +214,15 @@ def raw_decode_peak_bound(stream: bytes) -> int:
         b"\xff\x13\x37",
         zlib.compress(bytes(1 << 20), 9)[:400],
         zlib.compress(bytes(1 << 20), 9),
-        raw_payload([raw_deflate(bytes(1 << 20), 9)] * 64, b""),
+        raw_payload([raw_deflate(bytes(1 << 20), 9)] * 64),
     ],
     ids=["no-deflate", "short", "garbage", "truncated", "max-expansion", "max-expansion-pieces"],
 )
 def test_hostile_raw_decode_allocates_by_input_size(payload):
     """A few payload bytes declaring a 4096x4096 frame (32 MiB of samples),
-    which takes 64 deflate pieces of 512 KiB: the zlib streams are refused by
-    their header, and in the last payload each piece expands past its size."""
+    which takes 64 deflate pieces of 512 KiB: the one-stream payloads are
+    refused by their piece table, and in the last payload each piece expands
+    past its size."""
     stream = stream_declaring(CodecId.RAW_LOSSLESS, 4096, payload)
     tracemalloc.start()
     try:
@@ -233,7 +238,7 @@ def raw_decode_peak(samples: np.ndarray) -> tuple[int, int]:
     """(stream length, tracemalloc peak of fcm_decode) of a 1024x1024 RAW
     frame, its 4 pieces deflated at level 9."""
     frame = samples.reshape(1024, 1024)
-    payload = raw_payload([raw_deflate(piece, 9) for piece in frame_pieces(frame)], frame.astype("<u2").tobytes())
+    payload = raw_payload([raw_deflate(piece, 9) for piece in frame_pieces(frame)])
     stream = stream_declaring(CodecId.RAW_LOSSLESS, 1024, payload)
     tracemalloc.start()
     try:

@@ -48,6 +48,12 @@ class TestBitDepth:
         with pytest.raises(DomainError):
             bitdepth_truncate(constant_seq([0]), 10)
 
+    @pytest.mark.parametrize("shift_samples", [bitdepth_truncate, bitdepth_restore])
+    @pytest.mark.parametrize("shift", [1.5, 1.0, True])
+    def test_shift_that_is_not_an_integer_refused(self, shift_samples, shift):
+        with pytest.raises(DomainError):
+            shift_samples(constant_seq([4]), shift)
+
     @pytest.mark.parametrize("shift", [1, 2, 3])
     def test_truncate_restore_error_exhaustive(self, shift):
         values = np.arange(1024, dtype=np.uint16).reshape(32, 32)
@@ -55,6 +61,23 @@ class TestBitDepth:
         back = bitdepth_restore(bitdepth_truncate(s, shift), shift)
         err = np.abs(back.frames[0].astype(int) - values.astype(int))
         assert err.max() < (1 << shift)
+
+
+class TestPixelSequence:
+    @pytest.mark.parametrize(
+        "sample,bit_depth",
+        [(70000, 16), (-1, 16), (1.9, 8), (256, 8)],
+        ids=["past_16_bits", "negative", "not_an_integer", "past_8_bits"],
+    )
+    def test_sample_outside_its_bit_depth_refused(self, sample, bit_depth):
+        # The first three were cast to uint16: 4464, 65535 and 1.
+        with pytest.raises(DomainError):
+            PixelSequence((np.array([[0, sample]]),), bit_depth)
+
+    @pytest.mark.parametrize("bit_depth", [True, 8.0, 0, 17])
+    def test_bit_depth_outside_1_to_16_refused(self, bit_depth):
+        with pytest.raises(DomainError, match="^bit depth must be in \\[1, 16\\]"):
+            PixelSequence((np.zeros((2, 2), np.uint16),), bit_depth)
 
 
 class TestTemporal:
@@ -76,6 +99,11 @@ class TestTemporal:
     def test_invalid_ratio(self):
         with pytest.raises(DomainError):
             temporal_resample_scalar(constant_seq([0]), 3)
+
+    @pytest.mark.parametrize("ratio", [2.0, True])
+    def test_ratio_that_is_not_an_integer_refused(self, ratio):
+        with pytest.raises(DomainError, match="^side-info ratio must be one of"):
+            temporal_resample_scalar(constant_seq([0, 1, 2]), ratio)
 
     def test_linear_midpoint(self):
         s = constant_seq([0, 7, 100])
@@ -138,6 +166,13 @@ class TestSideInfo:
 
         with pytest.raises(TruncatedError):
             TemporalSideInfo.parse(b"\x02\x00")
+
+    @pytest.mark.parametrize("ratio,count", [(2.0, 4), (2, 2**32), (2, 2**33), (2, 4.0), (2, True)])
+    def test_field_that_is_not_a_u8_ratio_or_u32_count_refused(self, ratio, count):
+        # Each was built; serialize raised struct.error on all but the last,
+        # which it wrote as a count of 1.
+        with pytest.raises(DomainError):
+            TemporalSideInfo(ratio, count)
 
     def test_parse_trailing_bytes(self):
         with pytest.raises(InvariantError, match="1 trailing bytes"):
