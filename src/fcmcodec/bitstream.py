@@ -19,9 +19,10 @@ A unit holds, in order:
 Other multi-byte integers are little-endian.
 
 Units are written only by `serialize_stream` and read only by `parse_stream`.
-`UnitHeader` refuses a transform id past `TRANSFORMS` and, through
-`codec.codec_id`, a codec id outside `CodecId`, so a stream that parses names
-only stages the decoder has. Like every value type, it raises `DomainError`;
+`UnitHeader` checks each integer field through `errors.integer_in`. It
+refuses a transform id past `TRANSFORMS` and, through `codec.codec_id`, a
+codec id outside `CodecId`, so a stream that parses names only stages the
+decoder has. Like every value type, it raises `DomainError`;
 `parse_stream` builds it through `ByteReader.build`, which reports that as an
 `InvariantError`, and prefixes a unit's parse error with its index.
 """
@@ -41,6 +42,7 @@ from .errors import (
     InvariantError,
     MagicMismatchError,
     VersionError,
+    integer_in,
 )
 from .lcr import binomial
 from .packing import PackingLayout
@@ -74,17 +76,15 @@ class UnitHeader:
     codec: int
 
     def __post_init__(self):
-        if not 0 < self.original_channels <= _U16_MAX:
-            raise DomainError("original channel count out of range")
-        if not 0 <= self.pruned_k < self.original_channels:
-            raise DomainError("pruned_k leaves no channel")
-        if not 0 <= self.lcr_rank < binomial(self.original_channels, self.pruned_k):
+        n = integer_in(self.original_channels, "original channel count", 1, _U16_MAX)
+        k = integer_in(self.pruned_k, "pruned_k", 0, n - 1)
+        # C(N, k) can have more digits than str() allows, so no message shows it.
+        if integer_in(self.lcr_rank, "rank", 0) >= binomial(n, k):
             raise DomainError("rank outside [0, C(N, k))")
-        if not (0 < self.tile_h <= _U16_MAX and 0 < self.tile_w <= _U16_MAX):
-            raise DomainError("tile dimension outside 1-65535")
+        integer_in(self.tile_h, "tile_h", 1, _U16_MAX)
+        integer_in(self.tile_w, "tile_w", 1, _U16_MAX)
         sample_max(self.bit_depth)
-        if not 0 <= self.transform_id < len(TRANSFORMS):
-            raise DomainError(f"unknown transform id {self.transform_id}")
+        integer_in(self.transform_id, "transform id", 0, len(TRANSFORMS) - 1)
         codec_id(self.codec)
         label_bytes(self.label)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -36,15 +37,20 @@ def score_channels(t: FeatureTensor) -> list[float]:
     return [float(v) for v in scores]
 
 
+def check_prune_ratio(ratio) -> float:
+    """ratio; raises DomainError unless it is a real number in [0, 1)."""
+    if not (isinstance(ratio, Real) and 0.0 <= ratio < 1.0):
+        raise DomainError(f"prune_ratio must be in [0, 1), got {ratio!r}")
+    return ratio
+
+
 def select_pruned(scores: list[float], ratio: float) -> PruneDecision:
     """Mark the floor(ratio*C) lowest-energy channels for pruning.
 
     Ties go to the lower channel index (stable sort).
     """
-    if not 0.0 <= ratio <= 1.0:
-        raise DomainError(f"prune ratio must be in [0, 1], got {ratio}")
     c = len(scores)
-    count = math.floor(ratio * c)
+    count = math.floor(check_prune_ratio(ratio) * c)
     order = np.argsort(np.asarray(scores, dtype=np.float64), kind="stable")
     pruned = tuple(sorted(int(i) for i in order[:count]))
     return PruneDecision(ChannelIndexSet(pruned, c))

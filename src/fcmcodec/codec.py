@@ -138,7 +138,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .errors import ByteReader, DimensionOverflowError, DomainError, PayloadDecodeError, TruncatedError
+from .errors import ByteReader, DimensionOverflowError, DomainError, PayloadDecodeError, TruncatedError, integer_in
 from .tensor import _float64_chunks
 
 BLOCK = 8
@@ -231,34 +231,19 @@ class CodecId(IntEnum):
     BLOCK_DCT = 1
 
 
-def _is_integer(value) -> bool:
-    """Whether value is a Python or numpy integer other than a bool, which
-    would pass as 0 or 1."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def codec_id(value) -> CodecId:
-    """value as a CodecId; raises DomainError unless it is an integer, not a
-    bool, that names one."""
-    if not (_is_integer(value) and value in list(CodecId)):
-        raise DomainError(f"unknown codec id {value}")
-    return CodecId(value)
+    """value as a CodecId; DomainError unless it is an integer naming one."""
+    return CodecId(integer_in(value, "codec id", 0, len(CodecId) - 1))
 
 
 def sample_max(bit_depth) -> int:
-    """2^bit_depth - 1; raises DomainError unless bit_depth is an integer, not
-    a bool, in [8, 16]."""
-    if not (_is_integer(bit_depth) and 8 <= bit_depth <= 16):
-        raise DomainError(f"bit depth must be in [8, 16], got {bit_depth}")
-    return (1 << int(bit_depth)) - 1
+    """2^bit_depth - 1; DomainError unless bit_depth is an integer in [8, 16]."""
+    return (1 << integer_in(bit_depth, "bit depth", 8, 16)) - 1
 
 
 def check_qp(qp) -> int:
-    """qp as an int; raises DomainError unless it is an integer, not a bool,
-    in [0, 63]."""
-    if not (_is_integer(qp) and 0 <= qp <= _MAX_QP):
-        raise DomainError(f"qp must be in [0, {_MAX_QP}], got {qp}")
-    return int(qp)
+    """qp as an int; DomainError unless it is an integer in [0, 63]."""
+    return integer_in(qp, "qp", 0, _MAX_QP)
 
 
 def qstep(qp: int) -> float:

@@ -10,9 +10,14 @@ exit codes.
 field is truncated; input left after the last field breaks an invariant; and
 so does a value that its type refuses, since every field came from the bytes
 (`text` for UTF-8 fields, `build` for value types).
+
+`integer_in` is the one rule for an integer field of any value type: a
+Python or numpy integer, not a bool, in a declared range.
 """
 
 import struct
+
+import numpy as np
 
 
 class FcmError(Exception):
@@ -53,6 +58,17 @@ class DomainError(FcmError):
 
 class RankRangeError(DomainError):
     """Combination rank outside [0, C(N, k))."""
+
+
+def integer_in(value, what: str, lo: int, hi: int | None = None) -> int:
+    """value as an int; raises DomainError unless it is a Python or numpy
+    integer, not a bool (which would pass as 0 or 1), in [lo, hi], or at
+    least lo when hi is None."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        if lo <= value and (hi is None or value <= hi):
+            return int(value)
+    bounds = f"in [{lo}, {hi}]" if hi is not None else f"an integer >= {lo}"
+    raise DomainError(f"{what} must be {bounds}, got {value}")
 
 
 class ByteReader:

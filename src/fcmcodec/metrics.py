@@ -17,8 +17,8 @@ def psnr(a: np.ndarray, b: np.ndarray, peak: float) -> float:
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise DomainError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if peak <= 0:
-        raise DomainError("peak must be positive")
+    if not 0 < peak < math.inf:  # a NaN fails too
+        raise DomainError(f"peak must be positive and finite, got {peak}")
     mse = float(np.mean((a - b) ** 2))
     if mse == 0.0:
         return math.inf

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, integer_in
 from .tensor import FeatureTensor, _mean
 
 
@@ -26,8 +26,8 @@ class PackingLayout:
     tile_w: int
 
     def __post_init__(self):
-        if min(self.channel_count, self.tile_h, self.tile_w) < 1:
-            raise DomainError("layout dimensions must be >= 1")
+        for what in ("channel_count", "tile_h", "tile_w"):
+            integer_in(getattr(self, what), what, 1)
 
     @property
     def grid_cols(self) -> int:

@@ -27,13 +27,12 @@ as in a decoder that copies at every stage, so the output has the same bits.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from numbers import Real
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bitstream import TRANSFORMS, UnitHeader, check_element_cap, parse_stream, serialize_stream
-from .channels import PruneDecision, prune_channels, restore_channels, score_channels, select_pruned
+from .channels import PruneDecision, check_prune_ratio, prune_channels, restore_channels, score_channels, select_pruned
 from .codec import CodecId, check_qp, codec_decode, codec_encode, codec_id, sample_max
 from .conversion import dequantize_frame, quantize_frame
 from .errors import DomainError, FcmError, InvariantError
@@ -79,8 +78,7 @@ class EncoderConfig:
     transform: str = "identity"
 
     def __post_init__(self):
-        if not (isinstance(self.prune_ratio, Real) and 0.0 <= self.prune_ratio < 1.0):
-            raise DomainError(f"prune_ratio must be in [0, 1), got {self.prune_ratio!r}")
+        check_prune_ratio(self.prune_ratio)
         sample_max(self.bit_depth)
         check_qp(self.qp)
         codec_id(self.codec)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -39,8 +40,9 @@ class GlobalStats:
     sigma: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.mu) and np.isfinite(self.sigma)):
-            raise DomainError("statistics must be finite")
+        # Compared, as math.isfinite raises OverflowError for an int past float range.
+        if not all(isinstance(v, Real) and -math.inf < v < math.inf for v in (self.mu, self.sigma)):
+            raise DomainError(f"statistics must be finite real numbers, got {self.mu!r}, {self.sigma!r}")
         if self.sigma < 0:
             raise DomainError("sigma must be non-negative")
 

@@ -12,22 +12,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import _is_integer
-from .errors import ByteReader, DomainError
+from .errors import ByteReader, DomainError, integer_in
 
 VALID_RATIOS = (2, 4, 8)
 
 
 @dataclass(frozen=True)
 class PixelSequence:
+    """Frames of integer samples below 2^bit_depth. A C-contiguous uint16
+    frame is kept, not copied, and made read-only; any other frame is
+    converted to a new one."""
+
     frames: tuple[np.ndarray, ...]
     bit_depth: int
 
     def __post_init__(self):
         if not self.frames:
             raise DomainError("sequence must contain at least one frame")
-        if not (_is_integer(self.bit_depth) and 1 <= self.bit_depth <= 16):
-            raise DomainError(f"bit depth must be in [1, 16], got {self.bit_depth}")
+        integer_in(self.bit_depth, "bit depth", 1, 16)
         frames = []
         shape = None
         for f in self.frames:
@@ -57,10 +59,9 @@ class TemporalSideInfo:
     original_count: int
 
     def __post_init__(self):
-        if not (_is_integer(self.ratio) and self.ratio in VALID_RATIOS):
+        if integer_in(self.ratio, "side-info ratio", min(VALID_RATIOS), max(VALID_RATIOS)) not in VALID_RATIOS:
             raise DomainError(f"side-info ratio must be one of {VALID_RATIOS}, got {self.ratio}")
-        if not (_is_integer(self.original_count) and 1 <= self.original_count < 1 << 32):
-            raise DomainError(f"side-info original_count must be in [1, 2^32), got {self.original_count}")
+        integer_in(self.original_count, "side-info original_count", 1, (1 << 32) - 1)
 
     def serialize(self) -> bytes:
         return struct.pack("<BI", self.ratio, self.original_count)
@@ -75,8 +76,7 @@ class TemporalSideInfo:
 
 def bitdepth_truncate(s: PixelSequence, shift: int) -> PixelSequence:
     """Right-shift every sample, lowering the declared bit depth."""
-    if not (_is_integer(shift) and 0 <= shift < s.bit_depth):
-        raise DomainError(f"shift {shift} not in [0, {s.bit_depth})")
+    integer_in(shift, "shift", 0, s.bit_depth - 1)
     if shift == 0:
         return s
     frames = tuple(np.right_shift(f, shift) for f in s.frames)
@@ -85,8 +85,7 @@ def bitdepth_truncate(s: PixelSequence, shift: int) -> PixelSequence:
 
 def bitdepth_restore(s: PixelSequence, shift: int) -> PixelSequence:
     """Left-shift every sample, raising the declared bit depth."""
-    if not (_is_integer(shift) and 0 <= shift <= 16 - s.bit_depth):
-        raise DomainError(f"shift {shift} pushes bit depth past 16")
+    integer_in(shift, "shift", 0, 16 - s.bit_depth)
     if shift == 0:
         return s
     frames = tuple(np.left_shift(f, shift) for f in s.frames)

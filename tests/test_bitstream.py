@@ -253,9 +253,26 @@ class TestStream:
         with pytest.raises(DomainError, match=rf"^bit depth must be in \[8, 16\], got {bit_depth}$"):
             dataclasses.replace(make_header(), bit_depth=bit_depth)
 
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("tile_h", 2.5, r"^tile_h must be in \[1, 65535\], got 2.5$"),
+            ("original_channels", 4.0, r"^original channel count must be in \[1, 65535\], got 4.0$"),
+            ("original_channels", True, r"^original channel count must be in \[1, 65535\], got True$"),
+            ("lcr_rank", 1.5, r"^rank must be an integer >= 0, got 1.5$"),
+            ("transform_id", 0.5, r"^transform id must be in \[0, 1\], got 0.5$"),
+        ],
+    )
+    def test_header_integer_field_that_is_not_an_integer_refused(self, field, value, message):
+        # tile_h 2.5 made a 5.0-row layout and a bare struct.error in
+        # serialize_stream; N 4.0 and transform id 0.5 a bare TypeError; N
+        # True passed as 1, and rank 1.5 passed.
+        with pytest.raises(DomainError, match=message):
+            dataclasses.replace(make_header(), **{field: value})
+
     def test_unknown_transform_id(self, rng):
         stream = fcm_encode(random_group(rng, count=2), EncoderConfig())
-        with pytest.raises(FormatError, match="unit 1: unknown transform id 255"):
+        with pytest.raises(FormatError, match=r"unit 1: transform id must be in \[0, 1\], got 255"):
             fcm_decode(patched(stream, 1, "transform_id", "<B", 255))
 
     @pytest.mark.parametrize("field,known", [("transform_id", len(TRANSFORMS)), ("codec", len(CodecId))])
@@ -264,7 +281,7 @@ class TestStream:
         name = field.split("_")[0]
         for unit in range(3):
             for value in range(known, 256):
-                with pytest.raises(InvariantError, match=f"^unit {unit}: unknown {name} id {value}$"):
+                with pytest.raises(InvariantError, match=rf"^unit {unit}: {name} id must be in \[0, {known - 1}\], got {value}$"):
                     parse_stream(patched(stream, unit, field, "<B", value))
 
     @pytest.mark.parametrize(

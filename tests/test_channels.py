@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from fcmcodec import (
     ChannelIndexSet,
+    EncoderConfig,
     FeatureTensor,
     PruneDecision,
     prune_channels,
@@ -43,13 +46,23 @@ class TestSelection:
     def test_zero_ratio(self):
         assert select_pruned([1.0, 2.0], 0.0).pruned.indices == ()
 
+    @pytest.mark.parametrize("ratio", [1.0, "0.5", -0.5, math.nan])
+    def test_ratio_outside_0_to_1_refused_by_the_selector_and_the_config_alike(self, ratio):
+        # The selector accepted 1.0, a decision prune_channels then refused,
+        # and raised a bare TypeError for "0.5".
+        message = rf"^prune_ratio must be in \[0, 1\), got {ratio!r}$"
+        with pytest.raises(DomainError, match=message):
+            select_pruned([1.0, 2.0], ratio)
+        with pytest.raises(DomainError, match=message):
+            EncoderConfig(prune_ratio=ratio)
+
     def test_tie_break_lowest_index(self):
         d = select_pruned([2.0, 2.0, 2.0, 2.0], 0.5)
         assert d.pruned.indices == (0, 1)
 
     @given(
         st.lists(st.floats(0, 100, allow_nan=False), min_size=1, max_size=64),
-        st.floats(0, 1),
+        st.floats(0, 1, exclude_max=True),
     )
     @settings(max_examples=200, deadline=None)
     def test_count_is_floor_of_ratio(self, scores, ratio):

@@ -224,7 +224,7 @@ class TestCodecCommands:
         bad.write_bytes(patched(stream, 0, "transform_id", "<B", 200))
         for argv in (["decode", "--output", str(tmp_path / "o.ftns")], ["inspect"]):
             assert main(argv + ["--input", str(bad)]) == 3
-            assert "unknown transform id 200" in capsys.readouterr().err
+            assert "transform id must be in [0, 1], got 200" in capsys.readouterr().err
 
     def test_unknown_codec_exit_3(self, tmp_path, rng, capsys):
         stream = fcm_encode(random_group(rng, count=2), EncoderConfig())
@@ -232,7 +232,7 @@ class TestCodecCommands:
         bad.write_bytes(patched(stream, 1, "codec", "<B", 7))
         for argv in (["decode", "--output", str(tmp_path / "o.ftns")], ["inspect"]):
             assert main(argv + ["--input", str(bad)]) == 3
-            assert "unit 1: unknown codec id 7" in capsys.readouterr().err
+            assert "unit 1: codec id must be in [0, 1], got 7" in capsys.readouterr().err
         assert capsys.readouterr().out == ""
 
     def test_rank_with_a_leading_zero_byte_exit_3(self, tmp_path, rng, capsys):

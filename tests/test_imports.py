@@ -106,3 +106,33 @@ def rule_sites(tree: ast.Module, module: str):
 def test_each_coding_rule_stated_by_its_owner_only(module):
     tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
     assert list(rule_sites(tree, module)) == []
+
+
+def integer_type_tests(tree: ast.Module):
+    """Lines that test a value's type for an integer: every np.integer, and
+    every isinstance call that names bool."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "integer":
+            yield node.lineno
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" and "bool" in names(node):
+            yield node.lineno
+
+
+# `errors.integer_in` is the one rule for an integer field of any value type.
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py") if p.name != "errors.py"))
+def test_integer_fields_checked_in_errors_only(module):
+    tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+    assert list(integer_type_tests(tree)) == []
+
+
+# vcm.py's pixel sequences are a format of their own: it shares errors.py
+# with the feature codec, and nothing of codec.py.
+def test_vcm_imports_nothing_from_codec():
+    tree = ast.parse((SRC / "vcm.py").read_text(encoding="utf-8"))
+    sources = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            sources |= {node.module or alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            sources |= {alias.name for alias in node.names}
+    assert not any(source.rpartition(".")[2] == "codec" for source in sources)

@@ -120,6 +120,23 @@ class TestEncodeDecode:
         with pytest.raises(DomainError):
             ChannelIndexSet((0, 5), 5)
 
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda: ChannelIndexSet((1.5,), 3), r"^channel index must be in \[0, 2\], got 1.5$"),
+            (lambda: ChannelIndexSet((True,), 3), r"^channel index must be in \[0, 2\], got True$"),
+            (lambda: ChannelIndexSet((1,), 2.5), r"^total_channels must be an integer >= 0, got 2.5$"),
+            (lambda: LcrCode(1.5, 0), r"^k must be an integer >= 0, got 1.5$"),
+            (lambda: lcr_decode(LcrCode(1, 0), 3.0), r"^total_channels must be an integer >= 0, got 3.0$"),
+        ],
+        ids=["index_1.5", "index_True", "total_2.5", "k_1.5", "decode_total_3.0"],
+    )
+    def test_integer_that_is_not_an_integer_refused(self, build, message):
+        # Index 1.5 was truncated to 1, True passed as 1, and the totals and
+        # k passed, until lcr_decode's binomial raised a bare TypeError.
+        with pytest.raises(DomainError, match=message):
+            build()
+
 
 class TestIncrementalBinomials:
     """lcr_encode and lcr_decode update each binomial from the last; the

@@ -81,7 +81,8 @@ class TestUnpack:
         np.testing.assert_array_equal(unpack(frame, layout), t.data)
 
     def test_impossible_layout(self):
-        for dims in ((0, 2, 2), (5, 0, 2), (5, 2, 0)):
+        # (2.5, 2, 2) was accepted, and its frame_height was a float.
+        for dims in ((0, 2, 2), (5, 0, 2), (5, 2, 0), (2.5, 2, 2)):
             with pytest.raises(DomainError):
                 PackingLayout(*dims)
 

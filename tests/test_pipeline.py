@@ -92,9 +92,9 @@ class TestEncode:
         [
             ({"bit_depth": 10.5}, r"^bit depth must be in \[8, 16\], got 10.5$"),
             ({"qp": 22.5}, r"^qp must be in \[0, 63\], got 22.5$"),
-            ({"codec": 7}, r"^unknown codec id 7$"),
-            ({"codec": 1.0}, r"^unknown codec id 1.0$"),
-            ({"codec": True}, r"^unknown codec id True$"),
+            ({"codec": 7}, r"^codec id must be in \[0, 1\], got 7$"),
+            ({"codec": 1.0}, r"^codec id must be in \[0, 1\], got 1.0$"),
+            ({"codec": True}, r"^codec id must be in \[0, 1\], got True$"),
             ({"qp": True}, r"^qp must be in \[0, 63\], got True$"),
             ({"qp": False}, r"^qp must be in \[0, 63\], got False$"),
             ({"prune_ratio": "0.5"}, r"^prune_ratio must be in \[0, 1\), got '0.5'$"),

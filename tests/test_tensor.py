@@ -44,6 +44,12 @@ class TestGlobalStats:
         s = compute_global_stats(tensor_of(data, (1, 2, 2)))
         assert s.sigma == pytest.approx(expected)
 
+    @pytest.mark.parametrize("mu", ["a", None])
+    def test_statistic_that_is_not_a_number_refused(self, mu):
+        # Each raised a bare TypeError.
+        with pytest.raises(DomainError, match="^statistics must be finite real numbers"):
+            GlobalStats(mu, 1.0)
+
     def test_permutation_invariant(self, rng):
         t = random_tensor(rng, channels=3, height=5, width=7)
         perm = rng.permutation(t.data.ravel()).reshape(t.shape)

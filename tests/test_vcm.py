@@ -79,6 +79,16 @@ class TestPixelSequence:
         with pytest.raises(DomainError, match="^bit depth must be in \\[1, 16\\]"):
             PixelSequence((np.zeros((2, 2), np.uint16),), bit_depth)
 
+    def test_a_uint16_frame_is_kept_and_any_other_converted(self):
+        # As FeatureTensor keeps a C-contiguous float32 array: the caller's
+        # uint16 frame itself becomes read-only, with no frame copied.
+        kept = np.zeros((2, 2), np.uint16)
+        other = np.zeros((2, 2), np.int32)
+        s = PixelSequence((kept, other), 8)
+        assert s.frames[0] is kept and not kept.flags.writeable
+        assert s.frames[1] is not other and other.flags.writeable
+        assert not s.frames[1].flags.writeable
+
 
 class TestTemporal:
     def test_kept_indices_ratio4(self):
@@ -102,7 +112,7 @@ class TestTemporal:
 
     @pytest.mark.parametrize("ratio", [2.0, True])
     def test_ratio_that_is_not_an_integer_refused(self, ratio):
-        with pytest.raises(DomainError, match="^side-info ratio must be one of"):
+        with pytest.raises(DomainError, match=r"^side-info ratio must be in \[2, 8\], got "):
             temporal_resample_scalar(constant_seq([0, 1, 2]), ratio)
 
     def test_linear_midpoint(self):
