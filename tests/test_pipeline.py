@@ -92,9 +92,17 @@ class TestEncode:
         [
             ({"bit_depth": 10.5}, r"^bit depth must be in \[8, 16\], got 10.5$"),
             ({"qp": 22.5}, r"^qp must be in \[0, 63\], got 22.5$"),
-            ({"codec": 7}, r"^codec id must be in \[0, 1\], got 7$"),
-            ({"codec": 1.0}, r"^codec id must be in \[0, 1\], got 1.0$"),
-            ({"codec": True}, r"^codec id must be in \[0, 1\], got True$"),
+            # ids fixed to the names these cases had while the message
+            # read "unknown codec id", so the case names stay stable
+            pytest.param(
+                {"codec": 7}, r"^codec id must be in \[0, 1\], got 7$", id="kwargs2-^unknown codec id 7$"
+            ),
+            pytest.param(
+                {"codec": 1.0}, r"^codec id must be in \[0, 1\], got 1.0$", id="kwargs3-^unknown codec id 1.0$"
+            ),
+            pytest.param(
+                {"codec": True}, r"^codec id must be in \[0, 1\], got True$", id="kwargs4-^unknown codec id True$"
+            ),
             ({"qp": True}, r"^qp must be in \[0, 63\], got True$"),
             ({"qp": False}, r"^qp must be in \[0, 63\], got False$"),
             ({"prune_ratio": "0.5"}, r"^prune_ratio must be in \[0, 1\), got '0.5'$"),
