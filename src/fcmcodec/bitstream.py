@@ -7,7 +7,7 @@ A unit holds, in order:
   big integer in its fewest bytes (length 0 means rank 0), so each pruned
   set has one encoding;
 - the tensor's global mean and std (f32 each), the decoder's one refinement
-  target;
+  target, finite in float32;
 - the bit depth (u8) and the tile height and width (u16 each); the tile grid
   follows from N - k by the packing rule;
 - a transform id (u8, the position of the encoder's transform in
@@ -87,6 +87,11 @@ class UnitHeader:
         integer_in(self.transform_id, "transform id", 0, len(TRANSFORMS) - 1)
         codec_id(self.codec)
         label_bytes(self.label)
+        stats = self.transform_stats
+        try:
+            struct.pack("<ff", stats.mu, stats.sigma)  # as _unit_head stores them
+        except OverflowError:
+            raise DomainError(f"statistics {stats.mu!r}, {stats.sigma!r} round past the float32 range") from None
 
     @property
     def transform(self) -> str:

@@ -106,12 +106,21 @@ the order BLAS sums in, puts it a few ulps to either side. With the band
 every such tie rounds away from zero, on any BLAS kernel and under scipy's
 FFT alike. The encoder then codes the pairs a slice at a time, and a slice's
 coefficient and bit positions are int32. Its run and level symbols are the
-two rows of one int32 array, which the writer takes over: each v + 1, exact
-in float32, is written over its symbol, and the exponent field gives the
-codeword's z, and the fraction field, moved to the top of a 32-bit word,
-holds its suffix and then zeros. A pair is one field in each plane, at most
-28 bits wide (see _BitWriter.write_ue): its two prefixes, and its two
-suffixes one after the other. Its prefixes take 2 bits more than its
+two rows of one int32 array. They are gathered by index, not by a boolean
+mask: a masked gather branches on every coefficient, and on levels about 40%
+nonzero it mispredicts often enough to take most of the slice's time. The
+int64 positions of the slice's nonzero levels index them with take, in the
+mode that checks no bounds and so writes straight into the level row; they
+are copied once into the run row and freed, and the runs come from that
+int32 row alone: each is the gap to the pair before, capped at the pair's
+position in its block. Beside the levels, the gather peaks at 16 bytes per
+pair, the symbols and the positions, or at a mask byte per coefficient and
+the positions while numpy finds them. The writer takes the symbols over:
+each v + 1, exact in float32, is written over its symbol, and the exponent
+field gives the codeword's z, and the fraction field, moved to the top of a
+32-bit word, holds its suffix and then zeros. A pair is one field in each
+plane, at most 28 bits wide (see _BitWriter.write_ue): its two prefixes, and
+its two suffixes one after the other. Its prefixes take 2 bits more than its
 suffixes, so one int32 cumsum of the pairs' suffix widths places every field
 in its word. Each field is shifted to its place; only the last field of a
 word can spill into the next. A word is the sum of the parts of its fields
@@ -387,19 +396,21 @@ def _pair_symbols(levels: np.ndarray) -> np.ndarray:
     zigzag-ordered int32 levels, as the two rows of one array, pair by pair
     in stream order. 64 * len(levels) must be below 2^31."""
     flat = levels.reshape(-1)
-    nonzero = flat != 0
-    at = nonzero.nonzero()[0].astype(np.int32)
+    at = (flat != 0).nonzero()[0]
     pairs = np.empty((2, len(at)), dtype=np.int32)
     run, code = pairs
-    code[...] = flat[nonzero]
-    del nonzero
-    # A block's first run counts from its start, at & 63 positions in.
-    run[:1] = at[:1]
-    np.subtract(at[1:], at[:-1], out=run[1:])
-    run[1:] -= 1
-    at &= _COEFFS - 1
-    np.minimum(run, at, out=run)
+    # Every index is in range, and a take that checks none writes out unbuffered.
+    np.take(flat, at, out=code, mode="wrap")
+    # The positions in int32, so no ufunc below casts a full-size copy.
+    np.copyto(run, at, casting="unsafe")
     del at
+    # A run is the gap to the pair before, and a block's first counts from
+    # the block's start, its position & 63.
+    gap = np.subtract(run[1:], run[:-1])
+    gap -= 1
+    run &= _COEFFS - 1
+    np.minimum(run[1:], gap, out=run[1:])
+    del gap
     # 2|l| - 1 for l > 0, 2|l| for l < 0
     positive = code > 0
     np.abs(code, out=code)

@@ -95,7 +95,8 @@ def lcr_decode(code: LcrCode, total_channels: int) -> ChannelIndexSet:
     k = integer_in(code.k, "k", 0, n)
     total = binomial(n, k)
     if code.rank >= total:
-        raise RankRangeError(f"rank {code.rank} >= C({n}, {k})")
+        # A rank can have more digits than str() allows; its bit length shows.
+        raise RankRangeError(f"a rank of {code.rank.bit_length()} bits >= C({n}, {k})")
     if not k:
         return ChannelIndexSet((), n)
     temp = code.rank

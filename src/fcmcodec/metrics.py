@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -17,8 +18,8 @@ def psnr(a: np.ndarray, b: np.ndarray, peak: float) -> float:
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise DomainError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if not 0 < peak < math.inf:  # a NaN fails too
-        raise DomainError(f"peak must be positive and finite, got {peak}")
+    if not (isinstance(peak, Real) and 0 < peak < math.inf):  # a NaN fails too
+        raise DomainError(f"peak must be positive and finite, got {peak!r}")
     mse = float(np.mean((a - b) ** 2))
     if mse == 0.0:
         return math.inf

@@ -270,6 +270,21 @@ class TestStream:
         with pytest.raises(DomainError, match=message):
             dataclasses.replace(make_header(), **{field: value})
 
+    @pytest.mark.parametrize("stats", [(1e300, 1.0), (-1e300, 1.0), (0.0, 1e39), (0.0, 2.0**128)])
+    def test_header_statistics_past_float32_refused(self, stats):
+        # serialize_stream raised a bare OverflowError packing them as f32.
+        message = r"round past the float32 range$"
+        with pytest.raises(DomainError, match=message):
+            dataclasses.replace(make_header(), transform_stats=GlobalStats(*stats))
+        with pytest.raises(DomainError, match=message):
+            serialize_stream([(dataclasses.replace(make_header(), transform_stats=GlobalStats(*stats)), b"xy")])
+
+    def test_header_statistics_at_the_float32_limit_kept(self):
+        top = float(np.finfo(np.float32).max)
+        header = dataclasses.replace(make_header(), transform_stats=GlobalStats(-top, top))
+        ((parsed, payload),) = parse_stream(serialize_stream([(header, b"xy")]))
+        assert parsed == header and bytes(payload) == b"xy"
+
     def test_unknown_transform_id(self, rng):
         stream = fcm_encode(random_group(rng, count=2), EncoderConfig())
         with pytest.raises(FormatError, match=r"unit 1: transform id must be in \[0, 1\], got 255"):

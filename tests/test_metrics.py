@@ -23,11 +23,12 @@ class TestPsnr:
         b = np.full((4, 4), 255.0)
         assert psnr(a, b, 255) == pytest.approx(0.0, abs=1e-9)
 
-    @pytest.mark.parametrize("peak", [math.nan, math.inf])
+    @pytest.mark.parametrize("peak", [math.nan, math.inf, "1", None])
     def test_peak_that_is_not_finite_refused(self, peak):
-        # A NaN peak returned nan, and an infinite one inf.
+        # A NaN peak returned nan, an infinite one inf, and one that is not a
+        # real number raised a bare TypeError.
         a = np.zeros((2, 2))
-        with pytest.raises(DomainError, match=f"^peak must be positive and finite, got {peak}$"):
+        with pytest.raises(DomainError, match=f"^peak must be positive and finite, got {peak!r}$"):
             psnr(a, a + 1, peak)
 
     def test_dim_mismatch(self):
