@@ -91,18 +91,25 @@ payload or the frame. The pixels are clipped to the bit depth the caller
 passes, the unit header's.
 
 The forward DCT is one product with the same basis: raster blocks times its
-transpose are their coefficients, already in zigzag order. The encoder stages
-the blocks, in raster order, in the int32 array that will hold their levels,
-and walks it with tensor._float64_chunks, a float64 copy of 256 blocks at a
-time in one reused buffer: each chunk's coefficients over qstep, rounded by
-_round_half_away, the codec's one level rule, overwrite the chunk's own rows,
-and its product is freed before the next chunk's is made. Beside the levels
-the walk holds 0.33 MB: the copy, the product and the rounding's float32
-scratch. That rule is half away from zero, where a value at most 2^-20 below
-k + 1/2 counts as k + 1/2. The band is for exact ties. At zigzag positions 0, 10, 14 and 39 every basis
-entry is +-1/8, so where qstep is a power of two an integer block often
-lands on k + 1/2 exactly, and the product's rounding error, which depends on
-the order BLAS sums in, puts it a few ulps to either side. With the band
+transpose are their coefficients, already in zigzag order. The encoder fills
+one reused float64 buffer of at most 256 blocks straight from the frame's
+blocks, a view of the frame or, where a side is not a multiple of 8, of its
+padded copy: a chunk is as many whole block rows as fit, or a run of 256
+blocks of a row wider than that. Each chunk's coefficients over qstep get
+the codec's one level rule, _round_half_away's: the spent buffer takes
++-(1/2 + 2^-20), signed as each coefficient, the coefficients add it, and
+the int32 cast into the levels truncates toward zero. Each product is freed
+before the next chunk's is made, and the buffer before the pairs are coded.
+Beside the levels, and the padded copy where there is one, the transform
+holds 0.26 MB: the buffer and the product (tracemalloc; 0.33 MB when the
+blocks were staged in the levels, copied out again and rounded with float32
+scratch). A block's count is the popcount of its 64 nonzero flags, packed
+into one 64-bit word. The level rule is half away from zero, where a value
+at most 2^-20 below k + 1/2 counts as k + 1/2. The band is for exact ties.
+At zigzag positions 0, 10, 14 and 39 every basis entry is +-1/8, so where
+qstep is a power of two an integer block often lands on k + 1/2 exactly, and
+the product's rounding error, which depends on the order BLAS sums in, puts
+it a few ulps to either side. With the band
 every such tie rounds away from zero, on any BLAS kernel and under scipy's
 FFT alike. The encoder then codes the pairs a slice at a time, and a slice's
 coefficient and bit positions are int32. Its run and level symbols are the
@@ -148,7 +155,6 @@ from enum import IntEnum
 import numpy as np
 
 from .errors import ByteReader, DimensionOverflowError, DomainError, PayloadDecodeError, TruncatedError, integer_in
-from .tensor import _float64_chunks
 
 BLOCK = 8
 _COEFFS = BLOCK * BLOCK
@@ -173,10 +179,12 @@ _MAX_UE_PREFIX = 24
 _SLICE_PAIRS = 1 << 14
 _SLICE_BLOCKS = 1 << 12
 
-# Blocks per chunk of the forward transform, 128 KB of float64. At 512
-# blocks the chunk's copy, its product and the last chunk's product, 0.79 MB,
-# set the encoder's peak. At 256 the codec encoded perfbench-shaped frames
-# about 1.5% slower in-process, less than perfbench's run-to-run spread.
+# Blocks per chunk of the forward transform, at most: whole block rows, or
+# runs of a row wider than this. The chunk's float64 copy and its product
+# take 128 KB each, 0.26 MB beside the levels (tracemalloc). At 512 blocks
+# the chunk's copy, its product and the last chunk's product, 0.79 MB, set
+# the encoder's peak. At 256 the codec encoded perfbench-shaped frames about
+# 1.5% slower in-process, less than perfbench's run-to-run spread.
 _DCT_BLOCKS = 1 << 8
 
 # Words per chunk when one bit writer takes another's bits. Measured with
@@ -576,20 +584,36 @@ def _slices(counts: np.ndarray, blocks: int) -> list[tuple[int, int]]:
 
 def _encode_dct(frame: np.ndarray, qp: int) -> bytes:
     blocks = _to_blocks(frame)
+    hb, wb = blocks.shape[:2]
     step = qstep(qp)
-    levels = np.empty((blocks.shape[0] * blocks.shape[1], _COEFFS), dtype=np.int32)
-    levels.reshape(blocks.shape)[...] = blocks
-    del blocks  # a padded copy of the frame, unless its sides are multiples of 8
-    for x, rows in _float64_chunks(levels, levels, _DCT_BLOCKS * _COEFFS):
-        coeffs = dctn(x)
-        coeffs /= step
-        rows[...] = _round_half_away(coeffs)
-        del coeffs  # before the next chunk's product
-    del x, rows
-    counts = np.count_nonzero(levels, axis=1)
+    levels = np.empty((hb * wb, _COEFFS), dtype=np.int32)
+    # A chunk is whole block rows of at most _DCT_BLOCKS blocks, or a run of
+    # one row wider than that: either way, consecutive rows of the levels.
+    rows = max(1, _DCT_BLOCKS // wb)
+    run = min(wb, _DCT_BLOCKS)
+    buf = np.empty((min(hb, rows) * run, _COEFFS))
+    for r in range(0, hb, rows):
+        for c in range(0, wb, run):
+            chunk = blocks[r : r + rows, c : c + run]
+            x = buf[: chunk.shape[0] * chunk.shape[1]]
+            x.reshape(chunk.shape)[...] = chunk
+            coeffs = dctn(x)
+            coeffs /= step
+            # _round_half_away's rule: add +-(1/2 + _TIE), signed as each
+            # coefficient and built in the spent copy; the int32 cast then
+            # truncates toward zero.
+            np.copysign(0.5 + _TIE, coeffs, out=x)
+            coeffs += x
+            first = r * wb + c
+            levels[first : first + len(x)] = coeffs
+            del coeffs  # before the next chunk's product
+    del blocks, buf, x, chunk
+    # A block's count is the set bits of its nonzero flags packed in 64 bits:
+    # one column of uint8 counts.
+    counts = np.bitwise_count(np.packbits(levels != 0, axis=1).view(np.uint64))
     out, suffixes = _BitWriter(), _BitWriter()
-    out.write_ue(out, counts.astype(np.int32)[None])  # a copy: _slices reads counts
-    for s, e in _slices(counts[:, None], _SLICE_BLOCKS):
+    out.write_ue(out, counts.reshape(1, -1).astype(np.int32))  # a copy: _slices reads counts
+    for s, e in _slices(counts, _SLICE_BLOCKS):
         out.write_ue(suffixes, _pair_symbols(levels[s:e]))
     del levels
     out.extend(suffixes)
@@ -766,10 +790,11 @@ def _decode_dct(data: bytes, bit_depth: int, shape: tuple[int, int]) -> np.ndarr
         del pairs
         pixels = idctn(coeffs).reshape(r1 - r0, wb, BLOCK, BLOCK)
         del coeffs
-        # floor(x + 0.5) rounds half away from zero wherever clip keeps the value.
+        # x + 0.5 clipped to [0, top], where the uint16 cast's truncation is
+        # the floor: floor(x + 0.5), which rounds half away from zero
+        # wherever clip keeps the value.
         rows = _from_blocks(pixels, min(h, BLOCK * r1) - BLOCK * r0, w)
         rows += 0.5
-        np.floor(rows, out=rows)
         np.clip(rows, 0, top, out=rows)
         frame[BLOCK * r0 : BLOCK * r1] = rows
         del pixels, rows

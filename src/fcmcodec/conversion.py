@@ -30,14 +30,15 @@ def quantize_frame(frame: np.ndarray, bit_depth: int) -> tuple[np.ndarray, tuple
         return np.zeros(frame.shape, dtype=np.uint16), (lo, hi)
     # (x - min) / (max - min) * levels, one IEEE step at a time, a float64
     # chunk of rows at a time, then rounded half away from zero: x >= 0, so
-    # that is floor(x + 0.5).
+    # that is floor(x + 0.5), and x + 0.5 >= 0.5 is floored by the uint16
+    # cast's truncation.
     out = np.empty(frame.shape, dtype=np.uint16)
     for x, rows in _float64_chunks(frame, out):
         x -= lo
         x /= hi - lo
         x *= levels
         x += 0.5
-        rows[...] = np.floor(x, out=x)
+        rows[...] = x
     return out, (lo, hi)
 
 

@@ -124,15 +124,15 @@ class TensorGroup:
         return len(self.tensors)
 
 
-def _float64_chunks(src: np.ndarray, out: np.ndarray, chunk: int = _CHUNK):
-    """Walk the 2-d src in chunks of whole rows, about chunk elements each.
+def _float64_chunks(src: np.ndarray, out: np.ndarray):
+    """Walk the 2-d src in chunks of whole rows, about _CHUNK elements each.
 
     Yields a float64 copy of each chunk, in one reused buffer, and the same
-    rows of out, which has src's number of rows. A row wider than chunk is a
+    rows of out, which has src's number of rows. A row wider than _CHUNK is a
     chunk of its own. out may be src: each chunk is copied before its rows
     are yielded.
     """
-    rows = max(1, chunk // src.shape[1])
+    rows = max(1, _CHUNK // src.shape[1])
     buf = np.empty((min(rows, len(src)), src.shape[1]))
     for s in range(0, len(src), rows):
         x = buf[: min(rows, len(src) - s)]

@@ -105,13 +105,14 @@ SEVERAL_SLICES = make_frame(np.random.default_rng(4), (192, 192), 16, smooth=Fal
         (np.full((8, 8), 65535, np.uint16), 0, 16),
         (make_frame(np.random.default_rng(3), (136, 136), 10, smooth=True), 22, 10),
         (SEVERAL_SLICES, 0, 16),
-        # The encoder transforms N = _DCT_BLOCKS blocks at a time: runs of
-        # blocks in raster order, cut anywhere in a row. 2 rows of 600 blocks;
-        # one row of 563 blocks, from 5 rows of pixels; 13 rows of 100
-        # blocks; 8 rows of N / 8 blocks, exactly one chunk; one row of N + 1
-        # blocks, a chunk and one block; one block; one row of N - 1 blocks;
-        # and N blocks in 2 rows, from 13 x (4N - 5) pixels, padded at both
-        # edges.
+        # The encoder transforms chunks of at most N = _DCT_BLOCKS blocks:
+        # as many whole block rows as fit in N, or, where a row holds more
+        # than N blocks, runs of N blocks within the row and the row's rest.
+        # 2 rows of 600 blocks; one row of 563 blocks, from 5 rows of pixels;
+        # 13 rows of 100 blocks; 8 rows of N / 8 blocks, exactly one chunk;
+        # one row of N + 1 blocks, a chunk and one block; one block; one row
+        # of N - 1 blocks; and N blocks in 2 rows, from 13 x (4N - 5) pixels,
+        # padded at both edges.
         pytest.param(make_frame(np.random.default_rng(8), (16, 4800), 10, smooth=True), 22, 10, id="rows_wider_than_a_chunk"),
         pytest.param(make_frame(np.random.default_rng(9), (5, 4500), 16, smooth=True), 4, 16, id="one_block_row"),
         pytest.param(
@@ -662,9 +663,19 @@ def test_counts_past_the_payload_are_refused_before_the_pairs_are_sized():
 # With 256-block chunks, each product freed before the next, the writer's
 # merges in uint32 lanes and each slice's symbols held once, the two peak at
 # 9.6 and 9.0 B. The bounds leave 1.25x and 1.17x margins.
+# Two smooth 10-bit frames at qp 22 check the transform's chunks. A 509x507
+# frame is padded to 512x512: with the levels staged from the padded copy,
+# which was freed before the transform, it peaked at 6.10 B per element. The
+# transform now reads its chunks from that copy, which lives through the
+# loop beside the levels, the chunk and its product: 7.12 B. A 16x16000 frame
+# has rows of 2000 blocks, which the transform takes in runs of _DCT_BLOCKS:
+# 5.71 B staged in the levels, 5.61 B read from the frame, and 12.0 B with
+# each whole row one chunk. Both bounds leave 1.23x over the staged figure.
 ENCODE_PEAK_CASES = {
     "noise": (make_frame(np.random.default_rng(5), (512, 512), 16, smooth=False), 0, 1_000_000, 12.0),
     "dense": (make_frame(np.random.default_rng(14), (256, 384), 16, smooth=True), 4, 200_000, 10.5),
+    "padded": (make_frame(np.random.default_rng(18), (509, 507), 10, smooth=True), 22, 100_000, 7.5),
+    "wide_rows": (make_frame(np.random.default_rng(19), (16, 8 * 2000), 10, smooth=True), 22, 100_000, 7.0),
 }
 
 

@@ -125,17 +125,27 @@ def test_integer_fields_checked_in_errors_only(module):
     assert list(integer_type_tests(tree)) == []
 
 
-# vcm.py's pixel sequences are a format of their own: it shares errors.py
-# with the feature codec, and nothing of codec.py.
-def test_vcm_imports_nothing_from_codec():
-    tree = ast.parse((SRC / "vcm.py").read_text(encoding="utf-8"))
+def import_sources(tree: ast.Module) -> set:
+    """The last dotted part of every module that tree imports from."""
     sources = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             sources |= {node.module or alias.name for alias in node.names}
         elif isinstance(node, ast.Import):
             sources |= {alias.name for alias in node.names}
-    assert not any(source.rpartition(".")[2] == "codec" for source in sources)
+    return {source.rpartition(".")[2] for source in sources}
+
+
+# vcm.py's pixel sequences are a format of their own: it shares errors.py
+# with the feature codec, and nothing of codec.py.
+def test_vcm_imports_nothing_from_codec():
+    assert "codec" not in import_sources(ast.parse((SRC / "vcm.py").read_text(encoding="utf-8")))
+
+
+# The frame codecs need nothing of the feature tensors: the BLOCK_DCT encoder
+# fills its transform chunks from the frame itself.
+def test_codec_imports_nothing_from_tensor():
+    assert "tensor" not in import_sources(ast.parse((SRC / "codec.py").read_text(encoding="utf-8")))
 
 
 def masked_gathers(tree: ast.Module):
