@@ -93,19 +93,19 @@ passes, the unit header's.
 The forward DCT is one product with the same basis: raster blocks times its
 transpose are their coefficients, already in zigzag order. The encoder fills
 one reused float64 buffer of at most 256 blocks straight from the frame's
-blocks, a view of the frame or, where a side is not a multiple of 8, of its
-padded copy: a chunk is as many whole block rows as fit, or a run of 256
-blocks of a row wider than that. Each chunk's coefficients over qstep get
-the codec's one level rule, _round_half_away's: the spent buffer takes
-+-(1/2 + 2^-20), signed as each coefficient, the coefficients add it, and
-the int32 cast into the levels truncates toward zero. Each product is freed
-before the next chunk's is made, and the buffer before the pairs are coded.
-Beside the levels, and the padded copy where there is one, the transform
-holds 0.26 MB: the buffer and the product (tracemalloc; 0.33 MB when the
-blocks were staged in the levels, copied out again and rounded with float32
-scratch). A block's count is the popcount of its 64 nonzero flags, packed
-into one 64-bit word. The level rule is half away from zero, where a value
-at most 2^-20 below k + 1/2 counts as k + 1/2. The band is for exact ties.
+blocks, a view of the frame: a chunk is as many whole block rows as fit, or
+a run of 256 blocks of a row wider than that. Where a side is not a multiple
+of 8 the padded copy is first staged in the int32 array that will hold the
+levels, and freed, and the chunks are read from there. Each chunk's
+coefficients over qstep get the codec's one level rule, _round_half_away's:
+the spent buffer takes +-(1/2 + 2^-20), signed as each coefficient, the
+coefficients add it, and the int32 cast into the levels truncates toward
+zero. Each product is freed before the next chunk's is made, and the buffer
+before the pairs are coded. Beside the levels the transform holds 0.26 MB:
+the buffer and the product (tracemalloc; 0.33 MB when every frame was
+staged in the levels, copied out again and rounded with float32 scratch).
+The level rule is half away from zero, where a value at most 2^-20 below
+k + 1/2 counts as k + 1/2. The band is for exact ties.
 At zigzag positions 0, 10, 14 and 39 every basis entry is +-1/8, so where
 qstep is a power of two an integer block often lands on k + 1/2 exactly, and
 the product's rounding error, which depends on the order BLAS sums in, puts
@@ -305,7 +305,10 @@ def _round_half_away(x: np.ndarray) -> np.ndarray:
     """Round the float array x to the codec's levels in place; returns x.
 
     Half away from zero, where a value at most _TIE below k + 1/2 counts as
-    k + 1/2. 1/2 + _TIE is exact in float32.
+    k + 1/2. 1/2 + _TIE is exact in float32. This is the rule's reference
+    form, which perfbench and the tests use; _encode_dct applies the same
+    rule inline, adding the offset in float64 and truncating by its int32
+    cast.
     """
     x += np.copysign(0.5 + _TIE, x, dtype=np.float32)
     np.trunc(x, out=x)
@@ -587,6 +590,11 @@ def _encode_dct(frame: np.ndarray, qp: int) -> bytes:
     hb, wb = blocks.shape[:2]
     step = qstep(qp)
     levels = np.empty((hb * wb, _COEFFS), dtype=np.int32)
+    if frame.shape[0] % BLOCK or frame.shape[1] % BLOCK:
+        # blocks is a padded copy: staged in the levels, it is freed before
+        # the transform, which reads each chunk's rows before it writes them.
+        levels.reshape(blocks.shape)[...] = blocks
+        blocks = levels.reshape(blocks.shape)
     # A chunk is whole block rows of at most _DCT_BLOCKS blocks, or a run of
     # one row wider than that: either way, consecutive rows of the levels.
     rows = max(1, _DCT_BLOCKS // wb)
@@ -608,12 +616,10 @@ def _encode_dct(frame: np.ndarray, qp: int) -> bytes:
             levels[first : first + len(x)] = coeffs
             del coeffs  # before the next chunk's product
     del blocks, buf, x, chunk
-    # A block's count is the set bits of its nonzero flags packed in 64 bits:
-    # one column of uint8 counts.
-    counts = np.bitwise_count(np.packbits(levels != 0, axis=1).view(np.uint64))
+    counts = np.count_nonzero(levels, axis=1)
     out, suffixes = _BitWriter(), _BitWriter()
-    out.write_ue(out, counts.reshape(1, -1).astype(np.int32))  # a copy: _slices reads counts
-    for s, e in _slices(counts, _SLICE_BLOCKS):
+    out.write_ue(out, counts.astype(np.int32)[None])  # a copy: _slices reads counts
+    for s, e in _slices(counts[:, None], _SLICE_BLOCKS):
         out.write_ue(suffixes, _pair_symbols(levels[s:e]))
     del levels
     out.extend(suffixes)

@@ -664,13 +664,13 @@ def test_counts_past_the_payload_are_refused_before_the_pairs_are_sized():
 # merges in uint32 lanes and each slice's symbols held once, the two peak at
 # 9.6 and 9.0 B. The bounds leave 1.25x and 1.17x margins.
 # Two smooth 10-bit frames at qp 22 check the transform's chunks. A 509x507
-# frame is padded to 512x512: with the levels staged from the padded copy,
-# which was freed before the transform, it peaked at 6.10 B per element. The
-# transform now reads its chunks from that copy, which lives through the
-# loop beside the levels, the chunk and its product: 7.12 B. A 16x16000 frame
-# has rows of 2000 blocks, which the transform takes in runs of _DCT_BLOCKS:
-# 5.71 B staged in the levels, 5.61 B read from the frame, and 12.0 B with
-# each whole row one chunk. Both bounds leave 1.23x over the staged figure.
+# frame is padded to 512x512: with the padded copy staged in the levels and
+# freed before the transform, it peaks at 6.10 B per element, and at 7.12 B
+# with the chunks read from the copy, which then lives through the loop. A
+# 16x16000 frame has rows of 2000 blocks, which the transform takes in runs
+# of _DCT_BLOCKS: 5.71 B staged in the levels, 5.70 B read from the frame,
+# and 12.0 B with each whole row one chunk. Both bounds leave 1.23x over the
+# staged figure.
 ENCODE_PEAK_CASES = {
     "noise": (make_frame(np.random.default_rng(5), (512, 512), 16, smooth=False), 0, 1_000_000, 12.0),
     "dense": (make_frame(np.random.default_rng(14), (256, 384), 16, smooth=True), 4, 200_000, 10.5),
