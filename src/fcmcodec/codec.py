@@ -101,9 +101,7 @@ coefficients over qstep get the codec's one level rule, _round_half_away's:
 the spent buffer takes +-(1/2 + 2^-20), signed as each coefficient, the
 coefficients add it, and the int32 cast into the levels truncates toward
 zero. Each product is freed before the next chunk's is made, and the buffer
-before the pairs are coded. Beside the levels the transform holds 0.26 MB:
-the buffer and the product (tracemalloc; 0.33 MB when every frame was
-staged in the levels, copied out again and rounded with float32 scratch).
+before the pairs are coded.
 The level rule is half away from zero, where a value at most 2^-20 below
 k + 1/2 counts as k + 1/2. The band is for exact ties.
 At zigzag positions 0, 10, 14 and 39 every basis entry is +-1/8, so where
@@ -154,7 +152,15 @@ from enum import IntEnum
 
 import numpy as np
 
-from .errors import ByteReader, DimensionOverflowError, DomainError, PayloadDecodeError, TruncatedError, integer_in
+from .errors import (
+    ByteReader,
+    DimensionOverflowError,
+    DomainError,
+    FcmError,
+    PayloadDecodeError,
+    TruncatedError,
+    integer_in,
+)
 
 BLOCK = 8
 _COEFFS = BLOCK * BLOCK
@@ -168,8 +174,7 @@ _MAX_UE_PREFIX = 24
 
 # Pairs per slice of either coder, and blocks per encoder slice (see
 # _slices). An encoder slice holds about 20 bytes of scratch per pair, its 8
-# bytes of pair symbols included, so 2^14 pairs take 0.33 MB (tracemalloc;
-# 27 bytes and 0.44 MB when the writer cast the symbols into a second array),
+# bytes of pair symbols included, so 2^14 pairs take 0.33 MB (tracemalloc),
 # and a mask byte per coefficient while it finds the pairs: 2^12 blocks of
 # one pair each take 0.33 MB. A slice also costs about 0.15 ms of numpy call
 # overhead: at 2^13 rather than 2^14 pairs the perfbench dense_dct16 frames
@@ -189,13 +194,8 @@ _DCT_BLOCKS = 1 << 8
 
 # Words per chunk when one bit writer takes another's bits. Measured with
 # tracemalloc, taking 1 MB at an odd bit offset holds 0.17 MB of scratch
-# beside the two writers: the chunk's shifted words and one uint32 temporary
-# (0.53 MB in uint64 lanes, with a big-endian copy and its bytes).
+# beside the two writers: the chunk's shifted words and one uint32 temporary.
 _EXTEND_WORDS = 1 << 14
-
-# Symbols per run of the writer's in-place float32 cast: numpy copies an input
-# that overlaps its output, so each run costs a 16 KB copy.
-_CAST_SYMBOLS = 1 << 12
 
 # Payload bytes per chunk of the decoder's prefix scan, and codewords per
 # chunk of its value read. Measured with tracemalloc, a chunk's scratch peaks
@@ -256,6 +256,23 @@ def codec_id(value) -> CodecId:
 def sample_max(bit_depth) -> int:
     """2^bit_depth - 1; DomainError unless bit_depth is an integer in [8, 16]."""
     return (1 << integer_in(bit_depth, "bit depth", 8, 16)) - 1
+
+
+def _check_frame_shape(shape: tuple[int, ...], error: type[FcmError]) -> None:
+    """Raise error unless shape is that of a non-empty 2-d frame."""
+    if len(shape) != 2 or min(shape) < 1:
+        raise error(f"expected a non-empty 2-d frame, got shape {shape}")
+
+
+def _check_samples(samples: np.ndarray, bit_depth, error: type[FcmError]) -> None:
+    """Raise error unless samples, of any shape, are integers, not bools, in
+    [0, 2^bit_depth). The min of unsigned samples is not scanned."""
+    if samples.dtype.kind not in "iu":
+        raise error(f"expected integer samples, got {samples.dtype}")
+    if samples.dtype.kind == "i" and samples.min(initial=0) < 0:
+        raise error("negative sample")
+    if samples.max(initial=0) > sample_max(bit_depth):
+        raise error(f"sample exceeds bit depth {bit_depth}")
 
 
 def check_qp(qp) -> int:
@@ -495,13 +512,10 @@ class _BitWriter:
             return
         # v + 1 in float32, exact below 2^24, is 2^z plus its suffix, the low
         # z bits: its exponent field is 127 + z and its fraction field the
-        # suffix followed by 23 - z zeros. Each is written over its symbol, a
-        # run of _CAST_SYMBOLS at a time.
+        # suffix followed by 23 - z zeros. Each is written over its symbol.
         symbols += 1
         flat = symbols.reshape(-1)
-        code = flat.view(np.float32)
-        for s in range(0, len(flat), _CAST_SYMBOLS):
-            code[s : s + _CAST_SYMBOLS] = flat[s : s + _CAST_SYMBOLS]
+        flat.view(np.float32)[...] = flat
         fields = symbols.view(np.uint32)
         zeros = np.empty((k, rows), dtype=np.uint8)
         np.right_shift(fields, 23, out=zeros, casting="unsafe")
@@ -810,18 +824,13 @@ def _decode_dct(data: bytes, bit_depth: int, shape: tuple[int, int]) -> np.ndarr
 def codec_encode(frame: np.ndarray, codec: CodecId, qp: int, bit_depth: int) -> bytes:
     """Compress one non-empty 2-d integer frame of samples in [0, 2^bit_depth)."""
     frame = np.asarray(frame)
-    if frame.ndim != 2 or frame.dtype.kind not in "iu":
-        raise DomainError(f"expected a 2-d integer frame, got {frame.ndim}-d {frame.dtype}")
-    if frame.size == 0:
-        raise DomainError("frame dimensions must be positive")
+    _check_frame_shape(frame.shape, DomainError)
     qp = check_qp(qp)
     codec = codec_id(codec)
-    top = sample_max(bit_depth)
     blocks = -(-frame.shape[0] // BLOCK) * -(-frame.shape[1] // BLOCK)
     if codec == CodecId.BLOCK_DCT and blocks >= 1 << 28:
         raise DimensionOverflowError(f"a frame of {blocks} blocks, 2^28 or more, is too large for BLOCK_DCT")
-    if (frame.dtype.kind == "i" and frame.min() < 0) or frame.max() > top:
-        raise DomainError(f"samples outside [0, 2^{bit_depth})")
+    _check_samples(frame, bit_depth, DomainError)
     if codec == CodecId.RAW_LOSSLESS:
         return _encode_raw(frame)
     return _encode_dct(frame, qp)
@@ -830,13 +839,10 @@ def codec_encode(frame: np.ndarray, codec: CodecId, qp: int, bit_depth: int) -> 
 def codec_decode(data: bytes, codec: int, bit_depth: int, shape: tuple[int, int]) -> np.ndarray:
     """Decompress to exactly shape with samples below 2^bit_depth, or raise a
     classified error."""
-    h, w = shape
-    if h < 1 or w < 1:
-        raise DomainError("expected dimensions must be positive")
-    top = sample_max(bit_depth)
+    _check_frame_shape(shape, DomainError)
+    sample_max(bit_depth)
     if codec_id(codec) == CodecId.BLOCK_DCT:
-        return _decode_dct(data, bit_depth, (h, w))
-    frame = _decode_raw(data, (h, w))
-    if frame.max() > top:
-        raise PayloadDecodeError(f"decoded sample exceeds bit depth {bit_depth}")
+        return _decode_dct(data, bit_depth, shape)
+    frame = _decode_raw(data, shape)
+    _check_samples(frame, bit_depth, PayloadDecodeError)
     return frame

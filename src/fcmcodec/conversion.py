@@ -4,14 +4,14 @@ The frame's own min/max span the full integer range, so all loss sits in the
 rounding step. Rounding is half away from zero, fixed explicitly so results
 match across platforms. The decoder needs no range: it maps the integers onto
 [0, 1], and refinement onto the transmitted statistics absorbs the affine map
-back onto the range.
+back onto the range. codec.py owns the rules for frames and samples.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .codec import sample_max
+from .codec import _check_frame_shape, _check_samples, sample_max
 from .errors import DomainError
 from .tensor import _float64_chunks
 
@@ -20,8 +20,7 @@ def quantize_frame(frame: np.ndarray, bit_depth: int) -> tuple[np.ndarray, tuple
     """Map a float frame onto [0, 2^n - 1] integers; also returns the frame's
     (min, max), the range the integers span."""
     frame = np.asarray(frame, dtype=np.float32)
-    if frame.ndim != 2:
-        raise DomainError("expected a 2-d frame")
+    _check_frame_shape(frame.shape, DomainError)
     levels = sample_max(bit_depth)
     lo, hi = float(frame.min()), float(frame.max())
     if not (np.isfinite(lo) and np.isfinite(hi)):
@@ -45,10 +44,8 @@ def quantize_frame(frame: np.ndarray, bit_depth: int) -> tuple[np.ndarray, tuple
 def dequantize_frame(q: np.ndarray, bit_depth: int) -> np.ndarray:
     """The n-bit integer samples of q, of any shape, on [0, 1] as a new
     float32 array of that shape: q / (2^n - 1)."""
-    levels = sample_max(bit_depth)
     q = np.asarray(q)
-    if q.min() < 0 or q.max() > levels:
-        raise DomainError(f"sample outside [0, {levels}]")
+    _check_samples(q, bit_depth, DomainError)
     x = q.astype(np.float32)
-    x /= np.float32(levels)
+    x /= np.float32(sample_max(bit_depth))
     return x

@@ -70,11 +70,9 @@ def unpack(frame: np.ndarray, layout: PackingLayout) -> np.ndarray:
     """Invert pack: the C x tile_h x tile_w array of frame's channel tiles,
     a new array in frame's dtype; pad tiles are discarded."""
     frame = np.asarray(frame)
-    if frame.ndim != 2 or frame.shape != (layout.frame_height, layout.frame_width):
-        raise DomainError(
-            f"frame shape {frame.shape} does not match layout "
-            f"({layout.frame_height}, {layout.frame_width})"
-        )
+    expected = (layout.frame_height, layout.frame_width)
+    if frame.shape != expected:
+        raise DomainError(f"frame shape {frame.shape} does not match layout {expected}")
     tiles = _tiles(frame, layout)
     out = np.empty((layout.channel_count, layout.tile_h, layout.tile_w), dtype=frame.dtype)
     full, rest = divmod(layout.channel_count, layout.grid_cols)

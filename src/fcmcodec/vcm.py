@@ -103,7 +103,6 @@ def temporal_restore(s: PixelSequence, info: TemporalSideInfo) -> PixelSequence:
     kept = -(-info.original_count // info.ratio)
     if kept != len(s):
         raise DomainError(f"side-info implies {kept} kept frames, sequence has {len(s)}")
-    limit = (1 << s.bit_depth) - 1
     frames: list[np.ndarray] = []
     for i in range(info.original_count):
         q, r = divmod(i, info.ratio)
@@ -112,9 +111,8 @@ def temporal_restore(s: PixelSequence, info: TemporalSideInfo) -> PixelSequence:
         elif q + 1 < len(s):
             a = s.frames[q].astype(np.float64)
             b = s.frames[q + 1].astype(np.float64)
-            w = r / info.ratio
-            mix = np.floor(a * (1.0 - w) + b * w + 0.5)
-            frames.append(np.clip(mix, 0, limit).astype(np.uint16))
+            w = r / info.ratio  # dyadic: the mix is exact and in range; the cast floors
+            frames.append((a * (1.0 - w) + b * w + 0.5).astype(np.uint16))
         else:
             # past the last kept frame: duplicate it
             frames.append(s.frames[-1])

@@ -648,6 +648,8 @@ OUTSIDE_THE_DOMAIN = {
     "depth_4": (np.zeros((2, 2), np.uint16), 4),
     "depth_24": (np.zeros((2, 2), np.uint16), 24),
     "empty_frame": (np.zeros((0, 4), np.uint16), 10),
+    "bool_frame": (np.ones((2, 2), bool), 10),
+    "three_d_frame": (np.zeros((2, 2, 2), np.uint16), 10),
 }
 
 
@@ -656,6 +658,19 @@ OUTSIDE_THE_DOMAIN = {
 def test_encode_refuses_frames_outside_its_domain(codec, frame, bit_depth):
     with pytest.raises(DomainError):
         codec_encode(frame, codec, qp=22, bit_depth=bit_depth)
+
+
+# Declared shapes codec_decode refuses before it reads the payload. The last
+# two once raised a bare ValueError as they were unpacked into (h, w).
+NOT_A_FRAME_SHAPE = {"no_rows": (0, 4), "no_columns": (4, 0), "negative": (-1, 4), "1-d": (16,), "3-d": (2, 2, 4)}
+
+
+@pytest.mark.parametrize("codec", list(CodecId), ids=[c.name for c in CodecId])
+@pytest.mark.parametrize("shape", NOT_A_FRAME_SHAPE.values(), ids=NOT_A_FRAME_SHAPE)
+def test_decode_refuses_a_shape_that_is_not_a_non_empty_2d_frame(codec, shape):
+    payload = codec_encode(np.zeros((4, 4), np.uint16), codec, qp=22, bit_depth=10)
+    with pytest.raises(DomainError, match=r"^expected a non-empty 2-d frame, got shape \("):
+        codec_decode(payload, codec, 10, shape)
 
 
 @pytest.mark.parametrize("codec", list(CodecId), ids=[c.name for c in CodecId])

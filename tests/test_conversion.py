@@ -34,6 +34,17 @@ class TestQuantize:
         with pytest.raises(DomainError):
             quantize_frame(np.zeros((2, 2), np.float32), 7)
 
+    @pytest.mark.parametrize("shape", [(4,), (2, 2, 2), (0, 4), (4, 0)], ids=["1-d", "3-d", "no_rows", "no_columns"])
+    def test_not_a_non_empty_2d_frame(self, shape):
+        # An empty frame once raised a bare ValueError from its min.
+        with pytest.raises(DomainError, match=r"^expected a non-empty 2-d frame, got shape \("):
+            quantize_frame(np.zeros(shape, np.float32), 10)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_frame(self, value):
+        with pytest.raises(DomainError, match="^frame values must be finite$"):
+            quantize_frame(np.array([[0.0, value]], np.float32), 10)
+
 
 class TestDequantize:
     def test_endpoints(self):
@@ -48,8 +59,21 @@ class TestDequantize:
         np.testing.assert_array_equal(out, (q.astype(np.float64) / 255).astype(np.float32))
 
     def test_out_of_range_sample(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^sample exceeds bit depth 8$"):
             dequantize_frame(np.asarray([[256]], np.int64), 8)
+        with pytest.raises(DomainError, match="^negative sample$"):
+            dequantize_frame(np.asarray([[0, -1]], np.int64), 8)
+
+    @pytest.mark.parametrize("q", [np.array([[0.5]]), np.array([[True, False]])], ids=["float", "bool"])
+    def test_samples_that_are_not_integers(self, q):
+        # Both were once mapped: 0.5 to 0.00196 and True to 1/255.
+        with pytest.raises(DomainError, match="^expected integer samples, got "):
+            dequantize_frame(q, 8)
+
+    def test_empty(self):
+        # An empty array once raised a bare ValueError from its min.
+        out = dequantize_frame(np.zeros((0, 3), np.uint16), 10)
+        assert out.dtype == np.float32 and out.shape == (0, 3)
 
     def test_constant_roundtrip_exact(self):
         frame = np.full((3, 3), -1.5, np.float32)

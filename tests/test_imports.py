@@ -62,12 +62,32 @@ def constants(node: ast.AST) -> set:
     return {n.value for n in ast.walk(node) if isinstance(n, ast.Constant)}
 
 
+def sample_range_sites(tree: ast.Module, owners: set):
+    """Lines of the comparisons, in the functions not named in owners, that
+    name sample_max or a name the function binds to what it returns."""
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef) and fn.name not in owners:
+            bound = {"sample_max"}
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Assign) and "sample_max" in names(node.value):
+                    bound |= {n.id for t in node.targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Compare) and names(node) & bound:
+                    yield node.lineno
+
+
 def rule_sites(tree: ast.Module, module: str):
     """(rule, line) of each statement of a coding rule outside its owner:
     the bit-depth range and the sample ceiling (codec.sample_max), the qp
-    range (codec.check_qp), the codec ids (codec.codec_id) and the label's
-    UTF-8 encoding (tensor.label_bytes)."""
-    owners = {"codec.py": {"sample_max", "check_qp", "codec_id"}, "tensor.py": {"label_bytes"}}.get(module, set())
+    range (codec.check_qp), the codec ids (codec.codec_id), a frame's rank
+    (codec._check_frame_shape), its samples' range (codec._check_samples)
+    and the label's UTF-8 encoding (tensor.label_bytes)."""
+    owners = {
+        "codec.py": {"sample_max", "check_qp", "codec_id", "_check_frame_shape", "_check_samples"},
+        "tensor.py": {"label_bytes"},
+    }.get(module, set())
+    for line in sample_range_sites(tree, owners):
+        yield "sample range", line
     for node in owner_free_nodes(tree, owners):
         if (
             isinstance(node, ast.Compare)
@@ -81,7 +101,8 @@ def rule_sites(tree: ast.Module, module: str):
             yield "bit depth range", node.lineno
         if isinstance(node, ast.Compare) and {0, 63} <= constants(node):
             yield "qp range", node.lineno
-        # vcm.py's pixel sequences are a format of their own, of 1-16 bits.
+        # vcm.py's pixel sequences are a format of their own: frames of 1-16
+        # bit samples.
         if (
             module != "vcm.py"
             and isinstance(node, ast.BinOp)
@@ -91,6 +112,8 @@ def rule_sites(tree: ast.Module, module: str):
             and "bit_depth" in names(node.right)
         ):
             yield "sample ceiling", node.lineno
+        if module != "vcm.py" and isinstance(node, ast.Compare) and "ndim" in names(node) and 2 in constants(node):
+            yield "frame rank", node.lineno
         if (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)

@@ -83,6 +83,15 @@ class TestBdRate:
         with pytest.raises(DomainError, match="rates must be positive and finite"):
             curve([1, 2, 4, rate], [1, 2, 3, 4])
 
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(DomainError, match="^rates and qualities must have equal length$"):
+            curve([1, 2, 4, 8], [1, 2, 3])
+
+    @pytest.mark.parametrize("quality", [math.nan, math.inf, -math.inf])
+    def test_non_finite_qualities_rejected(self, quality):
+        with pytest.raises(DomainError, match="^qualities must be finite$"):
+            curve([1, 2, 4, 8], [1, 2, 3, quality])
+
     def test_non_increasing_rates_rejected(self):
         with pytest.raises(DomainError):
             curve([1, 2, 2, 4], [1, 2, 3, 4])

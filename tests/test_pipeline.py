@@ -337,7 +337,7 @@ def test_layout_channel_count_must_be_n_minus_k(channels, ratio, declared):
 
 @pytest.mark.parametrize("codec", [CodecId.RAW_LOSSLESS])
 def test_samples_past_the_header_bit_depth_are_malformed(codec):
-    with pytest.raises(PayloadDecodeError, match="unit 0: decoded sample exceeds bit depth 8"):
+    with pytest.raises(PayloadDecodeError, match="^unit 0: sample exceeds bit depth 8$"):
         fcm_decode(depth_relabelled_stream(codec))
 
 

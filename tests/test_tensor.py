@@ -149,6 +149,16 @@ class TestValidation:
         with pytest.raises(DomainError):
             FeatureTensor(np.zeros((2, 2), dtype=np.float32))
 
+    @pytest.mark.parametrize("shape", [(0, 2, 2), (2, 0, 2), (2, 2, 0)])
+    def test_rejects_a_zero_dimension(self, shape):
+        with pytest.raises(DomainError, match="^all dimensions must be >= 1, got "):
+            FeatureTensor(np.zeros(shape, dtype=np.float32))
+
+    @pytest.mark.parametrize("labels", [("p3",), ("p3", "p4", "p5")])
+    def test_one_label_per_tensor(self, rng, labels):
+        with pytest.raises(DomainError, match="^one label per tensor required$"):
+            TensorGroup((random_tensor(rng), random_tensor(rng)), labels)
+
     def test_label_not_utf8_encodable(self, rng):
         with pytest.raises(DomainError, match="UTF-8"):
             TensorGroup((random_tensor(rng),), ("\ud800",))

@@ -74,6 +74,19 @@ class TestPixelSequence:
         with pytest.raises(DomainError):
             PixelSequence((np.array([[0, sample]]),), bit_depth)
 
+    def test_empty_sequence_refused(self):
+        with pytest.raises(DomainError, match="^sequence must contain at least one frame$"):
+            PixelSequence((), 10)
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 2, 2)], ids=["1-d", "3-d"])
+    def test_frame_that_is_not_2d_refused(self, shape):
+        with pytest.raises(DomainError, match="^frames must be 2-d$"):
+            PixelSequence((np.zeros((2, 2), np.uint16), np.zeros(shape, np.uint16)), 10)
+
+    def test_frames_of_mixed_shapes_refused(self):
+        with pytest.raises(DomainError, match=r"^frame shape \(2, 3\) differs from \(2, 2\)$"):
+            PixelSequence((np.zeros((2, 2), np.uint16), np.zeros((2, 3), np.uint16)), 10)
+
     @pytest.mark.parametrize("bit_depth", [True, 8.0, 0, 17])
     def test_bit_depth_outside_1_to_16_refused(self, bit_depth):
         with pytest.raises(DomainError, match="^bit depth must be in \\[1, 16\\]"):
@@ -127,6 +140,23 @@ class TestTemporal:
         back = temporal_restore(sampled, info)
         for f in back.frames:
             np.testing.assert_array_equal(f, s.frames[0])
+
+    @pytest.mark.parametrize("bit_depth", [1, 8, 10, 16])
+    @pytest.mark.parametrize("ratio", [2, 4, 8])
+    def test_interpolation_is_the_rounded_mix(self, bit_depth, ratio):
+        # floor(a (1 - w) + b w + 1/2) for every dropped frame, the extremes
+        # of the depth included, and never outside [0, 2^bit_depth - 1].
+        rng = np.random.default_rng(bit_depth * 10 + ratio)
+        top = (1 << bit_depth) - 1
+        a = np.concatenate(([0, 0, top, top], rng.integers(0, top + 1, 2000)))
+        b = np.concatenate(([0, top, 0, top], rng.integers(0, top + 1, 2000)))
+        s = PixelSequence((a[None], b[None]), bit_depth)
+        back = temporal_restore(s, TemporalSideInfo(ratio, ratio + 1))
+        for r in range(1, ratio):
+            w = r / ratio
+            expected = np.floor(a * (1.0 - w) + b * w + 0.5)
+            assert expected.min() >= 0 and expected.max() <= top
+            np.testing.assert_array_equal(back.frames[r][0], expected)
 
     def test_trailing_frames_duplicate_last_kept(self):
         s = constant_seq([10, 20, 30, 40, 50, 60])
