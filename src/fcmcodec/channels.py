@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import DomainError
 from .lcr import ChannelIndexSet
-from .tensor import FeatureTensor, _float64_chunks, _mean
+from .tensor import FeatureTensor, _float64_chunks
 
 
 @dataclass(frozen=True)
@@ -70,9 +70,9 @@ def prune_channels(t: FeatureTensor, d: PruneDecision) -> FeatureTensor:
     return FeatureTensor(t.data[keep])
 
 
-def restore_channels(x: np.ndarray, d: PruneDecision) -> np.ndarray:
+def restore_channels(x: np.ndarray, d: PruneDecision, fill: np.float32) -> np.ndarray:
     """Reinsert pruned channels into the kept C x H x W array x, filled with
-    the scalar mean of x.
+    the float32 scalar fill; the decoder passes the mean of x.
 
     With nothing pruned, x itself is returned. Otherwise the result is a new
     float32 array, and x is only read.
@@ -83,8 +83,6 @@ def restore_channels(x: np.ndarray, d: PruneDecision) -> np.ndarray:
         )
     if not d.pruned.indices:
         return x
-    # The mean's float64 scratch is freed before the output is sized.
-    fill = np.float32(_mean(x))
     out = np.empty((d.total_channels, *x.shape[1:]), dtype=np.float32)
     out[list(d.pruned.indices)] = fill
     out[np.delete(np.arange(d.total_channels), d.pruned.indices)] = x

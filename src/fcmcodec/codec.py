@@ -258,10 +258,13 @@ def sample_max(bit_depth) -> int:
     return (1 << integer_in(bit_depth, "bit depth", 8, 16)) - 1
 
 
-def _check_frame_shape(shape: tuple[int, ...], error: type[FcmError]) -> None:
-    """Raise error unless shape is that of a non-empty 2-d frame."""
-    if len(shape) != 2 or min(shape) < 1:
+def _check_frame_shape(shape: tuple[int, ...], error: type[FcmError]) -> tuple[int, int]:
+    """shape as a pair of ints; raises error unless it is that of a non-empty
+    2-d frame, and DomainError for a dimension that is not an integer."""
+    dims = tuple(integer_in(dim, "frame dimension") for dim in shape)
+    if len(dims) != 2 or min(dims) < 1:
         raise error(f"expected a non-empty 2-d frame, got shape {shape}")
+    return dims
 
 
 def _check_samples(samples: np.ndarray, bit_depth, error: type[FcmError]) -> None:
@@ -839,7 +842,7 @@ def codec_encode(frame: np.ndarray, codec: CodecId, qp: int, bit_depth: int) -> 
 def codec_decode(data: bytes, codec: int, bit_depth: int, shape: tuple[int, int]) -> np.ndarray:
     """Decompress to exactly shape with samples below 2^bit_depth, or raise a
     classified error."""
-    _check_frame_shape(shape, DomainError)
+    shape = _check_frame_shape(shape, DomainError)
     sample_max(bit_depth)
     if codec_id(codec) == CodecId.BLOCK_DCT:
         return _decode_dct(data, bit_depth, shape)

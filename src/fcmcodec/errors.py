@@ -60,14 +60,17 @@ class RankRangeError(DomainError):
     """Combination rank outside [0, C(N, k))."""
 
 
-def integer_in(value, what: str, lo: int, hi: int | None = None) -> int:
+def integer_in(value, what: str, lo: int | None = None, hi: int | None = None) -> int:
     """value as an int; raises DomainError unless it is a Python or numpy
-    integer, not a bool (which would pass as 0 or 1), in [lo, hi], or at
-    least lo when hi is None."""
+    integer, not a bool (which would pass as 0 or 1), in [lo, hi], at least
+    lo when hi is None, or any integer when both are None."""
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        if lo <= value and (hi is None or value <= hi):
+        if (lo is None or lo <= value) and (hi is None or value <= hi):
             return int(value)
-    bounds = f"in [{lo}, {hi}]" if hi is not None else f"an integer >= {lo}"
+    if hi is not None:
+        bounds = f"in [{lo}, {hi}]"
+    else:
+        bounds = "an integer" if lo is None else f"an integer >= {lo}"
     raise DomainError(f"{what} must be {bounds}, got {value}")
 
 

@@ -4,28 +4,43 @@ Encoder, per tensor: capture global stats, mean-pool by the factor the
 configured transform names in `bitstream.TRANSFORMS` (factor 1 passes the
 tensor through), prune low-energy channels, pack, quantize, inner-codec
 encode, emit one unit. Decoder, per unit: inner-codec decode, unpack the
-integer tiles, dequantize them onto [0, 1], restore pruned channels, repeat
-samples by the unit's transform factor, refine onto the transmitted global
-stats.
+integer tiles, take their exact moments, dequantize them onto [0, 1], restore
+pruned channels, repeat samples by the unit's transform factor, refine onto
+the transmitted global stats.
 
 A unit needs to carry neither the quantizer range nor the stats of the kept
 channels. Mapping the samples onto either is a positive affine map; restoring
 fills pruned channels with the kept mean and the repeat copies samples, so
 such a map commutes with both, and the refinement cancels it.
 
+The same argument gives the statistics the refinement starts from, so the
+decoder never measures its float buffer. It takes the mean m and deviation s
+of the kept samples on [0, 1] from exact integer moments of the unpacked
+tiles (conversion.dequantized_stats). With c of N channels kept, restoring
+fills the others with m, which leaves the mean at m and scales the variance
+by c / N; repeating changes neither. The refinement maps the buffer from
+(m, s * sqrt(c / N)) onto the transmitted pair.
+
 The decoder is one chain of calls that rebinds a single name, so each
 intermediate is freed once the next stage has returned, and it computes
 nothing the output does not need. It holds one float32 buffer per unit:
 unpacking comes first, so the pad tiles are dropped while the samples are
 still 16-bit integers; dequantizing makes the buffer; restoring and repeating
-pass it through or replace it; and the refinement writes its affine map back
-into it, a float64 chunk at a time, before it becomes the output tensor's
-read-only data. Each sample sees the same IEEE operations in the same order
-as in a decoder that copies at every stage, so the output has the same bits.
+pass it through or replace it; and the refinement writes its affine map, a
+multiply and an add per sample, back into it, a float64 chunk at a time,
+before it becomes the output tensor's read-only data.
+
+The output is close to, not bit for bit, that of a decoder that measures
+each stage's float32 buffer in float64, as the staged reference in the tests
+does: the moments are those of the exact quotients q / (2^n - 1), not of
+their float32 roundings. On perfbench's workloads, against such a decoder
+that also maps by ((x - mu) * sigma' / sigma) + mu', the output differs by
+at most 1.1e-7 of each tensor's largest magnitude.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -34,11 +49,11 @@ import numpy as np
 from .bitstream import TRANSFORMS, UnitHeader, check_element_cap, parse_stream, serialize_stream
 from .channels import PruneDecision, check_prune_ratio, prune_channels, restore_channels, score_channels, select_pruned
 from .codec import CodecId, check_qp, codec_decode, codec_encode, codec_id, sample_max
-from .conversion import dequantize_frame, quantize_frame
+from .conversion import dequantize_frame, dequantized_stats, quantize_frame
 from .errors import DomainError, FcmError, InvariantError
 from .lcr import LcrCode, lcr_decode, lcr_encode
 from .packing import pack, unpack
-from .tensor import FeatureTensor, TensorGroup, _float64_chunks, apply_refinement, compute_global_stats
+from .tensor import FeatureTensor, GlobalStats, TensorGroup, _float64_chunks, apply_refinement, compute_global_stats
 
 
 def _meanpool(t: FeatureTensor, factor: int) -> FeatureTensor:
@@ -129,11 +144,13 @@ def _decode_one(header: UnitHeader, payload: bytes) -> FeatureTensor:
     lay = header.layout
     x = codec_decode(payload, header.codec, header.bit_depth, (lay.frame_height, lay.frame_width))
     x = unpack(x, lay)
+    kept = dequantized_stats(x, header.bit_depth)
     x = dequantize_frame(x, header.bit_depth)
-    pruned = lcr_decode(LcrCode(header.pruned_k, header.lcr_rank), header.original_channels)
-    x = restore_channels(x, PruneDecision(pruned))
+    decision = PruneDecision(lcr_decode(LcrCode(header.pruned_k, header.lcr_rank), header.original_channels))
+    x = restore_channels(x, decision, np.float32(kept.mu))
     x = _repeat(x, TRANSFORMS[header.transform])
-    return apply_refinement(x, header.transform_stats)
+    current = GlobalStats(kept.mu, kept.sigma * math.sqrt(decision.kept_count / decision.total_channels))
+    return apply_refinement(x, current, header.transform_stats)
 
 
 def fcm_decode(data: bytes) -> TensorGroup:

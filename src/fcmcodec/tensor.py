@@ -193,34 +193,34 @@ def compute_global_stats(t: FeatureTensor) -> GlobalStats:
     return _stats(t.data)
 
 
-def apply_refinement(x: np.ndarray, target: GlobalStats) -> FeatureTensor:
-    """Affinely remap the C x H x W float32 array x so its global statistics
-    become (target.mu, target.sigma), and return it as a tensor.
+def apply_refinement(x: np.ndarray, current: GlobalStats, target: GlobalStats) -> FeatureTensor:
+    """Affinely remap the C x H x W float32 array x, whose global statistics
+    are current, so they become target, and return it as a tensor.
 
-    The map is written into x itself, which then becomes the read-only data
-    of the returned tensor: the caller hands over a buffer it owns. With a
-    zero-spread input the normalized term is taken as 0, so the output is the
-    constant target.mu.
+    current is not measured here: the caller states it. The map is
+    x * gain + offset, with gain = target.sigma / current.sigma and offset =
+    target.mu - current.mu * gain, written into x itself, which then becomes
+    the read-only data of the returned tensor: the caller hands over a buffer
+    it owns. With current.sigma 0 the normalized term is taken as 0, so the
+    output is the constant target.mu.
     """
     if not (x.dtype == np.float32 and x.ndim == 3 and x.size and x.flags.c_contiguous and x.flags.writeable):
         raise DomainError("refinement needs a writable, non-empty, C-contiguous 3-d float32 array")
-    current = _stats(x)
     if current.sigma == 0.0:
         x.fill(target.mu)
         return FeatureTensor(x)
-    # target.sigma * (x - mu) / sigma + target.mu, one IEEE step at a time,
-    # a float64 chunk of rows at a time; each chunk is copied out of x before
-    # its rows are written back.
-    # A hostile target.sigma can take a sample past float32 in the cast back
-    # (the float64 steps cannot overflow on finite float32 input). The sample
-    # becomes inf, which FeatureTensor refuses, so numpy need not warn.
+    gain = target.sigma / current.sigma
+    offset = target.mu - current.mu * gain
+    # Two IEEE steps per sample, a float64 chunk of rows at a time; each chunk
+    # is copied out of x before its rows are written back.
+    # A hostile target.sigma can take a sample past float32 in the cast back,
+    # and a current.sigma near 0 the gain past float64. The sample becomes inf
+    # or nan, which FeatureTensor refuses, so numpy need not warn.
     rows = x.reshape(-1, x.shape[-1])
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         for chunk, out in _float64_chunks(rows, rows):
-            chunk -= current.mu
-            chunk *= target.sigma
-            chunk /= current.sigma
-            chunk += target.mu
+            chunk *= gain
+            chunk += offset
             out[...] = chunk
     return FeatureTensor(x)
 

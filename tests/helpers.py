@@ -58,8 +58,8 @@ def record_refinements(monkeypatch) -> list:
     passes = []
     refine = fcmcodec.pipeline.apply_refinement
 
-    def recorded(t, target):
-        out = refine(t, target)
+    def recorded(x, current, target):
+        out = refine(x, current, target)
         passes.append((target, compute_global_stats(out)))
         return out
 
@@ -177,6 +177,11 @@ def _as_sent(stats: GlobalStats) -> GlobalStats:
     return GlobalStats(*(float(np.float32(v)) for v in (stats.mu, stats.sigma)))
 
 
+def _measured(x: np.ndarray) -> GlobalStats:
+    """The global stats of the C x H x W float32 array x, measured in float64."""
+    return compute_global_stats(FeatureTensor(x.copy()))
+
+
 def staged_reference_decode(group: TensorGroup, cfg: EncoderConfig, stream: bytes) -> list[tuple[np.ndarray, float]]:
     """Decode the stream that cfg coded group into, with the two-refinement
     chain of FCMB version 3 as the reference for the one-refinement decoder.
@@ -185,8 +190,11 @@ def staged_reference_decode(group: TensorGroup, cfg: EncoderConfig, stream: byte
     channels; they are computed here from the source, as the encoder did.
     Each unit's frame is dequantized onto that range, unpacked, refined onto
     those stats, restored, inverse transformed and refined onto the global
-    stats. Returns each tensor with the gain of its last refinement, the
-    factor by which that pass scales its input's deviations from the mean.
+    stats. Unlike the decoder, each stage measures the stats of its float32
+    input: the restore fills with its input's mean, and each refinement
+    starts from its input's stats. Returns each tensor with the gain of its
+    last refinement, the factor by which that pass scales its input's
+    deviations from the mean.
     """
     factor = TRANSFORMS[cfg.transform]
     out = []
@@ -205,11 +213,12 @@ def staged_reference_decode(group: TensorGroup, cfg: EncoderConfig, stream: byte
             x *= hi - lo
             x += lo
         x = unpack(x.astype(np.float32), layout)
-        x = apply_refinement(x, _as_sent(compute_global_stats(reduced))).data.copy()
-        x = restore_channels(x, decision)
+        x = apply_refinement(x, _measured(x), _as_sent(compute_global_stats(reduced))).data.copy()
+        x = restore_channels(x, decision, np.float32(_measured(x).mu))
         x = _repeat(x, factor)
-        spread = compute_global_stats(FeatureTensor(x.copy())).sigma
-        out.append((apply_refinement(x, h.transform_stats).data, h.transform_stats.sigma / spread if spread else 0.0))
+        current = _measured(x)
+        gain = h.transform_stats.sigma / current.sigma if current.sigma else 0.0
+        out.append((apply_refinement(x, current, h.transform_stats).data, gain))
     return out
 
 

@@ -107,7 +107,7 @@ class TestPruneRestore:
     def test_restore_fill_is_mean(self):
         kept = np.asarray([[[1.0, 2.0]], [[1.0, 2.0]]], np.float32)  # mean 1.5
         before = kept.copy()
-        out = restore_channels(kept, decision([1, 3], 4))
+        out = restore_channels(kept, decision([1, 3], 4), np.float32(1.5))
         assert out.shape == (4, 1, 2) and out.dtype == np.float32
         np.testing.assert_array_equal(out[0], kept[0])
         np.testing.assert_array_equal(out[2], kept[1])
@@ -117,16 +117,16 @@ class TestPruneRestore:
 
     def test_restore_zero_mean(self):
         kept = np.zeros((2, 2, 2), np.float32)
-        out = restore_channels(kept, decision([0], 3))
+        out = restore_channels(kept, decision([0], 3), np.float32(0.0))
         np.testing.assert_array_equal(out, np.zeros((3, 2, 2), np.float32))
 
     def test_restore_count_mismatch(self, rng):
         with pytest.raises(DomainError):
-            restore_channels(random_tensor(rng, channels=3).data, decision([1], 3))
+            restore_channels(random_tensor(rng, channels=3).data, decision([1], 3), np.float32(0.0))
 
     def test_restore_nothing_pruned_passes_the_array_through(self, rng):
         kept = random_tensor(rng, channels=3).data
-        assert restore_channels(kept, decision([], 3)) is kept
+        assert restore_channels(kept, decision([], 3), np.float32(0.0)) is kept
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
@@ -137,7 +137,7 @@ class TestPruneRestore:
         k = int(rng.integers(0, c))
         pruned = sorted(rng.choice(c, size=k, replace=False).tolist())
         d = decision(pruned, c)
-        restored = restore_channels(prune_channels(t, d).data, d)
+        restored = restore_channels(prune_channels(t, d).data, d, np.float32(0.0))
         assert len(restored) == c
         keep = [i for i in range(c) if i not in pruned]
         for i in keep:

@@ -673,6 +673,29 @@ def test_decode_refuses_a_shape_that_is_not_a_non_empty_2d_frame(codec, shape):
         codec_decode(payload, codec, 10, shape)
 
 
+# Declared dimensions that are not integers. They once ended in a bare
+# TypeError from numpy's reshape, or a struct.error (RAW_LOSSLESS at (1.0, 1)).
+NOT_INTEGER_DIMENSIONS = {"bools": (True, True), "float_rows": (1.0, 1), "float_columns": (1, 1.0)}
+
+
+@pytest.mark.parametrize("codec", list(CodecId), ids=[c.name for c in CodecId])
+@pytest.mark.parametrize("shape", NOT_INTEGER_DIMENSIONS.values(), ids=NOT_INTEGER_DIMENSIONS)
+def test_decode_refuses_dimensions_that_are_not_integers(codec, shape):
+    payload = codec_encode(np.zeros((1, 1), np.uint16), codec, qp=22, bit_depth=8)
+    with pytest.raises(DomainError, match=r"^frame dimension must be an integer, got "):
+        codec_decode(payload, codec, 8, shape)
+
+
+@pytest.mark.parametrize("codec", list(CodecId), ids=[c.name for c in CodecId])
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
+def test_decode_takes_numpy_integer_dimensions(codec, dtype):
+    frame = np.arange(60, dtype=np.uint16).reshape(6, 10)
+    payload = codec_encode(frame, codec, qp=0, bit_depth=8)
+    out = codec_decode(payload, codec, 8, (dtype(6), dtype(10)))
+    np.testing.assert_array_equal(out, codec_decode(payload, codec, 8, (6, 10)))
+    assert out.shape == (6, 10)
+
+
 @pytest.mark.parametrize("codec", list(CodecId), ids=[c.name for c in CodecId])
 @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint32, np.uint8])
 def test_any_integer_dtype_within_depth_codes_like_uint16(codec, dtype):

@@ -1,8 +1,14 @@
+import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from fcmcodec import dequantize_frame, quantize_frame
+from fcmcodec.conversion import dequantized_stats
 from fcmcodec.errors import DomainError
+from fcmcodec.tensor import _CHUNK
 
 
 class TestQuantize:
@@ -100,3 +106,62 @@ class TestDequantize:
         b, pb = quantize_frame(frame.copy(), 10)
         assert pa == pb
         np.testing.assert_array_equal(a, b)
+
+
+def exact_stats(q: np.ndarray, bit_depth: int) -> tuple[Fraction, Fraction]:
+    """The mean and population variance of q / (2^n - 1) as fractions, the
+    variance from each sample's deviation: the sum of (v / M - S1 / (n M))^2
+    over n is the sum of (n v - S1)^2 over n^3 M^2."""
+    levels = (1 << bit_depth) - 1
+    values = q.reshape(-1).tolist()
+    n, s1 = len(values), sum(values)
+    return Fraction(s1, n * levels), Fraction(sum((n * v - s1) ** 2 for v in values), n**3 * levels**2)
+
+
+def sqrt_of(value: Fraction) -> float:
+    """The square root of value to 60 digits, as a float."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return float((Decimal(value.numerator) / Decimal(value.denominator)).sqrt())
+
+
+# Sample counts around the moments' float64 chunk of _CHUNK samples.
+MOMENT_SIZES = [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7]
+
+
+class TestDequantizedStats:
+    @pytest.mark.parametrize("size", MOMENT_SIZES)
+    @pytest.mark.parametrize("bit_depth", [8, 10, 16])
+    @pytest.mark.parametrize("kind", ["uniform", "extremes"])
+    def test_matches_fractions(self, kind, bit_depth, size):
+        rng = np.random.default_rng(size * 17 + bit_depth)
+        levels = (1 << bit_depth) - 1
+        if kind == "uniform":
+            q = rng.integers(0, levels + 1, size, dtype=np.uint16)
+        else:  # only 0 and 2^n - 1: each chunk's sum of squares at its largest
+            q = rng.choice(np.array([0, levels], np.uint16), size)
+        stats = dequantized_stats(q, bit_depth)
+        mean, variance = exact_stats(q, bit_depth)
+        assert stats.mu == float(mean)
+        sigma = sqrt_of(variance)
+        assert abs(stats.sigma - sigma) <= math.ulp(sigma)
+
+    @pytest.mark.parametrize("size", MOMENT_SIZES)
+    @pytest.mark.parametrize("bit_depth", [8, 10, 16])
+    def test_equal_samples_have_no_spread(self, bit_depth, size):
+        for value in (0, 1, (1 << bit_depth) - 1):
+            stats = dequantized_stats(np.full(size, value, np.uint16), bit_depth)
+            assert stats.mu == value / ((1 << bit_depth) - 1)
+            assert stats.sigma == 0.0
+
+    def test_any_shape_and_integer_dtype(self):
+        q = np.arange(2 * 3 * 4, dtype=np.int64).reshape(2, 3, 4)[:, ::-1]
+        assert dequantized_stats(q, 8) == dequantized_stats(q.astype(np.uint16).reshape(-1), 8)
+
+    def test_refuses_what_dequantize_frame_refuses(self):
+        with pytest.raises(DomainError, match="^sample exceeds bit depth 8$"):
+            dequantized_stats(np.asarray([[256]], np.uint16), 8)
+        with pytest.raises(DomainError, match="^expected integer samples, got "):
+            dequantized_stats(np.array([[0.5]]), 8)
+        with pytest.raises(DomainError):
+            dequantized_stats(np.zeros((0, 3), np.uint16), 10)

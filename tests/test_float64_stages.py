@@ -1,14 +1,15 @@
 """The float64 stages against the whole-array expressions they replaced.
 
-compute_global_stats, and the pad mean of pack and the fill mean of
-restore_channels, sum a float64 chunk at a time along numpy's own pairwise
-split points; apply_refinement, quantize_frame, score_channels and the
-mean-pool transform run their float64 arithmetic in place in one reused
-float64 chunk of rows or channels at a time. Each step is the IEEE operation
-the whole-array expressions below performed, in the same order, so results
-must match them bit for bit, at every chunk size and boundary. The caller's
-array must be left as it was, except by apply_refinement, which writes its
-result into the buffer it is given.
+compute_global_stats and the pad mean of pack sum a float64 chunk at a time
+along numpy's own pairwise split points; apply_refinement, quantize_frame,
+score_channels and the mean-pool transform run their float64 arithmetic in
+place in one reused float64 chunk of rows or channels at a time. Each step is
+the IEEE operation the whole-array expressions below perform, in the same
+order, so results must match them bit for bit, at every chunk size and
+boundary. apply_refinement and restore_channels measure nothing: they are
+given the stats and the fill, here the reference's own. The caller's array
+must be left as it was, except by apply_refinement, which writes its result
+into the buffer it is given.
 dequantize_frame divides in float32; float64 has more than twice float32's
 precision plus two bits, so the float64 quotient rounded once to float32 is
 the same correctly rounded value.
@@ -59,14 +60,18 @@ def reference_meanpool(data: np.ndarray) -> np.ndarray:
     return data.astype(np.float64).reshape(c, h // 2, 2, w // 2, 2).mean(axis=(2, 4)).astype(np.float32)
 
 
-def reference_refinement(data: np.ndarray, target: GlobalStats) -> np.ndarray:
-    mu, sigma = reference_stats(data)
+def reference_refinement(data: np.ndarray, current: GlobalStats, target: GlobalStats) -> np.ndarray:
     x = data.astype(np.float64, copy=False)
-    if sigma == 0.0:
+    if current.sigma == 0.0:
         out = np.full(data.shape, target.mu, dtype=np.float64)
     else:
-        out = target.sigma * (x - mu) / sigma + target.mu
+        gain = target.sigma / current.sigma
+        out = x * gain + (target.mu - current.mu * gain)
     return out.astype(np.float32)
+
+
+def measured(data: np.ndarray) -> GlobalStats:
+    return GlobalStats(*reference_stats(data))
 
 
 def round_half_away(x: np.ndarray) -> np.ndarray:
@@ -107,8 +112,9 @@ ZERO_SIGMA = np.full((2, 3, 4), -7.25, np.float32)
 EXTREMES = np.array([[[F32_MAX, -F32_MAX], [F32_TINY, -F32_TINY]]], np.float32)
 # The exact results of these sit next to a rounding midpoint of the output
 # (float32, or an integer plus 0.5), so the output rounds the other way if the
-# float64 steps are reordered, e.g. dividing before multiplying.
-MIDPOINT_REFINEMENT = (np.array([[[0, 1, 2]]], np.float32), GlobalStats(0.0, 1.0746086226980522))
+# float64 steps are reordered, e.g. subtracting the mean before multiplying or
+# dividing before multiplying.
+MIDPOINT_REFINEMENT = (np.array([[[0, 1, 3]]], np.float32), GlobalStats(-1.423361478748817, 1.9024339495607634))
 MIDPOINT_QUANTIZE = (np.array([[0.0, 27.081682205200195, 54.16336441040039]], np.float32), 8)
 
 
@@ -139,14 +145,15 @@ def test_scores_match_reference(data):
 @example(EXTREMES, GlobalStats(-3.0, 1e30))
 @example(*MIDPOINT_REFINEMENT)
 def test_refinement_matches_reference(data, target):
+    current = measured(data)
     with np.errstate(over="ignore", invalid="ignore"):
-        expected = reference_refinement(data, target)
+        expected = reference_refinement(data, current, target)
     buf = data.copy()
     if not np.all(np.isfinite(expected)):
         with pytest.raises(DomainError):
-            apply_refinement(buf, target)
+            apply_refinement(buf, current, target)
     else:
-        out = apply_refinement(buf, target).data
+        out = apply_refinement(buf, current, target).data
         assert np.shares_memory(out, buf)
         assert same_bits(out, expected)
 
@@ -206,7 +213,8 @@ def test_chunked_stages_match_reference_at_chunk_boundaries(shape):
     rng = np.random.default_rng(sum(shape))
     data = (rng.standard_normal(shape) * 3.7 + 0.25).astype(np.float32)
     target = GlobalStats(-1.5, 0.37)
-    assert same_bits(apply_refinement(data.copy(), target).data, reference_refinement(data, target))
+    current = measured(data)
+    assert same_bits(apply_refinement(data.copy(), current, target).data, reference_refinement(data, current, target))
     assert same_bits(score_channels(FeatureTensor(data)), reference_scores(data))
     frame = data.reshape(-1, shape[-1])
     q, span = quantize_frame(frame, 10)
@@ -222,9 +230,10 @@ def spread_values(rng, n: int) -> np.ndarray:
 
 
 def assert_sums_match_reference(data: np.ndarray) -> None:
-    """The chunked sums, mu, sigma, pack's pad mean and restore_channels'
-    fill mean of the (n, 1, 1) data against numpy's whole-array expressions.
-    The sums come first: dividing by n can round two sums to one mean."""
+    """The chunked sums, mu, sigma and pack's pad mean of the (n, 1, 1) data
+    against numpy's whole-array expressions, and restore_channels' fill with
+    that mean. The sums come first: dividing by n can round two sums to one
+    mean."""
     n = len(data)
     flat = data.astype(np.float64).reshape(-1)
     assert same_bits(np.float64(_pairwise_sum(data, None)), flat.sum())
@@ -235,7 +244,7 @@ def assert_sums_match_reference(data: np.ndarray) -> None:
     assert same_bits(np.float64(stats.mu), np.float64(mu))
     assert same_bits(np.float64(stats.sigma), np.float64(sigma))
     fill = np.float32(data.astype(np.float64).mean())
-    restored = restore_channels(data, PruneDecision(ChannelIndexSet((n,), n + 1)))
+    restored = restore_channels(data, PruneDecision(ChannelIndexSet((n,), n + 1)), fill)
     assert same_bits(restored[n], np.full((1, 1), fill))
     frame, layout = pack(t)
     if n % layout.grid_cols:  # so the grid's last tile is a pad tile

@@ -8,7 +8,8 @@ values fails here until the fixtures are regenerated on purpose with
     PYTHONPATH=src python tests/test_golden.py
 
 which also rewraps `pyramid_raw_level6.fcmb`, a stream of an older encoder,
-in the current stream version, keeping its unit payloads.
+in the current stream version, keeping its unit payloads, and pins its
+decoded digest to that of the manifest case it codes.
 """
 
 import hashlib
@@ -190,8 +191,7 @@ def test_default_strategy_deflate_stream_still_decodes():
     assert hashlib.sha256(stream).hexdigest() == meta["stream_sha256"]
     assert payload_digests(stream) == meta["payload_sha256"]
     assert decoded_digest(fcm_decode(stream)) == meta["decoded_sha256"]
-    key = ("pyramid.ftns", meta["codec"], meta["qp"], meta["prune"], meta["bit_depth"])
-    (case,) = [c for c in _manifest()["cases"] if _case_key(c) == key]
+    case = _level6_case(meta)
     assert case["decoded_sha256"] == meta["decoded_sha256"]
     assert case["stream_sha256"] != meta["stream_sha256"]
 
@@ -209,11 +209,19 @@ def payload_digests(stream: bytes) -> list[str]:
     return [hashlib.sha256(payload).hexdigest() for _, payload in parse_stream(stream)]
 
 
+def _level6_case(meta: dict) -> dict:
+    """The manifest case that codes the level-6 stream's input and settings."""
+    key = (meta["input"], meta["codec"], meta["qp"], meta["prune"], meta["bit_depth"])
+    (case,) = [c for c in _manifest()["cases"] if _case_key(c) == key]
+    return case
+
+
 def rewrap_raw_level6() -> None:
     """Rewrite the level-6 default-strategy stream at STREAM_VERSION. Its
     units have the layout of versions 5 to 7, so only the version byte
     changes; a version that changes the unit layout must rewrap them here.
-    Every payload must keep its pinned digest."""
+    Every payload must keep its pinned digest. The pinned decoded digest is
+    the manifest case's, which the stream must decode to."""
     meta = json.loads(RAW_LEVEL6.read_text())
     path = GOLDEN / meta["stream"]
     old = path.read_bytes()
@@ -223,6 +231,9 @@ def rewrap_raw_level6() -> None:
     payloads = payload_digests(stream)
     if payloads != meta.get("payload_sha256", payloads):
         raise SystemExit(f"rewrapping {path} changed a unit payload")
+    decoded = _level6_case(meta)["decoded_sha256"]
+    if decoded_digest(fcm_decode(stream)) != decoded:
+        raise SystemExit(f"{path} does not decode to its manifest case")
     path.write_bytes(stream)
     meta["deflate"] = (
         "zlib.compress level 6, default strategy (the RAW_LOSSLESS encoder up to commit 7ff83cd); each unit's "
@@ -231,6 +242,7 @@ def rewrap_raw_level6() -> None:
     )
     meta["stream_sha256"] = hashlib.sha256(stream).hexdigest()
     meta["payload_sha256"] = payloads
+    meta["decoded_sha256"] = decoded
     RAW_LEVEL6.write_text(json.dumps(meta, indent=1) + "\n")
     print(f"rewrapped {path.name} in FCMB version {STREAM_VERSION}, keeping its {len(payloads)} unit payloads")
 

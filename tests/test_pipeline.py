@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import fcmcodec.codec
 import fcmcodec.lcr
 import fcmcodec.pipeline
+import fcmcodec.tensor
 from fcmcodec import (
     TRANSFORMS,
     CodecId,
@@ -312,6 +313,30 @@ def test_a_unit_decode_evaluates_its_binomial_once(monkeypatch):
     monkeypatch.setattr(fcmcodec.lcr, "math", SimpleNamespace(comb=comb))
     fcm_decode(stream)
     assert calls == [(64, 32), (48, 24)]
+
+
+@pytest.mark.parametrize("codec", list(CodecId), ids=[c.name for c in CodecId])
+@pytest.mark.parametrize("prune", [0.0, 0.5], ids=["unpruned", "pruned"])
+def test_decode_measures_no_float_statistics(monkeypatch, prune, codec):
+    """The decoder takes the statistics it refines from, and its fill, from
+    exact integer moments of the kept samples. It makes no float64 pass over
+    its float32 buffer to measure them: no pairwise sum, where a staged
+    decoder makes 2 per unit (the refinement's mean and spread) and 3 per
+    pruned unit (the fill mean too)."""
+    rng = np.random.default_rng(11)
+    group = TensorGroup(tuple(random_tensor(rng, channels=4, height=8, width=8) for _ in range(2)))
+    stream = fcm_encode(group, EncoderConfig(prune_ratio=prune, codec=codec))
+    calls = []
+    pairwise_sum = fcmcodec.tensor._pairwise_sum
+
+    def counted(data, mu):
+        calls.append(data.shape)
+        return pairwise_sum(data, mu)
+
+    monkeypatch.setattr(fcmcodec.tensor, "_pairwise_sum", counted)
+    decoded = fcm_decode(stream)
+    assert calls == []
+    assert len(decoded) == len(group)
 
 
 def test_frame_past_the_element_cap_is_refused_before_decoding():

@@ -63,27 +63,38 @@ def buffer_of(values, shape):
     return np.asarray(values, dtype=np.float32).reshape(shape)
 
 
+def refined(x, target):
+    """apply_refinement of the buffer x from its own measured stats."""
+    return apply_refinement(x, compute_global_stats(FeatureTensor(x.copy())), target)
+
+
 class TestRefinement:
     def test_affine_map(self):
         x = buffer_of([-1.0, 1.0], (1, 1, 2))  # stats (0, 1)
-        out = apply_refinement(x, GlobalStats(3.0, 2.0))
+        out = refined(x, GlobalStats(3.0, 2.0))
         np.testing.assert_allclose(out.data.ravel(), [1.0, 5.0], atol=1e-6)
+
+    def test_maps_from_the_stated_stats(self):
+        """The stats the buffer is said to have are used, not measured."""
+        x = buffer_of([-1.0, 1.0], (1, 1, 2))  # measured stats (0, 1)
+        out = apply_refinement(x, GlobalStats(0.0, 2.0), GlobalStats(1.0, 1.0))
+        np.testing.assert_array_equal(out.data.ravel(), [0.5, 1.5])
 
     def test_own_stats_is_identity(self, rng):
         t = random_tensor(rng)
-        out = apply_refinement(t.data.copy(), compute_global_stats(t))
+        out = refined(t.data.copy(), compute_global_stats(t))
         np.testing.assert_allclose(out.data, t.data, atol=1e-5)
 
     def test_normalize_known(self):
         x = buffer_of([1.0, 2.0, 3.0], (1, 1, 3))
-        out = apply_refinement(x, GlobalStats(0.0, 1.0))
+        out = refined(x, GlobalStats(0.0, 1.0))
         np.testing.assert_allclose(
             out.data.ravel(), [-1.224745, 0.0, 1.224745], atol=1e-6
         )
 
     def test_zero_spread_input(self):
         x = buffer_of([4.0] * 6, (1, 2, 3))
-        out = apply_refinement(x, GlobalStats(2.5, 3.0))
+        out = refined(x, GlobalStats(2.5, 3.0))
         np.testing.assert_array_equal(out.data, np.full((1, 2, 3), 2.5, np.float32))
         assert np.shares_memory(out.data, x)
 
@@ -91,19 +102,19 @@ class TestRefinement:
     @settings(max_examples=100, deadline=None)
     def test_stats_forced_onto_target(self, seed, mu, sigma):
         t = random_tensor(np.random.default_rng(seed))
-        out = compute_global_stats(apply_refinement(t.data.copy(), GlobalStats(mu, sigma)))
+        out = compute_global_stats(refined(t.data.copy(), GlobalStats(mu, sigma)))
         assert out.mu == pytest.approx(mu, rel=1e-4, abs=1e-4)
         assert out.sigma == pytest.approx(sigma, rel=1e-4)
 
     def test_idempotent(self, rng):
         target = GlobalStats(1.5, 0.7)
-        once = apply_refinement(random_tensor(rng).data.copy(), target)
-        twice = apply_refinement(once.data.copy(), target)
+        once = refined(random_tensor(rng).data.copy(), target)
+        twice = refined(once.data.copy(), target)
         assert np.max(np.abs(twice.data - once.data)) <= 1e-5
 
     def test_writes_into_the_buffer_it_is_given(self, rng):
         x = random_tensor(rng).data.copy()
-        out = apply_refinement(x, GlobalStats(1.5, 0.7))
+        out = refined(x, GlobalStats(1.5, 0.7))
         assert np.shares_memory(out.data, x)
         # the buffer is now the tensor's data, and as read-only as it
         assert not x.flags.writeable
@@ -120,7 +131,7 @@ class TestRefinement:
     )
     def test_refuses_a_buffer_it_cannot_write_as_the_tensor(self, x):
         with pytest.raises(DomainError):
-            apply_refinement(x, GlobalStats(0.0, 1.0))
+            apply_refinement(x, GlobalStats(0.0, 1.0), GlobalStats(0.0, 1.0))
 
     def test_refuses_a_tensors_data(self, rng):
         """A FeatureTensor's data is read-only: refining it would change the
@@ -128,7 +139,7 @@ class TestRefinement:
         t = random_tensor(rng)
         before = t.data.copy()
         with pytest.raises(DomainError):
-            apply_refinement(t.data, GlobalStats(0.0, 1.0))
+            apply_refinement(t.data, compute_global_stats(t), GlobalStats(0.0, 1.0))
         np.testing.assert_array_equal(t.data, before)
 
 
