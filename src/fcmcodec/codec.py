@@ -353,12 +353,6 @@ def _to_blocks(frame: np.ndarray) -> np.ndarray:
     return frame.reshape(hb, BLOCK, wb, BLOCK).transpose(0, 2, 1, 3)
 
 
-def _from_blocks(blocks: np.ndarray, h: int, w: int) -> np.ndarray:
-    hb, wb = blocks.shape[:2]
-    frame = blocks.transpose(0, 2, 1, 3).reshape(hb * BLOCK, wb * BLOCK)
-    return frame[:h, :w]
-
-
 def _deflate(data) -> bytes:
     deflate = zlib.compressobj(6, zlib.DEFLATED, zlib.MAX_WBITS, _RAW_MEM_LEVEL, zlib.Z_RLE)
     return deflate.compress(data) + deflate.flush()
@@ -815,13 +809,30 @@ def _decode_dct(data: bytes, bit_depth: int, shape: tuple[int, int]) -> np.ndarr
         del coeffs
         # x + 0.5 clipped to [0, top], where the uint16 cast's truncation is
         # the floor: floor(x + 0.5), which rounds half away from zero
-        # wherever clip keeps the value.
-        rows = _from_blocks(pixels, min(h, BLOCK * r1) - BLOCK * r0, w)
-        rows += 0.5
-        np.clip(rows, 0, top, out=rows)
-        frame[BLOCK * r0 : BLOCK * r1] = rows
-        del pixels, rows
+        # wherever clip keeps the value. The pad samples of edge blocks are
+        # rounded too, and dropped by the cast into the frame.
+        pixels += 0.5
+        np.clip(pixels, 0, top, out=pixels)
+        _cast_blocks(pixels, frame[BLOCK * r0 : BLOCK * r1])
+        del pixels
     return frame
+
+
+def _cast_blocks(blocks: np.ndarray, rows: np.ndarray) -> None:
+    """Cast the (m, n, 8, 8) blocks into rows, the frame rows they cover,
+    through block views of rows, which hold at most 8m rows and 8n columns.
+
+    The blocks of the last row and column are cropped to the frame, so rows
+    splits into at most four parts of blocks of one size each.
+    """
+    h, w = rows.shape
+    for r0, r1 in ((0, h // BLOCK), (h // BLOCK, len(blocks))):
+        for c0, c1 in ((0, w // BLOCK), (w // BLOCK, blocks.shape[1])):
+            part = rows[BLOCK * r0 : BLOCK * r1, BLOCK * c0 : BLOCK * c1]
+            if part.size:
+                bh, bw = part.shape[0] // (r1 - r0), part.shape[1] // (c1 - c0)
+                view = part.reshape(r1 - r0, bh, c1 - c0, bw).transpose(0, 2, 1, 3)
+                view[...] = blocks[r0:r1, c0:c1, :bh, :bw]
 
 
 def codec_encode(frame: np.ndarray, codec: CodecId, qp: int, bit_depth: int) -> bytes:

@@ -198,11 +198,29 @@ def apply_refinement(x: np.ndarray, current: GlobalStats, target: GlobalStats) -
     are current, so they become target, and return it as a tensor.
 
     current is not measured here: the caller states it. The map is
-    x * gain + offset, with gain = target.sigma / current.sigma and offset =
-    target.mu - current.mu * gain, written into x itself, which then becomes
-    the read-only data of the returned tensor: the caller hands over a buffer
-    it owns. With current.sigma 0 the normalized term is taken as 0, so the
-    output is the constant target.mu.
+    (x - current.mu) * gain + target.mu, with gain = target.sigma /
+    current.sigma, written into x itself, which then becomes the read-only
+    data of the returned tensor: the caller hands over a buffer it owns. With
+    current.sigma 0 the normalized term is taken as 0, so the output is the
+    constant target.mu.
+
+    The map runs in float32, in place, in three steps: x - m, times gain,
+    plus target.mu + (m - current.mu) * gain, where m is current.mu rounded
+    to float32, and the gain and the addend are each rounded to float32
+    once. The addend takes back m's rounding, which (x - m) * gain +
+    target.mu would scale by the gain. On buffers on [0, 1], as a decoder's
+    are, the output stayed within 2 float32 ulps of the float64 map, an ulp
+    being float32's epsilon times the largest magnitude, where x * gain +
+    offset, whose rounded offset cancels much of the product, reached 2.4 and
+    (x - m) * gain + target.mu 2.06. A buffer whose spread is small next to
+    its magnitude keeps fewer of the spread's bits in float32 than in
+    float64.
+
+    Where any value the map makes, bounded in float64 from x's min and max,
+    could reach 2^126, a quarter of float32's range, the map runs as x *
+    gain + offset in float64 chunks instead, so the float32 map never
+    overflows, and a sample that rounds past float32 there makes the same inf
+    or nan as it always has.
     """
     if not (x.dtype == np.float32 and x.ndim == 3 and x.size and x.flags.c_contiguous and x.flags.writeable):
         raise DomainError("refinement needs a writable, non-empty, C-contiguous 3-d float32 array")
@@ -210,6 +228,17 @@ def apply_refinement(x: np.ndarray, current: GlobalStats, target: GlobalStats) -
         x.fill(target.mu)
         return FeatureTensor(x)
     gain = target.sigma / current.sigma
+    spread = max(float(x.max()) - current.mu, current.mu - float(x.min()))
+    # m, x - m, the gain and the output, whose addend moves it by at most
+    # 2^-24 |current.mu| gain; compared so that a nan, from an inf gain
+    # times a 0 spread, fails too.
+    reach = (spread + 2.0**-24 * abs(current.mu)) * gain + abs(target.mu)
+    if all(v < 2.0**126 for v in (abs(current.mu), spread, gain, reach)):
+        m = np.float32(current.mu)
+        x -= m
+        x *= np.float32(gain)
+        x += np.float32(target.mu + (float(m) - current.mu) * gain)
+        return FeatureTensor(x)
     offset = target.mu - current.mu * gain
     # Two IEEE steps per sample, a float64 chunk of rows at a time; each chunk
     # is copied out of x before its rows are written back.

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.fft import dctn, idctn
 
 from fcmcodec import codec
-from fcmcodec.codec import BLOCK, ZIGZAG, _from_blocks, _to_blocks, qstep
+from fcmcodec.codec import BLOCK, ZIGZAG, _to_blocks, qstep
 from fcmcodec.errors import DomainError, PayloadDecodeError, TruncatedError
 
 # Longest zero prefix of a BLOCK_DCT codeword, so every value fits int32.
@@ -189,6 +189,6 @@ def reference_decode_dct(data: bytes, bit_depth: int, shape: tuple[int, int]) ->
     for b, index, value in coefficients:
         flat[b, index] = value
     pixels = codec.idctn(flat).reshape(hb, wb, BLOCK, BLOCK)
-    frame = _from_blocks(pixels, h, w)
+    frame = pixels.transpose(0, 2, 1, 3).reshape(hb * BLOCK, wb * BLOCK)[:h, :w]
     frame = np.clip(_round_half_away(frame), 0, (1 << bit_depth) - 1)
     return frame.astype(np.uint16)

@@ -40,6 +40,23 @@ from fcmcodec.pipeline import _meanpool, _repeat
 from fcmcodec.tensor import apply_refinement
 
 
+def reference_refinement(data: np.ndarray, current: GlobalStats, target: GlobalStats) -> np.ndarray:
+    x = data.astype(np.float64, copy=False)
+    if current.sigma == 0.0:
+        out = np.full(data.shape, target.mu, dtype=np.float64)
+    else:
+        gain = target.sigma / current.sigma
+        out = x * gain + (target.mu - current.mu * gain)
+    return out.astype(np.float32)
+
+
+def within_ulps(got: np.ndarray, want: np.ndarray, ulps: float = 2) -> bool:
+    """got is within ulps float32 ulps of want's largest magnitude, an ulp
+    there taken as float32's epsilon times that magnitude."""
+    scale = float(np.abs(want).max()) * float(np.finfo(np.float32).eps)
+    return float(np.abs(got.astype(np.float64) - want).max()) <= ulps * scale
+
+
 def random_tensor(rng, channels=None, height=None, width=None, mu=0.0, sigma=1.0):
     c = channels or int(rng.integers(1, 9))
     h = height or int(rng.integers(2, 17))

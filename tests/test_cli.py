@@ -271,6 +271,15 @@ class TestCodecCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: unit 1:") and err.count("\n") == 1, err
 
+    def test_float32_cast_of_a_huge_gain_warns_outside_errstate(self):
+        # Why the test above can fail: the refinement casts its gain to
+        # float32 only where the gain is below 2^126, and maps the rest in
+        # float64 with numpy's overflow warning off.
+        with pytest.warns(RuntimeWarning, match="overflow encountered in cast"):
+            np.float32(3e38 / 1e-3)
+        with np.errstate(over="ignore"):
+            assert np.float32(3e38 / 1e-3) == np.inf
+
     @pytest.mark.parametrize("channels,ratio,declared", CHANNEL_MISMATCHES)
     def test_layout_channel_mismatch_exit_3(self, tmp_path, capsys, channels, ratio, declared):
         bad = tmp_path / "bad.fcmb"

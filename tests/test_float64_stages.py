@@ -1,15 +1,20 @@
-"""The float64 stages against the whole-array expressions they replaced.
+"""The float64 stages against the whole-array expressions they replaced,
+and the float32 refinement against the float64 map it replaced.
 
 compute_global_stats and the pad mean of pack sum a float64 chunk at a time
-along numpy's own pairwise split points; apply_refinement, quantize_frame,
-score_channels and the mean-pool transform run their float64 arithmetic in
-place in one reused float64 chunk of rows or channels at a time. Each step is
-the IEEE operation the whole-array expressions below perform, in the same
-order, so results must match them bit for bit, at every chunk size and
-boundary. apply_refinement and restore_channels measure nothing: they are
-given the stats and the fill, here the reference's own. The caller's array
-must be left as it was, except by apply_refinement, which writes its result
-into the buffer it is given.
+along numpy's own pairwise split points; quantize_frame, score_channels and
+the mean-pool transform run their float64 arithmetic in place in one reused
+float64 chunk of rows or channels at a time. Each step is the IEEE operation
+the whole-array expressions below perform, in the same order, so results
+must match them bit for bit, at every chunk size and boundary. The caller's
+array must be left as it was.
+apply_refinement maps in float32, in place, so it is held within 2 float32
+ulps (float32's epsilon times the largest magnitude) of the float64 map,
+and bit for bit to that map where its output nears float32's range and it
+runs in float64 chunks.
+It and restore_channels measure nothing: they are given the stats and the
+fill, here the reference's own. apply_refinement writes its result into the
+buffer it is given.
 dequantize_frame divides in float32; float64 has more than twice float32's
 precision plus two bits, so the float64 quotient rounded once to float32 is
 the same correctly rounded value.
@@ -35,9 +40,12 @@ from fcmcodec import (
     score_channels,
 )
 from fcmcodec.channels import restore_channels
+from fcmcodec.conversion import dequantized_stats
 from fcmcodec.errors import DomainError
 from fcmcodec.pipeline import _meanpool
 from fcmcodec.tensor import _CHUNK, _pairwise_sum, apply_refinement, compute_global_stats
+
+from helpers import reference_refinement, within_ulps
 
 F32_MAX = float(np.finfo(np.float32).max)
 F32_TINY = float(np.finfo(np.float32).smallest_subnormal)
@@ -58,16 +66,6 @@ def reference_scores(data: np.ndarray) -> list[float]:
 def reference_meanpool(data: np.ndarray) -> np.ndarray:
     c, h, w = data.shape
     return data.astype(np.float64).reshape(c, h // 2, 2, w // 2, 2).mean(axis=(2, 4)).astype(np.float32)
-
-
-def reference_refinement(data: np.ndarray, current: GlobalStats, target: GlobalStats) -> np.ndarray:
-    x = data.astype(np.float64, copy=False)
-    if current.sigma == 0.0:
-        out = np.full(data.shape, target.mu, dtype=np.float64)
-    else:
-        gain = target.sigma / current.sigma
-        out = x * gain + (target.mu - current.mu * gain)
-    return out.astype(np.float32)
 
 
 def measured(data: np.ndarray) -> GlobalStats:
@@ -106,7 +104,6 @@ def same_bits(a, b) -> bool:
 f32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
 tensor_data = arrays(np.float32, st.tuples(st.integers(1, 4), st.integers(1, 9), st.integers(1, 9)), elements=f32)
 frames = arrays(np.float32, st.tuples(st.integers(1, 12), st.integers(1, 12)), elements=f32)
-targets = st.builds(GlobalStats, st.floats(-1e30, 1e30), st.floats(0, 1e30))
 
 ZERO_SIGMA = np.full((2, 3, 4), -7.25, np.float32)
 EXTREMES = np.array([[[F32_MAX, -F32_MAX], [F32_TINY, -F32_TINY]]], np.float32)
@@ -138,24 +135,70 @@ def test_scores_match_reference(data):
     assert same_bits(score_channels(FeatureTensor(data)), reference_scores(data))
 
 
+@st.composite
+def dequantized_buffers(draw):
+    """A decoder's buffer before its refinement, with the stats it states:
+    n-bit samples on [0, 1], one of them 0 as the frame's min quantizes to,
+    and their exact moments."""
+    q, bit_depth = draw(quantized())
+    q.reshape(-1)[draw(st.integers(0, q.size - 1))] = 0
+    return dequantize_frame(q, bit_depth)[None], dequantized_stats(q, bit_depth)
+
+
+def given_stats(data: np.ndarray) -> tuple[np.ndarray, GlobalStats]:
+    return data, measured(data)
+
+
+# The targets a unit header carries: float32 mu and sigma.
+header_targets = st.builds(GlobalStats, st.floats(-(2.0**100), 2.0**100, width=32), st.floats(2.0**-100, 2.0**100, width=32))
+RAMP = given_stats((np.arange(1024, dtype=np.float32) / np.float32(1023)).reshape(1, 32, 32))
+RELU = given_stats(np.maximum(np.linspace(-3, 1, 500, dtype=np.float32), 0).reshape(5, 10, 10))
+
+
 @settings(max_examples=300, deadline=None)
-@given(tensor_data, targets)
-@example(ZERO_SIGMA, GlobalStats(1.5, 2.0))
-@example(EXTREMES, GlobalStats(0.0, 1.0))
-@example(EXTREMES, GlobalStats(-3.0, 1e30))
-@example(*MIDPOINT_REFINEMENT)
-def test_refinement_matches_reference(data, target):
+@given(dequantized_buffers(), header_targets)
+@example(given_stats(ZERO_SIGMA), GlobalStats(1.5, 2.0))
+@example(given_stats(EXTREMES), GlobalStats(0.0, 1.0))
+@example(given_stats(EXTREMES), GlobalStats(-3.0, 1e30))
+@example(given_stats(MIDPOINT_REFINEMENT[0]), MIDPOINT_REFINEMENT[1])
+# mean-dominated: the mean is many times the spread
+@example(RAMP, GlobalStats(1000.0, 0.01))
+@example(RAMP, GlobalStats(-5e4, 3.0))
+@example(RELU, GlobalStats(1000.0, 0.01))
+# cancelling: the outputs span 0, so the map's two terms cancel in part
+@example(RAMP, GlobalStats(0.0, 1e3))
+@example(RELU, GlobalStats(0.0, 1e3))
+@example(RELU, GlobalStats(0.25, 0.5))
+def test_refinement_is_within_2_ulps_of_the_float64_map(case, target):
+    data, current = case
+    expected = reference_refinement(data, current, target)
+    buf = data.copy()
+    out = apply_refinement(buf, current, target).data
+    assert np.shares_memory(out, buf)
+    assert within_ulps(out, expected)
+
+
+# Targets whose outputs near float32's range, or pass it: the map runs in
+# float64 chunks, so its output, or its refusal, is the float64 map's.
+@pytest.mark.parametrize(
+    "data,target",
+    [
+        (EXTREMES, GlobalStats(0.0, 1e38)),
+        (EXTREMES, GlobalStats(-3.0, 3e38)),
+        (EXTREMES, GlobalStats(3e38, 1e38)),
+        (np.where(np.arange(512) < 64, F32_MAX, -F32_MAX).astype(np.float32).reshape(8, 8, 8), GlobalStats(-2.5e38, 2.3e38)),
+        (np.array([[[0.0, 1.0]]], np.float32), GlobalStats(2e38, 1e38)),
+    ],
+)
+def test_refinement_near_float32_range_is_the_float64_map(data, target):
     current = measured(data)
     with np.errstate(over="ignore", invalid="ignore"):
         expected = reference_refinement(data, current, target)
-    buf = data.copy()
-    if not np.all(np.isfinite(expected)):
-        with pytest.raises(DomainError):
-            apply_refinement(buf, current, target)
+    if np.all(np.isfinite(expected)):
+        assert same_bits(apply_refinement(data.copy(), current, target).data, expected)
     else:
-        out = apply_refinement(buf, current, target).data
-        assert np.shares_memory(out, buf)
-        assert same_bits(out, expected)
+        with pytest.raises(DomainError):
+            apply_refinement(data.copy(), current, target)
 
 
 @settings(max_examples=300, deadline=None)
@@ -194,8 +237,9 @@ def test_dequantize_matches_reference(case):
 
 # Tensors whose rows (the last axis) or channels end a float64 chunk one
 # element early, on it or one late, that span several chunks, or whose rows
-# or channels are each wider than a chunk. Refinement walks rows of the
-# tensor, quantization rows of its (C * H, W) frame, scoring its channels.
+# or channels are each wider than a chunk. Refinement near float32's range
+# walks rows of the tensor, quantization rows of its (C * H, W) frame,
+# scoring its channels.
 CHUNK_SHAPES = [
     (1, _CHUNK - 1, 1),
     (1, _CHUNK, 1),
@@ -212,9 +256,14 @@ CHUNK_SHAPES = [
 def test_chunked_stages_match_reference_at_chunk_boundaries(shape):
     rng = np.random.default_rng(sum(shape))
     data = (rng.standard_normal(shape) * 3.7 + 0.25).astype(np.float32)
-    target = GlobalStats(-1.5, 0.37)
     current = measured(data)
-    assert same_bits(apply_refinement(data.copy(), current, target).data, reference_refinement(data, current, target))
+    target = GlobalStats(-1.5, 0.37)
+    assert within_ulps(apply_refinement(data.copy(), current, target).data, reference_refinement(data, current, target))
+    # outputs past 2^126 take the float64 chunk map, bit for bit
+    near = GlobalStats(-1.5, 4e37)
+    expected = reference_refinement(data, current, near)
+    assert np.abs(expected).max() >= 2.0**126
+    assert same_bits(apply_refinement(data.copy(), current, near).data, expected)
     assert same_bits(score_channels(FeatureTensor(data)), reference_scores(data))
     frame = data.reshape(-1, shape[-1])
     q, span = quantize_frame(frame, 10)

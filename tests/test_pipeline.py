@@ -49,6 +49,8 @@ from helpers import (
     raw_deflate,
     raw_payload,
     record_refinements,
+    reference_refinement,
+    within_ulps,
 )
 
 
@@ -189,6 +191,71 @@ class TestDecode:
                 fcm_decode(stream)
         assert not caught, [str(w.message) for w in caught]
         assert isinstance(info.value.__cause__, DomainError)
+
+
+F32_MAX = float(np.finfo(np.float32).max)
+
+
+def extreme_tensors() -> dict:
+    """Tensors up to float32's range that fcm_encode accepts; refining onto
+    their stats can round a sample past float32."""
+    rng = np.random.default_rng(35)
+    one_hot = np.zeros((8, 8, 8), np.float32)
+    one_hot[3, 4, 5] = F32_MAX
+    channel_0 = np.full((8, 8, 8), -F32_MAX, np.float32)
+    channel_0[0] = F32_MAX
+    return {
+        "one-hot": one_hot,
+        "negative-one-hot": -one_hot,
+        "channel-0": channel_0,
+        "checkerboard": np.where(np.indices((4, 8, 8)).sum(axis=0) % 2, F32_MAX, -F32_MAX).astype(np.float32),
+        "uniform": rng.uniform(-F32_MAX, F32_MAX, (4, 8, 8)).astype(np.float32),
+        "positive": rng.uniform(0, F32_MAX, (4, 8, 8)).astype(np.float32),
+        "half-range": rng.uniform(-F32_MAX / 2, F32_MAX / 2, (4, 8, 8)).astype(np.float32),
+        "1e38": rng.uniform(-1e38, 1e38, (4, 8, 8)).astype(np.float32),
+        "1e37": rng.uniform(-1e37, 1e37, (4, 8, 8)).astype(np.float32),
+    }
+
+
+def float64_refinement(x, current, target):
+    """The decoder's refinement before it mapped in float32: x * gain +
+    offset in float64, rounded once to float32."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return FeatureTensor(reference_refinement(x, current, target))
+
+
+def decode_outcome(stream: bytes):
+    try:
+        return fcm_decode(stream)
+    except FcmError as exc:
+        return exc
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        lossless_cfg(bit_depth=16),
+        lossless_cfg(),
+        EncoderConfig(codec=CodecId.BLOCK_DCT, qp=22, prune_ratio=0.5),
+        EncoderConfig(codec=CodecId.BLOCK_DCT, qp=4, bit_depth=16),
+    ],
+    ids=["raw-16", "raw-10", "dct-qp22-prune", "dct-qp4-16"],
+)
+def test_extreme_range_tensors_decode_as_with_the_float64_map(monkeypatch, cfg):
+    """Each decodes, within 2 ulps, or is refused with the same error class,
+    as with the float64 map; both happen for every configuration."""
+    kinds = set()
+    for name, data in extreme_tensors().items():
+        stream = fcm_encode(TensorGroup((FeatureTensor(data),)), cfg)
+        got = decode_outcome(stream)
+        with monkeypatch.context() as patch:
+            patch.setattr(fcmcodec.pipeline, "apply_refinement", float64_refinement)
+            want = decode_outcome(stream)
+        assert type(got) is type(want), (name, got, want)
+        if isinstance(want, TensorGroup):
+            assert within_ulps(got.tensors[0].data, want.tensors[0].data), name
+        kinds.add(type(want))
+    assert kinds == {TensorGroup, InvariantError}
 
 
 def stream_declaring(codec: CodecId, frame_side: int, payload: bytes) -> bytes:
@@ -440,8 +507,14 @@ class TestDeterminismAndRate:
         group = random_group(rng, count=4)
         cfg = EncoderConfig(codec=CodecId.BLOCK_DCT, qp=22, prune_ratio=0.25)
         baseline = fcm_encode(group, cfg, workers=1)
-        for workers in (2, 4):
+        for workers in (2, 4, np.int64(2)):
             assert fcm_encode(group, cfg, workers=workers) == baseline
+
+    @pytest.mark.parametrize("workers", ["2", 2.5, True, 0, -1])
+    def test_workers_must_be_an_integer_of_at_least_1(self, rng, workers):
+        # "2" raised a bare TypeError; 2.5 and True coded, and 0 coded serially.
+        with pytest.raises(DomainError, match="^workers must be an integer >= 1, got "):
+            fcm_encode(random_group(rng, count=2), lossless_cfg(), workers=workers)
 
     def test_byte_identical_across_workers_when_frames_deflate_in_pieces(self, rng):
         # The first unit's 512x640 frame takes 2 deflate pieces, so unit
