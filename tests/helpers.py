@@ -50,11 +50,11 @@ def reference_refinement(data: np.ndarray, current: GlobalStats, target: GlobalS
     return out.astype(np.float32)
 
 
-def within_ulps(got: np.ndarray, want: np.ndarray, ulps: float = 2) -> bool:
-    """got is within ulps float32 ulps of want's largest magnitude, an ulp
+def within_2_ulps(got: np.ndarray, want: np.ndarray) -> bool:
+    """got is within 2 float32 ulps of want's largest magnitude, an ulp
     there taken as float32's epsilon times that magnitude."""
     scale = float(np.abs(want).max()) * float(np.finfo(np.float32).eps)
-    return float(np.abs(got.astype(np.float64) - want).max()) <= ulps * scale
+    return float(np.abs(got.astype(np.float64) - want).max()) <= 2 * scale
 
 
 def random_tensor(rng, channels=None, height=None, width=None, mu=0.0, sigma=1.0):
