@@ -29,7 +29,9 @@ still 16-bit integers; dequantizing makes the buffer; restoring and repeating
 pass it through or replace it; and the refinement writes its affine map, a
 subtract, a multiply and an add per sample, back into it in float32, before
 it becomes the output tensor's read-only data. Only where the output could
-near float32's range does it map a float64 chunk at a time.
+near float32's range are the map's gain and addend scaled by a power of two;
+there a sample the map takes past float32's max by at most an ulp becomes
+that max.
 
 The output is close to, not bit for bit, that of a decoder that measures
 each stage's float32 buffer in float64, as the staged reference in the tests

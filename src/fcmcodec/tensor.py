@@ -31,6 +31,8 @@ MAX_TENSORS = 8
 # cost is lost in its work.
 _CHUNK = 1 << 15
 
+_F32_MAX = float(np.finfo(np.float32).max)
+
 
 @dataclass(frozen=True)
 class GlobalStats:
@@ -202,7 +204,9 @@ def apply_refinement(x: np.ndarray, current: GlobalStats, target: GlobalStats) -
     current.sigma, written into x itself, which then becomes the read-only
     data of the returned tensor: the caller hands over a buffer it owns. With
     current.sigma 0 the normalized term is taken as 0, so the output is the
-    constant target.mu.
+    constant target.mu. Otherwise current.mu, and the distance of each sample
+    from it, must be below 2^126, as on a decoder's buffer on [0, 1]; any
+    other x is refused with DomainError.
 
     The map runs in float32, in place, in three steps: x - m, times gain,
     plus target.mu + (m - current.mu) * gain, where m is current.mu rounded
@@ -216,41 +220,55 @@ def apply_refinement(x: np.ndarray, current: GlobalStats, target: GlobalStats) -
     its magnitude keeps fewer of the spread's bits in float32 than in
     float64.
 
-    Where any value the map makes, bounded in float64 from x's min and max,
-    could reach 2^126, a quarter of float32's range, the map runs as x *
-    gain + offset in float64 chunks instead, so the float32 map never
-    overflows, and a sample that rounds past float32 there makes the same inf
-    or nan as it always has.
+    The gain and the addend are scaled by 2^-e, for the smallest e >= 0 that
+    brings the gain and a float64 bound on the output below 2^126, a quarter
+    of float32's range, so no step overflows. At e = 0 nothing is scaled; e
+    > 0 only where the output nears float32's range. There a sample more than
+    one float32 ulp past float32's max, scaled by 2^-e, is refused with
+    DomainError, and the rest are clamped to that max and multiplied by 2^e,
+    exactly. So a sample that the header's float32 statistics round past
+    float32's max by at most an ulp becomes that max.
+
+    At e > 0 a scaled step whose result lies below 2^-126, float32's least
+    normal, rounds to a multiple of 2^-149. Over the gain's, the addend's,
+    the product's and the sum's roundings, that moves a sample by at most
+    (|x - m| + 3) * 2^(e - 150) once scaled back. As e > 0 puts the gain or
+    the bound at 2^(125 + e) or more, that is far below 2 ulps of the largest
+    output: under 2^-148 of the bound, or, where the gain sets e and so is
+    no subnormal once scaled, under 2^-124 of the least gap between the
+    outputs of two distinct samples, 2^-149 * gain.
     """
     if not (x.dtype == np.float32 and x.ndim == 3 and x.size and x.flags.c_contiguous and x.flags.writeable):
         raise DomainError("refinement needs a writable, non-empty, C-contiguous 3-d float32 array")
     if current.sigma == 0.0:
         x.fill(target.mu)
         return FeatureTensor(x)
-    gain = target.sigma / current.sigma
+    # m and x - m are not scaled, so they must stay below 2^126 themselves.
     spread = max(float(x.max()) - current.mu, current.mu - float(x.min()))
-    # m, x - m, the gain and the output, whose addend moves it by at most
-    # 2^-24 |current.mu| gain; compared so that a nan, from an inf gain
-    # times a 0 spread, fails too.
+    if not (abs(current.mu) < 2.0**126 and spread < 2.0**126):
+        raise DomainError("refinement needs the stated mean, and the samples' distance from it, below 2^126")
+    gain = target.sigma / current.sigma
+    # The output, whose addend moves it by at most 2^-24 |current.mu| gain.
     reach = (spread + 2.0**-24 * abs(current.mu)) * gain + abs(target.mu)
-    if all(v < 2.0**126 for v in (abs(current.mu), spread, gain, reach)):
-        m = np.float32(current.mu)
-        x -= m
-        x *= np.float32(gain)
-        x += np.float32(target.mu + (float(m) - current.mu) * gain)
-        return FeatureTensor(x)
-    offset = target.mu - current.mu * gain
-    # Two IEEE steps per sample, a float64 chunk of rows at a time; each chunk
-    # is copied out of x before its rows are written back.
-    # A hostile target.sigma can take a sample past float32 in the cast back,
-    # and a current.sigma near 0 the gain past float64. The sample becomes inf
-    # or nan, which FeatureTensor refuses, so numpy need not warn.
-    rows = x.reshape(-1, x.shape[-1])
-    with np.errstate(over="ignore", invalid="ignore"):
-        for chunk, out in _float64_chunks(rows, rows):
-            chunk *= gain
-            chunk += offset
-            out[...] = chunk
+    # Below 2^379, e stays at most 253, where float32's max times 2^-e is a
+    # float32 normal, so the clamp below is exact. Past it, a buffer whose
+    # stated statistics are its own maps past float32's range. Compared so
+    # that an inf gain, or the nan of an inf gain times a 0 spread, fails
+    # too.
+    if not (gain < 2.0**379 and reach < 2.0**379):
+        raise DomainError("refinement maps a sample past the float32 range")
+    e = max(0, math.frexp(gain)[1] - 126, math.frexp(reach)[1] - 126)
+    m = np.float32(current.mu)
+    x -= m
+    x *= np.float32(math.ldexp(gain, -e))
+    x += np.float32(math.ldexp(target.mu + (float(m) - current.mu) * gain, -e))
+    if e:
+        # float32's max plus one ulp is 2^128.
+        if max(-float(x.min()), float(x.max())) > math.ldexp(1.0, 128 - e):
+            raise DomainError("refinement maps a sample past the float32 range")
+        limit = np.float32(math.ldexp(_F32_MAX, -e))
+        np.clip(x, -limit, limit, out=x)
+        np.ldexp(x, e, out=x)
     return FeatureTensor(x)
 
 

@@ -40,14 +40,38 @@ from fcmcodec.pipeline import _meanpool, _repeat
 from fcmcodec.tensor import apply_refinement
 
 
-def reference_refinement(data: np.ndarray, current: GlobalStats, target: GlobalStats) -> np.ndarray:
+F32_MAX = float(np.finfo(np.float32).max)
+
+
+def float64_map(data: np.ndarray, current: GlobalStats, target: GlobalStats) -> np.ndarray:
+    """The refinement's map x * gain + offset in float64, not rounded."""
     x = data.astype(np.float64, copy=False)
     if current.sigma == 0.0:
-        out = np.full(data.shape, target.mu, dtype=np.float64)
-    else:
-        gain = target.sigma / current.sigma
-        out = x * gain + (target.mu - current.mu * gain)
+        return np.full(data.shape, target.mu, dtype=np.float64)
+    gain = target.sigma / current.sigma
+    return x * gain + (target.mu - current.mu * gain)
+
+
+def reference_refinement(data: np.ndarray, current: GlobalStats, target: GlobalStats, clamp: bool = False) -> np.ndarray:
+    """float64_map rounded once to float32; with clamp, first clamped to
+    float32's range, so a sample past it becomes float32's max, not inf."""
+    out = float64_map(data, current, target)
+    if clamp:
+        np.clip(out, -F32_MAX, F32_MAX, out=out)
     return out.astype(np.float32)
+
+
+def float64_refinement(x, current, target):
+    """The decoder's refinement before it mapped in float32: x * gain +
+    offset in float64, rounded once to float32."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return FeatureTensor(reference_refinement(x, current, target))
+
+
+def clamped_float64_refinement(x, current, target):
+    """float64_refinement with each sample clamped to float32's range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return FeatureTensor(reference_refinement(x, current, target, clamp=True))
 
 
 def within_2_ulps(got: np.ndarray, want: np.ndarray) -> bool:

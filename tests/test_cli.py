@@ -14,7 +14,7 @@ import pytest
 
 import fcmcodec.bitstream
 import fcmcodec.pipeline
-from fcmcodec import CodecId, EncoderConfig, FeatureTensor, TensorGroup, compute_global_stats, fcm_encode
+from fcmcodec import CodecId, EncoderConfig, FeatureTensor, TensorGroup, compute_global_stats, fcm_decode, fcm_encode
 from fcmcodec.bitstream import parse_stream
 from fcmcodec.cli import _config, build_parser, main
 from fcmcodec.errors import DimensionOverflowError, InvariantError
@@ -24,13 +24,16 @@ from fcmcodec.vcm import PixelSequence
 
 from helpers import (
     CHANNEL_MISMATCHES,
+    F32_MAX,
     channel_mismatch_stream,
+    clamped_float64_refinement,
     depth_relabelled_stream,
     mutate,
     one_tile_stream,
     patched,
     random_group,
     with_payload_qp,
+    within_2_ulps,
 )
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "bdrate"
@@ -272,13 +275,27 @@ class TestCodecCommands:
         assert err.startswith("error: unit 1:") and err.count("\n") == 1, err
 
     def test_float32_cast_of_a_huge_gain_warns_outside_errstate(self):
-        # Why the test above can fail: the refinement casts its gain to
-        # float32 only where the gain is below 2^126, and maps the rest in
-        # float64 with numpy's overflow warning off.
+        # Why the test above can fail: a float32 cast of a gain past
+        # float32's range warns. The refinement casts only the gain and the
+        # addend scaled by a power of two below 2^126, and refuses a sample
+        # past float32's max before it scales the samples back.
         with pytest.warns(RuntimeWarning, match="overflow encountered in cast"):
             np.float32(3e38 / 1e-3)
         with np.errstate(over="ignore"):
             assert np.float32(3e38 / 1e-3) == np.inf
+
+    def test_tensor_refined_just_past_the_float32_max_decodes(self, tmp_path, monkeypatch):
+        # The header's float32 stats take the hot sample past float32's max
+        # by less than an ulp, so it decodes clamped to that max.
+        data = np.zeros((8, 8, 8), np.float32)
+        data[3, 4, 5] = F32_MAX
+        src, fcmb, back = tmp_path / "in.ftns", tmp_path / "out.fcmb", tmp_path / "back.ftns"
+        write_tensor_file(src, TensorGroup((FeatureTensor(data),)))
+        assert main(["encode", "--input", str(src), "--output", str(fcmb), "--codec", "raw"]) == 0
+        assert main(["decode", "--input", str(fcmb), "--output", str(back)]) == 0
+        monkeypatch.setattr(fcmcodec.pipeline, "apply_refinement", clamped_float64_refinement)
+        want = fcm_decode(fcmb.read_bytes()).tensors[0].data
+        assert within_2_ulps(read_tensor_file(back).tensors[0].data, want)
 
     @pytest.mark.parametrize("channels,ratio,declared", CHANNEL_MISMATCHES)
     def test_layout_channel_mismatch_exit_3(self, tmp_path, capsys, channels, ratio, declared):

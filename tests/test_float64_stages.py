@@ -10,8 +10,8 @@ must match them bit for bit, at every chunk size and boundary. The caller's
 array must be left as it was.
 apply_refinement maps in float32, in place, so it is held within 2 float32
 ulps (float32's epsilon times the largest magnitude) of the float64 map,
-and bit for bit to that map where its output nears float32's range and it
-runs in float64 chunks.
+clamped to float32's range where its output nears that range and the map's
+gain and addend are scaled by a power of two.
 It and restore_channels measure nothing: they are given the stats and the
 fill, here the reference's own. apply_refinement writes its result into the
 buffer it is given.
@@ -45,9 +45,8 @@ from fcmcodec.errors import DomainError
 from fcmcodec.pipeline import _meanpool
 from fcmcodec.tensor import _CHUNK, _pairwise_sum, apply_refinement, compute_global_stats
 
-from helpers import reference_refinement, within_2_ulps
+from helpers import F32_MAX, float64_map, reference_refinement, within_2_ulps
 
-F32_MAX = float(np.finfo(np.float32).max)
 F32_TINY = float(np.finfo(np.float32).smallest_subnormal)
 
 
@@ -158,8 +157,6 @@ RELU = given_stats(np.maximum(np.linspace(-3, 1, 500, dtype=np.float32), 0).resh
 @settings(max_examples=300, deadline=None)
 @given(dequantized_buffers(), header_targets)
 @example(given_stats(ZERO_SIGMA), GlobalStats(1.5, 2.0))
-@example(given_stats(EXTREMES), GlobalStats(0.0, 1.0))
-@example(given_stats(EXTREMES), GlobalStats(-3.0, 1e30))
 @example(given_stats(MIDPOINT_REFINEMENT[0]), MIDPOINT_REFINEMENT[1])
 # mean-dominated: the mean is many times the spread
 @example(RAMP, GlobalStats(1000.0, 0.01))
@@ -178,8 +175,11 @@ def test_refinement_is_within_2_ulps_of_the_float64_map(case, target):
     assert within_2_ulps(out, expected)
 
 
-# Targets whose outputs near float32's range, or pass it: the map runs in
-# float64 chunks, so its output, or its refusal, is the float64 map's.
+# Targets whose outputs near float32's range, or pass it. A buffer with
+# samples 2^126 or more from its mean, as EXTREMES has, is refused. Otherwise
+# the output is within 2 ulps of the float64 map clamped to float32's range,
+# or refused where that map passes float32's max by more than an ulp, past
+# 2^128.
 @pytest.mark.parametrize(
     "data,target",
     [
@@ -188,17 +188,75 @@ def test_refinement_is_within_2_ulps_of_the_float64_map(case, target):
         (EXTREMES, GlobalStats(3e38, 1e38)),
         (np.where(np.arange(512) < 64, F32_MAX, -F32_MAX).astype(np.float32).reshape(8, 8, 8), GlobalStats(-2.5e38, 2.3e38)),
         (np.array([[[0.0, 1.0]]], np.float32), GlobalStats(2e38, 1e38)),
+        (EXTREMES, GlobalStats(0.0, 1.0)),
+        (EXTREMES, GlobalStats(-3.0, 1e30)),
+        # outputs 2e38 and 4e38, refused
+        (np.array([[[0.0, 1.0]]], np.float32), GlobalStats(3e38, 1e38)),
+        # output 1 is 5e-8 of the max past it, less than an ulp, so it is clamped
+        (np.array([[[0.0, 1.0]]], np.float32), GlobalStats(F32_MAX * (1 + 5e-8) - 1e38, 1e38)),
+        # a gain past 2^379, where no scale 2^-e keeps float32's max normal
+        (np.array([[[0.0, 1.0]]], np.float32), GlobalStats(0.0, 1e300)),
     ],
 )
 def test_refinement_near_float32_range_is_the_float64_map(data, target):
     current = measured(data)
-    with np.errstate(over="ignore", invalid="ignore"):
-        expected = reference_refinement(data, current, target)
-    if np.all(np.isfinite(expected)):
-        assert same_bits(apply_refinement(data.copy(), current, target).data, expected)
-    else:
-        with pytest.raises(DomainError):
+    if np.abs(data.astype(np.float64) - current.mu).max() >= 2.0**126:
+        with pytest.raises(DomainError, match=r"distance from it, below 2\^126"):
             apply_refinement(data.copy(), current, target)
+    elif np.abs(float64_map(data, current, target)).max() > 2.0**128:
+        with pytest.raises(DomainError, match="past the float32 range"):
+            apply_refinement(data.copy(), current, target)
+    else:
+        expected = reference_refinement(data, current, target, clamp=True)
+        assert within_2_ulps(apply_refinement(data.copy(), current, target).data, expected)
+
+
+def three_step(data: np.ndarray, current: GlobalStats, target: GlobalStats) -> np.ndarray:
+    """The float32 map with no scale: x - m, times the gain, plus the addend."""
+    m = np.float32(current.mu)
+    gain = target.sigma / current.sigma
+    x = data - m
+    x *= np.float32(gain)
+    x += np.float32(target.mu + (float(m) - current.mu) * gain)
+    return x
+
+
+HALF = np.array([[[0.0, 1.0]]], np.float32)  # stats (0.5, 0.5)
+BELOW_2_126 = 2.0**126 - 2.0**102  # float32's largest value below 2^126
+
+
+# The gain, then the bound on the output, just below 2^126 and at it. Below,
+# the map is the unscaled three steps, bit for bit; at 2^126 the gain and the
+# addend are halved, and the output is within 2 ulps of the float64 map.
+@pytest.mark.parametrize(
+    "target,scaled",
+    [
+        (GlobalStats(0.0, BELOW_2_126 / 2), False),
+        (GlobalStats(0.0, 2.0**125), True),
+        (GlobalStats(BELOW_2_126, 1.0), False),
+        (GlobalStats(2.0**126, 1.0), True),
+    ],
+    ids=["gain-below", "gain-at", "bound-below", "bound-at"],
+)
+def test_refinement_at_the_scale_boundary(target, scaled):
+    current = measured(HALF)
+    out = apply_refinement(HALF.copy(), current, target).data
+    if scaled:
+        assert within_2_ulps(out, reference_refinement(HALF, current, target))
+    else:
+        assert same_bits(out, three_step(HALF, current, target))
+
+
+def test_scaled_refinement_with_subnormal_products():
+    """The bound sets e = 2 and the gain is 4e-39, so each scaled product
+    (x - m) * gain * 2^-2 is below 2^-126, a float32 subnormal. The loss is
+    far below the addend's ulp, so the output is the float64 map's."""
+    data = (np.arange(24, dtype=np.float32) / 23).reshape(2, 3, 4)
+    current = measured(data)
+    target = GlobalStats(3e38, 4e-39 * current.sigma)
+    assert 0.5 * (target.sigma / current.sigma) / 4 < 2.0**-126
+    out = apply_refinement(data.copy(), current, target).data
+    assert same_bits(out, reference_refinement(data, current, target))
 
 
 @settings(max_examples=300, deadline=None)
@@ -237,9 +295,8 @@ def test_dequantize_matches_reference(case):
 
 # Tensors whose rows (the last axis) or channels end a float64 chunk one
 # element early, on it or one late, that span several chunks, or whose rows
-# or channels are each wider than a chunk. Refinement near float32's range
-# walks rows of the tensor, quantization rows of its (C * H, W) frame,
-# scoring its channels.
+# or channels are each wider than a chunk. Quantization walks rows of the
+# tensor's (C * H, W) frame, scoring its channels.
 CHUNK_SHAPES = [
     (1, _CHUNK - 1, 1),
     (1, _CHUNK, 1),
@@ -259,11 +316,11 @@ def test_chunked_stages_match_reference_at_chunk_boundaries(shape):
     current = measured(data)
     target = GlobalStats(-1.5, 0.37)
     assert within_2_ulps(apply_refinement(data.copy(), current, target).data, reference_refinement(data, current, target))
-    # outputs past 2^126 take the float64 chunk map, bit for bit
+    # outputs past 2^126 scale the gain and the addend by a power of two
     near = GlobalStats(-1.5, 4e37)
     expected = reference_refinement(data, current, near)
-    assert np.abs(expected).max() >= 2.0**126
-    assert same_bits(apply_refinement(data.copy(), current, near).data, expected)
+    assert 2.0**126 <= np.abs(expected).max() < np.inf
+    assert within_2_ulps(apply_refinement(data.copy(), current, near).data, expected)
     assert same_bits(score_channels(FeatureTensor(data)), reference_scores(data))
     frame = data.reshape(-1, shape[-1])
     q, span = quantize_frame(frame, 10)
