@@ -4,11 +4,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, is_real
 from .lcr import ChannelIndexSet
 from .tensor import FeatureTensor, _float64_chunks
 
@@ -38,8 +37,9 @@ def score_channels(t: FeatureTensor) -> list[float]:
 
 
 def check_prune_ratio(ratio) -> float:
-    """ratio; raises DomainError unless it is a real number in [0, 1)."""
-    if not (isinstance(ratio, Real) and 0.0 <= ratio < 1.0):
+    """ratio; raises DomainError unless it is a real number, not a bool, in
+    [0, 1)."""
+    if not (is_real(ratio) and 0.0 <= ratio < 1.0):
         raise DomainError(f"prune_ratio must be in [0, 1), got {ratio!r}")
     return ratio
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .codec import _check_frame_shape, _check_samples, sample_max
 from .errors import DomainError
-from .tensor import _CHUNK, GlobalStats, _float64_chunks
+from .tensor import GlobalStats, _float64_chunks
 
 
 def quantize_frame(frame: np.ndarray, bit_depth: int) -> tuple[np.ndarray, tuple[float, float]]:
@@ -60,12 +60,14 @@ def dequantized_stats(q: np.ndarray, bit_depth: int) -> GlobalStats:
     samples of the non-empty array q mapped onto [0, 1], q / (2^n - 1), from
     exact integer moments of q.
 
-    S1 = sum(q) and S2 = sum(q^2) are summed over float64 chunks of _CHUNK
-    samples. A sample is below 2^16, so each chunk's sums are integers below
-    2^47, exact in float64 in any summation order; the chunks add up in
-    Python ints. With M = 2^n - 1, the mean S1 / (n M) and the variance
-    (n S2 - S1^2) / (n M)^2 are each rounded once, and sigma is the rounded
-    square root of that variance: exactly 0 when every sample is equal.
+    S1 = sum(q) and S2 = sum(q^2) are summed over the float64 chunks of
+    tensor._float64_chunks, as every float64 sum is. A sample is below 2^16
+    and a chunk holds at most 2^15 of them (tensor._CHUNK), so each chunk's
+    sums are integers below 2^47, exact in float64 in any summation order;
+    the chunks add up in Python ints. With M = 2^n - 1, the mean S1 / (n M)
+    and the variance (n S2 - S1^2) / (n M)^2 are each rounded once, and sigma
+    is the rounded square root of that variance: exactly 0 when every sample
+    is equal.
 
     S2 squares the chunk in place and sums it, not by a BLAS dot product:
     OpenBLAS runs a long dot on its own thread, which then spins on the other
@@ -75,14 +77,11 @@ def dequantized_stats(q: np.ndarray, bit_depth: int) -> GlobalStats:
     _check_samples(q, bit_depth, DomainError)
     if not q.size:
         raise DomainError("statistics of an empty array")
-    flat = q.reshape(-1)
-    buf = np.empty(min(flat.size, _CHUNK))
+    flat = q.reshape(-1, 1)
     s1 = s2 = 0
-    for start in range(0, flat.size, _CHUNK):
-        x = buf[: min(_CHUNK, flat.size - start)]
-        x[...] = flat[start : start + _CHUNK]
+    for x, _ in _float64_chunks(flat, flat):
         s1 += int(x.sum())
         x *= x
         s2 += int(x.sum())
-    scale = flat.size * sample_max(bit_depth)
-    return GlobalStats(s1 / scale, math.sqrt((flat.size * s2 - s1 * s1) / (scale * scale)))
+    scale = q.size * sample_max(bit_depth)
+    return GlobalStats(s1 / scale, math.sqrt((q.size * s2 - s1 * s1) / (scale * scale)))

@@ -12,10 +12,12 @@ so does a value that its type refuses, since every field came from the bytes
 (`text` for UTF-8 fields, `build` for value types).
 
 `integer_in` is the one rule for an integer field of any value type: a
-Python or numpy integer, not a bool, in a declared range.
+Python or numpy integer, not a bool, in a declared range. `is_real` is the
+one test of a real-valued field's type: a real number, not a bool.
 """
 
 import struct
+from numbers import Real
 
 import numpy as np
 
@@ -72,6 +74,12 @@ def integer_in(value, what: str, lo: int | None = None, hi: int | None = None) -
     else:
         bounds = "an integer" if lo is None else f"an integer >= {lo}"
     raise DomainError(f"{what} must be {bounds}, got {value}")
+
+
+def is_real(value) -> bool:
+    """Whether value is a real number, Python's or numpy's, and not a bool,
+    which would pass as 0 or 1."""
+    return isinstance(value, Real) and not isinstance(value, bool)
 
 
 class ByteReader:

@@ -5,11 +5,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, is_real
 
 
 def psnr(a: np.ndarray, b: np.ndarray, peak: float) -> float:
@@ -18,7 +17,7 @@ def psnr(a: np.ndarray, b: np.ndarray, peak: float) -> float:
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise DomainError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if not (isinstance(peak, Real) and 0 < peak < math.inf):  # a NaN fails too
+    if not (is_real(peak) and 0 < peak < math.inf):  # a NaN fails too
         raise DomainError(f"peak must be positive and finite, got {peak!r}")
     mse = float(np.mean((a - b) ** 2))
     if mse == 0.0:

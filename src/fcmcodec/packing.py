@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, integer_in
-from .tensor import FeatureTensor, _mean
+from .tensor import FeatureTensor, _float64_sum
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ def pack(t: FeatureTensor) -> tuple[np.ndarray, PackingLayout]:
     tiles[:full] = t.data[: full * layout.grid_cols].reshape(tiles[:full].shape)
     if rest:
         tiles[full, :rest] = t.data[full * layout.grid_cols :]
-        tiles[full, rest:] = np.float32(_mean(t.data))
+        tiles[full, rest:] = np.float32(_float64_sum(t.data, None) / t.data.size)
     return frame, layout
 
 

@@ -11,11 +11,10 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
-from numbers import Real
 
 import numpy as np
 
-from .errors import ByteReader, DimensionOverflowError, DomainError, MagicMismatchError, VersionError
+from .errors import ByteReader, DimensionOverflowError, DomainError, MagicMismatchError, VersionError, is_real
 
 TENSOR_MAGIC = b"FTNS"
 TENSOR_FORMAT_VERSION = 1
@@ -26,9 +25,10 @@ MAX_ELEMENTS = 1 << 31
 # Most tensors one group, FTNS file or FCMB stream may hold.
 MAX_TENSORS = 8
 
-# Elements per float64 scratch chunk of the elementwise stages: 256 KB, small
-# next to any tensor worth coding and large enough that a numpy call's fixed
-# cost is lost in its work.
+# Elements per float64 scratch chunk of the elementwise stages and of every
+# float64 sum, all walked by _float64_chunks: 256 KB, small next to any
+# tensor worth coding and large enough that a numpy call's fixed cost is lost
+# in its work.
 _CHUNK = 1 << 15
 
 _F32_MAX = float(np.finfo(np.float32).max)
@@ -36,14 +36,15 @@ _F32_MAX = float(np.finfo(np.float32).max)
 
 @dataclass(frozen=True)
 class GlobalStats:
-    """Mean and population standard deviation of a tensor."""
+    """Mean and population standard deviation of a tensor: finite real
+    numbers, not bools, and sigma non-negative."""
 
     mu: float
     sigma: float
 
     def __post_init__(self):
         # Compared, as math.isfinite raises OverflowError for an int past float range.
-        if not all(isinstance(v, Real) and -math.inf < v < math.inf for v in (self.mu, self.sigma)):
+        if not all(is_real(v) and -math.inf < v < math.inf for v in (self.mu, self.sigma)):
             raise DomainError(f"statistics must be finite real numbers, got {self.mu!r}, {self.sigma!r}")
         if self.sigma < 0:
             raise DomainError("sigma must be non-negative")
@@ -142,57 +143,37 @@ def _float64_chunks(src: np.ndarray, out: np.ndarray):
         yield x, out[s : s + rows]
 
 
-def _pairwise_sum(data: np.ndarray, mu: float | None) -> float:
+def _float64_sum(data: np.ndarray, mu: float | None) -> float:
     """The float64 sum of the elements of data, or, with mu not None, of
-    their squared deviations (x - mu)**2, holding at most _CHUNK float64
-    values at a time.
-
-    It has the bits of data.astype(np.float64).sum(), and of the sum of the
-    squared deviations computed on that copy. numpy sums a contiguous array
-    pairwise: while a part holds more than 128 elements, it splits it after
-    its first n // 2 elements, rounded down to a multiple of 8, and adds the
-    two halves' sums. Splitting the same way down to parts of at most _CHUNK
-    elements, and letting numpy sum each part, builds the same tree.
-    """
-    flat = data.reshape(-1)
-    return _pairwise_part(flat, mu, np.empty(min(len(flat), _CHUNK)))
-
-
-def _pairwise_part(part: np.ndarray, mu: float | None, buf: np.ndarray) -> float:
-    """_pairwise_sum of the 1-d part, with buf as the leaves' float64 scratch."""
-    n = len(part)
-    if n > _CHUNK:
-        half = n // 2
-        half -= half % 8
-        return _pairwise_part(part[:half], mu, buf) + _pairwise_part(part[half:], mu, buf)
-    x = buf[:n]
-    x[...] = part
-    if mu is not None:
-        x -= mu
-        x *= x
-    return float(np.add.reduce(x))
-
-
-def _mean(data: np.ndarray) -> float:
-    """data.astype(np.float64).mean(), bit for bit, without the copy."""
-    return _pairwise_sum(data, None) / data.size
-
-
-def _stats(data: np.ndarray) -> GlobalStats:
-    """compute_global_stats of the elements of the non-empty array data."""
-    mu = _mean(data)
-    sigma = math.sqrt(_pairwise_sum(data, mu) / data.size)
-    return GlobalStats(mu, sigma)
+    their squared deviations (x - mu)**2, walking data a _CHUNK of elements
+    at a time: numpy sums each chunk, and the chunks' sums add up in order."""
+    flat = data.reshape(-1, 1)
+    total = 0.0
+    for x, _ in _float64_chunks(flat, flat):
+        if mu is not None:
+            x -= mu
+            x *= x
+        total += float(x.sum())
+    return total
 
 
 def compute_global_stats(t: FeatureTensor) -> GlobalStats:
     """Mean and population (biased) standard deviation over all elements.
 
     Accumulates in float64 regardless of tensor size, a _CHUNK of elements at
-    a time, and has the bits of the mean of a whole-tensor float64 copy and
-    of the square root of the mean of its squared deviations from that mean.
+    a time (_float64_sum): the mean of the elements, then the square root of
+    the mean of their squared deviations from it. Up to _CHUNK elements both
+    have the bits of numpy's whole-array float64 expressions. Beyond that,
+    numpy documents no summation order, only that np.sum rounds no worse
+    than adding each element in turn, and the chunks' sums add up in order.
+    So each of the n elements' terms passes through at most d = _CHUNK +
+    ceil(n / _CHUNK) roundings, and each sum is within d * 2^-53 / (1 - d *
+    2^-53) of the sum of its terms' magnitudes, as for any summation tree of
+    that depth.
     """
-    return _stats(t.data)
+    n = t.data.size
+    mu = _float64_sum(t.data, None) / n
+    return GlobalStats(mu, math.sqrt(_float64_sum(t.data, mu) / n))
 
 
 def apply_refinement(x: np.ndarray, current: GlobalStats, target: GlobalStats) -> FeatureTensor:

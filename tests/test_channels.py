@@ -46,10 +46,10 @@ class TestSelection:
     def test_zero_ratio(self):
         assert select_pruned([1.0, 2.0], 0.0).pruned.indices == ()
 
-    @pytest.mark.parametrize("ratio", [1.0, "0.5", -0.5, math.nan])
+    @pytest.mark.parametrize("ratio", [1.0, "0.5", -0.5, math.nan, False])
     def test_ratio_outside_0_to_1_refused_by_the_selector_and_the_config_alike(self, ratio):
         # The selector accepted 1.0, a decision prune_channels then refused,
-        # and raised a bare TypeError for "0.5".
+        # and raised a bare TypeError for "0.5". Both took False as 0.
         message = rf"^prune_ratio must be in \[0, 1\), got {ratio!r}$"
         with pytest.raises(DomainError, match=message):
             select_pruned([1.0, 2.0], ratio)

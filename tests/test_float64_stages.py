@@ -1,13 +1,15 @@
 """The float64 stages against the whole-array expressions they replaced,
 and the float32 refinement against the float64 map it replaced.
 
+quantize_frame, score_channels and the mean-pool transform run their float64
+arithmetic in place in one reused float64 chunk of rows or channels at a
+time. Each step is the IEEE operation the whole-array expressions below
+perform, in the same order, so results must match them bit for bit, at every
+chunk size and boundary. The caller's array must be left as it was.
 compute_global_stats and the pad mean of pack sum a float64 chunk at a time
-along numpy's own pairwise split points; quantize_frame, score_channels and
-the mean-pool transform run their float64 arithmetic in place in one reused
-float64 chunk of rows or channels at a time. Each step is the IEEE operation
-the whole-array expressions below perform, in the same order, so results
-must match them bit for bit, at every chunk size and boundary. The caller's
-array must be left as it was.
+and add the chunks' sums in order. Within one chunk that is numpy's own
+whole-array sum, bit for bit; across chunks the sums are held within a
+rounding-error bound of math.fsum of the same float64 terms.
 apply_refinement maps in float32, in place, so it is held within 2 float32
 ulps (float32's epsilon times the largest magnitude) of the float64 map,
 clamped to float32's range where its output nears that range and the map's
@@ -20,6 +22,7 @@ precision plus two bits, so the float64 quotient rounded once to float32 is
 the same correctly rounded value.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -43,7 +46,7 @@ from fcmcodec.channels import restore_channels
 from fcmcodec.conversion import dequantized_stats
 from fcmcodec.errors import DomainError
 from fcmcodec.pipeline import _meanpool
-from fcmcodec.tensor import _CHUNK, _pairwise_sum, apply_refinement, compute_global_stats
+from fcmcodec.tensor import _CHUNK, _float64_sum, apply_refinement, compute_global_stats
 
 from helpers import F32_MAX, float64_map, reference_refinement, within_2_ulps
 
@@ -335,21 +338,39 @@ def spread_values(rng, n: int) -> np.ndarray:
     return (rng.standard_normal(n) * np.exp2(rng.integers(-30, 30, n))).astype(np.float32)
 
 
+def within_summation_bound(total: float, terms: np.ndarray) -> bool:
+    """Whether the float64 sum total of the float64 terms is within the error
+    bound of a chunked sum of them.
+
+    numpy documents no summation order for np.sum, only that it rounds no
+    worse than adding each element in turn, so a chunk of at most _CHUNK
+    terms passes each term through at most _CHUNK - 1 roundings. The n
+    terms' ceil(n / _CHUNK) chunk sums then add up in order from 0.0, each
+    through at most ceil(n / _CHUNK) - 1 more. For any summation tree whose
+    terms pass through at most d roundings, the computed sum is within
+    gamma_d = d u / (1 - d u), u = 2^-53, of the sum of the terms'
+    magnitudes (Higham, Accuracy and Stability of Numerical Algorithms,
+    section 4.2); math.fsum gives the exact sum rounded once.
+    """
+    d = _CHUNK + -(-len(terms) // _CHUNK)
+    gamma = d * 2.0**-53 / (1 - d * 2.0**-53)
+    return abs(total - math.fsum(terms.tolist())) <= gamma * math.fsum(np.abs(terms).tolist())
+
+
 def assert_sums_match_reference(data: np.ndarray) -> None:
-    """The chunked sums, mu, sigma and pack's pad mean of the (n, 1, 1) data
-    against numpy's whole-array expressions, and restore_channels' fill with
-    that mean. The sums come first: dividing by n can round two sums to one
-    mean."""
+    """The chunked sums of the (n, 1, 1) data, and of its squared deviations
+    about a mean, within the summation bound of math.fsum of the same
+    float64 terms; mu and sigma from those sums; pack's pad tiles filled
+    with mu rounded to float32, and restore_channels' fill with that value."""
     n = len(data)
     flat = data.astype(np.float64).reshape(-1)
-    assert same_bits(np.float64(_pairwise_sum(data, None)), flat.sum())
-    assert same_bits(np.float64(_pairwise_sum(data, 0.375)), ((flat - 0.375) ** 2).sum())
+    assert within_summation_bound(_float64_sum(data, None), flat)
+    assert within_summation_bound(_float64_sum(data, 0.375), (flat - 0.375) ** 2)
     t = FeatureTensor(data)
     stats = compute_global_stats(t)
-    mu, sigma = reference_stats(data)
-    assert same_bits(np.float64(stats.mu), np.float64(mu))
-    assert same_bits(np.float64(stats.sigma), np.float64(sigma))
-    fill = np.float32(data.astype(np.float64).mean())
+    assert same_bits(np.float64(stats.mu), np.float64(_float64_sum(data, None) / n))
+    assert same_bits(np.float64(stats.sigma), np.float64(math.sqrt(_float64_sum(data, stats.mu) / n)))
+    fill = np.float32(stats.mu)
     restored = restore_channels(data, PruneDecision(ChannelIndexSet((n,), n + 1)), fill)
     assert same_bits(restored[n], np.full((1, 1), fill))
     frame, layout = pack(t)
@@ -358,8 +379,8 @@ def assert_sums_match_reference(data: np.ndarray) -> None:
 
 
 # Element counts next to numpy's pairwise-sum split points, its 8-wide
-# unrolled blocks and 128-element leaves, and next to _CHUNK, where the
-# chunked sum starts to split the way numpy does.
+# unrolled blocks and 128-element leaves, and next to one, two and three
+# float64 chunks of _CHUNK elements.
 SUM_SIZES = [1, 7, 8, 9, 127, 128, 129, _CHUNK - 1, _CHUNK + 1, 2 * _CHUNK - 8, 2 * _CHUNK + 8, 3 * _CHUNK + 5]
 
 

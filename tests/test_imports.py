@@ -148,6 +148,15 @@ def test_integer_fields_checked_in_errors_only(module):
     assert list(integer_type_tests(tree)) == []
 
 
+# `tensor._float64_chunks` is the one float64 chunk walker, for every
+# elementwise stage and every sum: no other module names its chunk size, so
+# none walks chunks of its own.
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py") if p.name != "tensor.py"))
+def test_chunk_size_named_in_tensor_only(module):
+    tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+    assert "_CHUNK" not in names(tree) | set(imported_names(tree))
+
+
 def import_sources(tree: ast.Module) -> set:
     """The last dotted part of every module that tree imports from."""
     sources = set()

@@ -23,10 +23,10 @@ class TestPsnr:
         b = np.full((4, 4), 255.0)
         assert psnr(a, b, 255) == pytest.approx(0.0, abs=1e-9)
 
-    @pytest.mark.parametrize("peak", [math.nan, math.inf, "1", None])
+    @pytest.mark.parametrize("peak", [math.nan, math.inf, "1", None, True])
     def test_peak_that_is_not_finite_refused(self, peak):
-        # A NaN peak returned nan, an infinite one inf, and one that is not a
-        # real number raised a bare TypeError.
+        # A NaN peak returned nan, an infinite one inf, one that is not a
+        # real number raised a bare TypeError, and True passed as 1.
         a = np.zeros((2, 2))
         with pytest.raises(DomainError, match=f"^peak must be positive and finite, got {peak!r}$"):
             psnr(a, a + 1, peak)

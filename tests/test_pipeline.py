@@ -393,23 +393,28 @@ def test_a_unit_decode_evaluates_its_binomial_once(monkeypatch):
 def test_decode_measures_no_float_statistics(monkeypatch, prune, codec):
     """The decoder takes the statistics it refines from, and its fill, from
     exact integer moments of the kept samples. It makes no float64 pass over
-    its float32 buffer to measure them: no pairwise sum, where a staged
+    its float32 buffer to measure them: no float64 sum, where a staged
     decoder makes 2 per unit (the refinement's mean and spread) and 3 per
-    pruned unit (the fill mean too)."""
+    pruned unit (the fill mean too). The moments walk the integer tiles
+    through the same float64 chunks, so the sum is counted, not the walk."""
     rng = np.random.default_rng(11)
     group = TensorGroup(tuple(random_tensor(rng, channels=4, height=8, width=8) for _ in range(2)))
     stream = fcm_encode(group, EncoderConfig(prune_ratio=prune, codec=codec))
     calls = []
-    pairwise_sum = fcmcodec.tensor._pairwise_sum
+    float64_sum = fcmcodec.tensor._float64_sum
 
     def counted(data, mu):
         calls.append(data.shape)
-        return pairwise_sum(data, mu)
+        return float64_sum(data, mu)
 
-    monkeypatch.setattr(fcmcodec.tensor, "_pairwise_sum", counted)
+    for module in (fcmcodec.tensor, fcmcodec.packing):
+        monkeypatch.setattr(module, "_float64_sum", counted)
     decoded = fcm_decode(stream)
     assert calls == []
     assert len(decoded) == len(group)
+    # The encoder's statistics do go through the patched sum.
+    fcm_encode(group, EncoderConfig(prune_ratio=prune, codec=codec))
+    assert calls
 
 
 def test_frame_past_the_element_cap_is_refused_before_decoding():

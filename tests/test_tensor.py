@@ -44,9 +44,9 @@ class TestGlobalStats:
         s = compute_global_stats(tensor_of(data, (1, 2, 2)))
         assert s.sigma == pytest.approx(expected)
 
-    @pytest.mark.parametrize("mu", ["a", None])
+    @pytest.mark.parametrize("mu", ["a", None, True])
     def test_statistic_that_is_not_a_number_refused(self, mu):
-        # Each raised a bare TypeError.
+        # "a" and None raised a bare TypeError; True passed as 1.
         with pytest.raises(DomainError, match="^statistics must be finite real numbers"):
             GlobalStats(mu, 1.0)
 
