@@ -84,11 +84,15 @@ DCT-II matrix D, is the block of the unit coefficient at zigzag position z.
 The decoder first scans every prefix into one byte per codeword and runs
 every truncation and padding check, then decodes a slice at a time: it
 reads the slice's values, scatters them and writes the slice's inverse DCT
-into the frame. The prefix scan and the value read run in bounded chunks,
-and a slice holds a bounded number of pairs and of blocks, so beyond the
-frame and a byte per codeword, the scratch memory does not grow with the
-payload or the frame. The pixels are clipped to the bit depth the caller
-passes, the unit header's.
+into the frame. As an H.26x decoder does, it rebuilds whole blocks into a
+frame whose sides are multiples of 8, each slice's blocks in one write
+through the frame's block view, and crops once at the end, as a conformance
+window does: where a side is not a multiple of 8, codec_decode returns a
+view of that frame, not a contiguous array. The prefix scan and the value
+read run in bounded chunks, and a slice holds a bounded number of pairs and
+of blocks, so beyond the frame and a byte per codeword, the scratch memory
+does not grow with the payload or the frame. The pixels are clipped to the
+bit depth the caller passes, the unit header's.
 
 The forward DCT is one product with the same basis: raster blocks times its
 transpose are their coefficients, already in zigzag order. The encoder fills
@@ -288,12 +292,12 @@ def qstep(qp: int) -> float:
     return 2.0 ** ((qp - 4) / 6.0)
 
 
-def _zigzag_order(n: int = BLOCK) -> np.ndarray:
+def _zigzag_order() -> np.ndarray:
     coords = sorted(
-        ((r, c) for r in range(n) for c in range(n)),
+        ((r, c) for r in range(BLOCK) for c in range(BLOCK)),
         key=lambda rc: (rc[0] + rc[1], rc[1] if (rc[0] + rc[1]) % 2 else rc[0]),
     )
-    flat = [r * n + c for r, c in coords]
+    flat = [r * BLOCK + c for r, c in coords]
     return np.asarray(flat, dtype=np.int64)
 
 
@@ -716,18 +720,16 @@ def _scatter_blocks(counts: np.ndarray, pairs: np.ndarray, step: float) -> np.nd
     64 * len(counts) must be below 2^31."""
     runs, levels = pairs[0::2], pairs[1::2]
     full = np.flatnonzero(counts)  # the blocks that hold pairs
-    if not len(full):
-        return np.zeros((len(counts), _COEFFS))
     # A run over 63 ends past its block; refusing it first keeps every sum
     # below 64 * (len(counts) + 1).
     at = runs + np.int32(1)
-    if at.max() > _COEFFS:
+    if at.max(initial=0) > _COEFFS:
         raise PayloadDecodeError("coefficient position past end of block")
     first = np.cumsum(counts, dtype=np.int32)[full]
     first -= counts[full]  # the blocks' first pairs
     # A block's run + 1 sum is the position after its last pair.
     sums = np.add.reduceat(at, first, dtype=np.int32)
-    if sums.max() > _COEFFS:
+    if sums.max(initial=0) > _COEFFS:
         raise PayloadDecodeError("coefficient position past end of block")
     # at = 64 * block + zigzag position: a cumsum of run + 1 that each block
     # restarts at 64 * block - 1, by a jump at its first pair.
@@ -795,7 +797,8 @@ def _decode_dct(data: bytes, bit_depth: int, shape: tuple[int, int]) -> np.ndarr
         raise PayloadDecodeError("nonzero padding bit")
     # Every symbol has been read and checked; decode a slice of block rows at
     # a time, so the pair and coefficient scratch stays within the slice.
-    frame = np.empty(shape, dtype=np.uint16)
+    frame = np.empty((BLOCK * hb, BLOCK * wb), dtype=np.uint16)
+    view = _to_blocks(frame)  # whole blocks: a view, with nothing to pad
     row_counts = counts.reshape(hb, wb)
     first = 0  # the slice's first pair symbol
     for r0, r1 in _slices(row_counts, _DECODE_SLICE_BLOCKS):
@@ -809,30 +812,13 @@ def _decode_dct(data: bytes, bit_depth: int, shape: tuple[int, int]) -> np.ndarr
         del coeffs
         # x + 0.5 clipped to [0, top], where the uint16 cast's truncation is
         # the floor: floor(x + 0.5), which rounds half away from zero
-        # wherever clip keeps the value. The pad samples of edge blocks are
-        # rounded too, and dropped by the cast into the frame.
+        # wherever clip keeps the value.
         pixels += 0.5
         np.clip(pixels, 0, top, out=pixels)
-        _cast_blocks(pixels, frame[BLOCK * r0 : BLOCK * r1])
+        view[r0:r1] = pixels
         del pixels
-    return frame
-
-
-def _cast_blocks(blocks: np.ndarray, rows: np.ndarray) -> None:
-    """Cast the (m, n, 8, 8) blocks into rows, the frame rows they cover,
-    through block views of rows, which hold at most 8m rows and 8n columns.
-
-    The blocks of the last row and column are cropped to the frame, so rows
-    splits into at most four parts of blocks of one size each.
-    """
-    h, w = rows.shape
-    for r0, r1 in ((0, h // BLOCK), (h // BLOCK, len(blocks))):
-        for c0, c1 in ((0, w // BLOCK), (w // BLOCK, blocks.shape[1])):
-            part = rows[BLOCK * r0 : BLOCK * r1, BLOCK * c0 : BLOCK * c1]
-            if part.size:
-                bh, bw = part.shape[0] // (r1 - r0), part.shape[1] // (c1 - c0)
-                view = part.reshape(r1 - r0, bh, c1 - c0, bw).transpose(0, 2, 1, 3)
-                view[...] = blocks[r0:r1, c0:c1, :bh, :bw]
+    # The pad samples of the last block row and column are cropped once, here.
+    return frame[:h, :w]
 
 
 def codec_encode(frame: np.ndarray, codec: CodecId, qp: int, bit_depth: int) -> bytes:
@@ -852,7 +838,8 @@ def codec_encode(frame: np.ndarray, codec: CodecId, qp: int, bit_depth: int) -> 
 
 def codec_decode(data: bytes, codec: int, bit_depth: int, shape: tuple[int, int]) -> np.ndarray:
     """Decompress to exactly shape with samples below 2^bit_depth, or raise a
-    classified error."""
+    classified error. A BLOCK_DCT frame may be a view of the block-aligned
+    frame it was rebuilt in, cropped to shape."""
     shape = _check_frame_shape(shape, DomainError)
     sample_max(bit_depth)
     if codec_id(codec) == CodecId.BLOCK_DCT:

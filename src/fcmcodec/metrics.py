@@ -28,12 +28,15 @@ def psnr(a: np.ndarray, b: np.ndarray, peak: float) -> float:
 @dataclass(frozen=True)
 class RdCurve:
     """At least four (rate, quality) points, strictly increasing in rate;
-    rates positive and finite, qualities finite."""
+    each value a real number, not a bool; rates positive and finite,
+    qualities finite."""
 
     rates: tuple[float, ...]
     qualities: tuple[float, ...]
 
     def __post_init__(self):
+        if not all(map(is_real, (*self.rates, *self.qualities))):
+            raise DomainError("rates and qualities must be real numbers, not bools")
         rates = tuple(float(r) for r in self.rates)
         qualities = tuple(float(q) for q in self.qualities)
         if len(rates) != len(qualities):

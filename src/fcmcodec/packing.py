@@ -67,16 +67,15 @@ def pack(t: FeatureTensor) -> tuple[np.ndarray, PackingLayout]:
 
 
 def unpack(frame: np.ndarray, layout: PackingLayout) -> np.ndarray:
-    """Invert pack: the C x tile_h x tile_w array of frame's channel tiles,
-    a new array in frame's dtype; pad tiles are discarded."""
+    """Invert pack: the C x tile_h x tile_w array of frame's channel tiles, in
+    frame's dtype and sharing no memory with it. The whole tile grid is copied
+    in one write and the pad tiles, which come last, are dropped. frame may be
+    a strided view, such as a crop of a block-aligned frame."""
     frame = np.asarray(frame)
     expected = (layout.frame_height, layout.frame_width)
     if frame.shape != expected:
         raise DomainError(f"frame shape {frame.shape} does not match layout {expected}")
     tiles = _tiles(frame, layout)
-    out = np.empty((layout.channel_count, layout.tile_h, layout.tile_w), dtype=frame.dtype)
-    full, rest = divmod(layout.channel_count, layout.grid_cols)
-    out[: full * layout.grid_cols].reshape(tiles[:full].shape)[...] = tiles[:full]
-    if rest:
-        out[full * layout.grid_cols :] = tiles[full, :rest]
-    return out
+    out = np.empty((layout.grid_rows * layout.grid_cols, layout.tile_h, layout.tile_w), dtype=frame.dtype)
+    out.reshape(tiles.shape)[...] = tiles
+    return out[: layout.channel_count]

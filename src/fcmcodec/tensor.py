@@ -54,15 +54,21 @@ class GlobalStats:
 class FeatureTensor:
     """Immutable C x H x W float32 tensor with all-finite values.
 
-    A C-contiguous float32 input array is kept, not copied, and made
-    read-only; any other input is converted to a new one. On a little-endian
-    host, a tensor read from an FTNS file views the file's bytes.
+    The input must hold integers or floats. A C-contiguous float32 input
+    array is kept, not copied, and made read-only; any other input is
+    converted to a new one. On a little-endian host, a tensor read from an
+    FTNS file views the file's bytes.
     """
 
     data: np.ndarray
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.data, dtype=np.float32)
+        arr = np.asarray(self.data)
+        # A bool would pass as 0 or 1, a complex lose its imaginary part, and
+        # a string be parsed as a number.
+        if arr.dtype.kind not in "iuf":
+            raise DomainError(f"expected integer or float values, got {arr.dtype}")
+        arr = np.ascontiguousarray(arr, dtype=np.float32)
         if arr.ndim != 3:
             raise DomainError(f"expected a 3-d array, got {arr.ndim}-d")
         if min(arr.shape) < 1:

@@ -83,6 +83,14 @@ class TestBdRate:
         with pytest.raises(DomainError, match="rates must be positive and finite"):
             curve([1, 2, 4, rate], [1, 2, 3, 4])
 
+    @pytest.mark.parametrize(
+        "rates,qualities",
+        [(("1", "2", "3", "4"), (1, 2, 3, 4)), ((1, 2, 3, 4), (True, 2, 3, 4)), ((1, 2, 3, "x"), (1, 2, 3, 4))],
+    )
+    def test_values_that_are_not_real_numbers_rejected(self, rates, qualities):
+        with pytest.raises(DomainError, match="^rates and qualities must be real numbers, not bools$"):
+            RdCurve(rates, qualities)
+
     def test_unequal_lengths_rejected(self):
         with pytest.raises(DomainError, match="^rates and qualities must have equal length$"):
             curve([1, 2, 4, 8], [1, 2, 3])

@@ -92,6 +92,7 @@ class TestUnpack:
         out = unpack(frame, layout)
         assert out.dtype == np.uint16
         np.testing.assert_array_equal(out, reference_unpack(frame, layout))
+        assert not np.shares_memory(out, frame)
 
     def test_dims_mismatch(self, rng):
         _, layout = pack(random_tensor(rng, channels=4, height=2, width=2))

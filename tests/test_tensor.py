@@ -156,6 +156,21 @@ class TestValidation:
         with pytest.raises(DomainError, match="non-finite"):
             FeatureTensor(data)
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            np.ones((1, 2, 2), dtype=bool),
+            np.ones((1, 2, 2), dtype=np.complex64),
+            np.array([[["1", "2"]]]),
+            np.array([[[1.0, 2]]], dtype=object),
+            [[[1.5, 2j]]],
+        ],
+        ids=["bool", "complex", "string", "object", "complex_list"],
+    )
+    def test_rejects_values_that_are_not_real_numbers(self, data):
+        with pytest.raises(DomainError, match="^expected integer or float values, got "):
+            FeatureTensor(data)
+
     def test_rejects_wrong_rank(self):
         with pytest.raises(DomainError):
             FeatureTensor(np.zeros((2, 2), dtype=np.float32))
